@@ -1,6 +1,6 @@
-# Developer entry points. `just` users: see justfile (same targets).
+# Developer entry points.
 
-.PHONY: build test clippy doc matrix ci bench-smoke bench-paper
+.PHONY: build test clippy doc matrix simbench ci bench-smoke bench-paper
 
 build:
 	cargo build --release
@@ -26,9 +26,16 @@ matrix:
 	cargo test --release -p stepstone-addr --test window_successor -q
 	cargo test --release -p stepstone-fabric -q
 
+# The benchmark harness is a workspace of its own, so `cargo build
+# --workspace` never compiles it: build it and run its self-tests against
+# the current simulator API.
+simbench:
+	cargo test --release --offline -q --manifest-path simbench/Cargo.toml
+
 # The merge gate for perf-relevant changes: build, test, lint, docs,
-# equivalence matrix, and validate BENCH_sim.json on the committed shape.
-ci: build test clippy doc matrix bench-smoke
+# equivalence matrix, benchmark harness, and validate BENCH_sim.json on the
+# committed shape.
+ci: build test clippy doc matrix simbench bench-smoke
 	@echo "ci: all gates green"
 
 # Build release and run the simulator hot-path bench at the *paper scale*

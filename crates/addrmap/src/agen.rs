@@ -33,13 +33,12 @@
 
 use crate::geometry::BLOCK_BYTES;
 use crate::gf2::Gf2System;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// `parity(pa & mask) == parity` must hold for a block to be emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParityConstraint {
     pub mask: u64,
     pub parity: bool,
@@ -67,7 +66,7 @@ pub struct AgenStep {
 
 /// Which of the paper's two iteration-compression rules are active; both on
 /// is the full StepStone AGEN, both off is a plain bit-serial corrector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AgenRules {
     /// Rule 1: adjacent bits feeding the same ID bit correct in one step.
     pub instant_correction: bool,

@@ -1,7 +1,6 @@
 //! DRAM system organization (channels, ranks, bank groups, banks, rows,
 //! columns) at cache-block granularity.
 
-use serde::{Deserialize, Serialize};
 
 /// Size of one cache block / DRAM burst transfer (64 B = BL8 on a 64-bit bus).
 pub const BLOCK_BYTES: u64 = 64;
@@ -14,7 +13,7 @@ pub const BLOCK_SHIFT: u32 = 6;
 /// Skylake mapping has one channel bit and one rank bit, and DDR4 devices
 /// have 4 bank groups of 4 banks, giving 2 CH-level, 4 DV-level, and 16
 /// BG-level PIM units ("for StepStone-BG there are 16 active PIMs", §V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     pub channels: u32,
     pub ranks_per_channel: u32,
@@ -104,7 +103,7 @@ impl Geometry {
 }
 
 /// A fully decoded DRAM coordinate for one cache block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramCoord {
     pub channel: u32,
     pub rank: u32,

@@ -7,11 +7,10 @@
 //! (non-power-of-two GEMMs are decomposed upstream).
 
 use crate::geometry::{BLOCK_BYTES, BLOCK_SHIFT};
-use serde::{Deserialize, Serialize};
 
 /// A row-major `rows × cols` matrix of `elem_bytes`-sized elements at
 /// physical base address `base`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatrixLayout {
     pub base: u64,
     pub rows: usize,

@@ -10,10 +10,9 @@
 
 use crate::geometry::{DramCoord, Geometry, BLOCK_SHIFT};
 use crate::gf2::Gf2Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A DRAM coordinate field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Field {
     Column,
     Bank,
@@ -26,7 +25,7 @@ pub enum Field {
 /// Declares that a physical-address bit is owned by `field` bit `index`, and
 /// that this coordinate bit additionally XORs in the listed `taps`
 /// (absolute PA bit positions).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSpec {
     pub field: Field,
     pub index: u32,
@@ -44,7 +43,7 @@ impl BitSpec {
 }
 
 /// An invertible XOR-based address mapping for a given [`Geometry`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct XorMapping {
     name: String,
     geom: Geometry,
@@ -57,14 +56,12 @@ pub struct XorMapping {
     ch_masks: Vec<u64>,
     row_masks: Vec<u64>,
     /// Inverse map: coordinate-bit vector → block-address bits.
-    #[serde(skip)]
     inverse: Option<Gf2Matrix>,
     /// Byte-indexed XOR tables for [`XorMapping::decode`]: one 256-entry
     /// table per PA byte, each entry the packed-coordinate contribution of
     /// that byte value. Decode is then 8 lookups + XORs instead of ~30
     /// mask/popcount gathers. Empty when a field exceeds the packed widths
     /// (falls back to the gather path).
-    #[serde(skip)]
     decode_lut: Vec<[u64; 256]>,
 }
 

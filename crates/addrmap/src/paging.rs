@@ -64,10 +64,9 @@
 use crate::geometry::BLOCK_BYTES;
 use crate::mapping::XorMapping;
 use crate::region::RegionPlan;
-use serde::{Deserialize, Serialize};
 
 /// Frame-allocation policy of a [`PageMap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PagePolicy {
     /// Frame number == page number (translation is the identity).
     Identity,
@@ -81,7 +80,7 @@ pub enum PagePolicy {
 
 /// Parameters of the VA→PA layer, threaded through
 /// `SystemConfig::paging`. Hash/Eq so session keys can include it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PagingConfig {
     /// Page size in bytes (power of two, at least one cache block).
     pub page_bytes: u64,

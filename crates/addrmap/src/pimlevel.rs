@@ -7,10 +7,9 @@
 
 use crate::geometry::Geometry;
 use crate::mapping::{Field, XorMapping};
-use serde::{Deserialize, Serialize};
 
 /// Where PIM units are integrated (paper Fig. 3a).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PimLevel {
     /// StepStone-CH: one PIM per memory channel.
     Channel,

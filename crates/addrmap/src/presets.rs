@@ -10,10 +10,9 @@
 
 use crate::geometry::Geometry;
 use crate::mapping::{BitSpec, Field, XorMapping};
-use serde::{Deserialize, Serialize};
 
 /// Address-mapping identifiers, matching Table II's "ID" column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MappingId {
     /// ID 0: Exynos-like (modified).
     Exynos,

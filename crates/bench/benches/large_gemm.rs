@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use stepstone_addr::PimLevel;
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
-use stepstone_core::{simulate_pow2_gemm_exec, ExecMode, GemmSpec, SimOptions, SystemConfig};
+use stepstone_core::{simulate_gemm_opt, GemmSpec, SimOptions, SystemConfig};
 
 fn bench_large_gemm(c: &mut Criterion) {
     let sys = SystemConfig::default();
@@ -18,7 +18,7 @@ fn bench_large_gemm(c: &mut Criterion) {
     g.bench_function("streaming", |b| {
         b.iter(|| {
             black_box(
-                simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming).total,
+                simulate_gemm_opt(&sys, &spec, &opts, None).total,
             )
         })
     });

@@ -88,7 +88,7 @@ use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
 use stepstone_core::engine::{reset_run_counters, run_counters, RunCounters, FB_LABELS};
 use stepstone_core::flow::build_kernel_program_for;
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, FabricConfig, FabricStats, GemmContext, GemmSpec,
+    simulate_gemm_opt, FabricConfig, FabricStats, GemmContext, GemmSpec,
     LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig, TopologyKind,
 };
 use stepstone_dram::{BackendKind, DramConfig};
@@ -171,7 +171,7 @@ fn main() {
             units * (window_cap + 1),
             Box::new({
                 let (sys, spec, opts) = (sys.clone(), spec, opts.clone());
-                move || simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming)
+                move || simulate_gemm_opt(&sys, &spec, &opts, None)
             }),
         ),
         (
@@ -179,7 +179,7 @@ fn main() {
             units * (window_cap + 1),
             Box::new({
                 let (sys, spec, opts) = (serial_sys.clone(), spec, opts.clone());
-                move || simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming)
+                move || simulate_gemm_opt(&sys, &spec, &opts, None)
             }),
         ),
         (
@@ -667,7 +667,7 @@ fn fabric_section(
         let fsys =
             sys.clone().with_reduce_via(ReduceVia::Fabric).with_fabric(cfg.with_topology(kind));
         let t0 = Instant::now();
-        let r = simulate_pow2_gemm_exec(&fsys, spec, opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&fsys, spec, opts, None);
         let wall_ms = t0.elapsed().as_nanos() as f64 / 1e6;
         assert_eq!(r.dram, host.dram, "fabric reduce changed the DRAM command stream");
         assert_eq!(r.activity, host.activity, "fabric reduce changed activity counts");
@@ -743,7 +743,7 @@ fn paging_section(
 ) -> PagingSection {
     use stepstone_addr::{paged_run_stats, PageMap, PagingConfig};
     let isys = serial_sys.clone().with_paging(PagingConfig::identity(4096));
-    let ir = simulate_pow2_gemm_exec(&isys, spec, opts, None, ExecMode::Streaming);
+    let ir = simulate_gemm_opt(&isys, spec, opts, None);
     let identical = ir.total == baseline_cycles;
     assert!(identical, "identity paging diverged: {} vs {baseline_cycles}", ir.total);
     println!(
@@ -769,7 +769,7 @@ fn paging_section(
         let psys = serial_sys.clone().with_paging(cfg);
         reset_run_counters();
         let t0 = Instant::now();
-        let r = simulate_pow2_gemm_exec(&psys, spec, opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&psys, spec, opts, None);
         let wall_ns = t0.elapsed().as_nanos();
         let rc = run_counters();
         let map = PageMap::for_mapping(cfg, &mapping);
@@ -839,7 +839,7 @@ fn backends_section(
     // dominate a single measurement.
     for _ in 0..3 {
         let t0 = Instant::now();
-        let r = simulate_pow2_gemm_exec(&asys, spec, opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&asys, spec, opts, None);
         analytic_wall_ns = analytic_wall_ns.min(t0.elapsed().as_nanos());
         analytic_cycles = r.total;
     }
@@ -857,7 +857,7 @@ fn backends_section(
         .iter()
         .map(|&name| {
             let psys = sys.clone().with_dram(DramConfig::by_name(name).expect("preset"));
-            let r = simulate_pow2_gemm_exec(&psys, &smoke, opts, None, ExecMode::Streaming);
+            let r = simulate_gemm_opt(&psys, &smoke, opts, None);
             println!(
                 "  preset {name:<7} {:>10} sim cycles @ {:>4} MHz = {:.3} ms simulated",
                 r.total,
@@ -941,7 +941,7 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
     let timed = |sys: &SystemConfig| {
         let t0 = Instant::now();
-        let rep = simulate_pow2_gemm_exec(sys, &spec, &opts, None, ExecMode::Streaming);
+        let rep = simulate_gemm_opt(sys, &spec, &opts, None);
         (t0.elapsed().as_nanos() as f64, rep)
     };
     let (cold_ns, cold) = timed(sys);

@@ -1,12 +1,11 @@
 //! Tabular output shared by all figure harnesses: aligned text tables for
 //! the terminal plus JSON dumps under `results/` for plotting.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// A simple column-aligned table.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     pub headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
@@ -52,7 +51,7 @@ impl Table {
 }
 
 /// One regenerated figure/table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureResult {
     /// e.g. "fig6".
     pub id: String,
@@ -97,8 +96,7 @@ impl FigureResult {
         Some(path)
     }
 
-    /// JSON encoding (hand-rolled; the workspace vendors serde's derives as
-    /// no-ops, see `crates/compat/`).
+    /// JSON encoding.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let _ = write!(out, "  \"id\": {},\n  \"title\": {},\n", json_str(&self.id), json_str(&self.title));

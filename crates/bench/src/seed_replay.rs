@@ -8,7 +8,7 @@
 //! behavior instead: the `UnitCursor` below is the seed's engine verbatim
 //! (modulo borrowing the shared `Step`/`SubsetRemap` types from core), the
 //! step programs are fully materialized `Vec<Step>`s, and the AGEN runs the
-//! seed's per-candidate GF(2) corrector (`ExecMode::MaterializedSeedAgen`).
+//! seed's per-candidate GF(2) corrector (`build_kernel_program_seed`).
 //! `bench_sim` cross-checks cycle-exactness between this replayer and the
 //! streaming engine on every run.
 //!

@@ -28,7 +28,7 @@ use stepstone_core::engine::{
     reset_run_counters, run_counters, set_run_granular, set_span_fast_path,
 };
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, FabricConfig, GemmSpec, LatencyReport, Phase, ReduceVia,
+    simulate_gemm_opt, FabricConfig, GemmSpec, LatencyReport, Phase, ReduceVia,
     SimOptions, SystemConfig, TopologyKind,
 };
 use stepstone_dram::BackendKind;
@@ -94,13 +94,7 @@ fn matrix_parallel_trace_fastpath_match_frozen_seed() {
                             reset_run_counters();
                             let sys =
                                 SystemConfig { parallel, trace, ..SystemConfig::default() };
-                            let got = simulate_pow2_gemm_exec(
-                                &sys,
-                                &spec,
-                                &opts,
-                                None,
-                                ExecMode::Streaming,
-                            );
+                            let got = simulate_gemm_opt(&sys, &spec, &opts, None);
                             let c = run_counters();
                             set_span_fast_path(true);
                             set_run_granular(true);
@@ -152,13 +146,12 @@ fn matrix_backend_tiers_exact_and_analytic() {
                 set_run_granular(rg);
                 let sys = SystemConfig { parallel, ..SystemConfig::default() };
                 assert_eq!(sys.backend, BackendKind::Exact, "exact is the default tier");
-                let exact = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                let exact = simulate_gemm_opt(&sys, &spec, &opts, None);
                 let what = format!("{m}x{k} N={n} exact parallel={parallel} rg={rg}");
                 assert_reports_equal(&exact, &seed, &what);
 
                 let asys = sys.clone().with_backend(BackendKind::Analytic);
-                let analytic =
-                    simulate_pow2_gemm_exec(&asys, &spec, &opts, None, ExecMode::Streaming);
+                let analytic = simulate_gemm_opt(&asys, &spec, &opts, None);
                 set_run_granular(true);
                 // The closed-form tier is knob-independent: same answer
                 // whatever the engine scheduling configuration.
@@ -216,7 +209,7 @@ fn matrix_reduce_via_host_dma_and_fabric() {
                 set_run_granular(rg);
                 let sys = SystemConfig { parallel, ..SystemConfig::default() };
                 assert_eq!(sys.reduce_via, ReduceVia::HostDma, "host DMA is the default");
-                let host = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                let host = simulate_gemm_opt(&sys, &spec, &opts, None);
                 let what = format!("{m}x{k} N={n} host-dma parallel={parallel} rg={rg}");
                 assert_reports_equal(&host, &seed, &what);
                 assert!(host.fabric.is_none(), "{what}: no fabric stats on the default path");
@@ -226,8 +219,7 @@ fn matrix_reduce_via_host_dma_and_fabric() {
                         .clone()
                         .with_reduce_via(ReduceVia::Fabric)
                         .with_fabric(FabricConfig::default().with_topology(*topo));
-                    let fab =
-                        simulate_pow2_gemm_exec(&fsys, &spec, &opts, None, ExecMode::Streaming);
+                    let fab = simulate_gemm_opt(&fsys, &spec, &opts, None);
                     let what = format!(
                         "{m}x{k} N={n} fabric({}) parallel={parallel} rg={rg}",
                         topo.tag()
@@ -314,7 +306,7 @@ fn matrix_paging_identity_reduction_and_fragmented_oracle() {
             for parallel in [false, true] {
                 let sys =
                     SystemConfig { parallel, ..SystemConfig::default() }.with_paging(paging);
-                let got = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                let got = simulate_gemm_opt(&sys, &spec, &opts, None);
                 let what = format!("{m}x{k} N={n} {level:?} {paging:?} parallel={parallel}");
                 assert_reports_equal(&got, &seed, &what);
             }
@@ -328,14 +320,14 @@ fn matrix_paging_identity_reduction_and_fragmented_oracle() {
             set_run_granular(false);
             let osys =
                 SystemConfig { parallel: false, ..SystemConfig::default() }.with_paging(paging);
-            let oracle = simulate_pow2_gemm_exec(&osys, &spec, &opts, None, ExecMode::Streaming);
+            let oracle = simulate_gemm_opt(&osys, &spec, &opts, None);
             set_span_fast_path(true);
             set_run_granular(true);
             for parallel in [false, true] {
                 reset_run_counters();
                 let sys =
                     SystemConfig { parallel, ..SystemConfig::default() }.with_paging(paging);
-                let got = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                let got = simulate_gemm_opt(&sys, &spec, &opts, None);
                 let what = format!("{m}x{k} N={n} {level:?} {paging:?} parallel={parallel}");
                 assert_reports_equal(&got, &oracle, &what);
                 admitted += run_counters().runs;
@@ -363,12 +355,11 @@ fn matrix_covers_subset_and_echo_program_shapes() {
         SimOptions::echo(PimLevel::BankGroup),
     ] {
         set_span_fast_path(false);
-        let baseline = simulate_pow2_gemm_exec(
+        let baseline = simulate_gemm_opt(
             &SystemConfig { parallel: false, trace: true, ..SystemConfig::default() },
             &spec,
             &opts,
             None,
-            ExecMode::Streaming,
         );
         for parallel in [false, true] {
             for trace in [false, true] {
@@ -377,8 +368,7 @@ fn matrix_covers_subset_and_echo_program_shapes() {
                         set_span_fast_path(fast);
                         set_run_granular(rg);
                         let sys = SystemConfig { parallel, trace, ..SystemConfig::default() };
-                        let got =
-                            simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                        let got = simulate_gemm_opt(&sys, &spec, &opts, None);
                         set_span_fast_path(true);
                         set_run_granular(true);
                         let what = format!(

@@ -10,8 +10,15 @@
 use stepstone_addr::PimLevel;
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, GemmSpec, LatencyReport, SimOptions, SystemConfig,
+    simulate_gemm_opt, simulate_pow2_gemm_ctx, ExecMode, GemmContext, GemmSpec, LatencyReport,
+    SimOptions, SystemConfig,
 };
+
+/// The in-core materialized replay of one power-of-two GEMM.
+fn materialized_replay(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> LatencyReport {
+    let ctx = GemmContext::build(sys, spec, opts);
+    simulate_pow2_gemm_ctx(sys, spec, opts, None, ExecMode::Materialized, &ctx, 0)
+}
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
     assert_eq!(a.total, b.total, "{what}: total cycles");
@@ -28,10 +35,8 @@ fn streaming_matches_seed_engine_across_levels_and_shapes() {
         let spec = GemmSpec::new(m, k, n);
         for level in PimLevel::ALL {
             let opts = SimOptions::stepstone(level);
-            let streaming =
-                simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
-            let materialized =
-                simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Materialized);
+            let streaming = simulate_gemm_opt(&sys, &spec, &opts, None);
+            let materialized = materialized_replay(&sys, &spec, &opts);
             let seed = simulate_pow2_gemm_seed(&sys, &spec, &opts);
             let what = format!("{m}x{k} N={n} {level:?}");
             assert_reports_equal(&streaming, &materialized, &format!("{what} (materialized)"));
@@ -55,10 +60,8 @@ fn parallel_channel_execution_matches_serial_and_seed() {
         let spec = GemmSpec::new(m, k, n);
         for level in PimLevel::ALL {
             let opts = SimOptions::stepstone(level);
-            let parallel =
-                simulate_pow2_gemm_exec(&par_sys, &spec, &opts, None, ExecMode::Streaming);
-            let serial =
-                simulate_pow2_gemm_exec(&serial_sys, &spec, &opts, None, ExecMode::Streaming);
+            let parallel = simulate_gemm_opt(&par_sys, &spec, &opts, None);
+            let serial = simulate_gemm_opt(&serial_sys, &spec, &opts, None);
             let seed = simulate_pow2_gemm_seed(&serial_sys, &spec, &opts);
             let what = format!("{m}x{k} N={n} {level:?}");
             assert_reports_equal(&parallel, &serial, &format!("{what} (parallel vs serial)"));
@@ -71,8 +74,8 @@ fn parallel_channel_execution_matches_serial_and_seed() {
         SimOptions::stepstone(PimLevel::BankGroup).with_subset(1),
         SimOptions::echo(PimLevel::BankGroup),
     ] {
-        let parallel = simulate_pow2_gemm_exec(&par_sys, &spec, &opts, None, ExecMode::Streaming);
-        let serial = simulate_pow2_gemm_exec(&serial_sys, &spec, &opts, None, ExecMode::Streaming);
+        let parallel = simulate_gemm_opt(&par_sys, &spec, &opts, None);
+        let serial = simulate_gemm_opt(&serial_sys, &spec, &opts, None);
         assert_reports_equal(&parallel, &serial, &format!("{:?} (parallel)", opts.granularity));
     }
 }
@@ -88,9 +91,8 @@ fn streaming_matches_seed_engine_with_subset_and_echo() {
         SimOptions::echo(PimLevel::BankGroup),
         SimOptions::echo(PimLevel::Device),
     ] {
-        let streaming = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
-        let materialized =
-            simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Materialized);
+        let streaming = simulate_gemm_opt(&sys, &spec, &opts, None);
+        let materialized = materialized_replay(&sys, &spec, &opts);
         assert_reports_equal(&streaming, &materialized, &format!("{:?}", opts.granularity));
     }
 }

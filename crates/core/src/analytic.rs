@@ -286,7 +286,7 @@ pub(crate) fn execute_pow2_gemm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::{simulate_gemm, simulate_pow2_gemm};
+    use crate::flow::{simulate_gemm, simulate_gemm_opt};
     use stepstone_addr::PimLevel;
     use stepstone_dram::BackendKind;
 
@@ -328,7 +328,7 @@ mod tests {
         // exactly once on the PIM port, like the exact model.
         let fast = SystemConfig::default().with_backend(BackendKind::Analytic);
         let (m, k, n) = (1024usize, 4096usize, 2usize);
-        let r = simulate_pow2_gemm(
+        let r = simulate_gemm_opt(
             &fast,
             &GemmSpec::new(m, k, n),
             &SimOptions::stepstone(PimLevel::BankGroup),

@@ -17,13 +17,11 @@
 
 use crate::config::SystemConfig;
 use crate::engine::{run_phase_auto, Step, TrafficCursor, UnitCursor};
-use crate::flow::{GemmContext, SimOptions};
+use crate::flow::{chain_pow2, with_fresh_backend, GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::{PimLevel, RegionPlan, StepStoneAgen};
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, TimingState, TrafficSource,
-};
+use stepstone_dram::{CommandBus, MemoryBackend, TrafficSource};
 #[cfg(test)]
 use stepstone_dram::Port;
 use stepstone_pim::{KernelGranularity, LocalizationMode, PimLevelConfig};
@@ -35,21 +33,6 @@ pub fn simulate_pei(
     sys: &SystemConfig,
     spec: &GemmSpec,
     level: PimLevel,
-    mut traffic: Option<&mut dyn TrafficSource>,
-) -> LatencyReport {
-    let mut report = LatencyReport { backend: format!("PEI-{}", level.tag()), ..Default::default() };
-    for sub in spec.decompose_pow2() {
-        let r = simulate_pei_pow2(sys, &sub, level, stepstone_dram::traffic::reborrow(&mut traffic));
-        report.chain(&r);
-    }
-    report.backend = format!("PEI-{}", level.tag());
-    report
-}
-
-fn simulate_pei_pow2(
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    level: PimLevel,
     traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
     let opts = SimOptions {
@@ -58,32 +41,23 @@ fn simulate_pei_pow2(
         subset_drop_bits: 0,
         localization: Some(LocalizationMode::HostMediated { gap_cycles: HOST_COPY_GAP }),
     };
-    let ctx = GemmContext::build(sys, spec, &opts);
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_pei_engine(&mut ts, sys, &opts, traffic, &ctx)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_pei_engine(&mut ts, sys, &opts, traffic, &ctx)
-        }
-    }
+    chain_pow2(sys, spec, format!("PEI-{}", level.tag()), traffic, |sub, traffic| {
+        let ctx = GemmContext::build(sys, sub, &opts);
+        with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
+            simulate_pei_engine(&mut ts, &mut bus, sys, &opts, tcur, &ctx)
+        })
+    })
 }
 
 fn simulate_pei_engine<B: MemoryBackend>(
     ts: &mut B,
+    bus: &mut CommandBus,
     sys: &SystemConfig,
     opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
+    mut tcur: Option<&mut TrafficCursor>,
     ctx: &GemmContext,
 ) -> LatencyReport {
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let mut report = LatencyReport { clock_hz: sys.dram.clock_hz, ..Default::default() };
-    let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
+    let mut report = LatencyReport::default();
 
     // The CPU writes B operand panels into PIM scratchpads over the channel.
     let mut loc = crate::flow::transfer_cursors(
@@ -94,7 +68,7 @@ fn simulate_pei_engine<B: MemoryBackend>(
         0,
         HOST_COPY_GAP,
     );
-    let loc_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut loc, tcur.as_mut(), sys.parallel);
+    let loc_end = run_phase_auto(ts, bus, &ctx.mapping, &mut loc, tcur.as_deref_mut(), sys.parallel);
     report.add_phase(Phase::Localization, loc_end);
 
     // Kernel: one command packet per cache block, in plain address order
@@ -139,7 +113,7 @@ fn simulate_pei_engine<B: MemoryBackend>(
             u
         })
         .collect();
-    let kernel_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, tcur.as_mut(), sys.parallel);
+    let kernel_end = run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
     let mut activity = ActivityCounts::default();
     for u in &units {
         report.phase_cycles[Phase::Gemm.index()] =
@@ -158,12 +132,11 @@ fn simulate_pei_engine<B: MemoryBackend>(
         kernel_end,
         HOST_COPY_GAP,
     );
-    let red_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, tcur.as_mut(), sys.parallel);
+    let red_end = run_phase_auto(ts, bus, &ctx.mapping, &mut red, tcur, sys.parallel);
     report.add_phase(Phase::Reduction, red_end - kernel_end);
     report.total = red_end;
     report.dram = *ts.stats();
     report.activity = activity;
-    report.backend = "PEI".into();
     report
 }
 
@@ -172,55 +145,29 @@ pub fn simulate_ncho(
     sys: &SystemConfig,
     spec: &GemmSpec,
     level: PimLevel,
-    mut traffic: Option<&mut dyn TrafficSource>,
-) -> LatencyReport {
-    let mut report =
-        LatencyReport { backend: format!("nCHO-{}", level.tag()), ..Default::default() };
-    for sub in spec.decompose_pow2() {
-        let r = simulate_ncho_pow2(sys, &sub, level, stepstone_dram::traffic::reborrow(&mut traffic));
-        report.chain(&r);
-    }
-    report.backend = format!("nCHO-{}", level.tag());
-    report
-}
-
-fn simulate_ncho_pow2(
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    level: PimLevel,
     traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
     let opts = SimOptions::stepstone(level);
-    // Context only provides the mapping/layout/partition algebra; nCHO
-    // carves its own vector regions.
-    let ctx = GemmContext::build(sys, spec, &opts);
-    let cfg = PimLevelConfig::nominal(level);
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_ncho_engine(&mut ts, sys, spec, &cfg, traffic, &ctx)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_ncho_engine(&mut ts, sys, spec, &cfg, traffic, &ctx)
-        }
-    }
+    chain_pow2(sys, spec, format!("nCHO-{}", level.tag()), traffic, |sub, traffic| {
+        // Context only provides the mapping/layout/partition algebra; nCHO
+        // carves its own vector regions.
+        let ctx = GemmContext::build(sys, sub, &opts);
+        with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
+            simulate_ncho_engine(&mut ts, &mut bus, sys, sub, &opts.level_cfg, tcur, &ctx)
+        })
+    })
 }
 
 fn simulate_ncho_engine<B: MemoryBackend>(
     ts: &mut B,
+    bus: &mut CommandBus,
     sys: &SystemConfig,
     spec: &GemmSpec,
     cfg: &PimLevelConfig,
-    traffic: Option<&mut dyn TrafficSource>,
+    mut tcur: Option<&mut TrafficCursor>,
     ctx: &GemmContext,
 ) -> LatencyReport {
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let mut report = LatencyReport { clock_hz: sys.dram.clock_hz, ..Default::default() };
-    let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
+    let mut report = LatencyReport::default();
 
     // Per-PIM vector regions: b (K f32, fully replicated — "requires copies
     // across PIM units to ensure all data is local", §II) and y (M f32 of
@@ -253,7 +200,7 @@ fn simulate_ncho_engine<B: MemoryBackend>(
             t,
             HOST_COPY_GAP,
         );
-        let loc_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut loc, tcur.as_mut(), sys.parallel);
+        let loc_end = run_phase_auto(ts, bus, &ctx.mapping, &mut loc, tcur.as_deref_mut(), sys.parallel);
         report.add_phase(Phase::Localization, loc_end - t);
 
         // GEMV kernel per PIM: fill b, stream all local A blocks, drain y —
@@ -308,7 +255,7 @@ fn simulate_ncho_engine<B: MemoryBackend>(
                 )
             })
             .collect();
-        let kernel_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, tcur.as_mut(), sys.parallel);
+        let kernel_end = run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
         for u in &units {
             for p in [Phase::Gemm, Phase::FillB, Phase::DrainC] {
                 let i = p.index();
@@ -328,14 +275,13 @@ fn simulate_ncho_engine<B: MemoryBackend>(
             kernel_end,
             HOST_COPY_GAP,
         );
-        let red_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, tcur.as_mut(), sys.parallel);
+        let red_end = run_phase_auto(ts, bus, &ctx.mapping, &mut red, tcur.as_deref_mut(), sys.parallel);
         report.add_phase(Phase::Reduction, red_end - kernel_end);
         t = red_end;
     }
     report.total = t;
     report.dram = *ts.stats();
     report.activity = activity;
-    report.backend = "nCHO".into();
     report
 }
 

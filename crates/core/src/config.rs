@@ -1,6 +1,5 @@
 //! Whole-system configuration for StepStone simulations.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::agen::AgenRules;
 use stepstone_addr::{mapping_by_id, MappingId, PageMap, PagingConfig, XorMapping};
 use stepstone_dram::{BackendKind, DramConfig};
@@ -8,7 +7,7 @@ use stepstone_fabric::{FabricConfig, ReduceVia};
 use stepstone_pim::{LaunchModel, LocalizationMode};
 
 /// Address-generation variants compared in Fig. 9.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AgenMode {
     /// The naive block-by-block scan.
     Naive,
@@ -23,7 +22,7 @@ impl Default for AgenMode {
 }
 
 /// Everything a simulation needs besides the GEMM itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SystemConfig {
     pub dram: DramConfig,
     pub mapping_id: MappingId,

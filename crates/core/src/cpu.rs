@@ -18,10 +18,9 @@
 
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
-use serde::{Deserialize, Serialize};
 
 /// Calibrated analytic model of the measured CPU.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CpuModel {
     /// Effective weight-streaming bandwidth, bytes per DRAM cycle.
     pub eff_bw_bytes_per_cycle: f64,
@@ -77,7 +76,7 @@ impl CpuModel {
 
 /// The idealized CPU (iCPU): full two-channel streaming of all operands plus
 /// peak-rate arithmetic.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct IdealCpuModel {
     /// Channels × bytes/cycle/channel.
     pub bytes_per_cycle: f64,

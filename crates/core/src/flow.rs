@@ -18,16 +18,14 @@ use crate::engine::{
     run_phase_auto, PlainSteps, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
 };
 use crate::gemm::GemmSpec;
-use crate::report::{ActivityCounts, LatencyReport, Phase};
+use crate::report::{LatencyReport, Phase};
 use stepstone_addr::agen::Spans;
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
     AgenSpan, GroupAnalysis, KeyRuns, MatrixLayout, NaiveAgen, PageMap, PagingConfig, PimLevel,
     RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping, BLOCK_BYTES, BLOCK_SHIFT,
 };
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, Port, TimingState, TrafficSource,
-};
+use stepstone_dram::{BackendKind, CommandBus, MemoryBackend, Port, TrafficSource};
 use stepstone_fabric::{FabricState, FabricStats, ReduceVia};
 use stepstone_pim::{
     BufferPlan, KernelGranularity, LocalizationMode, PimLevelConfig, TransferPlan,
@@ -82,34 +80,61 @@ pub fn simulate_gemm(sys: &SystemConfig, spec: &GemmSpec, level: PimLevel) -> La
     simulate_gemm_opt(sys, spec, &SimOptions::stepstone(level), None)
 }
 
-/// Simulate one GEMM with explicit options and optional colocated traffic.
+/// Simulate one GEMM with explicit options and optional colocated traffic:
+/// [`simulate_gemm_session`] over a throwaway [`SessionCache`].
 pub fn simulate_gemm_opt(
     sys: &SystemConfig,
     spec: &GemmSpec,
     opts: &SimOptions,
-    mut traffic: Option<&mut dyn TrafficSource>,
+    traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
-    let mut report = LatencyReport {
-        backend: format!("STP-{}", opts.level_cfg.level.tag()),
-        clock_hz: sys.dram.clock_hz,
-        ..Default::default()
-    };
+    simulate_gemm_session(sys, spec, opts, &SessionCache::new(), traffic)
+}
+
+/// Chain one report per power-of-two sub-GEMM of `spec`, each simulated by
+/// `pass`, into one report labeled `backend`.
+pub(crate) fn chain_pow2(
+    sys: &SystemConfig,
+    spec: &GemmSpec,
+    backend: String,
+    mut traffic: Option<&mut dyn TrafficSource>,
+    mut pass: impl FnMut(&GemmSpec, Option<&mut dyn TrafficSource>) -> LatencyReport,
+) -> LatencyReport {
+    let mut report = LatencyReport { clock_hz: sys.dram.clock_hz, ..Default::default() };
     for sub in spec.decompose_pow2() {
-        let r = simulate_pow2_gemm(sys, &sub, opts, stepstone_dram::traffic::reborrow(&mut traffic));
-        report.chain(&r);
+        report.chain(&pass(&sub, stepstone_dram::traffic::reborrow(&mut traffic)));
     }
-    report.backend = format!(
-        "{}-{}",
-        match opts.granularity {
-            KernelGranularity::CoarseStepStone =>
-                if opts.subset_drop_bits > 0 { "STP/subset" } else { "STP" },
-            KernelGranularity::PerDotProduct => "eCHO",
-            KernelGranularity::PerCacheBlock => "PEI",
-        },
-        opts.level_cfg.level.tag()
-    );
+    report.backend = backend;
     report
 }
+
+/// Evaluate `$body` over fresh per-pass state of `$sys`'s memory tier:
+/// `$ts` a new backend (the exact tier traced under `sys.trace`), `$bus` a
+/// new command bus, and `$tcur` a cursor over the optional colocated
+/// traffic `$traffic` from cycle `$t0`. The body is instantiated once per
+/// tier, so the exact tier keeps static dispatch.
+macro_rules! with_fresh_backend {
+    ($sys:expr, $traffic:expr, $t0:expr, |$ts:ident, $bus:ident, $tcur:ident| $body:expr) => {{
+        let sys: &$crate::config::SystemConfig = $sys;
+        let mut $bus = stepstone_dram::CommandBus::new(sys.dram.geom.channels as usize);
+        let mut cursor = $traffic.map(|t| $crate::engine::TrafficCursor::new(t, $t0));
+        let $tcur = cursor.as_mut();
+        match sys.backend {
+            stepstone_dram::BackendKind::Exact => {
+                let mut $ts = stepstone_dram::TimingState::new(sys.dram);
+                if sys.trace {
+                    $ts.enable_trace();
+                }
+                $body
+            }
+            stepstone_dram::BackendKind::Analytic => {
+                let mut $ts = stepstone_dram::AnalyticState::new(sys.dram);
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_fresh_backend;
 
 /// Everything shape-dependent that a [`GemmContext`] build consumes: the
 /// GEMM shape plus the option fields that change the mapping analysis,
@@ -130,7 +155,10 @@ pub struct SessionKey {
 }
 
 impl SessionKey {
-    pub fn new(spec: &GemmSpec, opts: &SimOptions) -> Self {
+    /// The key of `(spec, opts)` under `sys`: the option fields above plus
+    /// the system fields a [`GemmContext`] build bakes in (currently the
+    /// paging layer).
+    pub fn for_system(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> Self {
         Self {
             spec: *spec,
             level: opts.level_cfg.level,
@@ -141,15 +169,8 @@ impl SessionKey {
                 KernelGranularity::PerDotProduct => 1,
                 KernelGranularity::PerCacheBlock => 2,
             },
-            paging: None,
+            paging: sys.paging,
         }
-    }
-
-    /// [`SessionKey::new`] plus the system fields a [`GemmContext`] build
-    /// bakes in (currently the paging layer) — the key the serving session
-    /// cache must use.
-    pub fn for_system(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> Self {
-        Self { paging: sys.paging, ..Self::new(spec, opts) }
     }
 }
 
@@ -216,45 +237,28 @@ impl SessionCache {
     }
 }
 
-/// [`simulate_gemm_opt`] through the persistent session layer: identical
-/// report (the build/execute split is behavioral refactoring, not a model
-/// change), but repeated shapes skip the context build entirely.
+/// Simulate one GEMM through the persistent session layer: each
+/// power-of-two sub-GEMM takes its context from `cache` (built on first
+/// use) and runs through [`simulate_pow2_gemm_ctx`]; the reports chain.
+/// Repeated shapes skip the context build entirely.
 pub fn simulate_gemm_session(
     sys: &SystemConfig,
     spec: &GemmSpec,
     opts: &SimOptions,
     cache: &SessionCache,
-    mut traffic: Option<&mut dyn TrafficSource>,
+    traffic: Option<&mut dyn TrafficSource>,
 ) -> LatencyReport {
-    let mut report = LatencyReport {
-        backend: format!("STP-{}", opts.level_cfg.level.tag()),
-        clock_hz: sys.dram.clock_hz,
-        ..Default::default()
+    let scheme = match opts.granularity {
+        KernelGranularity::CoarseStepStone if opts.subset_drop_bits > 0 => "STP/subset",
+        KernelGranularity::CoarseStepStone => "STP",
+        KernelGranularity::PerDotProduct => "eCHO",
+        KernelGranularity::PerCacheBlock => "PEI",
     };
-    for sub in spec.decompose_pow2() {
-        let ctx = cache.context(sys, &sub, opts);
-        let r = simulate_pow2_gemm_ctx(
-            sys,
-            &sub,
-            opts,
-            stepstone_dram::traffic::reborrow(&mut traffic),
-            ExecMode::Streaming,
-            &ctx,
-            0,
-        );
-        report.chain(&r);
-    }
-    report.backend = format!(
-        "{}-{}",
-        match opts.granularity {
-            KernelGranularity::CoarseStepStone =>
-                if opts.subset_drop_bits > 0 { "STP/subset" } else { "STP" },
-            KernelGranularity::PerDotProduct => "eCHO",
-            KernelGranularity::PerCacheBlock => "PEI",
-        },
-        opts.level_cfg.level.tag()
-    );
-    report
+    let backend = format!("{scheme}-{}", opts.level_cfg.level.tag());
+    chain_pow2(sys, spec, backend, traffic, |sub, traffic| {
+        let ctx = cache.context(sys, sub, opts);
+        simulate_pow2_gemm_ctx(sys, sub, opts, traffic, ExecMode::Streaming, &ctx, 0)
+    })
 }
 
 /// The static execution context shared by schedule building and validation.
@@ -616,16 +620,13 @@ fn cols_in_cpart(cols: &[u64], blocks_per_row: u64, cparts: u32, cpart: u64) -> 
 /// `Streaming` (the production path) feeds each [`UnitCursor`] from a lazy
 /// [`KernelStream`], keeping resident step storage at O(reorder window ×
 /// active PIMs). `Materialized` reproduces the seed behavior — build the
-/// whole `Vec<Step>` per PIM, then replay — and is kept for the
-/// cycle-exactness equivalence tests and as the benchmark baseline.
+/// whole `Vec<Step>` per PIM, then replay — and is kept as the reference
+/// the cycle-exactness equivalence tests compare against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
     Streaming,
     Materialized,
-    /// `Materialized` plus the seed-era per-candidate GF(2) corrector in
-    /// the AGEN — the faithful pre-streaming baseline for benchmarks.
-    MaterializedSeedAgen,
 }
 
 /// Stage of the per-rpart section of Algorithm 1 a [`KernelStream`] is in.
@@ -1169,40 +1170,17 @@ fn subset_remap(ctx: &GemmContext, sys: &SystemConfig, opts: &SimOptions) -> Opt
     })
 }
 
-/// Simulate a single power-of-two GEMM (streaming step programs).
-pub fn simulate_pow2_gemm(
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-) -> LatencyReport {
-    simulate_pow2_gemm_exec(sys, spec, opts, traffic, ExecMode::Streaming)
-}
-
-/// Simulate a single power-of-two GEMM with an explicit execution mode
-/// (see [`ExecMode`]; `Materialized` is the seed path kept for equivalence
-/// tests and benchmarks). Dispatches on the system's memory-backend tier:
-/// `Exact` drives the phase engine over the cycle-exact [`TimingState`]
-/// (the default path — bit-identical to the pre-trait code); `Analytic`
-/// uses the closed-form executor (`crate::analytic`), falling back to the
-/// engine over [`AnalyticState`] when colocated traffic or tracing needs
-/// per-block scheduling.
-pub fn simulate_pow2_gemm_exec(
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    mode: ExecMode,
-) -> LatencyReport {
-    let ctx = GemmContext::build(sys, spec, opts);
-    simulate_pow2_gemm_ctx(sys, spec, opts, traffic, mode, &ctx, 0)
-}
-
-/// [`simulate_pow2_gemm_exec`] over a pre-built (possibly session-cached)
-/// context, starting at virtual time `t0`. The report's cycle counts are
-/// *relative* to `t0` (latency, not absolute completion time), so a request
-/// simulated at any offset yields the same report as one at time zero when
-/// timing is shift-invariant (refresh disabled — the default).
+/// Simulate one power-of-two GEMM over a pre-built (possibly
+/// session-cached) context with an explicit execution mode (see
+/// [`ExecMode`]), starting at virtual time `t0`. Dispatches on the system's
+/// memory-backend tier: `Exact` drives [`simulate_pow2_gemm_resident`] over
+/// a fresh cycle-exact timing state; `Analytic` uses the closed-form
+/// executor (`crate::analytic`), falling back to the engine over the
+/// analytic per-bank state when colocated traffic needs per-block
+/// scheduling. The report's cycle counts are *relative* to `t0` (latency,
+/// not absolute completion time), so a request simulated at any offset
+/// yields the same report as one at time zero when timing is
+/// shift-invariant (refresh disabled — the default).
 pub fn simulate_pow2_gemm_ctx(
     sys: &SystemConfig,
     spec: &GemmSpec,
@@ -1212,25 +1190,14 @@ pub fn simulate_pow2_gemm_ctx(
     ctx: &GemmContext,
     t0: u64,
 ) -> LatencyReport {
-    let mut report = match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_pow2_gemm_engine(&mut ts, sys, opts, traffic, mode, ctx, t0)
-        }
-        BackendKind::Analytic => {
-            if traffic.is_some() {
-                // The closed-form executor has no notion of interleaved
-                // foreign requests; drive the engine over the analytic
-                // per-bank state instead (still no Table-II bus model).
-                let mut ts = AnalyticState::new(sys.dram);
-                simulate_pow2_gemm_engine(&mut ts, sys, opts, traffic, mode, ctx, t0)
-            } else {
-                crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
-            }
-        }
+    // The closed-form executor has no notion of interleaved foreign
+    // requests (and no Table-II bus model either way).
+    let mut report = if sys.backend == BackendKind::Analytic && traffic.is_none() {
+        crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
+    } else {
+        with_fresh_backend!(sys, traffic, t0, |ts, bus, tcur| {
+            simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, mode, &[ctx], t0)
+        })
     };
     report.clock_hz = sys.dram.clock_hz;
     if sys.validate {
@@ -1240,31 +1207,23 @@ pub fn simulate_pow2_gemm_ctx(
     report
 }
 
-/// The engine-driven GEMM simulation over any [`MemoryBackend`] — the body
-/// of [`simulate_pow2_gemm_exec`], generic so the exact path monomorphizes
-/// to the pre-trait code. Creates a fresh command bus and traffic cursor;
-/// the serving layer's persistent-state variant is
-/// [`simulate_pow2_gemm_resident`].
-fn simulate_pow2_gemm_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    mode: ExecMode,
-    ctx: &GemmContext,
-    t0: u64,
-) -> LatencyReport {
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let mut tcur = traffic.map(|t| TrafficCursor::new(t, t0));
-    simulate_pow2_gemm_resident(ts, &mut bus, sys, opts, tcur.as_mut(), mode, ctx, t0)
-}
-
-/// One GEMM pass over *persistent* memory-system state: the caller owns the
-/// timing state, command bus, and (optionally) a colocated-traffic cursor
-/// that all survive across back-to-back requests — the substrate of the
-/// continuous serving simulator. The pass starts at virtual time `t0`
-/// (which must be at or after every prior pass's completion on `ts`), and
-/// the returned report counts cycles relative to `t0`.
+/// The engine driver of StepStone and eCHO passes, over *persistent*
+/// memory-system state: the caller owns the timing state, command bus, and
+/// (optionally) a colocated-traffic cursor that all survive across
+/// back-to-back requests — the substrate of the continuous serving
+/// simulator. The pass starts at virtual time `t0` (which must be at or
+/// after every prior pass's completion on `ts`), and the returned report
+/// counts cycles relative to `t0`.
+///
+/// `ctxs` are the pass's power-of-two sub-matrices in order. One context is
+/// the plain Algorithm-1 pass: localize → kernel → reduce. Several are
+/// §III-E's fused pipeline: while kernel *i* streams on the PIM-internal
+/// datapaths, the DMA engine localizes sub-matrix *i+1* over the otherwise
+/// idle channel (one engine phase per round, so the shared timing state
+/// sees both in true time order), and the reductions follow in turn.
+/// Kernel attribution takes the critical-path (max) PIM per category
+/// within a round and sums across rounds ([`LatencyReport::chain`]
+/// semantics).
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
     ts: &mut B,
@@ -1273,39 +1232,111 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
     opts: &SimOptions,
     mut tcur: Option<&mut TrafficCursor>,
     mode: ExecMode,
-    ctx: &GemmContext,
+    ctxs: &[&GemmContext],
     t0: u64,
 ) -> LatencyReport {
-    let loc_mode = opts.localization.unwrap_or(sys.localization);
+    let gap = opts.localization.unwrap_or(sys.localization).inter_block_gap();
     let mut report = LatencyReport::default();
     let stats0 = *ts.stats();
 
     // Phase 1: localization (B replication; source is CPU-cached, §IV).
-    let mut loc =
-        transfer_cursors(ctx, &ctx.b_regions, true, Phase::Localization, t0, loc_mode.inter_block_gap());
-    let loc_end =
-        run_phase_auto(ts, bus, &ctx.mapping, &mut loc, tcur.as_deref_mut(), sys.parallel);
+    let first = ctxs[0];
+    let mut loc = transfer_cursors(first, &first.b_regions, true, Phase::Localization, t0, gap);
+    let mut loc_end =
+        run_phase_auto(ts, bus, &first.mapping, &mut loc, tcur.as_deref_mut(), sys.parallel);
     report.add_phase(Phase::Localization, loc_end - t0);
 
-    // Phase 2: the PIM kernels.
+    // Phase 2: the PIM kernels, one round per sub-matrix.
+    let mut kernel_end = t0;
+    for (i, ctx) in ctxs.iter().enumerate() {
+        let start = loc_end.max(kernel_end);
+        let mut units = kernel_units(ctx, sys, opts, mode, start);
+        let n_kernels = units.len();
+        if let Some(next) = ctxs.get(i + 1) {
+            units.extend(transfer_cursors(
+                next,
+                &next.b_regions,
+                true,
+                Phase::Localization,
+                loc_end,
+                gap,
+            ));
+        }
+        run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
+        let (kernels, next_loc) = units.split_at(n_kernels);
+        kernel_end = kernels.iter().map(|u| u.end_time).max().unwrap_or(start);
+        loc_end = next_loc.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
+        let mut round = [0u64; 8];
+        for u in kernels {
+            for p in [Phase::Gemm, Phase::FillB, Phase::FillC, Phase::DrainC, Phase::Launch] {
+                let ix = p.index();
+                round[ix] = round[ix].max(u.cat_cycles[ix]);
+            }
+            let a = &mut report.activity;
+            a.simd_ops += u.simd_ops;
+            a.scratchpad_accesses += u.scratch_accesses;
+            a.launches += u.launches;
+            a.agen_iterations += u.agen_iter_sum;
+            a.agen_max_step = a.agen_max_step.max(u.agen_iter_max);
+            a.agen_bubbles += u.agen_bubbles;
+        }
+        for (total, r) in report.phase_cycles.iter_mut().zip(round) {
+            *total += r;
+        }
+    }
+
+    // Phase 3: reduction of each sub-matrix's partial C, in turn. Under
+    // `ReduceVia::Fabric` the per-channel drain is unchanged — the
+    // identical DRAM command stream runs through the memory backend, so
+    // `DramStats` match the host-DMA path exactly — but the merged partial
+    // sums then move PIM→PIM over the inter-device fabric instead of
+    // through the host. Each channel's drain-completion time is its fabric
+    // injection time, and the transit ends the round before the next
+    // sub-matrix drains.
+    let mut red_end = kernel_end;
+    for ctx in ctxs {
+        let round_start = red_end;
+        let mut red =
+            transfer_cursors(ctx, &ctx.c_regions, false, Phase::Reduction, round_start, gap);
+        red_end =
+            run_phase_auto(ts, bus, &ctx.mapping, &mut red, tcur.as_deref_mut(), sys.parallel);
+        if sys.reduce_via == ReduceVia::Fabric {
+            let ready: Vec<u64> = red.iter().map(|u| u.end_time.max(round_start)).collect();
+            let (fab_end, stats) = fabric_reduce(sys, ctx, &ready);
+            red_end = red_end.max(fab_end);
+            match &mut report.fabric {
+                Some(f) => f.merge(&stats),
+                slot => *slot = Some(stats),
+            }
+        }
+    }
+    report.add_phase(Phase::Reduction, red_end - kernel_end);
+
+    report.total = red_end - t0;
+    report.dram = ts.stats().delta(&stats0);
+    report
+}
+
+/// One kernel unit per active PIM of `ctx`, starting at `start`.
+fn kernel_units<'a>(
+    ctx: &'a GemmContext,
+    sys: &SystemConfig,
+    opts: &SimOptions,
+    mode: ExecMode,
+    start: u64,
+) -> Vec<UnitCursor<'a>> {
     let remap = subset_remap(ctx, sys, opts);
-    let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
+    (0..ctx.active_pims.len())
         .map(|pix| {
             let steps: Box<dyn StepSource + Send> = match mode {
                 ExecMode::Streaming => Box::new(KernelStream::new(ctx, sys, opts, pix)),
                 ExecMode::Materialized => {
                     Box::new(PlainSteps(build_kernel_program_for(ctx, sys, opts, pix).into_iter()))
                 }
-                ExecMode::MaterializedSeedAgen => Box::new(PlainSteps(
-                    KernelStream::new(ctx, sys, opts, pix)
-                        .with_seed_agen()
-                        .collect::<Vec<_>>()
-                        .into_iter(),
-                )),
             };
             // Kernel streams translate through the paging layer and pay
             // the PTW on page transitions (applied after collection for
-            // the materialized modes, so all three stay step-identical).
+            // the materialized mode, so both stay step-identical).
             let steps: Box<dyn StepSource + Send> = match &ctx.page_map {
                 Some(pm) if pm.affects_stream() => {
                     Box::new(PagedSteps::new(steps, pm.clone(), true))
@@ -1317,7 +1348,7 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
                 ctx.pim_channel(ctx.active_pims[pix]),
                 opts.level_cfg.port(),
                 steps,
-                loc_end,
+                start,
                 opts.level_cfg.compute_cycles_per_block(ctx.n),
                 opts.level_cfg.simd_ops_per_block(ctx.n),
                 opts.level_cfg.pipeline_depth as usize,
@@ -1332,59 +1363,7 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
             u.exclusive = true;
             u
         })
-        .collect();
-    let kernel_end =
-        run_phase_auto(ts, bus, &ctx.mapping, &mut units, tcur.as_deref_mut(), sys.parallel);
-
-    // Attribute kernel categories: the critical-path (max) PIM per category.
-    let mut activity = ActivityCounts::default();
-    for u in &units {
-        for p in [Phase::Gemm, Phase::FillB, Phase::FillC, Phase::DrainC, Phase::Launch] {
-            let i = p.index();
-            report.phase_cycles[i] = report.phase_cycles[i].max(u.cat_cycles[i]);
-        }
-        activity.simd_ops += u.simd_ops;
-        activity.scratchpad_accesses += u.scratch_accesses;
-        activity.launches += u.launches;
-        activity.agen_iterations += u.agen_iter_sum;
-        activity.agen_max_step = activity.agen_max_step.max(u.agen_iter_max);
-        activity.agen_bubbles += u.agen_bubbles;
-    }
-    let _ = kernel_end;
-
-    // Phase 3: reduction of partial C.
-    let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
-    let mut red = transfer_cursors(
-        ctx,
-        &ctx.c_regions,
-        false,
-        Phase::Reduction,
-        kernel_end,
-        loc_mode.inter_block_gap(),
-    );
-    let red_end =
-        run_phase_auto(ts, bus, &ctx.mapping, &mut red, tcur, sys.parallel);
-
-    // Under `ReduceVia::Fabric` the per-channel drain above is unchanged —
-    // the identical DRAM command stream runs through the memory backend, so
-    // `DramStats` match the host-DMA path exactly — but the merged partial
-    // sums then move PIM→PIM over the inter-device fabric instead of
-    // through the host. Each channel's drain-completion time is its fabric
-    // injection time.
-    let red_end = if sys.reduce_via == ReduceVia::Fabric {
-        let ready: Vec<u64> = red.iter().map(|u| u.end_time.max(kernel_end)).collect();
-        let (fab_end, stats) = fabric_reduce(sys, ctx, &ready);
-        report.fabric = Some(stats);
-        red_end.max(fab_end)
-    } else {
-        red_end
-    };
-    report.add_phase(Phase::Reduction, red_end - kernel_end);
-
-    report.total = red_end - t0;
-    report.dram = ts.stats().delta(&stats0);
-    report.activity = activity;
-    report
+        .collect()
 }
 
 /// The fabric leg of a `ReduceVia::Fabric` Phase 3: route every device's
@@ -1643,21 +1622,22 @@ mod tests {
         assert_eq!(cache.hits(), 1, "hits={}", cache.hits());
     }
 
-    /// Distinct option sets that change the build must get distinct
-    /// contexts — level, subset bits, scratchpad, granularity all key.
+    /// Distinct option sets and systems that change the build must get
+    /// distinct contexts — level, subset bits, scratchpad, granularity, and
+    /// the paging layer all key.
     #[test]
     fn session_key_separates_build_relevant_options() {
+        let (s, paged) = (sys(), sys().with_paging(PagingConfig::fragmented(4096, 7)));
         let spec = GemmSpec::new(512, 512, 4);
         let base = SimOptions::stepstone(PimLevel::BankGroup);
+        let relaxed = base.clone().with_level_cfg(PimLevelConfig::relaxed(PimLevel::BankGroup));
         let keys = [
-            SessionKey::new(&spec, &base),
-            SessionKey::new(&spec, &SimOptions::stepstone(PimLevel::Device)),
-            SessionKey::new(&spec, &base.clone().with_subset(1)),
-            SessionKey::new(
-                &spec,
-                &base.clone().with_level_cfg(PimLevelConfig::relaxed(PimLevel::BankGroup)),
-            ),
-            SessionKey::new(&spec, &SimOptions::echo(PimLevel::BankGroup)),
+            SessionKey::for_system(&s, &spec, &base),
+            SessionKey::for_system(&s, &spec, &SimOptions::stepstone(PimLevel::Device)),
+            SessionKey::for_system(&s, &spec, &base.clone().with_subset(1)),
+            SessionKey::for_system(&s, &spec, &relaxed),
+            SessionKey::for_system(&s, &spec, &SimOptions::echo(PimLevel::BankGroup)),
+            SessionKey::for_system(&paged, &spec, &base),
         ];
         for i in 0..keys.len() {
             for j in i + 1..keys.len() {
@@ -1795,7 +1775,7 @@ mod tests {
                 &opts,
                 None,
                 ExecMode::Streaming,
-                &ctx,
+                &[&ctx],
                 t,
             );
             if pass == 0 {

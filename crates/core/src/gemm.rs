@@ -6,10 +6,9 @@
 //! non-power-of-two dimensions are padded or decomposed into power-of-two
 //! sub-GEMMs; [`GemmSpec::decompose_pow2`] implements the decomposition.
 
-use serde::{Deserialize, Serialize};
 
 /// One GEMM: `A` is `m × k`, `B` is `k × n`, `C` is `m × n`, all f32.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GemmSpec {
     pub m: usize,
     pub k: usize,

@@ -33,8 +33,8 @@ pub use cpu::{CpuModel, IdealCpuModel};
 pub use engine::TrafficCursor;
 pub use flow::{
     simulate_gemm, simulate_gemm_opt, simulate_gemm_session, simulate_pow2_gemm_ctx,
-    simulate_pow2_gemm_exec, simulate_pow2_gemm_resident, ExecMode, GemmContext, PagedSteps,
-    SessionCache, SessionKey, SimOptions,
+    simulate_pow2_gemm_resident, ExecMode, GemmContext, PagedSteps, SessionCache, SessionKey,
+    SimOptions,
 };
 pub use gemm::GemmSpec;
 pub use report::{ActivityCounts, LatencyReport, Phase};

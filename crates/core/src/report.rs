@@ -2,12 +2,11 @@
 //! and 12 (GEMM / Buffer fill (B) / Buffer fill (C) / Buffer drain (C) /
 //! Localization / Reduction / CPU time).
 
-use serde::{Deserialize, Serialize};
 use stepstone_dram::DramStats;
 use stepstone_fabric::FabricStats;
 
 /// Execution phases attributed in the paper's breakdowns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// PIM arithmetic + weight streaming (the kernel proper).
     Gemm,
@@ -58,7 +57,7 @@ impl Phase {
 }
 
 /// Event counts feeding the energy model (paper §V-H).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActivityCounts {
     /// Lane-level MAC operations executed by PIM SIMD units.
     pub simd_ops: u64,
@@ -85,7 +84,7 @@ impl ActivityCounts {
 }
 
 /// The result of simulating one GEMM (or one model layer) on a backend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyReport {
     /// Cycles attributed to each phase (critical-path PIM per category).
     pub phase_cycles: [u64; 8],

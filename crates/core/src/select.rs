@@ -12,12 +12,11 @@ use crate::config::SystemConfig;
 use crate::cpu::CpuModel;
 use crate::flow::SimOptions;
 use crate::gemm::GemmSpec;
-use serde::{Deserialize, Serialize};
 use stepstone_addr::{GroupAnalysis, MatrixLayout, PimLevel};
 use stepstone_pim::{BufferPlan, PimLevelConfig, TransferPlan};
 
 /// A candidate execution target for one GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     Cpu,
     Pim { level: PimLevel, subset_drop_bits: u32 },

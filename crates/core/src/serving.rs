@@ -8,19 +8,18 @@
 //!   "fusing multiple kernel executions for matrices that are not powers of
 //!   two" among the optimizations. Instead of running each power-of-two
 //!   sub-GEMM as an independent localize→kernel→reduce sequence, the fused
-//!   flow localizes all sub-matrices in one DMA pass, runs every sub-kernel
-//!   under a single long-running launch per PIM, and reduces once.
+//!   flow pipelines them through one engine pass: sub-matrix *i+1*
+//!   localizes while kernel *i* runs, and the reductions follow.
 
 use crate::config::SystemConfig;
 use crate::cpu::CpuModel;
-use crate::engine::{run_phase_auto, TrafficCursor, UnitCursor};
-use crate::flow::{fabric_reduce, transfer_cursors, GemmContext, KernelStream, SimOptions};
-use crate::gemm::GemmSpec;
-use crate::report::{ActivityCounts, LatencyReport, Phase};
-use stepstone_addr::PimLevel;
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, MemoryBackend, TimingState, TrafficSource,
+use crate::flow::{
+    simulate_pow2_gemm_resident, with_fresh_backend, ExecMode, GemmContext, SimOptions,
 };
+use crate::gemm::GemmSpec;
+use crate::report::LatencyReport;
+use stepstone_addr::PimLevel;
+use stepstone_dram::TrafficSource;
 
 /// The largest per-kernel batch the PIMs run efficiently (§V-B splits to
 /// batch-32 chunks).
@@ -105,7 +104,8 @@ pub fn cpu_crossover_batch(
 /// Fused execution of a non-power-of-two GEMM: the sub-matrices' phases are
 /// pipelined — while sub-GEMM *i* streams through the PIM-internal
 /// datapaths, the DMA engine already localizes sub-GEMM *i+1* over the
-/// (otherwise idle) channel, and reductions are batched at the end.
+/// (otherwise idle) channel, and reductions are batched at the end (see
+/// [`simulate_pow2_gemm_resident`]).
 pub fn simulate_gemm_fused(
     sys: &SystemConfig,
     spec: &GemmSpec,
@@ -126,159 +126,12 @@ pub fn simulate_gemm_fused(
         cursor = ctx.layout.end().max(cursor + size);
         ctxs.push(ctx);
     }
-    match sys.backend {
-        BackendKind::Exact => {
-            let mut ts = TimingState::new(sys.dram);
-            if sys.trace {
-                ts.enable_trace();
-            }
-            simulate_fused_engine(&mut ts, sys, spec, opts, traffic, &ctxs)
-        }
-        BackendKind::Analytic => {
-            let mut ts = AnalyticState::new(sys.dram);
-            simulate_fused_engine(&mut ts, sys, spec, opts, traffic, &ctxs)
-        }
-    }
-}
-
-fn simulate_fused_engine<B: MemoryBackend>(
-    ts: &mut B,
-    sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-    traffic: Option<&mut dyn TrafficSource>,
-    ctxs: &[GemmContext],
-) -> LatencyReport {
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let loc_mode = opts.localization.unwrap_or(sys.localization);
-    let mut report = LatencyReport {
-        backend: format!("STP-{}/fused", opts.level_cfg.level.tag()),
-        clock_hz: sys.dram.clock_hz,
-        ..Default::default()
-    };
-    let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
-
-    // Pipelined phases: while sub-GEMM i's kernels stream on the internal
-    // datapaths, the DMA localizes sub-GEMM i+1 over the channel. Each
-    // round co-simulates both in one engine phase so the shared timing
-    // state sees them in true time order.
-    let mut loc0 = transfer_cursors(
-        &ctxs[0],
-        &ctxs[0].b_regions,
-        true,
-        Phase::Localization,
-        0,
-        loc_mode.inter_block_gap(),
-    );
-    let mut loc_done = run_phase_auto(
-        ts,
-        &mut bus,
-        &ctxs[0].mapping,
-        &mut loc0,
-        tcur.as_mut(),
-        sys.parallel,
-    );
-    report.add_phase(Phase::Localization, loc_done);
-
-    let mut activity = ActivityCounts::default();
-    let mut kernel_end = 0u64;
-    let mut kernel_ready = loc_done;
-    for (i, ctx) in ctxs.iter().enumerate() {
-        let start = kernel_ready.max(kernel_end);
-        let mut cursors: Vec<UnitCursor> = (0..ctx.active_pims.len())
-            .map(|pix| {
-                let mut u = UnitCursor::new(
-                    "pim-fused",
-                    ctx.pim_channel(ctx.active_pims[pix]),
-                    opts.level_cfg.port(),
-                    KernelStream::new(ctx, sys, opts, pix),
-                    start,
-                    opts.level_cfg.compute_cycles_per_block(spec.n),
-                    opts.level_cfg.simd_ops_per_block(spec.n),
-                    opts.level_cfg.pipeline_depth as usize,
-                    sys.launch.slots_for(opts.granularity),
-                    sys.launch.launch_latency,
-                    sys.dram.timing.t_bl,
-                    None,
-                );
-                // Kernel PIMs own their bank partitions; the rounds that
-                // also carry next-round DMA localization keep the strict
-                // per-block interleave (the DMA cursor is not exclusive,
-                // which disables scheduler overrun for the whole group).
-                u.exclusive = true;
-                u
-            })
-            .collect();
-        let n_kernels = cursors.len();
-        if let Some(next) = ctxs.get(i + 1) {
-            cursors.extend(transfer_cursors(
-                next,
-                &next.b_regions,
-                true,
-                Phase::Localization,
-                loc_done,
-                loc_mode.inter_block_gap(),
-            ));
-        }
-        run_phase_auto(ts, &mut bus, &ctx.mapping, &mut cursors, tcur.as_mut(), sys.parallel);
-        kernel_end = cursors[..n_kernels].iter().map(|u| u.end_time).max().unwrap_or(start);
-        if n_kernels < cursors.len() {
-            loc_done = cursors[n_kernels..].iter().map(|u| u.end_time).max().unwrap_or(loc_done);
-        }
-        kernel_ready = loc_done;
-        // Attribution matches `LatencyReport::chain` semantics: take the
-        // critical-path (max) PIM per category *within* this sub-GEMM round,
-        // then sum across the sequential rounds.
-        let mut round_max = [0u64; 8];
-        for u in &cursors[..n_kernels] {
-            for p in [Phase::Gemm, Phase::FillB, Phase::FillC, Phase::DrainC, Phase::Launch] {
-                let ix = p.index();
-                round_max[ix] = round_max[ix].max(u.cat_cycles[ix]);
-            }
-            activity.simd_ops += u.simd_ops;
-            activity.scratchpad_accesses += u.scratch_accesses;
-            activity.launches += u.launches;
-            activity.agen_iterations += u.agen_iter_sum;
-            activity.agen_max_step = activity.agen_max_step.max(u.agen_iter_max);
-            activity.agen_bubbles += u.agen_bubbles;
-        }
-        for (ix, &cycles) in round_max.iter().enumerate() {
-            report.phase_cycles[ix] += cycles;
-        }
-    }
-
-    // Phase 3: one reduction pass over every sub-matrix's partial C. Under
-    // `ReduceVia::Fabric` each sub-matrix's local drain is unchanged; the
-    // fabric transit of its merged payload extends the round before the
-    // next sub-matrix drains (one fabric round per sub-GEMM).
-    let mut red_end = kernel_end;
-    for ctx in ctxs {
-        let round_start = red_end;
-        let mut red = transfer_cursors(
-            ctx,
-            &ctx.c_regions,
-            false,
-            Phase::Reduction,
-            round_start,
-            loc_mode.inter_block_gap(),
-        );
-        red_end =
-            run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, tcur.as_mut(), sys.parallel);
-        if sys.reduce_via == stepstone_fabric::ReduceVia::Fabric {
-            let ready: Vec<u64> =
-                red.iter().map(|u| u.end_time.max(round_start)).collect();
-            let (fab_end, stats) = fabric_reduce(sys, ctx, &ready);
-            red_end = red_end.max(fab_end);
-            match &mut report.fabric {
-                Some(f) => f.merge(&stats),
-                slot => *slot = Some(stats),
-            }
-        }
-    }
-    report.add_phase(Phase::Reduction, red_end - kernel_end);
-    report.total = red_end;
-    report.dram = *ts.stats();
-    report.activity = activity;
+    let ctxs: Vec<&GemmContext> = ctxs.iter().collect();
+    let mut report = with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
+        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, ExecMode::Streaming, &ctxs, 0)
+    });
+    report.backend = format!("STP-{}/fused", opts.level_cfg.level.tag());
+    report.clock_hz = sys.dram.clock_hz;
     report
 }
 
@@ -286,6 +139,7 @@ fn simulate_fused_engine<B: MemoryBackend>(
 mod tests {
     use super::*;
     use crate::flow::{simulate_gemm, simulate_gemm_opt};
+    use crate::report::Phase;
 
     #[test]
     fn split_batch_is_linear_in_chunks() {
@@ -382,12 +236,15 @@ mod tests {
 
     #[test]
     fn fused_equals_plain_for_pow2() {
+        // One sub-matrix: the fused pipeline is the plain pass.
         let sys = SystemConfig::default();
         let spec = GemmSpec::new(512, 2048, 4);
         let opts = SimOptions::stepstone(PimLevel::BankGroup);
-        let plain = simulate_gemm(&sys, &spec, PimLevel::BankGroup).total;
-        let fused = simulate_gemm_fused(&sys, &spec, &opts, None).total;
-        let ratio = fused as f64 / plain as f64;
-        assert!((0.9..1.1).contains(&ratio), "{fused} vs {plain}");
+        let plain = simulate_gemm(&sys, &spec, PimLevel::BankGroup);
+        let fused = simulate_gemm_fused(&sys, &spec, &opts, None);
+        assert_eq!(fused.total, plain.total);
+        assert_eq!(fused.phase_cycles, plain.phase_cycles);
+        assert_eq!(fused.dram, plain.dram);
+        assert_eq!(fused.activity, plain.activity);
     }
 }

@@ -27,7 +27,7 @@ use stepstone_core::engine::{
     FB_REFRESH, FB_TRACE, FB_TRAFFIC,
 };
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig,
+    simulate_gemm_opt, GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig,
 };
 use stepstone_dram::{
     CommandBus, DramConfig, DramStats, Port, TimingState, TrafficReq, TrafficSource,
@@ -84,7 +84,7 @@ fn run_granular_matches_per_block_reports() {
             };
             let run = |rg: bool| {
                 set_run_granular(rg);
-                let r = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+                let r = simulate_gemm_opt(&sys, &spec, &opts, None);
                 set_run_granular(true);
                 r
             };
@@ -127,7 +127,7 @@ fn run_granular_matches_under_colocated_traffic() {
         set_run_granular(rg);
         reset_run_counters();
         let mut src = FixedTraffic(colocation_reqs());
-        let r = simulate_pow2_gemm_exec(&sys, &spec, &opts, Some(&mut src), ExecMode::Streaming);
+        let r = simulate_gemm_opt(&sys, &spec, &opts, Some(&mut src));
         let c = run_counters();
         set_run_granular(true);
         (r, c)
@@ -158,7 +158,7 @@ fn run_counters_deterministic_serial_vs_parallel() {
     let count = |parallel: bool| {
         let sys = SystemConfig { parallel, ..SystemConfig::default() };
         reset_run_counters();
-        let r = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&sys, &spec, &opts, None);
         (run_counters(), r)
     };
     let (serial, r_serial) = count(false);
@@ -176,7 +176,7 @@ fn run_counters_deterministic_serial_vs_parallel() {
     set_run_granular(false);
     reset_run_counters();
     let sys = SystemConfig { parallel: false, ..SystemConfig::default() };
-    simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+    simulate_gemm_opt(&sys, &spec, &opts, None);
     let off = run_counters();
     set_run_granular(true);
     assert_eq!(off.runs, 0);
@@ -200,7 +200,7 @@ fn fallback_causes_attributed() {
             ..SystemConfig::default()
         };
         reset_run_counters();
-        simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+        simulate_gemm_opt(&sys, &spec, &opts, None);
         run_counters()
     };
     let refresh = causes(true, false);

@@ -25,7 +25,7 @@
 //!
 //! The production analytic path for whole GEMMs does not even drive the
 //! engine: `stepstone-core` costs phases per region/cell in closed form
-//! (see `flow::simulate_pow2_gemm_analytic`). `AnalyticState` exists so
+//! (see `core::analytic::execute_pow2_gemm`). `AnalyticState` exists so
 //! the *same generic engine* can execute on the analytic model for
 //! cross-validation, and for traffic patterns with no closed form.
 

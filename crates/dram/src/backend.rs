@@ -23,7 +23,6 @@
 //! default exact path compiles to the same code as before the trait
 //! existed.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::DramCoord;
 
 use crate::audit::CommandTrace;
@@ -31,7 +30,7 @@ use crate::config::DramConfig;
 use crate::timing::{BlockTiming, CasKind, DramStats, Port, RunReply, TimingState};
 
 /// Which memory-model tier a simulation runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BackendKind {
     /// The exact cycle-level Table-II model ([`TimingState`]).
     #[default]

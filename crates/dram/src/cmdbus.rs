@@ -14,10 +14,9 @@
 //! issues takes one slot, and PIM control packets take a configurable number
 //! of consecutive slots.
 
-use serde::{Deserialize, Serialize};
 
 /// Per-channel slot counters.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CommandBus {
     next_free: Vec<u64>,
     /// Total slots consumed per channel (utilization accounting).

@@ -1,6 +1,5 @@
 //! DRAM timing and system configuration (paper Table II).
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::Geometry;
 
 /// DDR4 timing parameters in DRAM clock cycles.
@@ -9,7 +8,7 @@ use stepstone_addr::Geometry;
 /// devices) at a 1.2 GHz DRAM clock. `t_cwl` is 12 per the table; `t_refi`
 /// and `t_rfc` follow the DDR4-2400 datasheet (refresh is off by default in
 /// experiments, matching the paper's reporting, but can be enabled).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// Burst length on the data bus (BL8 at DDR = 4 clock cycles).
     pub t_bl: u64,
@@ -113,7 +112,7 @@ impl TimingParams {
 /// (DDR4-2400 only); they are per-config fields now so DDR5/LPDDR/HBM-style
 /// presets can flow through every seconds/bandwidth conversion. Integer Hz
 /// keeps the config `Eq`/hashable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     pub geom: Geometry,
     pub timing: TimingParams,

@@ -19,11 +19,10 @@
 
 use crate::audit::{CmdKind, CmdRecord, CommandTrace};
 use crate::config::DramConfig;
-use serde::{Deserialize, Serialize};
 use stepstone_addr::{DramCoord, Geometry};
 
 /// Which datapath an access uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Port {
     Channel,
     RankInternal,
@@ -43,7 +42,7 @@ impl Port {
 }
 
 /// Column command direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CasKind {
     Read,
     Write,
@@ -141,7 +140,7 @@ struct PathState {
 
 /// Aggregate DRAM event counters, split by port for the energy model
 /// (in-device vs off-chip transfers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     pub reads: u64,
     pub writes: u64,

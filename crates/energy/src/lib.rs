@@ -8,13 +8,12 @@
 //! energies are ordered smallest-structure-cheapest (BG = 0.03 nJ,
 //! DV = 0.1 nJ, CH = 0.3 nJ).
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::PimLevel;
 use stepstone_core::{GemmSpec, LatencyReport};
 use stepstone_dram::{DramConfig, Port};
 
 /// Table II energy components.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// In-device (near-bank) read/write energy, pJ per bit.
     pub in_device_pj_per_bit: f64,
@@ -48,7 +47,7 @@ impl EnergyParams {
 }
 
 /// Fig. 14's stack categories, in joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyReport {
     pub simd_j: f64,
     pub scratchpad_j: f64,

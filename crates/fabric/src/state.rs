@@ -2,14 +2,13 @@
 //! message tracking, peak-demand statistics, and the reduce-to-root
 //! schedule the Phase-3 integration uses.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::topology::{build_topology, Topology, TopologyKind};
 
 /// How the simulator merges partial `C` across PIM devices.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ReduceVia {
     /// The paper's path: partial sums drain over each channel to the host,
     /// which performs the merge. The default — bit-identical to the
@@ -24,7 +23,7 @@ pub enum ReduceVia {
 /// Fabric link/accumulator parameters. Node count is supplied by the
 /// caller (the Phase-3 integration uses one node per DRAM channel —
 /// the inter-DIMM boundary).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
     pub topology: TopologyKind,
     /// Serializer bandwidth of every directed link, bytes per DRAM-clock
@@ -69,7 +68,7 @@ pub struct Message {
 }
 
 /// Per-directed-link statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkStats {
     pub src: usize,
     pub dst: usize,
@@ -114,7 +113,7 @@ impl LinkStats {
 
 /// Whole-fabric statistics attached to a `LatencyReport` when the reduce
 /// phase ran over the fabric.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FabricStats {
     /// Topology tag ("line" / "ring").
     pub topology: String,

@@ -5,11 +5,10 @@
 //! Link ids are dense (`0..n_links`) so [`crate::FabricState`] can keep
 //! per-link serializer state and statistics in flat vectors.
 
-use serde::{Deserialize, Serialize};
 
 /// Topology selector for configs (the trait object itself is built at the
 /// simulation boundary via [`build_topology`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TopologyKind {
     /// Open chain: node `i` links to `i±1`.
     Line,

@@ -10,7 +10,6 @@
 //! per-GEMM selection works in practice.
 
 use crate::layers::{ModelGraph, Op};
-use serde::{Deserialize, Serialize};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use stepstone_addr::PimLevel;
@@ -20,7 +19,7 @@ use stepstone_core::{
 };
 
 /// The execution schemes compared in Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     Cpu,
     ICpu,
@@ -51,7 +50,7 @@ impl Scheme {
 }
 
 /// Where a GEMM's cycles were spent (the Fig. 8 stack categories).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bucket {
     PimDv,
     PimBg,
@@ -73,7 +72,7 @@ impl Bucket {
 }
 
 /// End-to-end result of one (model, scheme) run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ModelReport {
     pub model: String,
     pub scheme: String,
@@ -109,7 +108,7 @@ fn cpu_other_cycles(bytes: u64, flops: u64) -> u64 {
 
 /// What the serving layer's per-GEMM backend selection decided and what it
 /// costs (see [`ModelExecutor::selected_cost`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectedCost {
     pub backend: Backend,
     pub cycles: u64,
@@ -120,7 +119,7 @@ pub struct SelectedCost {
 
 /// Cost of one full model pass split by execution side — the serving
 /// loop's batch service time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PassCost {
     pub pim_cycles: u64,
     pub cpu_cycles: u64,

@@ -5,11 +5,10 @@
 //! length 8), GELU/softmax/layernorm, concatenation and tensor
 //! reorganization — execute on the CPU (`CPU_Other` in Fig. 8).
 
-use serde::{Deserialize, Serialize};
 use stepstone_core::GemmSpec;
 
 /// One operator in a model graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// A PIM-eligible weight GEMM.
     Gemm(GemmSpec),
@@ -42,7 +41,7 @@ impl Op {
 }
 
 /// A whole inference workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelGraph {
     pub name: &'static str,
     pub ops: Vec<Op>,

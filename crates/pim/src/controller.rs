@@ -9,12 +9,11 @@
 //! with concurrent CPU traffic; this module quantifies packets and slots.
 
 use crate::scratchpad::BufferPlan;
-use serde::{Deserialize, Serialize};
 use stepstone_addr::GroupAnalysis;
 
 /// Kernel granularity of the three main-memory PIM schemes compared in the
 /// paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelGranularity {
     /// One coarse kernel per (PIM, row partition): StepStone.
     CoarseStepStone,
@@ -26,7 +25,7 @@ pub enum KernelGranularity {
 }
 
 /// Command-bus cost model for PIM control traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchModel {
     /// Command-bus slots per kernel-launch packet (descriptor registers).
     pub slots_per_launch: u64,

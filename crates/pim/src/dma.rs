@@ -13,13 +13,12 @@
 //! (§III-E), their blocks are exactly the blocks whose PIM-ID matches under
 //! the same XOR mapping; we enumerate them with the AGEN walk itself.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::groups::pim_region_constraints;
 use stepstone_addr::{GroupAnalysis, PimLevel, StepStoneAgen, XorMapping, BLOCK_BYTES};
 
 
 /// Who moves localization/reduction data, and how efficiently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LocalizationMode {
     /// The PIM controller's replication/reduction DMA engine: streams at
     /// full channel utilization and consumes no CPU time.
@@ -41,7 +40,7 @@ impl LocalizationMode {
 }
 
 /// Data volumes of the localization and reduction phases for one GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferPlan {
     /// `B` blocks written per active PIM (replication included).
     pub b_blocks_per_pim: u64,

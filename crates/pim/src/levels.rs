@@ -18,7 +18,6 @@
 //! (N ≤ 32), and the BG↔DV crossover lands between N = 16 and N = 32 as in
 //! Fig. 6.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::PimLevel;
 use stepstone_dram::Port;
 
@@ -26,7 +25,7 @@ use stepstone_dram::Port;
 pub const ELEMS_PER_BLOCK: usize = 16;
 
 /// Resources of one logical PIM unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PimLevelConfig {
     pub level: PimLevel,
     /// MAC lanes per logical unit (1 fp32 FMA per lane per cycle).

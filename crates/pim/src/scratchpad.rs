@@ -9,11 +9,10 @@
 //! re-reads every localized `B` panel), then sizes column partitions to fit
 //! the remainder.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::GroupAnalysis;
 
 /// How a PIM unit's scratchpad is used for one GEMM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BufferPlan {
     /// Row partitions (outer loop of Algorithm 1).
     pub rparts: u32,

@@ -10,12 +10,11 @@
 //! DESIGN.md §4): 12.15 Tflop/s fp32, 547 GB/s device memory, ≈16 GB/s
 //! PCIe 3.0 x16, with a CUTLASS-like efficiency factor.
 
-use serde::{Deserialize, Serialize};
 use stepstone_addr::PimLevel;
 use stepstone_core::{simulate_gemm, CpuModel, GemmSpec, SystemConfig};
 
 /// A classic two-parameter roofline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     pub name: &'static str,
     pub peak_gflops: f64,
@@ -64,7 +63,7 @@ pub fn stepstone_roofline(level: PimLevel) -> Roofline {
 }
 
 /// One achieved-performance point on the roofline plane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {
     pub n: usize,
     pub oi: f64,

@@ -1,11 +1,10 @@
 //! Per-request completion records and the latency/queue/utilization
 //! metrics folded from them.
 
-use serde::{Deserialize, Serialize};
 use stepstone_workloads::RequestKind;
 
 /// One served request's lifecycle stamps (all in virtual DRAM cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestRecord {
     pub id: u64,
     pub kind: RequestKind,
@@ -39,7 +38,7 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// The folded outcome of one serving run at one offered load.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingReport {
     /// Requests offered per million cycles (arrival-process rate).
     pub offered_per_mcycle: f64,

@@ -77,7 +77,7 @@ impl TenantServer {
             &self.opts,
             Some(&mut tc),
             ExecMode::Streaming,
-            &self.ctx,
+            &[&*self.ctx],
             start,
         );
         report.clock_hz = self.sys.dram.clock_hz;

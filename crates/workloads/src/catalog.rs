@@ -1,10 +1,9 @@
 //! The GEMM dimension catalog of Table I: common DL-inference GEMMs from
 //! language models (BERT, GPT2) and recommendation models (DLRM/RM3).
 
-use serde::{Deserialize, Serialize};
 
 /// A named weight-matrix shape from Table I.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
     pub model: &'static str,
     pub layer: &'static str,

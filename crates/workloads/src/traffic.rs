@@ -10,11 +10,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use stepstone_dram::{TrafficReq, TrafficSource};
 
 /// Intensity/locality profile of one synthetic application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficProfile {
     pub name: &'static str,
     /// Mean cycles between requests (per generator).

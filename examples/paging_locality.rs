@@ -14,7 +14,7 @@
 use stepstone_addr::{paged_run_stats, PageMap, PagingConfig, PimLevel};
 use stepstone_core::engine::{reset_run_counters, run_counters};
 use stepstone_core::{
-    simulate_pow2_gemm_exec, ExecMode, GemmContext, GemmSpec, SimOptions, SystemConfig,
+    simulate_gemm_opt, GemmContext, GemmSpec, SimOptions, SystemConfig,
 };
 
 fn main() {
@@ -26,7 +26,7 @@ fn main() {
     let mapping = sys.mapping();
 
     reset_run_counters();
-    let base = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+    let base = simulate_gemm_opt(&sys, &spec, &opts, None);
     let base_rc = run_counters();
     println!(
         "{m}x{k} N={n} STP-BG contiguous: {} cycles, {} runs (mean {:.1} blocks)",
@@ -37,7 +37,7 @@ fn main() {
 
     // Identity paging is free at any page size: the stream is never wrapped.
     let isys = sys.clone().with_paging(PagingConfig::identity(4096));
-    let ir = simulate_pow2_gemm_exec(&isys, &spec, &opts, None, ExecMode::Streaming);
+    let ir = simulate_gemm_opt(&isys, &spec, &opts, None);
     assert_eq!(ir.total, base.total, "identity paging must be bit-identical");
     println!("identity 4KB: bit-identical ({} cycles)", ir.total);
 
@@ -59,7 +59,7 @@ fn main() {
         let cfg = PagingConfig::fragmented(page_bytes, 42);
         let psys = sys.clone().with_paging(cfg);
         reset_run_counters();
-        let r = simulate_pow2_gemm_exec(&psys, &spec, &opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&psys, &spec, &opts, None);
         let rc = run_counters();
         let map = PageMap::for_mapping(cfg, &mapping);
         let s = paged_run_stats(&map, plan, &mapping, sample);
@@ -88,7 +88,7 @@ fn main() {
     for ptw in [0u32, 20, 500] {
         let psys =
             sys.clone().with_paging(PagingConfig::fragmented(4096, 42).with_ptw(ptw));
-        let r = simulate_pow2_gemm_exec(&psys, &spec, &opts, None, ExecMode::Streaming);
+        let r = simulate_gemm_opt(&psys, &spec, &opts, None);
         println!(
             "  ptw {ptw:>3}: {} cycles ({:+.2}% vs contiguous)",
             r.total,

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
-use stepstone_core::{simulate_pow2_gemm_exec, ExecMode, GemmSpec, SimOptions, SystemConfig};
+use stepstone_core::{simulate_gemm_opt, GemmSpec, SimOptions, SystemConfig};
 
 fn main() {
     let args: Vec<usize> = std::env::args().skip(1).filter_map(|a| a.parse().ok()).collect();
@@ -18,7 +18,7 @@ fn main() {
     let mut total = 0u64;
     for r in 0..reps {
         let t0 = Instant::now();
-        let rep = simulate_pow2_gemm_exec(&sys, &spec, &opts, None, ExecMode::Streaming);
+        let rep = simulate_gemm_opt(&sys, &spec, &opts, None);
         total ^= rep.total;
         println!("rep {r}: {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
     }

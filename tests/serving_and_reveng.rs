@@ -2,7 +2,7 @@
 //! address-mapping reverse-engineering assumed by §III-D.
 
 use stepstone::addr::reveng::{recover, recover_from_mapping};
-use stepstone::addr::{mapping_by_id, MappingId, PimLevel};
+use stepstone::addr::{mapping_by_id, MappingId, PagingConfig, PimLevel};
 use stepstone::core::{
     cpu_crossover_batch, simulate_gemm, simulate_gemm_fused, simulate_gemm_opt,
     simulate_split_batch, CpuModel, GemmSpec, SimOptions, SystemConfig, PIM_CHUNK_BATCH,
@@ -32,6 +32,44 @@ fn fused_execution_helps_every_non_pow2_table1_shape() {
         let serial = simulate_gemm_opt(&sys, &spec, &opts, None).total;
         let fused = simulate_gemm_fused(&sys, &spec, &opts, None).total;
         assert!(fused <= serial, "{m}x{k}: fused={fused} serial={serial}");
+    }
+}
+
+#[test]
+fn fused_pow2_equals_plain_on_every_arm() {
+    // One sub-matrix: the fused pipeline is the plain pass, including the
+    // paging wrapper and the PIM-subset remap.
+    let base = SystemConfig::default();
+    let spec = GemmSpec::new(1024, 4096, 4);
+    for level in [PimLevel::BankGroup, PimLevel::Device] {
+        let paged = base.clone().with_paging(PagingConfig::fragmented(4096, 7));
+        let stp = SimOptions::stepstone(level);
+        for (arm, sys, opts) in [
+            ("default", &base, stp.clone()),
+            ("fragmented 4 KiB", &paged, stp.clone()),
+            ("subset", &base, stp.clone().with_subset(1)),
+        ] {
+            let plain = simulate_gemm_opt(sys, &spec, &opts, None);
+            let fused = simulate_gemm_fused(sys, &spec, &opts, None);
+            let what = format!("{level:?} {arm}");
+            assert_eq!(fused.total, plain.total, "{what}");
+            assert_eq!(fused.phase_cycles, plain.phase_cycles, "{what}");
+            assert_eq!(fused.dram, plain.dram, "{what}");
+            assert_eq!(fused.activity, plain.activity, "{what}");
+        }
+    }
+}
+
+#[test]
+fn fused_non_pow2_outputs_are_pinned() {
+    let sys = SystemConfig::default();
+    let opts = SimOptions::stepstone(PimLevel::BankGroup);
+    for ((m, k), total, phases) in [
+        ((1536, 1024), 58310, [44455, 0, 0, 0, 9773, 4082, 0, 0]),
+        ((1600, 6400), 374960, [291977, 0, 0, 0, 19529, 13305, 0, 0]),
+    ] {
+        let r = simulate_gemm_fused(&sys, &GemmSpec::new(m, k, 4), &opts, None);
+        assert_eq!((r.total, r.phase_cycles), (total, phases), "{m}x{k}");
     }
 }
 
