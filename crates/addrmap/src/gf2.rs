@@ -186,7 +186,8 @@ impl Gf2System {
 /// answer membership queries and assign dense coordinates to its vectors.
 #[derive(Debug, Clone, Default)]
 pub struct VecSpace {
-    /// Echelon basis, each with a unique lowest set bit, sorted by that bit.
+    /// Fully reduced echelon basis: each vector's lowest set bit (its pivot)
+    /// is set in no other basis vector, and vectors are sorted by pivot.
     basis: Vec<u64>,
 }
 
@@ -205,6 +206,12 @@ impl VecSpace {
     }
 
     /// Add a vector; returns `true` if it enlarged the space.
+    ///
+    /// Keeps the basis fully reduced: `v` is cleared of every existing
+    /// pivot before it joins, and its own pivot is then cleared from the
+    /// older vectors (each of which has its pivot below `v`'s, so theirs
+    /// survive). Hence [`VecSpace::coords`] of `basis()[i]` is exactly
+    /// `1 << i`.
     pub fn insert(&mut self, mut v: u64) -> bool {
         for &b in &self.basis {
             if v & (b & b.wrapping_neg()) != 0 {
@@ -227,6 +234,13 @@ impl VecSpace {
 
     pub fn dim(&self) -> usize {
         self.basis.len()
+    }
+
+    /// The fully reduced echelon basis, sorted by pivot: the member with
+    /// dense coordinates `c` is the XOR of `basis()[i]` over the set bits
+    /// `i` of `c`.
+    pub fn basis(&self) -> &[u64] {
+        &self.basis
     }
 
     pub fn contains(&self, mut v: u64) -> bool {
@@ -336,6 +350,33 @@ mod tests {
         // x1 ^ x3 = 1 → minimal solution sets x1 (value 2), not x3 (value 8).
         assert!(s.add(0b1010, true));
         assert_eq!(s.min_solution().unwrap(), 0b0010);
+    }
+
+    #[test]
+    fn vecspace_basis_is_fully_reduced() {
+        // Deterministic pseudo-random spanning sets, including dependent
+        // and zero vectors: every basis vector's pivot appears in no other,
+        // and its dense coordinates are exactly its own bit.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for trial in 0..200 {
+            let mut vecs = Vec::new();
+            for _ in 0..(trial % 9) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                vecs.push(x & 0x3ff);
+            }
+            vecs.push(vecs.first().copied().unwrap_or(0) ^ vecs.last().copied().unwrap_or(0));
+            let s = VecSpace::from_span(&vecs);
+            assert_eq!(s.dim(), span_rank(&vecs), "{vecs:x?}");
+            for (i, &b) in s.basis().iter().enumerate() {
+                let pivot = b & b.wrapping_neg();
+                for (j, &o) in s.basis().iter().enumerate() {
+                    assert!(i == j || o & pivot == 0, "{vecs:x?}: pivot of {i} in {j}");
+                }
+                assert_eq!(s.coords(b), Some(1 << i), "{vecs:x?}");
+            }
+        }
     }
 
     #[test]

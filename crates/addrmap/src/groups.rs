@@ -206,31 +206,25 @@ impl GroupAnalysis {
             .expect("row parity vector lies in the row space by construction") as usize
     }
 
-    /// Raw row-parity vector of a dense group index.
+    /// Raw row-parity vector of a dense group index — the inverse of
+    /// [`GroupAnalysis::group_of_row`]'s coordinates: the row space's
+    /// reduced basis vector *i* has coordinates exactly `1 << i`, so this
+    /// is an XOR over at most `rank_row` cached vectors.
     pub fn group_vec(&self, group: usize) -> u32 {
+        debug_assert!(
+            group < self.n_groups(),
+            "group {group} of {}",
+            self.n_groups()
+        );
         let mut v = 0u64;
-        for (i, &b) in self.row_space_basis().iter().enumerate() {
-            if group >> i & 1 == 1 {
+        let mut g = group;
+        for &b in self.row_space.basis() {
+            if g & 1 == 1 {
                 v ^= b;
             }
+            g >>= 1;
         }
         v as u32
-    }
-
-    fn row_space_basis(&self) -> Vec<u64> {
-        // Reconstruct via enumerate(): VecSpace keeps a stable basis. To keep
-        // the coupling explicit we re-derive basis vectors from coords: basis
-        // vector i is the member whose coords are exactly bit i.
-        let all = self.row_space.enumerate();
-        let mut basis = vec![0u64; self.row_space.dim()];
-        for v in all {
-            if let Some(c) = self.row_space.coords(v) {
-                if c.count_ones() == 1 {
-                    basis[c.trailing_zeros() as usize] = v;
-                }
-            }
-        }
-        basis
     }
 
     /// The PIM ID owning block `(row r, block column kblk)`.
@@ -502,6 +496,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reference `group_vec`: enumerate all `2^rank_row` members of the
+    /// row space and keep the one whose dense coordinates are exactly bit
+    /// *i* as basis vector *i*.
+    fn group_vec_by_enumeration(ga: &GroupAnalysis, group: usize) -> u32 {
+        let mut basis = vec![0u64; ga.row_space.dim()];
+        for v in ga.row_space.enumerate() {
+            let c = ga.row_space.coords(v).expect("members have coordinates");
+            if c.count_ones() == 1 {
+                basis[c.trailing_zeros() as usize] = v;
+            }
+        }
+        let mut v = 0u64;
+        for (i, &b) in basis.iter().enumerate() {
+            if group >> i & 1 == 1 {
+                v ^= b;
+            }
+        }
+        v as u32
+    }
+
+    #[test]
+    fn cached_group_basis_matches_enumeration() {
+        let shapes = [(256, 4096), (1024, 4096), (4096, 1024), (512, 512)];
+        let mut analyses = 0u32;
+        for id in MappingId::ALL {
+            let m = mapping_by_id(id);
+            for level in PimLevel::ALL {
+                let id_bits = level.id_masks(&m).len() as u32;
+                for (rows, cols) in shapes {
+                    let bytes = MatrixLayout::new_f32(0, rows, cols).total_bytes();
+                    for base in [0, 11 * bytes] {
+                        let layout = MatrixLayout::new_f32(base, rows, cols);
+                        for drop in (0..3).filter(|&d| d < id_bits) {
+                            let ga = GroupAnalysis::analyze_subset(&m, level, layout, drop);
+                            let ctx =
+                                format!("{id:?} {level:?} {rows}x{cols}@{base:#x} drop {drop}");
+                            let vecs: Vec<u32> =
+                                (0..ga.n_groups()).map(|g| ga.group_vec(g)).collect();
+                            let refs: Vec<u32> = (0..ga.n_groups())
+                                .map(|g| group_vec_by_enumeration(&ga, g))
+                                .collect();
+                            assert_eq!(vecs, refs, "{ctx}");
+                            // Distinct groups have distinct vectors, so a row
+                            // matches exactly the vector of its own group.
+                            let mut sorted = vecs.clone();
+                            sorted.sort_unstable();
+                            sorted.dedup();
+                            assert_eq!(sorted.len(), vecs.len(), "{ctx}");
+                            for r in 0..rows {
+                                assert_eq!(
+                                    ga.row_parity_vec(r),
+                                    vecs[ga.group_of_row(r)],
+                                    "{ctx} row {r}"
+                                );
+                            }
+                            for pim in 0..1u32 << ga.id_masks.len() {
+                                for (g, &v) in refs.iter().enumerate() {
+                                    let old = ga.col_space.contains((pim ^ ga.fixed ^ v) as u64);
+                                    assert_eq!(
+                                        ga.is_admissible(pim, g),
+                                        old,
+                                        "{ctx} pim {pim} group {g}"
+                                    );
+                                }
+                            }
+                            analyses += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(analyses >= 5 * 3 * 4 * 2 * 2, "{analyses} analyses");
     }
 
     #[test]

@@ -22,6 +22,15 @@
 //! span structure surfaced by [`StepStoneAgen::spans`]: inside a
 //! contiguous run (no constrained bit changes) the next address is a plain
 //! block increment, so select() runs once per span, not once per block.
+//!
+//! Every count the descent divides by is 0 or a power of two. The blocks
+//! of an aligned window that leave residual state `s` are the preimage of
+//! `s` under a linear GF(2) map (block bits → constraint parities), so
+//! they are empty or a coset of the map's kernel: `counts[i][s]` is 0 or
+//! `2^dim(kernel)`. A level's `pair` (`counts[i][s] + counts[i][s ^ δ]`)
+//! and the per-period count add two such cosets of one kernel, and the
+//! period is a power of two by construction. rank/select therefore split
+//! indices with shifts and masks, never `/` or `%`.
 
 use crate::agen::{satisfies, ParityConstraint, StepStoneAgen};
 use crate::geometry::{BLOCK_BYTES, BLOCK_SHIFT};
@@ -147,6 +156,14 @@ impl RegionPlan {
             None => (BLOCK_BYTES, 1),
         };
         let per_period = if unsat { 0 } else { per_period };
+        debug_assert!(
+            counts
+                .iter()
+                .flatten()
+                .chain([&per_period])
+                .all(|&c| c & c.wrapping_sub(1) == 0),
+            "window counts are coset sizes: 0 or a power of two"
+        );
         assert!(
             count == 0 || per_period > 0,
             "cannot carve {count} blocks from an unsatisfiable region"
@@ -200,18 +217,85 @@ impl RegionPlan {
         {
             return None;
         }
-        Some(
-            self.period_offsets
-                .get_or_init(|| (0..self.per_period).map(|r| self.select(r)).collect()),
-        )
+        Some(self.period_offsets.get_or_init(|| {
+            let mut offs = Vec::with_capacity(self.per_period as usize);
+            self.walk_period(&mut |a| offs.push(a));
+            offs
+        }))
+    }
+
+    /// Visit the satisfying blocks of the first period instance in
+    /// ascending order — `select(0)`, …, `select(per_period - 1)` — as one
+    /// depth-first walk of the counting levels instead of a descent per
+    /// block.
+    fn walk_period(&self, f: &mut impl FnMut(u64)) {
+        if self.per_period > 0 {
+            self.walk_level(
+                self.pbits.len(),
+                self.target,
+                0,
+                self.period.trailing_zeros(),
+                f,
+            );
+        }
+    }
+
+    /// [`RegionPlan::walk_period`] below the top `level` constrained bits:
+    /// every satisfying block of the aligned `2^window_top`-byte window at
+    /// `prefix` whose residual parity state is `s`.
+    fn walk_level(
+        &self,
+        level: usize,
+        s: u32,
+        prefix: u64,
+        window_top: u32,
+        f: &mut impl FnMut(u64),
+    ) {
+        let Some(i) = level.checked_sub(1) else {
+            // Below the lowest constrained bit every block satisfies.
+            debug_assert_eq!(s, self.tail_state());
+            for j in 0..1u64 << (window_top - BLOCK_SHIFT) {
+                f(prefix | j << BLOCK_SHIFT);
+            }
+            return;
+        };
+        let p = self.pbits[i];
+        let flipped = s ^ self.deltas[i];
+        let (stay, flip) = (
+            self.counts[i][s as usize] > 0,
+            self.counts[i][flipped as usize] > 0,
+        );
+        for chunk in 0..1u64 << (window_top - p - 1) {
+            let base = prefix | chunk << (p + 1);
+            if stay {
+                self.walk_level(i, s, base, p, f);
+            }
+            if flip {
+                self.walk_level(i, flipped, base | 1 << p, p, f);
+            }
+        }
+    }
+
+    /// Address of the `m`-th satisfying block: one lookup in the period
+    /// offset table when it exists, else a select() descent.
+    #[inline]
+    fn addr_of(&self, m: u64) -> u64 {
+        match self.offsets() {
+            Some(offs) => {
+                let shift = self.per_period.trailing_zeros();
+                ((m >> shift) << self.period.trailing_zeros())
+                    + offs[(m & (self.per_period - 1)) as usize]
+            }
+            None => self.select(m),
+        }
     }
 
     /// Satisfying blocks with address strictly below `x`.
     fn rank(&self, x: u64) -> u64 {
-        let mut acc = (x / self.period) * self.per_period;
-        let r = x % self.period;
-        let mut s = self.target;
         let mut window_top = self.period.trailing_zeros();
+        let mut acc = (x >> window_top) * self.per_period;
+        let r = x & (self.period - 1);
+        let mut s = self.target;
         for i in (0..self.pbits.len()).rev() {
             let p = self.pbits[i];
             // Free bits strictly between p and the window top: each value
@@ -236,17 +320,18 @@ impl RegionPlan {
     /// Address of the `m`-th satisfying block (global, 0-indexed from
     /// address 0).
     fn select(&self, m: u64) -> u64 {
-        let q = m / self.per_period;
-        let mut r = m % self.per_period;
-        let mut addr = q * self.period;
-        let mut s = self.target;
+        debug_assert!(self.per_period.is_power_of_two());
         let mut window_top = self.period.trailing_zeros();
+        let mut r = m & (self.per_period - 1);
+        let mut addr = (m >> self.per_period.trailing_zeros()) << window_top;
+        let mut s = self.target;
         for i in (0..self.pbits.len()).rev() {
             let p = self.pbits[i];
             let pair =
                 self.counts[i][s as usize] + self.counts[i][(s ^ self.deltas[i]) as usize];
-            let chunk = r / pair;
-            r %= pair;
+            debug_assert!(pair.is_power_of_two(), "level {i} state {s}: pair {pair}");
+            let chunk = r >> pair.trailing_zeros();
+            r &= pair - 1;
             debug_assert!(chunk < (1u64 << (window_top - p - 1)));
             addr |= chunk << (p + 1);
             let left = self.counts[i][s as usize];
@@ -328,14 +413,16 @@ impl RegionPlan {
         let pp = self.per_period;
         let mut starts = vec![0u64; pp.div_ceil(64) as usize];
         let mut prev = (usize::MAX, u32::MAX);
-        for r in 0..pp {
-            let c = mapping.decode(self.select(r));
+        let mut r = 0u64;
+        self.walk_period(&mut |a| {
+            let c = mapping.decode(a);
             let k = (c.bank_index(g), c.row);
             if k != prev {
                 starts[(r / 64) as usize] |= 1 << (r % 64);
                 prev = k;
             }
-        }
+            r += 1;
+        });
         // Residue 0 is always a start (new period instance).
         starts[0] |= 1;
         Some(KeyRuns { per_period: pp, starts })
@@ -343,13 +430,14 @@ impl RegionPlan {
 
     /// Whether `other` provably shares this plan's [`RegionPlan::key_runs`]
     /// table, so one tabulation can serve both. True when the cleaned
-    /// constraint *masks* coincide (parity targets may differ): the two
-    /// satisfying sets are then cosets of one GF(2) subspace, and the
-    /// ascending enumeration of a coset is the subspace's ascending
-    /// enumeration XOR-translated by the coset leader (echelon reduction
-    /// by the subspace basis is linear, and clearing the highest
-    /// reducible bit of each element greedily is exactly the numeric
-    /// minimum of its coset). A constant XOR shifts every decoded
+    /// constraint *masks* coincide. Arena and length may differ (the table
+    /// is indexed by global residue and reads neither), and so may parity
+    /// targets: the two satisfying sets are then cosets of one GF(2)
+    /// subspace, and the ascending enumeration of a coset is the
+    /// subspace's ascending enumeration XOR-translated by the coset leader
+    /// (echelon reduction by the subspace basis is linear, and clearing the
+    /// highest reducible bit of each element greedily is exactly the
+    /// numeric minimum of its coset). A constant XOR shifts every decoded
     /// coordinate fieldwise by one constant, so consecutive-block key
     /// equality — hence every run boundary — is identical.
     pub fn same_key_runs(&self, other: &RegionPlan) -> bool {
@@ -395,7 +483,8 @@ impl KeyRuns {
     /// distance from `m` to the next run boundary, clipped to the end of
     /// `m`'s period instance.
     pub fn run_len_from(&self, m: u64) -> u64 {
-        let r = m % self.per_period;
+        // `per_period` is a power of two (see the module docs).
+        let r = m & (self.per_period - 1);
         let mut w = (r / 64) as usize;
         // The next start strictly after r: mask off bit r and below.
         let mut bits = self.starts[w] & (!0u64).checked_shl((r % 64) as u32 + 1).unwrap_or(0);
@@ -455,7 +544,7 @@ impl<'a> RegionIter<'a> {
         }
         Some(match self.next_addr {
             Some(a) => a,
-            None => self.plan.select(self.plan.base_rank + self.ix),
+            None => self.plan.addr_of(self.pos_rank()),
         })
     }
 }
@@ -469,16 +558,7 @@ impl Iterator for RegionIter<'_> {
         }
         let addr = match self.next_addr.take() {
             Some(a) => a,
-            None => {
-                let m = self.plan.base_rank + self.ix;
-                match self.plan.offsets() {
-                    Some(offs) => {
-                        (m / self.plan.per_period) * self.plan.period
-                            + offs[(m % self.plan.per_period) as usize]
-                    }
-                    None => self.plan.select(m),
-                }
-            }
+            None => self.plan.addr_of(self.pos_rank()),
         };
         self.ix += 1;
         if self.ix < self.end {
@@ -783,6 +863,69 @@ mod tests {
             let ra: Vec<u64> = a.collect();
             let rb: Vec<u64> = b.collect();
             assert_eq!(ra, rb, "skip_at {skip_at} n {n}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        // The coset argument behind the shift/mask rank/select: every
+        // window count, level pair and per-period count is 0 or a power
+        // of two, and the division-free cursors still walk exactly the
+        // naive satisfying sequence — over small periods (many period
+        // instances per region) and arenas at any block offset.
+        #[test]
+        fn window_counts_are_cosets_and_cursors_match_naive(
+            n in 0usize..7,
+            raw in proptest::collection::vec(proptest::any::<u64>(), 6..7),
+            parities in proptest::any::<u8>(),
+            top in 8u32..17,
+            arena_blk in 0u64..4096,
+            count in 1u64..700,
+        ) {
+            let cs: Vec<ParityConstraint> = (0..n)
+                .map(|j| ParityConstraint {
+                    mask: raw[j] & ((1u64 << top) - 1) & !(BLOCK_BYTES - 1),
+                    parity: parities >> j & 1 == 1,
+                })
+                .collect();
+            let mut sys = crate::gf2::Gf2System::new();
+            let consistent = cs.iter().all(|c| sys.add(c.mask, c.parity));
+            proptest::prop_assume!(consistent);
+            let arena = arena_blk * BLOCK_BYTES;
+            let plan = RegionPlan::carve(cs.clone(), arena, count);
+            let pow2_or_zero = |c: u64| c == 0 || c.is_power_of_two();
+            for (i, row) in plan.counts.iter().enumerate() {
+                for (s, &c) in row.iter().enumerate() {
+                    proptest::prop_assert!(pow2_or_zero(c), "counts[{i}][{s}] = {c}");
+                    let pair = c + row[s ^ plan.deltas[i] as usize];
+                    proptest::prop_assert!(pow2_or_zero(pair), "pair[{i}][{s}] = {pair}");
+                }
+            }
+            proptest::prop_assert!(plan.per_period.is_power_of_two());
+            proptest::prop_assert!(plan.period.is_power_of_two());
+            let mut walked = Vec::new();
+            plan.walk_period(&mut |a| walked.push(a));
+            let selected: Vec<u64> = (0..plan.per_period).map(|m| plan.select(m)).collect();
+            proptest::prop_assert_eq!(walked, selected);
+
+            let naive = naive_region(&cs, arena, count);
+            let via_get: Vec<u64> = (0..count).map(|i| plan.get(i)).collect();
+            proptest::prop_assert_eq!(&via_get, &naive);
+            proptest::prop_assert_eq!(&plan.to_vec(), &naive);
+            let mut it = plan.iter_range(count / 3, count);
+            for &want in &naive[(count / 3) as usize..] {
+                proptest::prop_assert_eq!(it.peek_addr(), Some(want));
+                proptest::prop_assert_eq!(it.next(), Some(want));
+            }
+            proptest::prop_assert_eq!(it.peek_addr(), None);
+
+            let below_arena = NaiveAgen::new(cs.clone(), 0, arena).count() as u64;
+            proptest::prop_assert_eq!(plan.rank_below(arena), below_arena);
+            for (i, &a) in naive.iter().enumerate() {
+                proptest::prop_assert_eq!(plan.rank_below(a), below_arena + i as u64);
+                proptest::prop_assert_eq!(plan.rank_below(a + BLOCK_BYTES), below_arena + i as u64 + 1);
+            }
         }
     }
 

@@ -37,7 +37,8 @@
 //!               "sweep": [{"mean_gap_cycles":…, "p50":…, "p95":…, "p99":…,
 //!                          "served":…, "rejected":…, "batches":…,
 //!                          "pim_batches":…, "mean_queue_depth":…,
-//!                          "channel_utilization":…}, …],
+//!                          "channel_utilization":…,
+//!                          "internal_data_cycles":…}, …],
 //!               "knee_index":…, "knee_factor": 3.0,
 //!               "serial_equals_parallel": true,
 //!               "warm_vs_cold": {"requests":…, "warm_wall_ns":…,
@@ -389,7 +390,8 @@ fn main() {
             json,
             "      {{\"mean_gap_cycles\": {gap:.0}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
              \"served\": {}, \"rejected\": {}, \"batches\": {}, \"pim_batches\": {}, \
-             \"mean_queue_depth\": {:.3}, \"channel_utilization\": {:.4}}}",
+             \"mean_queue_depth\": {:.3}, \"channel_utilization\": {:.4}, \
+             \"internal_data_cycles\": {}}}",
             r.p50,
             r.p95,
             r.p99,
@@ -399,6 +401,7 @@ fn main() {
             r.pim_batches,
             r.mean_queue_depth,
             r.channel_utilization,
+            r.internal_data_cycles,
         );
         json.push_str(if i + 1 < sv.sweep.len() { ",\n" } else { "\n" });
     }

@@ -115,11 +115,7 @@ pub(crate) fn execute_pow2_gemm(
     // Rows of each (group, rpart) cell — matrix rows, each owning
     // `cols_here` A blocks per admissible PIM.
     let rparts = ctx.plan.rparts as usize;
-    let rows_per_rpart = ctx.layout.rows / rparts;
-    let mut rows_by_rpart_group = vec![vec![0u64; ctx.ga.n_groups()]; rparts];
-    for r in 0..ctx.layout.rows {
-        rows_by_rpart_group[(r / rows_per_rpart).min(rparts - 1)][ctx.ga.group_of_row(r)] += 1;
-    }
+    let rows_by_rpart_group = &ctx.rows_by_rpart_group;
 
     // Phase 2: the kernel, per PIM; PIMs run in parallel on disjoint bank
     // partitions, so the phase ends at the slowest PIM.

@@ -274,6 +274,9 @@ pub struct GemmContext {
     pub b_regions: Vec<RegionPlan>,
     /// Per-active-PIM partial-`C` region (lazy span-backed plan).
     pub c_regions: Vec<RegionPlan>,
+    /// Matrix rows per (row partition, group): the one definition of rpart
+    /// membership, shared by the build and the analytic tier.
+    pub(crate) rows_by_rpart_group: Vec<Vec<u64>>,
     /// Per-PIM, per-row-partition resident `C` blocks.
     pub c_blocks_by_rpart: Vec<Vec<u64>>,
     /// Per-PIM, per (group visit index, cpart): `B` slice length in blocks.
@@ -311,38 +314,53 @@ impl GemmContext {
         let active_pims = ga.active_pims();
         let n = spec.n;
 
-        // Group visit order and per-(group, cpart) B slice lengths.
-        let mut b_slice_lens = Vec::with_capacity(active_pims.len());
-        for &pim in &active_pims {
-            let mut lens = Vec::new();
-            for g in 0..ga.n_groups() {
-                if !ga.is_admissible(pim, g) {
-                    continue;
-                }
-                let cols = ga.local_cols(pim, g);
-                for cpart in 0..plan.cparts as u64 {
-                    let cols_here = cols_in_cpart(&cols, ga.layout.blocks_per_row(), plan.cparts, cpart);
-                    // One column block of B holds 16 rows × n f32 = n blocks.
-                    lens.push(cols_here * n as u64);
-                }
-            }
-            b_slice_lens.push(lens);
-        }
-
-        // Per (PIM, rpart) resident C rows → blocks.
-        let group_of_row: Vec<u16> =
-            (0..layout.rows).map(|r| ga.group_of_row(r) as u16).collect();
+        // One pass over the rows counts matrix rows per (rpart, group), and
+        // one over the block columns counts columns per (cpart, column
+        // parity vector). A PIM's resident C rows in an rpart are the rows
+        // of its admissible groups; its B columns of (group, cpart) are the
+        // columns whose parity vector is `pim ^ fixed ^ group_vec(group)`.
+        // BufferPlan keeps rparts ≤ rows and cparts ≤ block columns (powers
+        // of two), so every partition spans at least one of each.
         let rows_per_rpart = layout.rows / plan.rparts as usize;
+        let mut rows_by_rpart_group = vec![vec![0u64; ga.n_groups()]; plan.rparts as usize];
+        for r in 0..layout.rows {
+            rows_by_rpart_group[r / rows_per_rpart][ga.group_of_row(r)] += 1;
+        }
+        let cols_per_cpart = layout.blocks_per_row() / plan.cparts as u64;
+        let mut cols_by_cpart_vec = vec![vec![0u64; 1 << ga.id_masks.len()]; plan.cparts as usize];
+        for k in 0..layout.blocks_per_row() {
+            let cpart = (k / cols_per_cpart) as usize;
+            cols_by_cpart_vec[cpart][ga.col_parity_vec(k) as usize] += 1;
+        }
+        // Per PIM, in group visit order: B slice lengths per (group, cpart)
+        // (one column block of B holds 16 rows × n f32 = n blocks) and
+        // resident C blocks per rpart.
+        let mut b_slice_lens = Vec::with_capacity(active_pims.len());
         let mut c_blocks_by_rpart = Vec::with_capacity(active_pims.len());
         for &pim in &active_pims {
-            let mut per = Vec::with_capacity(plan.rparts as usize);
-            for rp in 0..plan.rparts as usize {
-                let rows = (rp * rows_per_rpart..(rp + 1) * rows_per_rpart)
-                    .filter(|&r| ga.is_admissible(pim, group_of_row[r] as usize))
-                    .count() as u64;
-                per.push((rows * n as u64 * 4).div_ceil(64));
-            }
-            c_blocks_by_rpart.push(per);
+            let groups: Vec<usize> = (0..ga.n_groups())
+                .filter(|&g| ga.is_admissible(pim, g))
+                .collect();
+            b_slice_lens.push(
+                groups
+                    .iter()
+                    .flat_map(|&g| {
+                        let need = (pim ^ ga.fixed ^ ga.group_vec(g)) as usize;
+                        cols_by_cpart_vec
+                            .iter()
+                            .map(move |cols| cols[need] * n as u64)
+                    })
+                    .collect::<Vec<u64>>(),
+            );
+            c_blocks_by_rpart.push(
+                rows_by_rpart_group
+                    .iter()
+                    .map(|rows| {
+                        let rows: u64 = groups.iter().map(|&g| rows[g]).sum();
+                        (rows * n as u64 * 4).div_ceil(64)
+                    })
+                    .collect::<Vec<u64>>(),
+            );
         }
 
         // Carve per-PIM regions out of the buffer arenas: span-backed plans
@@ -372,23 +390,25 @@ impl GemmContext {
         let (b_key_runs, c_key_runs) = if direct_scratchpad {
             (vec![None; b_regions.len()], vec![None; c_regions.len()])
         } else {
-            // The per-PIM plans of one matrix differ only in parity
-            // targets, which provably never change the table (see
-            // `RegionPlan::same_key_runs`) — tabulate each class once.
-            let tabulate = |regions: &[RegionPlan]| -> Vec<Option<KeyRuns>> {
-                let mut out: Vec<Option<KeyRuns>> = Vec::with_capacity(regions.len());
-                for (i, r) in regions.iter().enumerate() {
-                    match regions[..i].iter().position(|p| p.same_key_runs(r)) {
-                        Some(j) => out.push(out[j].clone()),
-                        None => out.push(r.key_runs(&mapping)),
+            // The per-PIM plans of one matrix — B and C alike, which are
+            // carved with the same masks — differ only in parity targets,
+            // arena and length, none of which changes the table (see
+            // `RegionPlan::same_key_runs`): tabulate each class once.
+            let mut classes: Vec<(&RegionPlan, Option<KeyRuns>)> = Vec::new();
+            let mut runs = Vec::with_capacity(b_regions.len() + c_regions.len());
+            for r in b_regions.iter().chain(&c_regions) {
+                let kr = match classes.iter().find(|(p, _)| p.same_key_runs(r)) {
+                    Some((_, kr)) => kr.clone(),
+                    None => {
+                        let kr = r.key_runs(&mapping);
+                        classes.push((r, kr.clone()));
+                        kr
                     }
-                }
-                out
-            };
-            (
-                tabulate(&b_regions),
-                tabulate(&c_regions),
-            )
+                };
+                runs.push(kr);
+            }
+            let c = runs.split_off(b_regions.len());
+            (runs, c)
         };
 
         Self {
@@ -401,6 +421,7 @@ impl GemmContext {
             n,
             b_regions,
             c_regions,
+            rows_by_rpart_group,
             c_blocks_by_rpart,
             b_slice_lens,
             direct_scratchpad,
@@ -605,14 +626,6 @@ impl WalkCursor {
             }
         }
     }
-}
-
-/// Count of a (sorted) local-column list falling in one column partition.
-fn cols_in_cpart(cols: &[u64], blocks_per_row: u64, cparts: u32, cpart: u64) -> u64 {
-    let span = blocks_per_row / cparts as u64;
-    let lo = cpart * span;
-    let hi = lo + span;
-    cols.iter().filter(|&&c| c >= lo && c < hi).count() as u64
 }
 
 /// How step programs reach the engine.
@@ -1789,5 +1802,99 @@ mod tests {
             }
             t += r.total;
         }
+    }
+
+    /// The one-pass row and column tables reproduce the per-(PIM, row)
+    /// admissibility count and the per-(PIM, group) local-column scan the
+    /// build used to run, and the shared key-run tables equal each region's
+    /// own, on every power-of-two sub-GEMM of the ten Table-I weight
+    /// shapes.
+    #[test]
+    fn row_and_column_accounting_match_per_pim_scans() {
+        const TABLE1: [(usize, usize); 10] = [
+            (1024, 4096),
+            (4096, 1024),
+            (1024, 1024),
+            (1600, 6400),
+            (6400, 1600),
+            (1600, 1600),
+            (2560, 512),
+            (512, 32),
+            (512, 128),
+            (128, 1),
+        ];
+        let s = sys();
+        let arms = [
+            SimOptions::stepstone(PimLevel::BankGroup),
+            SimOptions::stepstone(PimLevel::Device),
+            SimOptions::stepstone(PimLevel::BankGroup).with_subset(1),
+        ];
+        let mut contexts = 0u32;
+        for (m, k) in TABLE1 {
+            for n in [1, 32] {
+                for sub in GemmSpec::new(m, k, n).decompose_pow2() {
+                    for opts in &arms {
+                        let ctx = GemmContext::build(&s, &sub, opts);
+                        let ga = &ctx.ga;
+                        let rows = ctx.layout.rows;
+                        let per_rpart = rows / ctx.plan.rparts as usize;
+                        let total: u64 = ctx.rows_by_rpart_group.iter().flatten().sum();
+                        assert_eq!(total, rows as u64, "{sub:?} {opts:?}");
+                        for (pix, &pim) in ctx.active_pims.iter().enumerate() {
+                            let per_col: Vec<u64> = (0..ga.n_groups())
+                                .filter(|&g| ga.is_admissible(pim, g))
+                                .flat_map(|g| {
+                                    let cols = ga.local_cols(pim, g);
+                                    let span = ctx.layout.blocks_per_row() / ctx.plan.cparts as u64;
+                                    (0..ctx.plan.cparts as u64).map(move |cp| {
+                                        let lo = cp * span;
+                                        let here =
+                                            cols.iter().filter(|&&c| c >= lo && c < lo + span);
+                                        here.count() as u64 * sub.n as u64
+                                    })
+                                })
+                                .collect();
+                            assert_eq!(
+                                ctx.b_slice_lens[pix], per_col,
+                                "{sub:?} {opts:?} pim {pim}"
+                            );
+                            let per_row: Vec<u64> = (0..ctx.plan.rparts as usize)
+                                .map(|rp| {
+                                    let rows = (rp * per_rpart..(rp + 1) * per_rpart)
+                                        .filter(|&r| ga.is_admissible(pim, ga.group_of_row(r)))
+                                        .count()
+                                        as u64;
+                                    (rows * sub.n as u64 * 4).div_ceil(64)
+                                })
+                                .collect();
+                            assert_eq!(
+                                ctx.c_blocks_by_rpart[pix], per_row,
+                                "{sub:?} {opts:?} pim {pim}"
+                            );
+                        }
+                        // One key-run table serves every B and C region of
+                        // a mask class.
+                        if !ctx.direct_scratchpad {
+                            let last = ctx.active_pims.len() - 1;
+                            for pix in [0, last] {
+                                let own = |r: &RegionPlan| r.key_runs(&ctx.mapping);
+                                assert_eq!(
+                                    ctx.b_key_runs[pix],
+                                    own(&ctx.b_regions[pix]),
+                                    "{sub:?}"
+                                );
+                                assert_eq!(
+                                    ctx.c_key_runs[pix],
+                                    own(&ctx.c_regions[pix]),
+                                    "{sub:?}"
+                                );
+                            }
+                        }
+                        contexts += 1;
+                    }
+                }
+            }
+        }
+        assert!(contexts >= 10 * 2 * 3, "{contexts} contexts");
     }
 }

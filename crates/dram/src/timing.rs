@@ -174,6 +174,12 @@ impl DramStats {
         self.reads + self.writes
     }
 
+    /// Blocks that crossed the channel data bus: the `Channel` port only,
+    /// not the rank- or bank-group-internal bursts of PIM kernels.
+    pub fn channel_accesses(&self) -> u64 {
+        self.reads_by_port[Port::Channel.index()] + self.writes_by_port[Port::Channel.index()]
+    }
+
     /// Counters accumulated since an earlier snapshot `base` of the same
     /// state — what one request contributed to a persistent serving-mode
     /// timing state. Saturating so a foreign snapshot cannot panic.

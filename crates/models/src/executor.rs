@@ -112,9 +112,13 @@ fn cpu_other_cycles(bytes: u64, flops: u64) -> u64 {
 pub struct SelectedCost {
     pub backend: Backend,
     pub cycles: u64,
-    /// DRAM data-bus busy cycles of the PIM simulation (0 for CPU-routed
-    /// GEMMs) — the serving report's channel-utilization numerator.
+    /// Burst cycles of every CAS of the PIM simulation, channel and
+    /// PIM-internal ports alike (`DramStats::data_cycles`; 0 for CPU-routed
+    /// GEMMs).
     pub data_cycles: u64,
+    /// The channel data-bus share of `data_cycles`: channel-port reads and
+    /// writes × tBL — the serving report's channel-utilization numerator.
+    pub channel_data_cycles: u64,
 }
 
 /// Cost of one full model pass split by execution side — the serving
@@ -123,7 +127,10 @@ pub struct SelectedCost {
 pub struct PassCost {
     pub pim_cycles: u64,
     pub cpu_cycles: u64,
+    /// Summed [`SelectedCost::data_cycles`] of the PIM-routed GEMMs.
     pub data_cycles: u64,
+    /// Summed [`SelectedCost::channel_data_cycles`] of the PIM-routed GEMMs.
+    pub channel_data_cycles: u64,
     pub pim_gemms: usize,
     pub cpu_gemms: usize,
 }
@@ -245,12 +252,20 @@ impl ModelExecutor {
         }
         let backend = choose_backend(&self.sys, &spec, &self.cpu);
         let cost = match backend {
-            Backend::Cpu => {
-                SelectedCost { backend, cycles: self.cpu.cycles(&spec), data_cycles: 0 }
-            }
+            Backend::Cpu => SelectedCost {
+                backend,
+                cycles: self.cpu.cycles(&spec),
+                data_cycles: 0,
+                channel_data_cycles: 0,
+            },
             Backend::Pim { .. } => {
                 let r = self.stp(&spec, &options_for(backend));
-                SelectedCost { backend, cycles: r.total, data_cycles: r.dram.data_cycles }
+                SelectedCost {
+                    backend,
+                    cycles: r.total,
+                    data_cycles: r.dram.data_cycles,
+                    channel_data_cycles: r.dram.channel_accesses() * self.sys.dram.timing.t_bl,
+                }
             }
         };
         self.select_cache.insert(spec, cost);
@@ -273,6 +288,7 @@ impl ModelExecutor {
                         Backend::Pim { .. } => {
                             pass.pim_cycles += c.cycles;
                             pass.data_cycles += c.data_cycles;
+                            pass.channel_data_cycles += c.channel_data_cycles;
                             pass.pim_gemms += 1;
                         }
                     }

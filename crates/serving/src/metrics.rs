@@ -53,8 +53,14 @@ pub struct ServingReport {
     /// Time-weighted mean of the admission-queue depth.
     pub mean_queue_depth: f64,
     pub max_queue_depth: u64,
-    /// Data-bus busy fraction across all channels over the makespan.
+    /// Channel data-bus busy fraction across all channels over the
+    /// makespan: channel-port burst cycles only, so it lies in [0, 1].
     pub channel_utilization: f64,
+    /// Burst cycles PIM kernels spent on bank-group- and rank-internal
+    /// ports, summed over served batches. These never cross the channel
+    /// bus and each PIM has its own, so this is a raw count, not a
+    /// utilization.
+    pub internal_data_cycles: u64,
     /// First arrival to last completion, in cycles.
     pub makespan: u64,
     pub batches: u64,
@@ -66,14 +72,17 @@ pub struct ServingReport {
 
 impl ServingReport {
     /// Fold completion records (any order) into the summary metrics.
-    /// `depth_time` is the time integral of queue depth over the run.
+    /// `depth_time` is the time integral of queue depth over the run;
+    /// `channel_data_cycles` and `internal_data_cycles` split the served
+    /// batches' burst cycles by whether they crossed the channel bus.
     #[allow(clippy::too_many_arguments)]
     pub fn fold(
         mut records: Vec<RequestRecord>,
         rejected: u64,
         depth_time: u128,
         max_queue_depth: u64,
-        data_cycles: u64,
+        channel_data_cycles: u64,
+        internal_data_cycles: u64,
         channels: u64,
         batches: u64,
         pim_batches: u64,
@@ -112,8 +121,9 @@ impl ServingReport {
             channel_utilization: if makespan == 0 {
                 0.0
             } else {
-                data_cycles as f64 / (makespan * channels.max(1)) as f64
+                channel_data_cycles as f64 / (makespan * channels.max(1)) as f64
             },
+            internal_data_cycles,
             makespan,
             batches,
             mean_batch_requests: if batches == 0 { 0.0 } else { served as f64 / batches as f64 },
@@ -156,6 +166,7 @@ mod tests {
             40,
             2,
             80,
+            300,
             4,
             3,
             2,
@@ -167,6 +178,7 @@ mod tests {
         assert_eq!(r.makespan, 40);
         assert!((r.mean_queue_depth - 1.0).abs() < 1e-9);
         assert!((r.channel_utilization - 0.5).abs() < 1e-9);
+        assert_eq!(r.internal_data_cycles, 300);
         assert_eq!(r.cpu_batches, 1);
     }
 }

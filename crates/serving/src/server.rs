@@ -79,7 +79,7 @@ pub fn run_serving(
     let mut rejected = 0u64;
     let (mut depth_time, mut max_depth) = (0u128, 0u64);
     let (mut batches, mut pim_batches) = (0u64, 0u64);
-    let mut data_cycles = 0u64;
+    let (mut channel_data_cycles, mut internal_data_cycles) = (0u64, 0u64);
 
     loop {
         // Admission: accept every arrival at or before now, or reject when
@@ -139,7 +139,8 @@ pub fn run_serving(
                 }
                 batches += 1;
                 pim_batches += u64::from(to_pim);
-                data_cycles += cost.data_cycles;
+                channel_data_cycles += cost.channel_data_cycles;
+                internal_data_cycles += cost.data_cycles - cost.channel_data_cycles;
                 dispatched = true;
                 break;
             }
@@ -176,7 +177,8 @@ pub fn run_serving(
         rejected,
         depth_time,
         max_depth,
-        data_cycles,
+        channel_data_cycles,
+        internal_data_cycles,
         cfg.channels,
         batches,
         pim_batches,
@@ -199,6 +201,7 @@ mod tests {
                 pim_cycles: self.pim * class as u64,
                 cpu_cycles: self.cpu,
                 data_cycles: 10,
+                channel_data_cycles: 4,
                 pim_gemms: 1,
                 cpu_gemms: 0,
             }

@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 use stepstone_core::{ReduceVia, SystemConfig};
 use stepstone_serving::{
     build_cost_table, find_knee, run_serving, sweep_loads, sweep_loads_with_threads, BatchCoster,
-    ColdCoster, CostTable, SessionCoster, ServingConfig, TableCoster,
+    ColdCoster, CostTable, ServingConfig, ServingReport, SessionCoster, TableCoster,
 };
 use stepstone_dram::BackendKind;
 use stepstone_workloads::{OpenLoopArrivals, RequestKind, RequestMix};
@@ -27,6 +27,18 @@ fn table() -> &'static CostTable {
     TABLE.get_or_init(|| build_cost_table(&fast_sys()))
 }
 
+/// Channel utilization is the channel data-bus busy fraction: it lies in
+/// [0, 1] at every load point.
+fn assert_utilization_bounded(points: &[ServingReport]) {
+    for (i, r) in points.iter().enumerate() {
+        assert!(
+            (0.0..=1.0).contains(&r.channel_utilization),
+            "point {i}: channel utilization {}",
+            r.channel_utilization
+        );
+    }
+}
+
 #[test]
 fn sweep_is_deterministic_and_parallel_matches_serial() {
     let cfg = ServingConfig::for_system(&fast_sys());
@@ -37,6 +49,7 @@ fn sweep_is_deterministic_and_parallel_matches_serial() {
     let parallel = sweep_loads(table(), &cfg, 17, mix, 300, &gaps, true);
     assert_eq!(serial, serial2, "same seed must reproduce bit-identically");
     assert_eq!(serial, parallel, "parallel sweep must equal serial");
+    assert_utilization_bounded(&serial);
     // Percentiles are real (nonzero) and load ordering is sane: heavier
     // offered load cannot lower p99.
     assert!(serial[0].p99 > 0);
@@ -60,6 +73,7 @@ fn queue_invariants_hold_under_real_costs() {
     // No starvation: every admitted request completes.
     assert_eq!(r.served + r.rejected, 600);
     assert_eq!(r.rejected, 0, "cap is far above the offered load");
+    assert_utilization_bounded(std::slice::from_ref(&r));
     // FIFO within each shape class: starts follow arrival order per kind.
     for kind in RequestKind::ALL {
         let mut prev = None;
@@ -90,6 +104,7 @@ fn warm_and_cold_costers_are_cycle_exact_equal() {
     let warm = run_serving(&cfg, &trace, &mut SessionCoster::new(sys.clone()));
     let cold = run_serving(&cfg, &trace, &mut ColdCoster::new(sys));
     assert_eq!(warm, cold);
+    assert_utilization_bounded(&[warm]);
 }
 
 #[test]
@@ -123,6 +138,17 @@ fn thousand_request_sweep_finds_the_knee() {
         assert_eq!(r.served + r.rejected, 1000, "gap {gap}");
         assert!(r.batches > 0);
     }
+    assert_utilization_bounded(&sweep);
+    // Counting PIM-internal bursts as channel traffic (the old numerator)
+    // reads above 1 on this ladder; they are reported separately.
+    let all_bursts = |r: &ServingReport| {
+        r.channel_utilization + r.internal_data_cycles as f64 / (r.makespan * cfg.channels) as f64
+    };
+    assert!(
+        sweep.iter().any(|r| all_bursts(r) > 1.0),
+        "ladder never saturates the PIMs"
+    );
+    assert!(sweep.iter().all(|r| r.internal_data_cycles > 0));
     // The lightest load is below saturation: nothing rejected, shallow queue.
     assert_eq!(sweep[0].rejected, 0);
     // Load past the knee saturates the servers: rejections appear and p99
@@ -145,6 +171,7 @@ fn sweep_is_invariant_to_worker_thread_count() {
     let mix = RequestMix::recommendation_heavy();
     let gaps = [400_000_000.0, 25_000_000.0, 6_250_000.0, 1_562_500.0];
     let base = sweep_loads_with_threads(table(), &cfg, 41, mix, 300, &gaps, 1);
+    assert_utilization_bounded(&base);
     for threads in [2usize, 3, 4] {
         let got = sweep_loads_with_threads(table(), &cfg, 41, mix, 300, &gaps, threads);
         assert_eq!(base, got, "threads={threads} must be bit-identical to serial");
@@ -175,6 +202,7 @@ fn fabric_reduce_serving_is_shift_invariant_and_knee_deterministic() {
     let parallel = sweep_loads(&ftable, &cfg, 5, mix, 500, &gaps, true);
     assert_eq!(serial, again, "fabric sweep must reproduce bit-identically");
     assert_eq!(serial, parallel, "fabric sweep parallel == serial");
+    assert_utilization_bounded(&serial);
     assert_eq!(
         find_knee(&serial, 3.0),
         find_knee(&parallel, 3.0),
@@ -191,6 +219,12 @@ fn fabric_reduce_serving_is_shift_invariant_and_knee_deterministic() {
     // class can never be cheaper than its host-DMA counterpart (the local
     // drain is identical and the fabric transit is additive).
     let host_table = table();
+    for (key, fcost) in ftable.iter().chain(host_table) {
+        assert!(
+            fcost.channel_data_cycles <= fcost.data_cycles,
+            "{key:?}: {fcost:?}"
+        );
+    }
     for (key, fcost) in &ftable {
         let hcost = host_table.get(key).expect("same class set");
         assert!(
