@@ -15,14 +15,15 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-# The engine equivalence matrix ({parallel} x {trace} x {fast path} x
-# {reduce-via} vs the frozen seed), the window-successor differential
-# suite, and the fabric conformance proptests (conservation, per-link
-# FIFO, ring==line degeneracy, input-order invariance, reduce
-# determinism), release-mode — the all-or-nothing gating paths the debug
-# run also covers, minus the debug_assert slowdown on the larger shapes.
+# The engine equivalence matrix (the observable scheduling arms — serial,
+# parallel, traced, refresh, subset — x {backend, reduce-via, paging} vs
+# the frozen seed), the window-successor differential suite, and the
+# fabric conformance proptests (conservation, per-link FIFO, ring==line
+# degeneracy, input-order invariance, reduce determinism), release-mode —
+# the all-or-nothing gating paths the debug tier-1 run also covers, minus
+# the debug_assert slowdown on the larger shapes.
 matrix:
-	cargo test --release -p stepstone-bench --test engine_matrix -q
+	cargo test --release -p stepstone --test engine_matrix -q
 	cargo test --release -p stepstone-addr --test window_successor -q
 	cargo test --release -p stepstone-fabric -q
 

@@ -17,9 +17,10 @@
 //!   "subpaper": {"m":…, "k":…, "n":…, "cold_ns_per_block":…,
 //!                "warm_ns_per_block":…, "seed_ns_per_block":…,
 //!                "speedup_warm_vs_seed":…, "agen_ns_per_span":…,
+//!                "cache_resident_spans":…,
 //!                "span_cache_hits":…, "span_cache_misses":…,
 //!                "boundary_successors":…, "window_jumps":…,
-//!                "cycle_exact": true},
+//!                "run_counters": {…}, "cycle_exact": true},
 //!   "agen_counters": {"live_spans":…, "replayed_spans":…,
 //!                     "window_jumps":…, "boundary_successors":…,
 //!                     "skeleton_hits":…, "skeleton_misses":…},
@@ -56,6 +57,16 @@
 //!                                         "peak_demand_bytes":…,
 //!                                         "gbps":…}, …]}, …],
 //!              "dram_identical": true},
+//!   "paging": {"baseline_sim_cycles":…,
+//!              "identity": {"page_bytes": 4096, "sim_cycles":…,
+//!                           "bit_identical": true},
+//!              "arms": [{"page_bytes":…, "wall_ns":…, "sim_cycles":…,
+//!                        "ns_per_block":…, "cycles_vs_baseline":…,
+//!                        "run_counters": {…},
+//!                        "sampled": {"blocks":…, "runs":…,
+//!                                    "mean_run_len":…, "page_splits":…,
+//!                                    "locality_vs_native":…}}, …],
+//!              "native_sampled_mean_run_len":…},
 //!   "cycle_exact": true
 //! }
 //! ```
@@ -87,7 +98,7 @@ use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{PimLevel, StepStoneAgen};
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
 use stepstone_core::engine::{reset_run_counters, run_counters, RunCounters, FB_LABELS};
-use stepstone_core::flow::build_kernel_program_for;
+use stepstone_core::flow::KernelStream;
 use stepstone_core::{
     simulate_gemm_opt, FabricConfig, FabricStats, GemmContext, GemmSpec,
     LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig, TopologyKind,
@@ -151,7 +162,7 @@ fn main() {
         .sum();
     let region_drop = region_addrs_materialized as f64 / region_addrs_resident.max(1) as f64;
     let materialized_steps: u64 = (0..ctx.active_pims.len())
-        .map(|pix| build_kernel_program_for(&ctx, &sys, &opts, pix).len() as u64)
+        .map(|pix| KernelStream::new(&ctx, &sys, &opts, pix).count() as u64)
         .sum();
     drop(ctx);
 

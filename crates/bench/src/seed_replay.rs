@@ -31,6 +31,21 @@ use stepstone_core::flow::{build_kernel_program_seed, GemmContext};
 use stepstone_core::{GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig};
 use stepstone_dram::{CasKind, CommandBus, MemoryBackend, Port, TimingState};
 
+/// The PIM-subset remap (§III-E) of `ctx`'s dropped ID bits, built the way
+/// the production flow builds it (`None` when no bits are dropped).
+fn subset_remap_for(
+    ctx: &GemmContext,
+    sys: &SystemConfig,
+    opts: &SimOptions,
+) -> Option<SubsetRemap> {
+    let kept = ctx.ga.id_masks.len();
+    (opts.subset_drop_bits > 0).then(|| SubsetRemap {
+        dropped_masks: opts.level_cfg.level.id_masks(&ctx.mapping)[kept..].to_vec(),
+        bg_bits: sys.dram.geom.bankgroup_bits(),
+        row_bits: sys.dram.geom.row_bits(),
+    })
+}
+
 /// Remap helper mirroring the seed engine's `SubsetRemap::remap` (private
 /// in core).
 fn subset_remap(su: &SubsetRemap, mut c: DramCoord, pa: u64) -> DramCoord {
@@ -356,6 +371,7 @@ pub fn simulate_pow2_gemm_seed(
     let loc_end = run_phase_seed(&mut ts, &mut bus, &ctx.mapping, &mut loc);
     report.add_phase(Phase::Localization, loc_end);
 
+    let remap = subset_remap_for(&ctx, sys, opts);
     let mut units: Vec<SeedUnitCursor> = (0..ctx.active_pims.len())
         .map(|pix| {
             let steps: Vec<Step> = build_kernel_program_seed(&ctx, sys, opts, pix);
@@ -370,7 +386,7 @@ pub fn simulate_pow2_gemm_seed(
                 sys.launch.slots_for(opts.granularity),
                 sys.launch.launch_latency,
                 sys.dram.timing.t_bl,
-                None,
+                remap.clone(),
             )
         })
         .collect();

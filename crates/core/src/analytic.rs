@@ -22,9 +22,9 @@
 //! four-activate window enters the row-switch floor (`tFAW/4` vs
 //! `tRC/banks`), and refresh — when enabled — is costed as a uniform
 //! `tREFI/(tREFI − tRFC)` availability stretch rather than discrete REFs.
-//! `crates/bench/tests/engine_matrix.rs` pins the error band against the
-//! exact tier and checks that relative latency ordering across Table-I
-//! shapes is preserved; `bench_sim` commits the speedup floor.
+//! The workspace root's `tests/engine_matrix.rs` pins the error band
+//! against the exact tier and checks that relative latency ordering across
+//! Table-I shapes is preserved; `bench_sim` commits the speedup floor.
 
 use crate::config::SystemConfig;
 use crate::flow::{GemmContext, SimOptions};

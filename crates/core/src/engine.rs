@@ -23,46 +23,11 @@
 
 use crate::report::Phase;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
     CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TrafficSource,
 };
-
-/// Process-wide override forcing the all-or-nothing span fast path off
-/// (see [`UnitCursor::advance_batch`]). Test-only: the equivalence matrix
-/// uses it to pin the exact per-block probe path under configurations that
-/// would otherwise always take the fast path — output must be identical
-/// either way.
-static SPAN_FAST_PATH_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Test-only knob: enable/disable the span fast path globally. Returns the
-/// previous setting so tests can restore it.
-pub fn set_span_fast_path(enabled: bool) -> bool {
-    !SPAN_FAST_PATH_DISABLED.swap(!enabled, Ordering::Relaxed)
-}
-
-/// Is the span fast path currently allowed?
-pub fn span_fast_path_enabled() -> bool {
-    !SPAN_FAST_PATH_DISABLED.load(Ordering::Relaxed)
-}
-
-/// Process-wide override forcing run-granular admission off: hinted runs
-/// then go through the exact per-block pull path even under the span fast
-/// path. Test-only, like [`set_span_fast_path`] — the differential suite
-/// pins it both ways and requires identical commands and cycles.
-static RUN_GRANULAR_DISABLED: AtomicBool = AtomicBool::new(false);
-
-/// Test-only knob: enable/disable run-granular admission globally. Returns
-/// the previous setting so tests can restore it.
-pub fn set_run_granular(enabled: bool) -> bool {
-    !RUN_GRANULAR_DISABLED.swap(!enabled, Ordering::Relaxed)
-}
-
-/// Is run-granular admission currently allowed?
-pub fn run_granular_enabled() -> bool {
-    !RUN_GRANULAR_DISABLED.load(Ordering::Relaxed)
-}
 
 /// Fallback-cause indices for [`RunStats::fallback`] /
 /// [`RunCounters::fallback`]: why a block went through the per-block pull
@@ -309,10 +274,11 @@ pub struct UnitCursor<'a> {
     /// window is followers, the steady batch loop issues the remaining
     /// virtual followers without touching the window at all.
     win_synth: usize,
-    /// Scheduler's per-phase grant: this unit may admit hinted runs
-    /// (span-fast-path conditions hold and the run-granular knob is on).
-    run_admit: bool,
-    /// Why this unit's blocks go per-block when `run_admit` is false
+    /// Scheduler's per-phase grant of the span fast path, which includes
+    /// run-granular admission of hinted runs (see [`run_phase`] for the
+    /// conditions).
+    fast: bool,
+    /// Why this unit's blocks go per-block when `fast` is false
     /// (`FB_*` index chosen by the scheduler: traffic > refresh > trace >
     /// other).
     fallback_cause: u8,
@@ -430,7 +396,7 @@ impl<'a> UnitCursor<'a> {
             run_left: 0,
             run_anchor: None,
             win_synth: 0,
-            run_admit: false,
+            fast: false,
             fallback_cause: FB_OTHER as u8,
             run_stats: RunStats::default(),
             win_uniform: true,
@@ -572,7 +538,7 @@ impl<'a> UnitCursor<'a> {
                     // same-key blocks lets the source skip them wholesale;
                     // this entry anchors the synthesized followers.
                     let mut admitted = false;
-                    if run_first && self.run_admit && self.hint_left > 0 {
+                    if run_first && self.fast && self.hint_left > 0 {
                         let skipped = self.steps.take_run(self.hint_left);
                         if skipped > 0 {
                             debug_assert!(skipped <= self.hint_left, "over-skip");
@@ -588,7 +554,7 @@ impl<'a> UnitCursor<'a> {
                         }
                     }
                     if !admitted {
-                        let cause = if !self.run_admit {
+                        let cause = if !self.fast {
                             self.fallback_cause as usize
                         } else if run_first && self.hint_left == 0 {
                             // The hint ended here: the next step changes
@@ -780,28 +746,16 @@ impl<'a> UnitCursor<'a> {
         Some(self.not_before)
     }
 
-    /// Execute the next step.
-    pub fn advance<B: MemoryBackend>(
-        &mut self,
-        ts: &mut B,
-        bus: &mut CommandBus,
-        mapping: &XorMapping,
-    ) {
-        self.advance_impl(ts, bus, mapping, false)
-    }
-
-    /// `allow_front` (set by the scheduler when no colocated traffic,
-    /// refresh, or trace is active) permits skipping the FR-FCFS probe scan
-    /// when the front entry provably wins (see
+    /// Execute the next step. Under the fast-path grant the FR-FCFS probe
+    /// scan is skipped when the front entry provably wins (see
     /// [`UnitCursor::window_scope_uniform`]; additionally requires the
     /// front to be a row *hit* — a row-conflict front can legitimately lose
     /// to a later entry whose bank precharges earlier).
-    fn advance_impl<B: MemoryBackend>(
+    fn advance_one<B: MemoryBackend>(
         &mut self,
         ts: &mut B,
         bus: &mut CommandBus,
         mapping: &XorMapping,
-        allow_front: bool,
     ) {
         self.fill_window(mapping);
         if self.window.is_empty() {
@@ -844,7 +798,7 @@ impl<'a> UnitCursor<'a> {
             self.window_scope_uniform(scope_mask(mapping)),
             "incremental uniformity flag out of sync"
         );
-        let front_wins = allow_front
+        let front_wins = self.fast
             && self.win_uniform
             && self.window.front().is_some_and(|e| ts.row_open(&e.coord));
         if !front_wins {
@@ -936,8 +890,8 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// Earliest issue time for the entry about to leave the window, with
-    /// pipeline back-pressure applied. The batch path must compute this
-    /// *identically* to [`UnitCursor::advance`] — one shared definition.
+    /// pipeline back-pressure applied. The batch loop must compute this
+    /// *identically* to the per-block path — one shared definition.
     #[inline]
     fn issue_nb(&mut self, gen_ready: u64) -> u64 {
         let mut nb = self.not_before.max(self.launch_avail).max(gen_ready);
@@ -949,34 +903,32 @@ impl<'a> UnitCursor<'a> {
         nb
     }
 
-    /// Execute the next step, then — when `fast` is set — keep issuing on
-    /// the span fast path for as long as the reorder window holds a
-    /// scope-uniform run with a row-hit front.
+    /// Execute the next step, then — under the scheduler's fast-path grant
+    /// — keep issuing on the span fast path for as long as the reorder
+    /// window holds a scope-uniform run with a row-hit front.
     ///
-    /// `fast` is the scheduler's promise that every unit in the phase owns
-    /// an [`UnitCursor::exclusive`] bank partition and no colocated
+    /// The grant is the scheduler's promise that every unit in the phase
+    /// owns an [`UnitCursor::exclusive`] bank partition and no colocated
     /// traffic, refresh, or global-time trace is active. Under it, a
     /// steady row-hit run may stream arbitrarily far ahead of other units'
     /// scheduler turns: the FR-FCFS selection is provably the front entry
     /// (see `UnitCursor::window_scope_uniform`), the closed-form CAS
-    /// cadence of [`MemoryBackend::access_run_with`] is exact, and same-row
+    /// cadence of [`MemoryBackend::access_run_stream`] is exact, and same-row
     /// CAS commands read and write only the unit's own bank and datapath
     /// stamps — so commits from other (lagging) units cannot change them,
     /// and batch-issuing the whole run commutes with the per-block
     /// interleave. Everything that touches shared state — PRE/ACT (rank
     /// tRRD/tFAW windows), refresh, kernel launches on the command bus,
     /// FR-FCFS probes of a mixed window — still waits for its exact
-    /// scheduler turn, so results stay bit-identical to repeated
-    /// [`UnitCursor::advance`] calls.
+    /// scheduler turn, so results stay bit-identical to the per-block path.
     pub fn advance_batch<B: MemoryBackend>(
         &mut self,
         ts: &mut B,
         bus: &mut CommandBus,
         mapping: &XorMapping,
-        fast: bool,
     ) {
-        self.advance_impl(ts, bus, mapping, fast);
-        if !fast {
+        self.advance_one(ts, bus, mapping);
+        if !self.fast {
             return;
         }
         let scope = scope_mask(mapping);
@@ -1185,6 +1137,13 @@ impl<'a> TrafficCursor<'a> {
 /// is a min-heap updated only for the unit that just advanced — identical
 /// scheduling to the seed's linear scan (lowest index wins ties), at
 /// O(log units) per step.
+///
+/// The scheduling path follows from the phase's observable configuration
+/// alone: the span fast path and run-granular admission apply only on a
+/// backend that supports closed-form runs, with no colocated traffic, no
+/// refresh, no command trace, and every unit [`UnitCursor::exclusive`].
+/// Otherwise every block goes through the exact per-block FR-FCFS probe
+/// scan. Both paths produce identical results.
 pub fn run_phase<B: MemoryBackend>(
     ts: &mut B,
     bus: &mut CommandBus,
@@ -1214,20 +1173,18 @@ fn run_units<B: MemoryBackend>(
     // row in another unit's bank and stamp its CAS on a *different* path,
     // leaving that bank's next_cas ahead of the other unit's own cadence
     // and breaking the "front row hit starts no later than any window
-    // sibling" inference.
-    let fast = span_fast_path_enabled()
-        && ts.supports_closed_form_runs()
+    // sibling" inference. Run-granular admission rides the same grant: an
+    // admitted run is only ever issued through the fast path's closed-form
+    // CAS cadence, so anything that forces per-block probing also forces
+    // per-block pulls. The grant must be set *before* the heap build below
+    // — `desired` already fills reorder windows. The fallback cause
+    // explains the whole phase (precedence: traffic > refresh > trace >
+    // other).
+    let fast = ts.supports_closed_form_runs()
         && traffic.is_none()
         && !ts.config().refresh
         && !ts.trace_enabled()
         && units.iter().all(|u| u.exclusive);
-    // Run-granular admission rides the same conditions: an admitted run is
-    // only ever issued through the fast path's closed-form CAS cadence, so
-    // anything that forces per-block probing also forces per-block pulls.
-    // The grant must be set *before* the heap build below — `desired`
-    // already fills reorder windows. The fallback cause explains the whole
-    // phase (precedence: traffic > refresh > trace > other).
-    let admit = fast && run_granular_enabled();
     let cause = if traffic.is_some() {
         FB_TRAFFIC
     } else if ts.config().refresh {
@@ -1238,7 +1195,7 @@ fn run_units<B: MemoryBackend>(
         FB_OTHER
     } as u8;
     for u in units.iter_mut() {
-        u.run_admit = admit;
+        u.fast = fast;
         u.fallback_cause = cause;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
@@ -1253,7 +1210,7 @@ fn run_units<B: MemoryBackend>(
                 tc.advance(ts, bus, mapping);
             }
         }
-        units[i].advance_batch(ts, bus, mapping, fast);
+        units[i].advance_batch(ts, bus, mapping);
         if let Some(nt) = units[i].desired(mapping) {
             heap.push(Reverse((nt, i)));
         }

@@ -14,9 +14,7 @@
 //! 3. **Reduction** — partial `C` copies are merged over the channel.
 
 use crate::config::{AgenMode, SystemConfig};
-use crate::engine::{
-    run_phase_auto, PlainSteps, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
-};
+use crate::engine::{run_phase_auto, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor};
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
 use stepstone_addr::agen::Spans;
@@ -628,18 +626,15 @@ impl WalkCursor {
     }
 }
 
-/// How step programs reach the engine.
-///
-/// `Streaming` (the production path) feeds each [`UnitCursor`] from a lazy
-/// [`KernelStream`], keeping resident step storage at O(reorder window ×
-/// active PIMs). `Materialized` reproduces the seed behavior — build the
-/// whole `Vec<Step>` per PIM, then replay — and is kept as the reference
-/// the cycle-exactness equivalence tests compare against.
+/// How step programs reach the engine. `Streaming`, the only mode, feeds
+/// each [`UnitCursor`] from a lazy [`KernelStream`], keeping resident step
+/// storage at O(reorder window × active PIMs). The type survives only as
+/// the ignored `mode` argument of [`simulate_pow2_gemm_ctx`]; the frozen
+/// seed (`stepstone-bench::seed_replay`) is the materialized reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     #[default]
     Streaming,
-    Materialized,
 }
 
 /// Stage of the per-rpart section of Algorithm 1 a [`KernelStream`] is in.
@@ -655,8 +650,8 @@ enum KernelStage {
 
 /// Lazy generator of the kernel-phase step program for one PIM — the
 /// streaming replacement for the seed's materialized `Vec<Step>`. Yields
-/// exactly the sequence [`build_kernel_program_for`] builds, but on demand:
-/// the only per-block state is the AGEN walk cursor.
+/// exactly the sequence [`build_kernel_program_seed`] builds, but on
+/// demand: the only per-block state is the AGEN walk cursor.
 pub struct KernelStream<'a> {
     ctx: &'a GemmContext,
     agen: AgenMode,
@@ -1011,21 +1006,9 @@ impl StepSource for KernelStream<'_> {
     }
 }
 
-/// Materialize the kernel-phase step program for one PIM — the seed
-/// execution path, kept for equivalence testing and benchmarking against
-/// the streaming [`KernelStream`].
-pub fn build_kernel_program_for(
-    ctx: &GemmContext,
-    sys: &SystemConfig,
-    opts: &SimOptions,
-    pix: usize,
-) -> Vec<Step> {
-    KernelStream::new(ctx, sys, opts, pix).collect()
-}
-
-/// [`build_kernel_program_for`] with the seed-era uncached GF(2) corrector
-/// in the AGEN — the faithful seed program builder, used by the benchmark
-/// baseline (`stepstone-bench::seed_replay`).
+/// Materialize the kernel-phase step program for one PIM with the seed-era
+/// uncached GF(2) corrector in the AGEN — the faithful seed program
+/// builder, used by the benchmark baseline (`stepstone-bench::seed_replay`).
 pub fn build_kernel_program_seed(
     ctx: &GemmContext,
     sys: &SystemConfig,
@@ -1184,13 +1167,14 @@ fn subset_remap(ctx: &GemmContext, sys: &SystemConfig, opts: &SimOptions) -> Opt
 }
 
 /// Simulate one power-of-two GEMM over a pre-built (possibly
-/// session-cached) context with an explicit execution mode (see
-/// [`ExecMode`]), starting at virtual time `t0`. Dispatches on the system's
-/// memory-backend tier: `Exact` drives [`simulate_pow2_gemm_resident`] over
-/// a fresh cycle-exact timing state; `Analytic` uses the closed-form
-/// executor (`crate::analytic`), falling back to the engine over the
-/// analytic per-bank state when colocated traffic needs per-block
-/// scheduling. The report's cycle counts are *relative* to `t0` (latency,
+/// session-cached) context, starting at virtual time `t0`. `_mode` is
+/// ignored: [`ExecMode`] has the single `Streaming` variant, and the
+/// argument stays only so existing callers keep compiling. Dispatches on
+/// the system's memory-backend tier: `Exact` drives
+/// [`simulate_pow2_gemm_resident`] over a fresh cycle-exact timing state;
+/// `Analytic` uses the closed-form executor (`crate::analytic`), falling
+/// back to the engine over the analytic per-bank state when colocated
+/// traffic needs per-block scheduling. The report's cycle counts are *relative* to `t0` (latency,
 /// not absolute completion time), so a request simulated at any offset
 /// yields the same report as one at time zero when timing is
 /// shift-invariant (refresh disabled — the default).
@@ -1199,7 +1183,7 @@ pub fn simulate_pow2_gemm_ctx(
     spec: &GemmSpec,
     opts: &SimOptions,
     traffic: Option<&mut dyn TrafficSource>,
-    mode: ExecMode,
+    _mode: ExecMode,
     ctx: &GemmContext,
     t0: u64,
 ) -> LatencyReport {
@@ -1209,7 +1193,7 @@ pub fn simulate_pow2_gemm_ctx(
         crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
     } else {
         with_fresh_backend!(sys, traffic, t0, |ts, bus, tcur| {
-            simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, mode, &[ctx], t0)
+            simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, &[ctx], t0)
         })
     };
     report.clock_hz = sys.dram.clock_hz;
@@ -1237,14 +1221,12 @@ pub fn simulate_pow2_gemm_ctx(
 /// Kernel attribution takes the critical-path (max) PIM per category
 /// within a round and sums across rounds ([`LatencyReport::chain`]
 /// semantics).
-#[allow(clippy::too_many_arguments)]
 pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
     ts: &mut B,
     bus: &mut CommandBus,
     sys: &SystemConfig,
     opts: &SimOptions,
     mut tcur: Option<&mut TrafficCursor>,
-    mode: ExecMode,
     ctxs: &[&GemmContext],
     t0: u64,
 ) -> LatencyReport {
@@ -1263,7 +1245,7 @@ pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
     let mut kernel_end = t0;
     for (i, ctx) in ctxs.iter().enumerate() {
         let start = loc_end.max(kernel_end);
-        let mut units = kernel_units(ctx, sys, opts, mode, start);
+        let mut units = kernel_units(ctx, sys, opts, start);
         let n_kernels = units.len();
         if let Some(next) = ctxs.get(i + 1) {
             units.extend(transfer_cursors(
@@ -1335,26 +1317,19 @@ fn kernel_units<'a>(
     ctx: &'a GemmContext,
     sys: &SystemConfig,
     opts: &SimOptions,
-    mode: ExecMode,
     start: u64,
 ) -> Vec<UnitCursor<'a>> {
     let remap = subset_remap(ctx, sys, opts);
     (0..ctx.active_pims.len())
         .map(|pix| {
-            let steps: Box<dyn StepSource + Send> = match mode {
-                ExecMode::Streaming => Box::new(KernelStream::new(ctx, sys, opts, pix)),
-                ExecMode::Materialized => {
-                    Box::new(PlainSteps(build_kernel_program_for(ctx, sys, opts, pix).into_iter()))
-                }
-            };
             // Kernel streams translate through the paging layer and pay
-            // the PTW on page transitions (applied after collection for
-            // the materialized mode, so both stay step-identical).
+            // the PTW on page transitions.
+            let steps = KernelStream::new(ctx, sys, opts, pix);
             let steps: Box<dyn StepSource + Send> = match &ctx.page_map {
                 Some(pm) if pm.affects_stream() => {
                     Box::new(PagedSteps::new(steps, pm.clone(), true))
                 }
-                _ => steps,
+                _ => Box::new(steps),
             };
             let mut u = UnitCursor::from_source(
                 "pim",
@@ -1546,9 +1521,10 @@ mod tests {
     #[test]
     fn streaming_engine_emits_the_exact_seed_command_trace() {
         // Cycle-exactness at command granularity: run the kernel phase with
-        // streaming and with materialized programs against traced timing
-        // states; every issued DRAM command must match in time and place.
-        use crate::engine::{run_phase, Step};
+        // hinted streaming sources and with the seed's materialized programs
+        // against traced timing states; every issued DRAM command must match
+        // in time and place.
+        use crate::engine::{run_phase, PlainSteps};
         use stepstone_dram::{CommandBus, TimingState};
         let s = sys();
         let spec = GemmSpec::new(256, 1024, 2);
@@ -1561,12 +1537,13 @@ mod tests {
                 let mut bus = CommandBus::new(s.dram.geom.channels as usize);
                 let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
                     .map(|pix| {
-                        let steps: Box<dyn Iterator<Item = Step> + Send> = if materialize {
-                            Box::new(build_kernel_program_for(&ctx, &s, &opts, pix).into_iter())
+                        let steps: Box<dyn StepSource + Send> = if materialize {
+                            let seed = build_kernel_program_seed(&ctx, &s, &opts, pix);
+                            Box::new(PlainSteps(seed.into_iter()))
                         } else {
                             Box::new(KernelStream::new(&ctx, &s, &opts, pix))
                         };
-                        UnitCursor::new(
+                        UnitCursor::from_source(
                             "t",
                             ctx.pim_channel(ctx.active_pims[pix]),
                             opts.level_cfg.port(),
@@ -1781,16 +1758,7 @@ mod tests {
         let mut bus = CommandBus::new(s.dram.geom.channels as usize);
         let mut t = 0u64;
         for pass in 0..3 {
-            let r = simulate_pow2_gemm_resident(
-                &mut ts,
-                &mut bus,
-                &s,
-                &opts,
-                None,
-                ExecMode::Streaming,
-                &[&ctx],
-                t,
-            );
+            let r = simulate_pow2_gemm_resident(&mut ts, &mut bus, &s, &opts, None, &[&ctx], t);
             if pass == 0 {
                 assert_eq!(r.total, oneshot.total, "pristine pass");
                 assert_eq!(r.dram, oneshot.dram, "pristine pass");

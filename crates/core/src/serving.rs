@@ -13,9 +13,7 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::CpuModel;
-use crate::flow::{
-    simulate_pow2_gemm_resident, with_fresh_backend, ExecMode, GemmContext, SimOptions,
-};
+use crate::flow::{simulate_pow2_gemm_resident, with_fresh_backend, GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::LatencyReport;
 use stepstone_addr::PimLevel;
@@ -128,7 +126,7 @@ pub fn simulate_gemm_fused(
     }
     let ctxs: Vec<&GemmContext> = ctxs.iter().collect();
     let mut report = with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
-        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, ExecMode::Streaming, &ctxs, 0)
+        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, &ctxs, 0)
     });
     report.backend = format!("STP-{}/fused", opts.level_cfg.level.tag());
     report.clock_hz = sys.dram.clock_hz;

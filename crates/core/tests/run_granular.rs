@@ -1,30 +1,34 @@
-//! Differential suite for the run-granular engine core (PR 6).
+//! Differential suite for the run-granular engine core.
 //!
 //! A hinted run admitted through [`StepSource::take_run`] is scheduled as
 //! one object: synthesized into the reorder window from its anchor, issued
 //! through the span fast path's steady CAS cadence, and — once the issue
 //! state settles into an arithmetic cadence — jumped closed-form. All of
-//! that must be *cycle-exact* with the per-block engine. This suite pins
-//! the equivalence three ways:
+//! that must be *cycle-exact* with the per-block engine. The engine picks
+//! its path from observable conditions only (see `engine::run_phase`), so
+//! every reference below is an observable configuration:
 //!
-//! * whole-simulation reports (run-granular on vs off) across the configs
-//!   that gate admission: refresh, command tracing, colocated CPU traffic,
-//!   per-channel parallelism;
+//! * whole-simulation reports across the configs that gate admission —
+//!   refresh, colocated CPU traffic, per-channel parallelism — against the
+//!   same memory system with command tracing on, which forces the serial
+//!   engine, the per-block FR-FCFS probe scan, and no admission;
 //! * property tests driving a synthetic hinted source — runs straddling
 //!   row boundaries, launch barriers, partial skips, and refresh windows —
-//!   against the identical program pulled per-block through `PlainSteps`;
+//!   against the same source on a non-exclusive unit (the per-block probe
+//!   path) and the identical program pulled through `PlainSteps` (the fast
+//!   path without admission);
 //! * the process-wide run counters: deterministic across serial/parallel
-//!   engines, zero when the knob is off, and fallback splits attributed to
-//!   the config that forced them.
+//!   engines, zero when a subset remap withholds run hints, and fallback
+//!   splits attributed to the config that forced them.
 //!
-//! The run-granular knob and the counters are process-global, so every
-//! test here serializes on one lock and restores the knob on drop.
+//! The run counters are process-global and every engine phase adds to
+//! them, so every test here serializes on one lock.
 
 use proptest::prelude::*;
 use stepstone_addr::{mapping_by_id, MappingId, PimLevel, XorMapping};
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase, set_run_granular, Step, StepSource, UnitCursor,
-    FB_REFRESH, FB_TRACE, FB_TRAFFIC,
+    reset_run_counters, run_counters, run_phase, PlainSteps, Step, StepSource, UnitCursor,
+    FB_OTHER, FB_REFRESH, FB_TRACE, FB_TRAFFIC,
 };
 use stepstone_core::{
     simulate_gemm_opt, GemmSpec, LatencyReport, Phase, SimOptions, SystemConfig,
@@ -33,20 +37,11 @@ use stepstone_dram::{
     CommandBus, DramConfig, DramStats, Port, TimingState, TrafficReq, TrafficSource,
 };
 
-/// The run-granular knob and run counters are process-global: tests that
-/// touch either hold this lock end to end.
-fn knob_lock() -> std::sync::MutexGuard<'static, ()> {
+/// The run counters are process-global: tests that run the engine hold
+/// this lock end to end, so no test reads another's admissions.
+fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Restore the global run-granular knob even when an assertion panics.
-struct RunGranularGuard(bool);
-
-impl Drop for RunGranularGuard {
-    fn drop(&mut self) {
-        set_run_granular(self.0);
-    }
 }
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
@@ -60,41 +55,39 @@ fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
 // Whole-simulation differentials.
 // ---------------------------------------------------------------------------
 
-/// Run-granular on vs off must be report-identical for every config that
-/// can force per-block fallback: plain, refresh, trace, parallel.
+/// Serial and sharded runs, with and without refresh, must be
+/// report-identical to the traced serial run of the same memory system,
+/// which takes the per-block probe path throughout. Without refresh the
+/// untraced runs admit hinted runs; with it they shard the per-block path.
 #[test]
 fn run_granular_matches_per_block_reports() {
-    let _serial = knob_lock();
-    let _guard = RunGranularGuard(set_run_granular(true));
+    let _serial = counter_lock();
     let spec = GemmSpec::new(128, 512, 4);
+    let mut admitted = 0;
     for level in [PimLevel::BankGroup, PimLevel::Device] {
         let opts = SimOptions::stepstone(level);
-        for (refresh, trace, parallel) in [
-            (false, false, false),
-            (false, false, true),
-            (false, true, false),
-            (true, false, false),
-            (true, false, true),
-        ] {
-            let sys = SystemConfig {
+        for refresh in [false, true] {
+            let sys = |parallel, trace| SystemConfig {
                 dram: DramConfig { refresh, ..DramConfig::default() },
                 parallel,
                 trace,
                 ..SystemConfig::default()
             };
-            let run = |rg: bool| {
-                set_run_granular(rg);
-                let r = simulate_gemm_opt(&sys, &spec, &opts, None);
-                set_run_granular(true);
-                r
-            };
-            let on = run(true);
-            let off = run(false);
-            let what =
-                format!("{level:?} refresh={refresh} trace={trace} parallel={parallel}");
-            assert_reports_equal(&on, &off, &what);
+            let per_block = simulate_gemm_opt(&sys(false, true), &spec, &opts, None);
+            for parallel in [false, true] {
+                reset_run_counters();
+                let got = simulate_gemm_opt(&sys(parallel, false), &spec, &opts, None);
+                let runs = run_counters().runs;
+                let what = format!("{level:?} refresh={refresh} parallel={parallel}");
+                assert_reports_equal(&got, &per_block, &what);
+                if refresh {
+                    assert_eq!(runs, 0, "{what}: refresh withholds admission");
+                }
+                admitted += runs;
+            }
         }
     }
+    assert!(admitted > 0, "the refresh-free arms admit hinted runs");
 }
 
 /// A fixed-trace CPU traffic source (colocation forces per-block).
@@ -114,32 +107,29 @@ fn colocation_reqs() -> Vec<TrafficReq> {
         .collect()
 }
 
-/// Colocated traffic: run-granular on vs off must agree, and the fallback
-/// counters must attribute the per-block blocks to the traffic cause.
+/// Colocated traffic: the untraced run must agree with the traced one, and
+/// the fallback counters must attribute the per-block blocks to the
+/// traffic cause.
 #[test]
 fn run_granular_matches_under_colocated_traffic() {
-    let _serial = knob_lock();
-    let _guard = RunGranularGuard(set_run_granular(true));
-    let sys = SystemConfig { parallel: false, ..SystemConfig::default() };
+    let _serial = counter_lock();
     let spec = GemmSpec::new(64, 256, 2);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
-    let run = |rg: bool| {
-        set_run_granular(rg);
+    let run = |trace: bool| {
+        let sys = SystemConfig { parallel: false, trace, ..SystemConfig::default() };
         reset_run_counters();
         let mut src = FixedTraffic(colocation_reqs());
         let r = simulate_gemm_opt(&sys, &spec, &opts, Some(&mut src));
-        let c = run_counters();
-        set_run_granular(true);
-        (r, c)
+        (r, run_counters())
     };
-    let (on, c_on) = run(true);
-    let (off, c_off) = run(false);
-    assert_reports_equal(&on, &off, "colocated traffic");
+    let (plain, c_plain) = run(false);
+    let (traced, c_traced) = run(true);
+    assert_reports_equal(&plain, &traced, "colocated traffic");
     // Traffic blocks admission in every phase it reaches; the kernel
     // phases all fall back with the traffic cause attributed.
-    assert_eq!(c_on.runs, 0, "no run admitted under colocated traffic");
-    assert!(c_on.fallback[FB_TRAFFIC] > 0, "{c_on:?}");
-    assert_eq!(c_on.fallback, c_off.fallback, "cause split is knob-independent here");
+    assert_eq!(c_plain.runs, 0, "no run admitted under colocated traffic");
+    assert!(c_plain.fallback[FB_TRAFFIC] > 0, "{c_plain:?}");
+    assert_eq!(c_plain.fallback, c_traced.fallback, "traffic outranks trace as the cause");
 }
 
 // ---------------------------------------------------------------------------
@@ -151,8 +141,7 @@ fn run_granular_matches_under_colocated_traffic() {
 /// multi-channel kernel phase must actually admit runs.
 #[test]
 fn run_counters_deterministic_serial_vs_parallel() {
-    let _serial = knob_lock();
-    let _guard = RunGranularGuard(set_run_granular(true));
+    let _serial = counter_lock();
     let spec = GemmSpec::new(256, 1024, 4);
     let opts = SimOptions::stepstone(PimLevel::Device);
     let count = |parallel: bool| {
@@ -172,24 +161,24 @@ fn run_counters_deterministic_serial_vs_parallel() {
         serial.runs,
         "every admitted run lands in one histogram bucket"
     );
-    // With the knob off the same workload admits nothing.
-    set_run_granular(false);
+    // A subset remap withholds run hints while the fast path stays on:
+    // nothing is admitted and every block falls back as "other".
     reset_run_counters();
     let sys = SystemConfig { parallel: false, ..SystemConfig::default() };
-    simulate_gemm_opt(&sys, &spec, &opts, None);
+    let subset = SimOptions::stepstone(PimLevel::BankGroup).with_subset(1);
+    let r = simulate_gemm_opt(&sys, &spec, &subset, None);
     let off = run_counters();
-    set_run_granular(true);
     assert_eq!(off.runs, 0);
     assert_eq!(off.run_blocks, 0);
     assert!(off.fallback_blocks() > 0, "all blocks fall back: {off:?}");
+    assert_eq!(off.fallback[FB_OTHER], r.dram.accesses(), "every block is other: {off:?}");
 }
 
 /// Refresh and command tracing each force per-block scheduling; the
 /// fallback split must name the cause.
 #[test]
 fn fallback_causes_attributed() {
-    let _serial = knob_lock();
-    let _guard = RunGranularGuard(set_run_granular(true));
+    let _serial = counter_lock();
     let spec = GemmSpec::new(64, 256, 2);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
     let causes = |refresh: bool, trace: bool| {
@@ -359,16 +348,17 @@ type UnitObs = (u64, u64, [u64; 8], u64, u64, u64, u64, u32, u64, DramStats);
 
 /// Drive one unit over `steps` through the serial phase engine and return
 /// the full observable state. `hinted` selects the run-capable source;
-/// `rg` the global knob; `cap` a partial-skip ceiling (0 = unlimited).
+/// `exclusive` the unit's bank-partition claim, without which the engine
+/// takes the per-block probe path and admits nothing; `cap` a partial-skip
+/// ceiling (0 = unlimited).
 fn drive(
     mapping: &XorMapping,
     steps: Vec<Step>,
     refresh: bool,
     hinted: bool,
-    rg: bool,
+    exclusive: bool,
     cap: u64,
 ) -> UnitObs {
-    let was = set_run_granular(rg);
     let mut ts = TimingState::new(DramConfig { refresh, ..DramConfig::default() });
     let mut bus = CommandBus::new(2);
     let mk = |steps: Box<dyn StepSource + Send>| {
@@ -376,16 +366,15 @@ fn drive(
         // 4-cycle AGEN burst window.
         let mut u =
             UnitCursor::from_source("rg", 0, Port::BgInternal, steps, 0, 2, 16, 8, 4, 10, 4, None);
-        u.exclusive = true;
+        u.exclusive = exclusive;
         u
     };
     let mut units = vec![if hinted {
         mk(Box::new(HintedVec::new(steps, mapping, cap)))
     } else {
-        mk(Box::new(stepstone_core::engine::PlainSteps(steps.into_iter())))
+        mk(Box::new(PlainSteps(steps.into_iter())))
     }];
     let end = run_phase(&mut ts, &mut bus, mapping, &mut units, None);
-    set_run_granular(was);
     let u = &units[0];
     (
         end,
@@ -404,11 +393,12 @@ fn drive(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Hinted + run-granular, hinted + per-block, and plain per-block
-    // engines must agree on every observable — end cycle, per-category
-    // cycle attribution, SIMD/scratch/AGEN counters, and the DRAM event
-    // statistics — for programs whose runs straddle row boundaries,
-    // launch barriers, partial skips, and refresh windows.
+    // Hinted + run-granular, hinted + per-block probe path (non-exclusive
+    // unit), and plain fast-path-without-admission engines must agree on
+    // every observable — end cycle, per-category cycle attribution,
+    // SIMD/scratch/AGEN counters, and the DRAM event statistics — for
+    // programs whose runs straddle row boundaries, launch barriers,
+    // partial skips, and refresh windows.
     #[test]
     fn hinted_runs_match_per_block_engine(
         runs in proptest::collection::vec(
@@ -418,15 +408,15 @@ proptest! {
         refresh in any::<bool>(),
         cap in 0u64..4,
     ) {
-        let _serial = knob_lock();
+        let _serial = counter_lock();
         let mapping = mapping_by_id(MappingId::Skylake);
         let groups = channel0_groups(&mapping);
         let steps = build_program(groups, &runs);
         let granular = drive(&mapping, steps.clone(), refresh, true, true, cap);
-        let hinted_off = drive(&mapping, steps.clone(), refresh, true, false, cap);
-        let plain = drive(&mapping, steps, refresh, false, false, 0);
-        prop_assert_eq!(&granular, &hinted_off, "run-granular vs per-block (hinted source)");
-        prop_assert_eq!(&granular, &plain, "run-granular vs plain per-block source");
+        let per_block = drive(&mapping, steps.clone(), refresh, true, false, cap);
+        let plain = drive(&mapping, steps, refresh, false, true, 0);
+        prop_assert_eq!(&granular, &per_block, "run-granular vs per-block (hinted source)");
+        prop_assert_eq!(&granular, &plain, "run-granular vs plain hint-free source");
     }
 }
 
@@ -435,8 +425,7 @@ proptest! {
 /// the counters must see one run per admission.
 #[test]
 fn long_runs_jump_closed_form_exactly() {
-    let _serial = knob_lock();
-    let _guard = RunGranularGuard(set_run_granular(true));
+    let _serial = counter_lock();
     let mapping = mapping_by_id(MappingId::Skylake);
     let groups = channel0_groups(&mapping);
     // The longest group, twice, with a launch barrier between — compute
@@ -452,7 +441,7 @@ fn long_runs_jump_closed_form_exactly() {
         reset_run_counters();
         let granular = drive(&mapping, steps.clone(), false, true, true, 0);
         let c = run_counters();
-        let plain = drive(&mapping, steps, false, false, false, 0);
+        let plain = drive(&mapping, steps, false, false, true, 0);
         assert_eq!(granular, plain, "compute={compute}");
         assert_eq!(c.runs, 2, "both hinted runs admitted: {c:?}");
         assert_eq!(c.run_blocks, blocks, "anchors + followers: {c:?}");

@@ -20,8 +20,9 @@
 //! and `probe` is the non-committing image of `access`. Everything else —
 //! cross-rank turnarounds, write-to-read penalties, refresh — is dropped;
 //! that is the speed/accuracy trade the tier exists for. The differential
-//! harness (`crates/bench/tests/engine_matrix.rs`) pins the resulting
-//! error band and checks latency *ordering* against the exact model.
+//! harness (the workspace root's `tests/engine_matrix.rs`) pins the
+//! resulting error band and checks latency *ordering* against the exact
+//! model.
 //!
 //! The production analytic path for whole GEMMs does not even drive the
 //! engine: `stepstone-core` costs phases per region/cell in closed form

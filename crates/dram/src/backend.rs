@@ -64,7 +64,7 @@ impl BackendKind {
 ///
 /// Semantics contract (shared with [`TimingState`], which is the reference
 /// implementation — the analytic model is differentially validated against
-/// it by `crates/bench/tests/engine_matrix.rs`):
+/// it by the workspace root's `tests/engine_matrix.rs`):
 ///
 /// * `access` commits one block and returns its [`BlockTiming`];
 ///   `probe` is the non-committing estimate of the same access's data
@@ -121,22 +121,6 @@ pub trait MemoryBackend: Clone + Send + Sync {
         not_before: u64,
         next: &mut F,
     ) -> u64;
-
-    /// Block-at-a-time run driver (see [`TimingState::access_run_with`]);
-    /// provided in terms of `access_run_stream`.
-    fn access_run_with<F: FnMut(BlockTiming) -> Option<(DramCoord, u64)>>(
-        &mut self,
-        first: DramCoord,
-        kind: CasKind,
-        port: Port,
-        not_before: u64,
-        next: &mut F,
-    ) -> u64 {
-        self.access_run_stream(first, kind, port, not_before, &mut |bt| match next(bt) {
-            Some((coord, nb)) => RunReply::Block(coord, nb),
-            None => RunReply::End,
-        })
-    }
 
     /// Adopt channel `ch`'s timing state from `other` (a clone advanced
     /// independently). Statistics are not adopted.

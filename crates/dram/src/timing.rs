@@ -68,8 +68,8 @@ pub struct BlockTiming {
 /// advance by a fixed delta, or the end of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunReply {
-    /// Issue one block at `(coord, not_before)` — identical semantics to
-    /// the `Some((coord, nb))` reply of [`TimingState::access_run_with`].
+    /// Issue one block at `(coord, not_before)`, exactly as a single
+    /// [`TimingState::access`] would.
     Block(DramCoord, u64),
     /// Issue `count` further blocks of the current steady run, each
     /// repeating the previous coordinate with its CAS exactly `d` cycles
@@ -275,7 +275,7 @@ impl TimingState {
     }
 
     /// The CAS-to-CAS cadence floor of a steady same-row run (see
-    /// [`TimingState::access_run_with`]): the minimum distance between
+    /// [`TimingState::access_run_stream`]): the minimum distance between
     /// consecutive CAS commands on one bank, and the lower bound on the
     /// `d` of a [`RunReply::Jump`].
     pub fn cas_step(&self) -> u64 {
@@ -602,8 +602,9 @@ impl TimingState {
     /// fast path. The first block goes through the full [`TimingState::access`]
     /// machinery (refresh, PRE/ACT, every Table II constraint). Each
     /// subsequent block is supplied by `next`, which receives the timing of
-    /// the block just issued and returns the next `(coord, not_before)` (or
-    /// `None` to end the run).
+    /// the block just issued and replies with the next block
+    /// ([`RunReply::Block`] with its `(coord, not_before)`), a closed-form
+    /// jump, or [`RunReply::End`].
     ///
     /// While a follower stays in the *steady state* — same bank and row as
     /// the previous block, no refresh deadline crossed — its CAS time is
@@ -617,25 +618,9 @@ impl TimingState {
     /// Followers that leave the steady state (row or bank change, pending
     /// refresh) — and every block when command tracing is on — fall back to
     /// the full per-block path, so the sequence of [`BlockTiming`]s, the
-    /// stats, and the trace are bit-identical to `n` single `access` calls.
+    /// stats, and the trace are bit-identical to single `access` calls.
     ///
-    /// Returns the number of blocks issued (≥ 1).
-    pub fn access_run_with<F: FnMut(BlockTiming) -> Option<(DramCoord, u64)>>(
-        &mut self,
-        first: DramCoord,
-        kind: CasKind,
-        port: Port,
-        not_before: u64,
-        next: &mut F,
-    ) -> u64 {
-        self.access_run_stream(first, kind, port, not_before, &mut |bt| match next(bt) {
-            Some((c, nb)) => RunReply::Block(c, nb),
-            None => RunReply::End,
-        })
-    }
-
-    /// [`TimingState::access_run_with`] with a richer reply protocol: the
-    /// caller may answer [`RunReply::Jump`] to issue `count` further
+    /// The caller may answer [`RunReply::Jump`] to issue `count` further
     /// blocks of the current steady run in one step, promising that each
     /// would repeat the previous coordinate with a CAS time exactly `d`
     /// cycles after its predecessor (`d ≥` the CAS-to-CAS cadence floor,
@@ -647,6 +632,8 @@ impl TimingState {
     /// rejected by debug assertion otherwise). The next callback
     /// invocation receives the timing of the *last* jumped block, which
     /// the caller must treat as already accounted.
+    ///
+    /// Returns the number of blocks issued (≥ 1).
     pub fn access_run_stream<F: FnMut(BlockTiming) -> RunReply>(
         &mut self,
         first: DramCoord,
@@ -789,41 +776,6 @@ impl TimingState {
         }
         self.stats.row_hits += count;
         self.stats.data_cycles += count * tp.t_bl;
-    }
-
-    /// Span-level access: `len` physically contiguous blocks starting at
-    /// `coord` (columns incrementing, wrapping into the next row), each with
-    /// the same `not_before`. Equivalent to — and bit-identical with — `len`
-    /// single [`TimingState::access`] calls over the same coordinates, but
-    /// same-row followers are issued in closed form (see
-    /// [`TimingState::access_run_with`]).
-    pub fn access_run(
-        &mut self,
-        coord: DramCoord,
-        kind: CasKind,
-        port: Port,
-        not_before: u64,
-        len: u64,
-    ) -> Vec<BlockTiming> {
-        assert!(len >= 1, "a run has at least one block");
-        let g = *self.geom();
-        let mut out = Vec::with_capacity(len as usize);
-        let mut cur = coord;
-        let mut left = len - 1;
-        self.access_run_with(coord, kind, port, not_before, &mut |bt| {
-            out.push(bt);
-            if left == 0 {
-                return None;
-            }
-            left -= 1;
-            cur.col += 1;
-            if cur.col >= g.blocks_per_row {
-                cur.col = 0;
-                cur.row = (cur.row + 1) % g.rows_per_bank;
-            }
-            Some((cur, not_before))
-        });
-        out
     }
 }
 

@@ -1,20 +1,59 @@
-//! The span fast path must be invisible: `access_run(len)` (and the
-//! callback-driven `access_run_with`) must produce exactly the
-//! `BlockTiming` sequence, `DramStats`, and command trace of `len`
-//! independent `access` calls over the same coordinates — including runs
-//! that straddle row ends and refresh deadlines, every port, both CAS
-//! directions, and arbitrary not-before pressure.
+//! The span fast path must be invisible: a run driven through
+//! `access_run_stream` with block-at-a-time `RunReply::Block` / `End`
+//! replies must produce exactly the `BlockTiming` sequence, `DramStats`,
+//! and command trace of independent `access` calls over the same
+//! coordinates — including runs that straddle row ends and refresh
+//! deadlines, every port, both CAS directions, and arbitrary not-before
+//! pressure.
 
 use proptest::prelude::*;
-use stepstone_addr::DramCoord;
-use stepstone_dram::{CasKind, DramConfig, Port, TimingState};
+use stepstone_addr::{DramCoord, Geometry};
+use stepstone_dram::{BlockTiming, CasKind, DramConfig, Port, RunReply, TimingState};
 
 fn coord(rank: u32, bg: u32, bank: u32, row: u32, col: u32) -> DramCoord {
     DramCoord { channel: 0, rank, bankgroup: bg, bank, row, col }
 }
 
+/// The next block of a physically contiguous run: columns increment,
+/// wrapping into the next row.
+fn next_coord(g: &Geometry, mut c: DramCoord) -> DramCoord {
+    c.col += 1;
+    if c.col >= g.blocks_per_row {
+        c.col = 0;
+        c.row = (c.row + 1) % g.rows_per_bank;
+    }
+    c
+}
+
+/// `len` contiguous blocks from `first` through `access_run_stream`; `nb` maps
+/// the timing of the block just issued to the next block's not-before.
+fn stream_run(
+    ts: &mut TimingState,
+    first: DramCoord,
+    kind: CasKind,
+    port: Port,
+    not_before: u64,
+    len: u64,
+    nb: impl Fn(&BlockTiming) -> u64,
+) -> Vec<BlockTiming> {
+    assert!(len >= 1, "a run has at least one block");
+    let g = ts.config().geom;
+    let mut out = Vec::with_capacity(len as usize);
+    let mut cur = first;
+    let issued = ts.access_run_stream(first, kind, port, not_before, &mut |bt| {
+        out.push(bt);
+        if out.len() as u64 == len {
+            return RunReply::End;
+        }
+        cur = next_coord(&g, cur);
+        RunReply::Block(cur, nb(&bt))
+    });
+    assert_eq!(issued, len, "access_run_stream counts every issued block");
+    out
+}
+
 /// The per-block reference: `len` single `access` calls over the same
-/// col-incrementing (row-wrapping) coordinate sequence `access_run` uses.
+/// coordinate and not-before sequence [`stream_run`] issues.
 fn reference_run(
     ts: &mut TimingState,
     mut c: DramCoord,
@@ -22,16 +61,16 @@ fn reference_run(
     port: Port,
     not_before: u64,
     len: u64,
-) -> Vec<stepstone_dram::BlockTiming> {
+    nb: impl Fn(&BlockTiming) -> u64,
+) -> Vec<BlockTiming> {
     let g = ts.config().geom;
     let mut out = Vec::with_capacity(len as usize);
+    let mut t = not_before;
     for _ in 0..len {
-        out.push(ts.access(c, kind, port, not_before));
-        c.col += 1;
-        if c.col >= g.blocks_per_row {
-            c.col = 0;
-            c.row = (c.row + 1) % g.rows_per_bank;
-        }
+        let bt = ts.access(c, kind, port, t);
+        t = nb(&bt);
+        out.push(bt);
+        c = next_coord(&g, c);
     }
     out
 }
@@ -84,11 +123,11 @@ fn apply_runs(cfg: DramConfig, specs: &[RunSpec], trace: bool, fast: bool) -> Ti
         let c = coord(s.rank, s.bg, s.bank, s.row, s.col);
         let kind = if s.write { CasKind::Write } else { CasKind::Read };
         let port = port_of(s.port);
+        let fixed = |_: &BlockTiming| s.not_before;
         if fast {
-            let timings = ts.access_run(c, kind, port, s.not_before, s.len);
-            assert_eq!(timings.len(), s.len as usize);
+            stream_run(&mut ts, c, kind, port, s.not_before, s.len, fixed);
         } else {
-            reference_run(&mut ts, c, kind, port, s.not_before, s.len);
+            reference_run(&mut ts, c, kind, port, s.not_before, s.len, fixed);
         }
     }
     ts
@@ -106,11 +145,12 @@ proptest! {
         let c = coord(spec.rank, spec.bg, spec.bank, spec.row, spec.col);
         let kind = if spec.write { CasKind::Write } else { CasKind::Read };
         let port = port_of(spec.port);
+        let fixed = |_: &BlockTiming| spec.not_before;
 
         let mut fast = TimingState::new(cfg);
-        let got = fast.access_run(c, kind, port, spec.not_before, spec.len);
+        let got = stream_run(&mut fast, c, kind, port, spec.not_before, spec.len, fixed);
         let mut slow = TimingState::new(cfg);
-        let want = reference_run(&mut slow, c, kind, port, spec.not_before, spec.len);
+        let want = reference_run(&mut slow, c, kind, port, spec.not_before, spec.len, fixed);
 
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(fast.stats, slow.stats);
@@ -146,46 +186,15 @@ proptest! {
     #[test]
     fn runs_straddle_refresh_deadlines(len in 2u64..2500, headroom in 0u64..2000) {
         let cfg = DramConfig { refresh: true, ..DramConfig::default() };
-        let g = cfg.geom;
         let start = cfg.timing.t_refi.saturating_sub(headroom);
         let first = coord(0, 0, 0, 7, 0);
-        let next_coord = |mut c: DramCoord| {
-            c.col += 1;
-            if c.col >= g.blocks_per_row {
-                c.col = 0;
-                c.row = (c.row + 1) % g.rows_per_bank;
-            }
-            c
-        };
+        let greedy = |bt: &BlockTiming| bt.cas_at;
 
         let mut fast = TimingState::new(cfg);
-        let mut got = Vec::new();
-        {
-            let mut c = first;
-            let mut left = len - 1;
-            fast.access_run_with(first, CasKind::Read, Port::Channel, start, &mut |bt| {
-                got.push(bt);
-                if left == 0 {
-                    return None;
-                }
-                left -= 1;
-                c = next_coord(c);
-                Some((c, bt.cas_at))
-            });
-        }
-
+        let got = stream_run(&mut fast, first, CasKind::Read, Port::Channel, start, len, greedy);
         let mut slow = TimingState::new(cfg);
-        let mut want = Vec::new();
-        {
-            let mut c = first;
-            let mut nb = start;
-            for _ in 0..len {
-                let bt = slow.access(c, CasKind::Read, Port::Channel, nb);
-                nb = bt.cas_at;
-                want.push(bt);
-                c = next_coord(c);
-            }
-        }
+        let want =
+            reference_run(&mut slow, first, CasKind::Read, Port::Channel, start, len, greedy);
 
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(fast.stats, slow.stats);

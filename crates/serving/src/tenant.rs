@@ -11,8 +11,8 @@
 
 use std::sync::Arc;
 use stepstone_core::{
-    simulate_pow2_gemm_resident, ExecMode, GemmContext, GemmSpec, LatencyReport, SessionCache,
-    SimOptions, SystemConfig, TrafficCursor,
+    simulate_pow2_gemm_resident, GemmContext, GemmSpec, LatencyReport, SessionCache, SimOptions,
+    SystemConfig, TrafficCursor,
 };
 use stepstone_dram::{CommandBus, TimingState};
 use stepstone_workloads::SyntheticTraffic;
@@ -76,7 +76,6 @@ impl TenantServer {
             &self.sys,
             &self.opts,
             Some(&mut tc),
-            ExecMode::Streaming,
             &[&*self.ctx],
             start,
         );

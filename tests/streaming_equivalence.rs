@@ -1,24 +1,13 @@
-//! Cycle-exactness of the streaming engine against the seed path, at
-//! `LatencyReport` granularity, across a matrix of small GEMMs and all
-//! three PIM levels (the ISSUE-1 acceptance test).
-//!
-//! Three-way comparison per configuration:
-//! * streaming (production) vs in-core materialized replay, and
-//! * streaming vs the frozen seed engine in [`stepstone_bench::seed_replay`]
-//!   (materialized programs + seed AGEN corrector + seed scheduler).
+//! Cycle-exactness of the streaming engine against the frozen seed path,
+//! at `LatencyReport` granularity, across a matrix of small GEMMs, all
+//! three PIM levels, and the subset-remap and eCHO program shapes. The
+//! reference is the seed engine in [`stepstone_bench::seed_replay`]:
+//! fully materialized programs, the seed AGEN corrector, and the seed
+//! scheduler.
 
 use stepstone_addr::PimLevel;
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
-use stepstone_core::{
-    simulate_gemm_opt, simulate_pow2_gemm_ctx, ExecMode, GemmContext, GemmSpec, LatencyReport,
-    SimOptions, SystemConfig,
-};
-
-/// The in-core materialized replay of one power-of-two GEMM.
-fn materialized_replay(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> LatencyReport {
-    let ctx = GemmContext::build(sys, spec, opts);
-    simulate_pow2_gemm_ctx(sys, spec, opts, None, ExecMode::Materialized, &ctx, 0)
-}
+use stepstone_core::{simulate_gemm_opt, GemmSpec, LatencyReport, SimOptions, SystemConfig};
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
     assert_eq!(a.total, b.total, "{what}: total cycles");
@@ -36,11 +25,8 @@ fn streaming_matches_seed_engine_across_levels_and_shapes() {
         for level in PimLevel::ALL {
             let opts = SimOptions::stepstone(level);
             let streaming = simulate_gemm_opt(&sys, &spec, &opts, None);
-            let materialized = materialized_replay(&sys, &spec, &opts);
             let seed = simulate_pow2_gemm_seed(&sys, &spec, &opts);
-            let what = format!("{m}x{k} N={n} {level:?}");
-            assert_reports_equal(&streaming, &materialized, &format!("{what} (materialized)"));
-            assert_reports_equal(&streaming, &seed, &format!("{what} (seed replay)"));
+            assert_reports_equal(&streaming, &seed, &format!("{m}x{k} N={n} {level:?}"));
             assert!(streaming.total > 0);
         }
     }
@@ -76,23 +62,27 @@ fn parallel_channel_execution_matches_serial_and_seed() {
     ] {
         let parallel = simulate_gemm_opt(&par_sys, &spec, &opts, None);
         let serial = simulate_gemm_opt(&serial_sys, &spec, &opts, None);
-        assert_reports_equal(&parallel, &serial, &format!("{:?} (parallel)", opts.granularity));
+        let seed = simulate_pow2_gemm_seed(&serial_sys, &spec, &opts);
+        let what = format!("{:?} subset={}", opts.granularity, opts.subset_drop_bits);
+        assert_reports_equal(&parallel, &serial, &format!("{what} (parallel vs serial)"));
+        assert_reports_equal(&parallel, &seed, &format!("{what} (parallel vs seed)"));
     }
 }
 
 #[test]
 fn streaming_matches_seed_engine_with_subset_and_echo() {
     // The subset remap and eCHO granularity exercise the remaining program
-    // shapes (per-row launches, dropped ID bits).
+    // shapes (per-row launches, dropped ID bits folded into rows).
     let sys = SystemConfig::default();
-    let spec = GemmSpec::new(512, 2048, 4);
-    for opts in [
-        SimOptions::stepstone(PimLevel::BankGroup).with_subset(1),
-        SimOptions::echo(PimLevel::BankGroup),
-        SimOptions::echo(PimLevel::Device),
+    for (spec, opts) in [
+        (GemmSpec::new(256, 1024, 2), SimOptions::stepstone(PimLevel::BankGroup).with_subset(1)),
+        (GemmSpec::new(512, 2048, 4), SimOptions::stepstone(PimLevel::BankGroup).with_subset(1)),
+        (GemmSpec::new(512, 2048, 4), SimOptions::echo(PimLevel::BankGroup)),
+        (GemmSpec::new(512, 2048, 4), SimOptions::echo(PimLevel::Device)),
     ] {
         let streaming = simulate_gemm_opt(&sys, &spec, &opts, None);
-        let materialized = materialized_replay(&sys, &spec, &opts);
-        assert_reports_equal(&streaming, &materialized, &format!("{:?}", opts.granularity));
+        let seed = simulate_pow2_gemm_seed(&sys, &spec, &opts);
+        let what = format!("{spec} {:?} subset={}", opts.granularity, opts.subset_drop_bits);
+        assert_reports_equal(&streaming, &seed, &what);
     }
 }
