@@ -13,7 +13,7 @@ pub const BLOCK_SHIFT: u32 = 6;
 /// Skylake mapping has one channel bit and one rank bit, and DDR4 devices
 /// have 4 bank groups of 4 banks, giving 2 CH-level, 4 DV-level, and 16
 /// BG-level PIM units ("for StepStone-BG there are 16 active PIMs", §V-C).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Geometry {
     pub channels: u32,
     pub ranks_per_channel: u32,

@@ -478,6 +478,18 @@ impl KeyRuns {
         self.per_period as f64 / runs.max(1) as f64
     }
 
+    /// Number of consecutive region blocks from global satisfying-block
+    /// index `m` (inclusive) that share block `m - 1`'s window key: 0 when
+    /// a run starts at `m`, else [`KeyRuns::run_len_from`]`(m)`.
+    pub fn continues_from(&self, m: u64) -> u64 {
+        let r = m & (self.per_period - 1);
+        if self.starts[(r / 64) as usize] >> (r % 64) & 1 == 1 {
+            0
+        } else {
+            self.run_len_from(m)
+        }
+    }
+
     /// Number of consecutive region blocks sharing one window key,
     /// starting at global satisfying-block index `m` (inclusive): the
     /// distance from `m` to the next run boundary, clipped to the end of
@@ -801,6 +813,14 @@ mod tests {
                                  without a key change"
                             );
                         }
+                        // Blocks continuing block ix-1's key: exactly the
+                        // rest of its run, or none at a run start.
+                        let cont = kr.continues_from(m_ix);
+                        for j in ix..(ix + cont).min(plan.len()) {
+                            assert_eq!(key(addrs[j as usize]), key(addrs[ix as usize - 1]));
+                        }
+                        let starts = cont == 0;
+                        assert_eq!(starts, kr.run_len_from(m_ix - 1) == 1, "block {ix}");
                     }
                 }
             }

@@ -26,12 +26,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TrafficSource,
+    CasKind, ChannelSnapshot, CommandBus, DramStats, MemoryBackend, Port, RunReply, TrafficSource,
 };
 
 /// Fallback-cause indices for [`RunStats::fallback`] /
-/// [`RunCounters::fallback`]: why a block went through the per-block pull
-/// path instead of riding an admitted run.
+/// [`RunCounters::fallback`]: why a block was not covered by an admitted
+/// hinted run (blocks of a periodic transfer jump count here too).
 pub const FB_REFRESH: usize = 0;
 pub const FB_ROW: usize = 1;
 pub const FB_TRACE: usize = 2;
@@ -53,8 +53,10 @@ pub struct RunStats {
     /// log2-bucketed run-length histogram: bucket `i` counts admitted runs
     /// of length `2^i ..= 2^(i+1) - 1`, saturating in the last bucket.
     pub hist: [u64; 16],
-    /// Per-block fallback splits by cause (`FB_*` indices): blocks that
-    /// went through the per-block path, and why.
+    /// Blocks not covered by an admitted hinted run, by the cause that
+    /// kept them out (`FB_*` indices). Blocks a periodic transfer jump
+    /// issues in closed form count here as well: they are not admitted
+    /// runs.
     pub fallback: [u64; 5],
 }
 
@@ -81,6 +83,8 @@ pub struct RunCounters {
     pub runs: u64,
     pub run_blocks: u64,
     pub hist: [u64; 16],
+    /// Blocks not covered by an admitted hinted run, by the cause that
+    /// kept them out (`FB_*` indices).
     pub fallback: [u64; 5],
 }
 
@@ -94,7 +98,7 @@ impl RunCounters {
         }
     }
 
-    /// Total per-block fallbacks across all causes.
+    /// Blocks not covered by an admitted run, across all causes.
     pub fn fallback_blocks(&self) -> u64 {
         self.fallback.iter().sum()
     }
@@ -195,6 +199,9 @@ impl SubsetRemap {
 /// engine falls back to per-block pulls). The engine synthesizes the
 /// skipped entries from the anchor, so a source honoring the contract is
 /// cycle-exact with the per-block path by construction.
+///
+/// `round_hint` and `skip_rounds` describe round-robin sources (the DMA
+/// engine's region interleave): see [`RoundHint`].
 pub trait StepSource: Iterator<Item = Step> {
     fn run_hint(&self) -> u64 {
         1
@@ -202,6 +209,21 @@ pub trait StepSource: Iterator<Item = Step> {
 
     fn take_run(&mut self, _n: u64) -> u64 {
         0
+    }
+
+    /// The round promise at a round boundary, if it covers at least
+    /// `min_rounds` rounds. Otherwise `Err(n)`: no such promise can come
+    /// within the next `n` pulls (mid-round, a stream's key run ending
+    /// too soon, or — `u64::MAX`, the default — no round structure), so
+    /// the engine asks again only after them.
+    fn round_hint(&mut self, _min_rounds: u64) -> Result<RoundHint, u64> {
+        Err(u64::MAX)
+    }
+
+    /// Skip `n` whole rounds without yielding them. Only callable at a
+    /// round boundary for rounds the current [`RoundHint::rounds`] covers.
+    fn skip_rounds(&mut self, _n: u64) {
+        unreachable!("skip_rounds on a source without round promises")
     }
 }
 
@@ -213,6 +235,29 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
     fn take_run(&mut self, n: u64) -> u64 {
         (**self).take_run(n)
     }
+
+    fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+        (**self).round_hint(min_rounds)
+    }
+
+    fn skip_rounds(&mut self, n: u64) {
+        (**self).skip_rounds(n)
+    }
+}
+
+/// What a round-robin source promises at a round boundary, where every
+/// active stream (region) has yielded its block of the round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundHint {
+    /// Rounds completed so far (skipped rounds included).
+    pub done: u64,
+    /// Active streams, i.e. blocks per round.
+    pub width: u64,
+    /// Upcoming full rounds in which every active stream yields one
+    /// `Step::Access` with the window key — (bank, row, direction) — of
+    /// its block in the round just completed, the same category and
+    /// compute flag, at one AGEN iteration.
+    pub rounds: u64,
 }
 
 /// Adapter giving any step iterator the trivial (hint-free) source shape.
@@ -241,6 +286,55 @@ struct WinEntry {
     /// entry (probe times are nondecreasing along the window) and the span
     /// fast path applies.
     key: u64,
+}
+
+/// Round-boundary snapshots kept for the periodic jump: at most this many
+/// (so periods of up to this many rounds are detected).
+const PERIOD_HISTORY: usize = 4;
+
+/// Snapshots are taken only at boundaries promising at least this many
+/// further rounds. A snapshot costs about one round of per-block work,
+/// and a stretch takes several to settle and verify (8 on the paper
+/// shape), so shorter stretches would not pay them back: DV regions
+/// switch keys every 2–4 blocks, and a 4 KiB page holds 16 blocks of a
+/// paper-shape region.
+const MIN_SNAPSHOT_ROUNDS: u64 = 32;
+
+/// How a unit field behaves under the periodic jump.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Field {
+    /// A time: shifts with the stream.
+    Time,
+    /// Identity (window keys, lengths, flags): must repeat verbatim.
+    Id,
+    /// An accumulator: grows by the same amount every period.
+    Count,
+}
+
+/// One round-boundary snapshot of a unit on the periodic path.
+#[derive(Default)]
+struct RoundSnap {
+    /// [`RoundHint::done`] and [`RoundHint::width`] at the boundary.
+    round: u64,
+    width: u64,
+    /// Promised rounds ahead.
+    promise: u64,
+    /// The unit's not-before: nothing issues earlier from here on.
+    not_before: u64,
+    /// Unit times and identity fields (with the channel's dead gap).
+    unit: ChannelSnapshot,
+    counts: Vec<u64>,
+    /// The unit's channel.
+    ch: ChannelSnapshot,
+}
+
+/// Per-phase state of the periodic jump for one unit.
+#[derive(Default)]
+struct PeriodTracker {
+    /// Recent snapshots, oldest first.
+    history: VecDeque<RoundSnap>,
+    /// Recycled snapshot buffers.
+    spare: Vec<RoundSnap>,
 }
 
 /// Execution state of one unit.
@@ -282,6 +376,22 @@ pub struct UnitCursor<'a> {
     /// (`FB_*` index chosen by the scheduler: traffic > refresh > trace >
     /// other).
     fallback_cause: u8,
+    /// Scheduler's per-phase grant of the periodic jump (see
+    /// [`UnitCursor::try_period_jump`]) with its round-boundary history;
+    /// `None` when not granted.
+    period: Option<Box<PeriodTracker>>,
+    /// Issues (one pull each) left before the source's round promise is
+    /// worth asking for again.
+    round_wait: u64,
+    /// DRAM statistics of the unit's own blocks, counted while snapshots
+    /// are pending (`count_own`): the backend's are shared across channels
+    /// in the serial engine, so a period's increments are taken from these.
+    own_stats: DramStats,
+    count_own: bool,
+    /// Periods of a verified periodic stream issued in closed form.
+    pub jumped_periods: u64,
+    /// Blocks those periods covered.
+    pub jumped_blocks: u64,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
     pub run_stats: RunStats,
@@ -398,6 +508,12 @@ impl<'a> UnitCursor<'a> {
             win_synth: 0,
             fast: false,
             fallback_cause: FB_OTHER as u8,
+            period: None,
+            round_wait: 0,
+            own_stats: DramStats::default(),
+            count_own: false,
+            jumped_periods: 0,
+            jumped_blocks: 0,
             run_stats: RunStats::default(),
             win_uniform: true,
             window: VecDeque::with_capacity(8),
@@ -440,7 +556,21 @@ impl<'a> UnitCursor<'a> {
         start: u64,
         inter_block_gap: u64,
     ) -> Self {
-        let mut c = Self::new(label, channel, port, steps, start, 0, 0, 4, 0, 0, 4, None);
+        Self::transfer_source(label, channel, port, PlainSteps(steps), start, inter_block_gap)
+    }
+
+    /// [`UnitCursor::transfer`] over a [`StepSource`] (the DMA engine's
+    /// region interleave, whose round promises enable the periodic jump).
+    pub(crate) fn transfer_source(
+        label: &'static str,
+        channel: u32,
+        port: Port,
+        steps: impl StepSource + Send + 'a,
+        start: u64,
+        inter_block_gap: u64,
+    ) -> Self {
+        let mut c =
+            Self::from_source(label, channel, port, steps, start, 0, 0, 4, 0, 0, 4, None);
         // Host-mediated transfers insert idle gaps between blocks.
         c.host_gap = inter_block_gap;
         c
@@ -826,9 +956,6 @@ impl<'a> UnitCursor<'a> {
                 if t < best_t {
                     best_t = t;
                     best_ix = i;
-                    if t <= base_nb {
-                        break; // cannot beat an immediate issue
-                    }
                 }
             }
         }
@@ -836,6 +963,9 @@ impl<'a> UnitCursor<'a> {
         let nb = self.issue_nb(e.gen_ready);
         let kind = if e.write { CasKind::Write } else { CasKind::Read };
         let bt = ts.access(e.coord, kind, self.port, nb);
+        if self.count_own {
+            self.own_stats.count_block(kind, self.port, &bt);
+        }
         self.finish_block(&e, bt);
     }
 
@@ -927,10 +1057,21 @@ impl<'a> UnitCursor<'a> {
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
-        self.advance_one(ts, bus, mapping);
         if !self.fast {
+            // `desired` has just filled the window: at a round boundary
+            // the source and the window hold the state a period compares.
+            // Every issue is followed by one pull, so the wait counts
+            // issues.
+            if self.period.is_some() {
+                self.round_wait = self.round_wait.saturating_sub(1);
+                if self.round_wait == 0 && self.try_period_jump(ts) {
+                    return;
+                }
+            }
+            self.advance_one(ts, bus, mapping);
             return;
         }
+        self.advance_one(ts, bus, mapping);
         let scope = scope_mask(mapping);
         loop {
             self.fill_window(mapping);
@@ -1014,6 +1155,178 @@ impl<'a> UnitCursor<'a> {
                 RunReply::Block(cur.coord, nb)
             });
         }
+    }
+
+    /// Visit every field the periodic jump compares or moves, in one fixed
+    /// order: the unit's times, its identity fields, and its accumulators
+    /// (its own blocks' DRAM statistics included).
+    fn visit_period_state(&mut self, f: &mut impl FnMut(Field, &mut u64)) {
+        let own = &mut self.own_stats;
+        use Field::{Count, Id, Time};
+        for t in [
+            &mut self.gen_clock,
+            &mut self.not_before,
+            &mut self.simd_free,
+            &mut self.launch_avail,
+            &mut self.launch_req,
+            &mut self.clock,
+            &mut self.end_time,
+        ]
+        .into_iter()
+        .chain(&mut self.inflight)
+        {
+            f(Time, t);
+        }
+        for e in &mut self.window {
+            f(Time, &mut e.gen_ready);
+            for mut v in [e.key, (e.cat.index() as u64) << 1 | e.compute as u64] {
+                f(Id, &mut v);
+            }
+        }
+        for mut v in [
+            self.window.len() as u64,
+            self.inflight.len() as u64,
+            self.hint_left,
+            self.hint_key,
+            self.run_left,
+            self.win_synth as u64,
+            self.win_uniform as u64,
+            self.pending_kernel_start as u64,
+            self.agen_iter_max as u64,
+        ] {
+            f(Id, &mut v);
+        }
+        for c in [
+            &mut self.agen_iter_sum,
+            &mut self.agen_bubbles,
+            &mut self.scratch_accesses,
+            &mut self.simd_ops,
+            &mut self.launches,
+            &mut self.run_stats.runs,
+            &mut self.run_stats.run_blocks,
+            &mut own.reads,
+            &mut own.writes,
+            &mut own.acts,
+            &mut own.row_hits,
+            &mut own.row_misses,
+            &mut own.data_cycles,
+            &mut own.refreshes,
+        ]
+        .into_iter()
+        .chain(&mut self.cat_cycles)
+        .chain(&mut self.run_stats.hist)
+        .chain(&mut self.run_stats.fallback)
+        .chain(&mut own.reads_by_port)
+        .chain(&mut own.writes_by_port)
+        {
+            f(Count, c);
+        }
+    }
+
+    /// The periodic jump of a transfer stream alone on its channel.
+    ///
+    /// Called before a per-block issue under the scheduler's grant (no
+    /// other unit on the channel, no colocated traffic, refresh, or trace)
+    /// whenever the source's round promise is due; returns whether it
+    /// jumped.
+    ///
+    /// At a round boundary of a source promising [`RoundHint::rounds`]
+    /// more rounds on unchanged window keys, each block's transition — the
+    /// FR-FCFS probe scan, `issue_nb`, the DRAM access, `finish_block` —
+    /// is a max/plus map over the unit's state and its channel's timing
+    /// state, and such a map commutes with shifting every time by one
+    /// constant. So if the state at this boundary equals the state `j`
+    /// rounds earlier moved by `D` cycles — every changed time advanced by
+    /// exactly `D`, every unchanged one too old to bind any later command,
+    /// identity fields (window keys, open rows, bus rank) equal — then
+    /// every further `j` promised rounds advance it by `D` again, and the
+    /// accumulators by the same amounts. Those periods are issued in
+    /// closed form: the source skips them, times move `k·D`, and counters
+    /// (statistics of the unit's own blocks included) move `k` periods'
+    /// worth. This is [`UnitCursor::jump_len`]'s one-block argument over
+    /// `j` rounds; the period is verified, never assumed.
+    #[cold]
+    #[inline(never)]
+    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B) -> bool {
+        if self.peeked.is_some() || self.run_left > 0 {
+            return false;
+        }
+        let hint = match self.steps.round_hint(MIN_SNAPSHOT_ROUNDS) {
+            Ok(hint) => hint,
+            Err(wait) => {
+                self.round_wait = wait;
+                return false;
+            }
+        };
+        let mut tr = self.period.take().expect("periodic grant");
+        let mut b = tr.spare.pop().unwrap_or_default();
+        if !ts.snapshot_channel(self.channel, &mut b.ch) {
+            // The backend cannot extrapolate: the grant lapses.
+            return false;
+        }
+        b.round = hint.done;
+        b.width = hint.width;
+        b.promise = hint.rounds;
+        b.not_before = self.not_before;
+        b.unit.dead_gap = b.ch.dead_gap;
+        b.unit.times.clear();
+        b.unit.ids.clear();
+        b.counts.clear();
+        let (unit, counts) = (&mut b.unit, &mut b.counts);
+        self.visit_period_state(&mut |kind, v| match kind {
+            Field::Time => unit.times.push(*v),
+            Field::Id => unit.ids.push(*v),
+            Field::Count => counts.push(*v),
+        });
+        let matched = tr.history.iter().rposition(|a| {
+            let j = b.round - a.round;
+            let d = b.not_before.wrapping_sub(a.not_before);
+            j > 0
+                && a.width == b.width
+                && a.promise >= j
+                && b.promise >= 2 * j
+                && b.not_before > a.not_before
+                && b.unit.is_shift_of(&a.unit, d, a.not_before)
+                && b.ch.is_shift_of(&a.ch, d, a.not_before)
+        });
+        let jumped = matched.is_some();
+        // The next boundary comes one round on; after a jump, ask at once.
+        // Own statistics only matter between snapshots.
+        self.round_wait = if jumped { 0 } else { hint.width };
+        self.count_own = !jumped;
+        if let Some(ix) = matched {
+            let a = &tr.history[ix];
+            let j = b.round - a.round;
+            let k = b.promise / j;
+            self.steps.skip_rounds(k * j);
+            let own0 = self.own_stats;
+            let (mut ti, mut ci) = (0, 0);
+            self.visit_period_state(&mut |kind, v| match kind {
+                Field::Time => {
+                    *v += k * (*v - a.unit.times[ti]);
+                    ti += 1;
+                }
+                Field::Count => {
+                    *v += k * (*v - a.counts[ci]);
+                    ci += 1;
+                }
+                Field::Id => {}
+            });
+            ts.extrapolate_channel(self.channel, &a.ch, k);
+            let added = self.own_stats.delta(&own0);
+            ts.stats_mut().merge(&added);
+            self.jumped_periods += k;
+            self.jumped_blocks += added.accesses();
+            tr.spare.extend(tr.history.drain(..));
+            tr.spare.push(b);
+        } else {
+            if tr.history.len() == PERIOD_HISTORY {
+                tr.spare.extend(tr.history.pop_front());
+            }
+            tr.history.push_back(b);
+        }
+        self.period = Some(tr);
+        jumped
     }
 
     /// Close out attribution after the program is exhausted: the SIMD
@@ -1194,9 +1507,19 @@ fn run_units<B: MemoryBackend>(
     } else {
         FB_OTHER
     } as u8;
+    // The periodic jump (see `UnitCursor::try_period_jump`) extrapolates a
+    // unit's whole channel, so it needs the channel to itself: no other
+    // unit on it, no traffic, refresh, or trace. Units on the span fast
+    // path are exclusive kernels and never take it.
+    let quiet = traffic.is_none() && !ts.config().refresh && !ts.trace_enabled();
+    let channels: Vec<u32> = units.iter().map(|u| u.channel).collect();
     for u in units.iter_mut() {
         u.fast = fast;
         u.fallback_cause = cause;
+        let alone = channels.iter().filter(|&&c| c == u.channel).count() == 1;
+        u.period = (quiet && !fast && alone).then(Box::default);
+        u.round_wait = 0;
+        u.count_own = false;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
         .iter_mut()

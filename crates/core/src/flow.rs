@@ -14,14 +14,17 @@
 //! 3. **Reduction** — partial `C` copies are merged over the channel.
 
 use crate::config::{AgenMode, SystemConfig};
-use crate::engine::{run_phase_auto, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor};
+use crate::engine::{
+    run_phase_auto, RoundHint, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
+};
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
 use stepstone_addr::agen::Spans;
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
-    AgenSpan, GroupAnalysis, KeyRuns, MatrixLayout, NaiveAgen, PageMap, PagingConfig, PimLevel,
-    RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping, BLOCK_BYTES, BLOCK_SHIFT,
+    AgenSpan, Geometry, GroupAnalysis, KeyRuns, MappingId, MatrixLayout, NaiveAgen, PageMap,
+    PagingConfig, PimLevel, RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping,
+    BLOCK_BYTES, BLOCK_SHIFT,
 };
 use stepstone_dram::{BackendKind, CommandBus, MemoryBackend, Port, TrafficSource};
 use stepstone_fabric::{FabricState, FabricStats, ReduceVia};
@@ -134,10 +137,11 @@ macro_rules! with_fresh_backend {
 }
 pub(crate) use with_fresh_backend;
 
-/// Everything shape-dependent that a [`GemmContext`] build consumes: the
-/// GEMM shape plus the option fields that change the mapping analysis,
-/// buffer plan, span programs, or KeyRuns tables. Two requests with equal
-/// keys (under one [`SystemConfig`]) can share one context.
+/// Everything a [`GemmContext`] build consumes: the GEMM shape, the
+/// option fields that change the mapping analysis, buffer plan, span
+/// programs, or KeyRuns tables, and the system fields the build bakes in.
+/// Two requests with equal keys can share one context, even when they come
+/// from different systems sharing one [`SessionCache`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SessionKey {
     pub spec: GemmSpec,
@@ -150,12 +154,19 @@ pub struct SessionKey {
     /// The system's VA→PA paging layer: the context caches a [`PageMap`],
     /// so two systems differing only in paging must not share contexts.
     pub paging: Option<PagingConfig>,
+    /// The address mapping (`SystemConfig::mapping`): its preset and the
+    /// DRAM geometry it is laid over.
+    pub mapping_id: MappingId,
+    pub geom: Geometry,
+    /// Arena bases the matrix and the per-PIM regions are placed at.
+    pub weight_base: u64,
+    pub buffer_base: u64,
 }
 
 impl SessionKey {
     /// The key of `(spec, opts)` under `sys`: the option fields above plus
-    /// the system fields a [`GemmContext`] build bakes in (currently the
-    /// paging layer).
+    /// the system fields a [`GemmContext`] build bakes in (paging layer,
+    /// address mapping, arena bases).
     pub fn for_system(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> Self {
         Self {
             spec: *spec,
@@ -168,6 +179,10 @@ impl SessionKey {
                 KernelGranularity::PerCacheBlock => 2,
             },
             paging: sys.paging,
+            mapping_id: sys.mapping_id,
+            geom: sys.dram.geom,
+            weight_base: sys.weight_base,
+            buffer_base: sys.buffer_base,
         }
     }
 }
@@ -427,6 +442,15 @@ impl GemmContext {
             c_key_runs,
             page_map: sys.page_map(),
         }
+    }
+
+    /// The tabulated same-key runs of a region plan carved from this
+    /// context's masks: the table of the first `B` or `C` region sharing
+    /// its class (see [`RegionPlan::same_key_runs`]).
+    fn key_runs_of(&self, plan: &RegionPlan) -> Option<&KeyRuns> {
+        let b = self.b_regions.iter().zip(&self.b_key_runs);
+        let c = self.c_regions.iter().zip(&self.c_key_runs);
+        b.chain(c).find(|(p, _)| p.same_key_runs(plan)).and_then(|(_, kr)| kr.as_ref())
     }
 
     /// The channel a PIM's control traffic rides on (lowest ID bits are the
@@ -1023,17 +1047,69 @@ pub fn build_kernel_program_seed(
 /// round, so consecutive writes hit different bank groups and stream at
 /// tCCDS instead of tCCDL. Regions are pulled lazily from their
 /// [`RegionPlan`]s — no address list is ever materialized.
+///
+/// At each round boundary it promises how many more full rounds keep every
+/// region on its current (bank, row) key ([`StepSource::round_hint`]),
+/// from the regions' [`KeyRuns`] tables; its run hint stays 1.
 struct RegionInterleave<'a> {
     regions: Vec<RegionIter<'a>>,
+    /// Each region's same-key run table (`None`: no round promise).
+    key_runs: Vec<Option<&'a KeyRuns>>,
+    /// Page clipping under a stream-affecting page map.
+    page: Option<PageClip>,
     rix: usize,
     yielded_this_round: bool,
+    /// Rounds completed before the current one.
+    round: u64,
     write: bool,
     cat: Phase,
 }
 
 impl<'a> RegionInterleave<'a> {
-    fn new(regions: Vec<RegionIter<'a>>, write: bool, cat: Phase) -> Self {
-        Self { regions, rix: 0, yielded_this_round: false, write, cat }
+    fn new(
+        regions: Vec<RegionIter<'a>>,
+        key_runs: Vec<Option<&'a KeyRuns>>,
+        page: Option<&PageMap>,
+        write: bool,
+        cat: Phase,
+    ) -> Self {
+        let page = page.map(|pm| PageClip::new(pm.page_mask(), &regions));
+        Self {
+            regions,
+            key_runs,
+            page,
+            rix: 0,
+            yielded_this_round: false,
+            round: 0,
+            write,
+            cat,
+        }
+    }
+}
+
+/// Page clipping of a [`RegionInterleave`]'s round promise.
+struct PageClip {
+    /// In-page offset bits.
+    mask: u64,
+    /// Most region blocks any page holds. A page is an aligned window, so
+    /// a region's blocks in it solve one parity system on the in-page
+    /// bits: none, or a coset of one kernel, the same size in every page.
+    per_page: u64,
+    /// Each region's last yielded address.
+    last: Vec<u64>,
+}
+
+impl PageClip {
+    fn new(mask: u64, regions: &[RegionIter]) -> Self {
+        let per_page = regions
+            .iter()
+            .filter_map(|it| {
+                let base = it.peek_addr()? & !mask;
+                Some(it.plan().rank_below(base + mask + 1) - it.plan().rank_below(base))
+            })
+            .max()
+            .unwrap_or(0);
+        Self { mask, per_page, last: vec![0; regions.len()] }
     }
 }
 
@@ -1047,12 +1123,16 @@ impl Iterator for RegionInterleave<'_> {
                     return None;
                 }
                 self.rix = 0;
+                self.round += 1;
                 self.yielded_this_round = false;
             }
             let it = &mut self.regions[self.rix];
             self.rix += 1;
             if let Some(pa) = it.next() {
                 self.yielded_this_round = true;
+                if let Some(pc) = &mut self.page {
+                    pc.last[self.rix - 1] = pa;
+                }
                 return Some(Step::Access {
                     pa,
                     write: self.write,
@@ -1062,6 +1142,57 @@ impl Iterator for RegionInterleave<'_> {
                 });
             }
         }
+    }
+}
+
+impl StepSource for RegionInterleave<'_> {
+    /// At a boundary (every region after the cursor exhausted), the
+    /// promise is the minimum over active regions of the blocks left that
+    /// continue the region's last key ([`KeyRuns::continues_from`]),
+    /// clipped to the region's length and, under paging, to its last
+    /// block's page: within one page key equality survives translation.
+    /// The first region short of `min_rounds` ends the scan: its key run
+    /// ends within those rounds, so no boundary before the one after it
+    /// can promise `min_rounds` either. Pages holding fewer region blocks
+    /// than that rule every promise out.
+    fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+        if self.page.as_ref().is_some_and(|pc| pc.per_page < min_rounds) {
+            return Err(u64::MAX);
+        }
+        let active = |its: &[RegionIter]| its.iter().filter(|it| it.len() > 0).count() as u64;
+        let rest = active(&self.regions[self.rix..]);
+        if rest > 0 || !self.yielded_this_round {
+            // Mid-round: ask again at the boundary. Nothing left: never.
+            return Err(if rest > 0 { rest } else { u64::MAX });
+        }
+        let width = active(&self.regions);
+        let mut rounds = u64::MAX;
+        for (r, it) in self.regions.iter().enumerate() {
+            let left = it.len() as u64;
+            if left == 0 {
+                continue;
+            }
+            let Some(kr) = self.key_runs[r] else { return Err(u64::MAX) };
+            let mut p = kr.continues_from(it.pos_rank()).min(left);
+            if let (true, Some(pc)) = (p >= min_rounds, &self.page) {
+                p = p.min(it.plan().rank_below((pc.last[r] | pc.mask) + 1) - it.pos_rank());
+            }
+            if p < min_rounds {
+                return Err((p + 1) * width);
+            }
+            rounds = rounds.min(p);
+        }
+        Ok(RoundHint { done: self.round + 1, width, rounds })
+    }
+
+    fn skip_rounds(&mut self, n: u64) {
+        for it in &mut self.regions {
+            if it.len() > 0 {
+                debug_assert!(it.len() as u64 >= n, "skip past a region's end");
+                it.skip_blocks(n);
+            }
+        }
+        self.round += n;
     }
 }
 
@@ -1118,6 +1249,16 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
     fn take_run(&mut self, n: u64) -> u64 {
         self.inner.take_run(n)
     }
+
+    // Round promises are page-clipped too: skipped rounds never leave the
+    // pages of the round just pulled.
+    fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+        self.inner.round_hint(min_rounds)
+    }
+
+    fn skip_rounds(&mut self, n: u64) {
+        self.inner.skip_rounds(n)
+    }
 }
 
 /// Build DMA transfer cursors (one per channel) over the given per-PIM
@@ -1134,21 +1275,32 @@ pub fn transfer_cursors<'a>(
     let channels = ctx.mapping.geometry().channels;
     (0..channels)
         .map(|ch| {
-            let mine: Vec<RegionIter<'a>> = ctx
+            let mine: Vec<&'a RegionPlan> = ctx
                 .active_pims
                 .iter()
                 .enumerate()
                 .filter(|(_, &pim)| ctx.pim_channel(pim) == ch)
-                .map(|(pix, _)| regions[pix].iter())
+                .map(|(pix, _)| &regions[pix])
                 .collect();
-            let steps = RegionInterleave::new(mine, write, cat);
-            let steps: Box<dyn Iterator<Item = Step> + Send + 'a> = match &ctx.page_map {
-                Some(pm) if !pm.is_identity() => {
-                    Box::new(PagedSteps::new(steps, pm.clone(), false))
-                }
-                _ => Box::new(steps),
-            };
-            UnitCursor::transfer("dma", ch, Port::Channel, steps, start, gap)
+            let paged = ctx.page_map.as_ref().filter(|pm| !pm.is_identity());
+            let steps = RegionInterleave::new(
+                mine.iter().map(|r| r.iter()).collect(),
+                mine.iter().map(|r| ctx.key_runs_of(r)).collect(),
+                paged,
+                write,
+                cat,
+            );
+            match paged {
+                Some(pm) => UnitCursor::transfer_source(
+                    "dma",
+                    ch,
+                    Port::Channel,
+                    PagedSteps::new(steps, pm.clone(), false),
+                    start,
+                    gap,
+                ),
+                None => UnitCursor::transfer_source("dma", ch, Port::Channel, steps, start, gap),
+            }
         })
         .collect()
 }
@@ -1633,6 +1785,34 @@ mod tests {
             for j in i + 1..keys.len() {
                 assert_ne!(keys[i], keys[j], "keys {i} and {j} collide");
             }
+        }
+    }
+
+    /// Systems differing in a field the context build bakes in — the DRAM
+    /// geometry, the mapping preset, an arena base — can share one cache
+    /// (`ModelExecutor::with_session`), and each must still get the report
+    /// a fresh cache gives it.
+    #[test]
+    fn shared_cache_keys_every_system_field_the_build_reads() {
+        use stepstone_dram::DramConfig;
+        let spec = GemmSpec::new(512, 2048, 4);
+        let opts = SimOptions::stepstone(PimLevel::BankGroup);
+        let arms: [(&str, SystemConfig); 5] = [
+            ("hbm2", sys().with_dram(DramConfig::hbm2())),
+            ("ddr5", sys().with_dram(DramConfig::ddr5_4800())),
+            ("haswell", sys().with_mapping(MappingId::Haswell)),
+            ("weight_base", SystemConfig { weight_base: 3 << 30, ..sys() }),
+            ("buffer_base", SystemConfig { buffer_base: 3 << 33, ..sys() }),
+        ];
+        for (name, s) in arms {
+            let cache = SessionCache::new();
+            simulate_gemm_session(&sys(), &spec, &opts, &cache, None);
+            let shared = simulate_gemm_session(&s, &spec, &opts, &cache, None);
+            let fresh = simulate_gemm_opt(&s, &spec, &opts, None);
+            assert_eq!(shared.total, fresh.total, "{name}");
+            assert_eq!(shared.phase_cycles, fresh.phase_cycles, "{name}");
+            assert_eq!(shared.dram, fresh.dram, "{name}");
+            assert_eq!(cache.misses(), 2, "{name}: the second system builds its own context");
         }
     }
 

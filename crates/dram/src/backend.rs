@@ -134,6 +134,58 @@ pub trait MemoryBackend: Clone + Send + Sync {
     fn supports_closed_form_runs(&self) -> bool {
         true
     }
+
+    /// Copy channel `ch`'s timing state into `out` (see
+    /// [`ChannelSnapshot`]), excluding statistics and refresh deadlines.
+    /// Returns `false` — the default — when the model cannot snapshot
+    /// and extrapolate channel state; the engine's periodic transfer jump
+    /// then stays off.
+    fn snapshot_channel(&self, _ch: u32, _out: &mut ChannelSnapshot) -> bool {
+        false
+    }
+
+    /// Extrapolate channel `ch` by `k` further periods: every time field
+    /// that differs from `earlier` (a snapshot of the same channel one
+    /// period ago) advances by `k` times its difference; every other field
+    /// stays. Statistics are not touched. Only called after
+    /// [`MemoryBackend::snapshot_channel`] returned `true`.
+    fn extrapolate_channel(&mut self, _ch: u32, _earlier: &ChannelSnapshot, _k: u64) {
+        unreachable!("extrapolate_channel on a backend without channel snapshots")
+    }
+}
+
+/// One channel's timing state, split by how a uniform time shift acts on
+/// it: `times` holds every time-valued field (absolute cycles, or the
+/// `t + 1` stamps of last commands) and moves with the shift; `ids` holds
+/// the fields a shift must leave alone (open rows, the rank that last
+/// drove the bus, history lengths). The field order is fixed by the
+/// backend, so two snapshots of one channel compare elementwise.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ChannelSnapshot {
+    pub times: Vec<u64>,
+    pub ids: Vec<u64>,
+    /// A time field `v` with `v + dead_gap ≤ t` can no longer bind any
+    /// command issued at or after `t`: the largest Table-II gap any field
+    /// is compared with, plus one for the stamp encoding.
+    pub dead_gap: u64,
+}
+
+impl ChannelSnapshot {
+    /// Whether `self` is `earlier` moved by exactly `d` cycles: identity
+    /// fields equal, every changed time field advanced by exactly `d`, and
+    /// every unchanged one dead at `floor` (the earliest time anything is
+    /// issued from `earlier` on).
+    pub fn is_shift_of(&self, earlier: &ChannelSnapshot, d: u64, floor: u64) -> bool {
+        self.ids == earlier.ids
+            && self.times.len() == earlier.times.len()
+            && self.times.iter().zip(&earlier.times).all(|(&b, &a)| {
+                if b == a {
+                    a.saturating_add(self.dead_gap) <= floor
+                } else {
+                    b.wrapping_sub(a) == d
+                }
+            })
+    }
 }
 
 impl MemoryBackend for TimingState {
@@ -196,6 +248,15 @@ impl MemoryBackend for TimingState {
 
     fn adopt_channel(&mut self, other: &Self, ch: u32) {
         TimingState::adopt_channel(self, other, ch)
+    }
+
+    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) -> bool {
+        TimingState::snapshot_channel(self, ch, out);
+        true
+    }
+
+    fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64) {
+        TimingState::extrapolate_channel(self, ch, earlier, k)
     }
 }
 

@@ -24,7 +24,7 @@ pub mod traffic;
 
 pub use analytic::AnalyticState;
 pub use audit::{CmdKind, CmdRecord, CommandTrace};
-pub use backend::{BackendKind, MemoryBackend};
+pub use backend::{BackendKind, ChannelSnapshot, MemoryBackend};
 pub use cmdbus::CommandBus;
 pub use config::{DramConfig, TimingParams};
 pub use memory::SparseMem;

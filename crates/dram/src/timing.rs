@@ -18,6 +18,7 @@
 //!   the paper exploits (§III-E).
 
 use crate::audit::{CmdKind, CmdRecord, CommandTrace};
+use crate::backend::ChannelSnapshot;
 use crate::config::DramConfig;
 use stepstone_addr::{DramCoord, Geometry};
 
@@ -180,6 +181,29 @@ impl DramStats {
         self.reads_by_port[Port::Channel.index()] + self.writes_by_port[Port::Channel.index()]
     }
 
+    /// Add what one committed refresh-free block access contributes, from
+    /// its [`BlockTiming`]: the counters a caller keeps for its own blocks
+    /// when the backend's statistics are shared with other callers.
+    pub fn count_block(&mut self, kind: CasKind, port: Port, bt: &BlockTiming) {
+        match kind {
+            CasKind::Read => {
+                self.reads += 1;
+                self.reads_by_port[port.index()] += 1;
+            }
+            CasKind::Write => {
+                self.writes += 1;
+                self.writes_by_port[port.index()] += 1;
+            }
+        }
+        self.acts += bt.acts as u64;
+        if bt.row_hit {
+            self.row_hits += 1;
+        } else {
+            self.row_misses += 1;
+        }
+        self.data_cycles += bt.data_end - bt.data_start;
+    }
+
     /// Counters accumulated since an earlier snapshot `base` of the same
     /// state — what one request contributed to a persistent serving-mode
     /// timing state. Saturating so a foreign snapshot cannot panic.
@@ -289,27 +313,107 @@ impl TimingState {
     /// so per-channel simulation followed by adoption is exact. Statistics
     /// are *not* adopted; merge [`TimingState::stats`] separately.
     pub fn adopt_channel(&mut self, other: &TimingState, ch: u32) {
+        assert_eq!(self.cfg.geom, other.cfg.geom, "adopt_channel requires identical geometry");
+        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
+        self.banks[banks.clone()].copy_from_slice(&other.banks[banks]);
+        self.ranks[ranks.clone()].clone_from_slice(&other.ranks[ranks]);
+        for r in [p_ch, p_rk, p_bg] {
+            self.paths[r.clone()].clone_from_slice(&other.paths[r]);
+        }
+    }
+
+    /// Index ranges of channel `ch`'s banks, ranks, and its channel,
+    /// rank-internal and BG-internal paths: every table is channel-major.
+    fn channel_ranges(&self, ch: u32) -> [std::ops::Range<usize>; 5] {
         let g = self.cfg.geom;
-        assert_eq!(g, other.cfg.geom, "adopt_channel requires identical geometry");
         let ch = ch as usize;
-        let banks_per_ch =
-            (g.ranks_per_channel * g.bankgroups_per_rank * g.banks_per_bankgroup) as usize;
-        let b0 = ch * banks_per_ch;
-        self.banks[b0..b0 + banks_per_ch].copy_from_slice(&other.banks[b0..b0 + banks_per_ch]);
-        let ranks_per_ch = g.ranks_per_channel as usize;
-        let r0 = ch * ranks_per_ch;
-        self.ranks[r0..r0 + ranks_per_ch].clone_from_slice(&other.ranks[r0..r0 + ranks_per_ch]);
-        // Path layout: [channels] channel paths, [channels×ranks]
-        // rank-internal paths, [channels×ranks×bgs] BG-internal paths.
-        self.paths[ch] = other.paths[ch].clone();
+        let banks = (g.ranks_per_channel * g.bankgroups_per_rank * g.banks_per_bankgroup) as usize;
+        let ranks = g.ranks_per_channel as usize;
+        let bgs = (g.ranks_per_channel * g.bankgroups_per_rank) as usize;
         let nch = g.channels as usize;
         let nrk = (g.channels * g.ranks_per_channel) as usize;
-        self.paths[nch + r0..nch + r0 + ranks_per_ch]
-            .clone_from_slice(&other.paths[nch + r0..nch + r0 + ranks_per_ch]);
-        let bgs_per_ch = (g.ranks_per_channel * g.bankgroups_per_rank) as usize;
-        let bg0 = ch * bgs_per_ch;
-        self.paths[nch + nrk + bg0..nch + nrk + bg0 + bgs_per_ch]
-            .clone_from_slice(&other.paths[nch + nrk + bg0..nch + nrk + bg0 + bgs_per_ch]);
+        [
+            ch * banks..(ch + 1) * banks,
+            ch * ranks..(ch + 1) * ranks,
+            ch..ch + 1,
+            nch + ch * ranks..nch + (ch + 1) * ranks,
+            nch + nrk + ch * bgs..nch + nrk + (ch + 1) * bgs,
+        ]
+    }
+
+    /// Snapshot channel `ch`'s timing state (see [`ChannelSnapshot`]).
+    /// Refresh deadlines are left out: the engine only compares snapshots
+    /// with refresh disabled, where nothing reads or writes them.
+    /// `write_channel_times` visits the time fields in the same order.
+    pub fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) {
+        let tp = &self.cfg.timing;
+        out.times.clear();
+        out.ids.clear();
+        out.dead_gap = 1 + [
+            tp.t_bl, tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp,
+            tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr, tp.t_rrds, tp.t_rrdl, tp.t_faw,
+            tp.wtr(true), tp.rtw(),
+        ]
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
+        for b in &self.banks[banks] {
+            out.ids.push(b.open_row.map_or(0, |r| r as u64 + 1));
+            out.times.extend([b.next_act, b.next_cas, b.next_pre]);
+        }
+        for r in &self.ranks[ranks] {
+            out.ids.push(r.act_window.len() as u64);
+            out.times.extend(&r.act_window);
+            out.times.extend(&r.last_act_by_bg);
+            out.times.push(r.last_act);
+        }
+        for p in [p_ch, p_rk, p_bg].into_iter().flat_map(|r| &self.paths[r]) {
+            out.ids.extend([p.bus_last_rank as u64, p.bus_used as u64]);
+            out.times.extend(&p.last_cas_by_bg);
+            out.times.extend(&p.last_wr_by_bg);
+            out.times.extend(&p.last_rd_by_rank);
+            out.times.extend(&p.last_wr_by_rank);
+            out.times.extend([p.last_cas, p.bus_free]);
+        }
+    }
+
+    /// Overwrite channel `ch`'s time fields with `times`, in
+    /// [`TimingState::snapshot_channel`] order.
+    fn write_channel_times(&mut self, ch: u32, times: &[u64]) {
+        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
+        let mut it = times.iter().copied();
+        let mut next = || it.next().expect("snapshot covers every time field");
+        for b in &mut self.banks[banks] {
+            (b.next_act, b.next_cas, b.next_pre) = (next(), next(), next());
+        }
+        for r in &mut self.ranks[ranks] {
+            r.act_window.iter_mut().for_each(|t| *t = next());
+            r.last_act_by_bg.iter_mut().for_each(|t| *t = next());
+            r.last_act = next();
+        }
+        for ix in [p_ch, p_rk, p_bg].into_iter().flatten() {
+            let p = &mut self.paths[ix];
+            p.last_cas_by_bg.iter_mut().for_each(|t| *t = next());
+            p.last_wr_by_bg.iter_mut().for_each(|t| *t = next());
+            p.last_rd_by_rank.iter_mut().for_each(|t| *t = next());
+            p.last_wr_by_rank.iter_mut().for_each(|t| *t = next());
+            (p.last_cas, p.bus_free) = (next(), next());
+        }
+    }
+
+    /// Advance channel `ch` by `k` further periods of a verified periodic
+    /// stream: each time field that differs from `earlier` (the same
+    /// channel one period ago) moves on by `k` times its difference;
+    /// everything else, statistics included, stays.
+    pub fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64) {
+        let mut now = ChannelSnapshot::default();
+        self.snapshot_channel(ch, &mut now);
+        debug_assert_eq!(now.ids, earlier.ids, "extrapolating across an identity change");
+        for (t, &e) in now.times.iter_mut().zip(&earlier.times) {
+            *t += k * (*t - e);
+        }
+        self.write_channel_times(ch, &now.times);
     }
 
     fn record(&mut self, time: u64, kind: CmdKind, coord: DramCoord, port: Port) {
@@ -960,6 +1064,50 @@ mod tests {
         let bt = ts.access(coord(0, 0, 0, 0, 3, 1), CasKind::Read, Port::Channel, t);
         assert_eq!(est, bt.data_start);
         assert!(!bt.row_hit, "refresh closed the row");
+    }
+
+    /// A round-robin row-hit stream over four bank groups repeats its
+    /// channel state one round later, shifted by the round's CAS span;
+    /// extrapolating that shift lands exactly where simulating the rounds
+    /// does, and the other channel is left alone.
+    #[test]
+    fn channel_extrapolation_matches_simulated_rounds() {
+        let mut ts = TimingState::new(DramConfig::default());
+        let (mut col, mut nb) = (0, 0);
+        let mut round = |ts: &mut TimingState| {
+            for bg in 0..4 {
+                let c = coord(0, 0, bg, 0, 3, col);
+                nb = ts.access(c, CasKind::Write, Port::Channel, nb).cas_at;
+            }
+            col += 1;
+            nb
+        };
+        let mut l0 = 0;
+        for _ in 0..20 {
+            l0 = round(&mut ts);
+        }
+        let other = ts.access(coord(1, 0, 0, 0, 0, 0), CasKind::Read, Port::Channel, 0);
+        let (mut a, mut b) = (ChannelSnapshot::default(), ChannelSnapshot::default());
+        ts.snapshot_channel(0, &mut a);
+        let before = ts.stats;
+        let d = round(&mut ts) - l0;
+        ts.snapshot_channel(0, &mut b);
+        assert_eq!(d, 4 * ts.cfg.timing.t_ccds, "steady tCCDS cadence across bank groups");
+        assert!(b.is_shift_of(&a, d, l0));
+        assert!(!b.is_shift_of(&a, d + 1, l0), "every changed field moves by exactly d");
+        assert!(!b.is_shift_of(&a, d, a.dead_gap), "unchanged fields must be dead");
+        let mut jumped = ts.clone();
+        jumped.extrapolate_channel(0, &a, 5);
+        for _ in 0..5 {
+            round(&mut ts);
+        }
+        let (mut want, mut got) = (ChannelSnapshot::default(), ChannelSnapshot::default());
+        ts.snapshot_channel(0, &mut want);
+        jumped.snapshot_channel(0, &mut got);
+        assert_eq!(got, want);
+        assert_eq!(jumped.stats.writes, before.writes + 4, "statistics are not extrapolated");
+        let again = jumped.access(coord(1, 0, 0, 0, 0, 1), CasKind::Read, Port::Channel, 0);
+        assert_eq!(again.cas_at, other.cas_at + ts.cfg.timing.t_ccdl, "channel 1 untouched");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Per-phase wall-clock breakdown of one streaming GEMM simulation —
 //! the profiling companion to `bench_sim` (which times end-to-end runs).
 //! Each phase also reports its run-granularity statistics: hinted runs
-//! admitted as single scheduling objects, their mean length, and the
+//! admitted as single scheduling objects, their mean length, the
 //! per-block fallback split by cause (refresh / row / trace / traffic /
-//! other).
+//! other), and the periods and blocks the units issued in closed form
+//! (the transfer phases' verified periodic jumps).
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--backend=exact|analytic] [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -56,7 +57,7 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let loc_mode = sys.localization;
 
-    let phase_stats = |label: &str, t0: Instant, blocks: u64, rc: RunCounters| {
+    let phase_stats = |label: &str, t0: Instant, blocks: u64, rc: RunCounters, units: &[UnitCursor]| {
         println!(
             "{label}: {:>9.1} ms  {:>6.1} ns/blk ({blocks} blocks)",
             t0.elapsed().as_secs_f64() * 1e3,
@@ -74,6 +75,9 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
             rc.mean_run_len(),
             if splits.is_empty() { "none".into() } else { splits.join(", ") },
         );
+        let periods: u64 = units.iter().map(|u| u.jumped_periods).sum();
+        let jumped: u64 = units.iter().map(|u| u.jumped_blocks).sum();
+        println!("        {periods} periods jumped in closed form, covering {jumped} blocks");
     };
 
     let t0 = Instant::now();
@@ -88,7 +92,7 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
     );
     let loc_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut loc, None, sys.parallel);
     let loc_blocks = ts.stats().accesses();
-    phase_stats("loc   ", t0, loc_blocks, run_counters());
+    phase_stats("loc   ", t0, loc_blocks, run_counters(), &loc);
 
     let t0 = Instant::now();
     reset_run_counters();
@@ -114,7 +118,7 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
         .collect();
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
     let kern_blocks = ts.stats().accesses() - loc_blocks;
-    phase_stats("kernel", t0, kern_blocks, run_counters());
+    phase_stats("kernel", t0, kern_blocks, run_counters(), &units);
 
     let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
     let t0 = Instant::now();
@@ -129,5 +133,5 @@ fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize,
     );
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, None, sys.parallel);
     let red_blocks = ts.stats().accesses() - loc_blocks - kern_blocks;
-    phase_stats("red   ", t0, red_blocks, run_counters());
+    phase_stats("red   ", t0, red_blocks, run_counters(), &red);
 }

@@ -17,7 +17,10 @@
 //! * refresh — turns the fast path and admission off but leaves sharding
 //!   on, so `parallel` with refresh shards the per-block path;
 //! * a PIM-subset remap — withholds run hints, so the fast path runs
-//!   without admission.
+//!   without admission;
+//! * a transfer cursor alone on its channel with a long round promise —
+//!   the periodic jump of the localization and reduction streams, which
+//!   trace and refresh turn off.
 //!
 //! Every arm must produce a `LatencyReport` identical to the frozen seed
 //! engine, which replays fully materialized programs. The run counters
@@ -25,12 +28,15 @@
 
 use stepstone_addr::{PagingConfig, PimLevel};
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
-use stepstone_core::engine::{reset_run_counters, run_counters, FB_OTHER};
+use stepstone_core::engine::{
+    reset_run_counters, run_counters, run_phase_auto, UnitCursor, FB_OTHER,
+};
+use stepstone_core::flow::{transfer_cursors, KernelStream};
 use stepstone_core::{
-    simulate_gemm_opt, FabricConfig, GemmSpec, LatencyReport, Phase, ReduceVia,
+    simulate_gemm_opt, FabricConfig, GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia,
     SimOptions, SystemConfig, TopologyKind,
 };
-use stepstone_dram::{BackendKind, DramConfig};
+use stepstone_dram::{BackendKind, CommandBus, DramConfig, MemoryBackend, TimingState};
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
     assert_eq!(a.total, b.total, "{what}: total cycles");
@@ -340,6 +346,76 @@ fn matrix_covers_subset_and_echo_program_shapes() {
                     assert_eq!(c.fallback[FB_OTHER], got.dram.accesses(), "{what}: {c:?}");
                 }
             }
+        }
+    }
+}
+
+/// Transfer axis: the pass re-composed from its public phase calls, so the
+/// transfer cursors' closed-form period counters are visible. On a serving
+/// shape whose localization and reduction streams settle into verified
+/// periods, the jump must fire in both transfer phases on the serial and
+/// sharded engines and stay off under trace and refresh, and every arm
+/// must match the frozen seed's phase ends, total and DRAM counters.
+#[test]
+fn matrix_transfer_jump_matches_frozen_seed() {
+    let spec = GemmSpec::new(512, 512, 32);
+    let opts = SimOptions::stepstone(PimLevel::BankGroup);
+    let base = SystemConfig { parallel: false, ..SystemConfig::default() };
+    let seed = simulate_pow2_gemm_seed(&base, &spec, &opts);
+    let ctx = GemmContext::build(&base, &spec, &opts);
+    for (parallel, trace, refresh) in
+        [(false, false, false), (true, false, false), (false, true, false), (true, false, true)]
+    {
+        let dram = DramConfig { refresh, ..DramConfig::default() };
+        let mut ts = TimingState::new(dram);
+        if trace {
+            ts.enable_trace();
+        }
+        let mut bus = CommandBus::new(dram.geom.channels as usize);
+        let mut jumped = [0u64; 2];
+        let mut loc = transfer_cursors(&ctx, &ctx.b_regions, true, Phase::Localization, 0, 0);
+        let loc_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut loc, None, parallel);
+        jumped[0] = loc.iter().map(|u| u.jumped_periods).sum();
+        let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
+            .map(|pix| {
+                let mut u = UnitCursor::from_source(
+                    "pim",
+                    ctx.pim_channel(ctx.active_pims[pix]),
+                    opts.level_cfg.port(),
+                    KernelStream::new(&ctx, &base, &opts, pix),
+                    loc_end,
+                    opts.level_cfg.compute_cycles_per_block(ctx.n),
+                    opts.level_cfg.simd_ops_per_block(ctx.n),
+                    opts.level_cfg.pipeline_depth as usize,
+                    base.launch.slots_for(opts.granularity),
+                    base.launch.launch_latency,
+                    dram.timing.t_bl,
+                    None,
+                );
+                u.exclusive = true;
+                u
+            })
+            .collect();
+        run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, parallel);
+        let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
+        let mut red = transfer_cursors(&ctx, &ctx.c_regions, false, Phase::Reduction, kernel_end, 0);
+        let red_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut red, None, parallel);
+        jumped[1] = red.iter().map(|u| u.jumped_periods).sum();
+        let what = format!("{spec} parallel={parallel} trace={trace} refresh={refresh}");
+        if refresh {
+            // Refresh moves the pass away from the refresh-free seed; the
+            // arm only pins that it turns the jump off.
+            assert!(ts.stats().refreshes > 0, "{what}: REFs issued");
+        } else {
+            assert_eq!(loc_end, seed.phase(Phase::Localization), "{what}: localization end");
+            assert_eq!(red_end - kernel_end, seed.phase(Phase::Reduction), "{what}: reduction");
+            assert_eq!(red_end, seed.total, "{what}: total");
+            assert_eq!(*ts.stats(), seed.dram, "{what}: DRAM event counts");
+        }
+        if trace || refresh {
+            assert_eq!(jumped, [0, 0], "{what}: trace and refresh turn the jump off");
+        } else {
+            assert!(jumped.iter().all(|&j| j > 0), "{what}: jumped periods {jumped:?}");
         }
     }
 }
