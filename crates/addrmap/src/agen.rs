@@ -656,6 +656,23 @@ impl StepStoneAgen {
         self.last_pa = self.span_end - BLOCK_BYTES;
         true
     }
+
+    /// The next span of the live walk: the rest of the current guaranteed
+    /// run, or the next run once that one is consumed. [`Spans`] yields
+    /// these directly, and [`SpanProgram`] falls back to them.
+    fn next_span(&mut self) -> Option<AgenSpan> {
+        if self.cur >= self.span_end && !self.advance_span() {
+            return None;
+        }
+        let span = AgenSpan {
+            start_pa: self.cur,
+            len: (self.span_end - self.cur) / BLOCK_BYTES,
+            iterations: if self.pending_iters != 0 { self.pending_iters } else { 1 },
+        };
+        self.cur = self.span_end;
+        self.pending_iters = 0;
+        Some(span)
+    }
 }
 
 impl Iterator for StepStoneAgen {
@@ -686,18 +703,7 @@ impl Iterator for Spans {
     type Item = AgenSpan;
 
     fn next(&mut self) -> Option<AgenSpan> {
-        let a = &mut self.agen;
-        if a.cur >= a.span_end && !a.advance_span() {
-            return None;
-        }
-        let span = AgenSpan {
-            start_pa: a.cur,
-            len: (a.span_end - a.cur) / BLOCK_BYTES,
-            iterations: if a.pending_iters != 0 { a.pending_iters } else { 1 },
-        };
-        a.cur = a.span_end;
-        a.pending_iters = 0;
-        Some(span)
+        self.agen.next_span()
     }
 }
 
@@ -1044,22 +1050,6 @@ impl SpanProgram {
         w >= self.start && w + self.window_bytes <= self.agen.end
     }
 
-    /// One span from the live generator — the body of [`Spans::next`].
-    fn live_next(&mut self) -> Option<AgenSpan> {
-        let a = &mut self.agen;
-        if a.cur >= a.span_end && !a.advance_span() {
-            return None;
-        }
-        let span = AgenSpan {
-            start_pa: a.cur,
-            len: (a.span_end - a.cur) / BLOCK_BYTES,
-            iterations: if a.pending_iters != 0 { a.pending_iters } else { 1 },
-        };
-        a.cur = a.span_end;
-        a.pending_iters = 0;
-        Some(span)
-    }
-
     /// The walk has moved past the window being recorded (or ended), so the
     /// recorded skeleton is complete: publish it.
     fn flush_recording(&mut self) {
@@ -1186,7 +1176,7 @@ impl Iterator for SpanProgram {
                 return Some(span);
             }
         }
-        let Some(span) = self.live_next() else {
+        let Some(span) = self.agen.next_span() else {
             // The walk ran off the end of the range: whatever window was
             // being recorded has no further spans, so it is complete.
             self.flush_recording();

@@ -65,11 +65,6 @@ impl MatrixLayout {
         self.total_bytes() / BLOCK_BYTES
     }
 
-    /// Elements per cache block (16 for f32).
-    pub fn elems_per_block(&self) -> usize {
-        BLOCK_BYTES as usize / self.elem_bytes
-    }
-
     /// Mask of PA bits that select the position within a matrix row (MCOL),
     /// restricted to block-address bits.
     pub fn mcol_mask(&self) -> u64 {

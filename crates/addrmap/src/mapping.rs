@@ -315,11 +315,6 @@ impl XorMapping {
         let inv = self.inverse.as_ref().expect("inverse built at construction");
         inv.mul_vec(y) << BLOCK_SHIFT
     }
-
-    /// Rebuild the cached inverse (needed after deserialization).
-    pub fn rebuild_inverse(&mut self) {
-        self.inverse = Some(self.forward_matrix().inverse().expect("invertible"));
-    }
 }
 
 fn field_code(f: Field) -> u8 {

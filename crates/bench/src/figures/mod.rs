@@ -23,7 +23,10 @@ use stepstone_dram::{BackendKind, DramConfig};
 /// localization), optionally retargeted by environment:
 ///
 /// * `STEPSTONE_BACKEND` — `exact` (default) or `analytic`; selects the
-///   timing tier every figure driver simulates on.
+///   timing tier every figure driver simulates on. The analytic tier
+///   prices plain power-of-two passes in closed form; the rows it has no
+///   closed form for (PEI, nCHO, fused passes, colocated traffic) report
+///   exact cycles.
 /// * `STEPSTONE_PRESET` — `ddr4` (default), `ddr5`, `lpddr5`, or `hbm2`;
 ///   selects the DRAM device preset (timing, clock, channel width).
 ///
@@ -46,14 +49,4 @@ pub fn baseline_system() -> SystemConfig {
         }
     }
     sys
-}
-
-/// Format cycles compactly.
-pub fn fmt_cycles(c: u64) -> String {
-    format!("{c}")
-}
-
-/// Format a ratio with two decimals.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}")
 }

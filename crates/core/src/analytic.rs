@@ -25,6 +25,11 @@
 //! The workspace root's `tests/engine_matrix.rs` pins the error band
 //! against the exact tier and checks that relative latency ordering across
 //! Table-I shapes is preserved; `bench_sim` commits the speedup floor.
+//!
+//! Only plain power-of-two passes without colocated traffic have a closed
+//! form here. Every other request on the analytic tier (colocated
+//! traffic, fused passes, PEI, nCHO) runs the exact engine and reports
+//! exact cycles.
 
 use crate::config::SystemConfig;
 use crate::flow::{GemmContext, SimOptions};

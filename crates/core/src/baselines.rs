@@ -17,7 +17,7 @@
 
 use crate::config::SystemConfig;
 use crate::engine::{run_phase_auto, Step, TrafficCursor, UnitCursor};
-use crate::flow::{chain_pow2, with_fresh_backend, GemmContext, SimOptions};
+use crate::flow::{chain_pow2, fresh_memory, GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::{PimLevel, RegionPlan, StepStoneAgen};
@@ -43,9 +43,9 @@ pub fn simulate_pei(
     };
     chain_pow2(sys, spec, format!("PEI-{}", level.tag()), traffic, |sub, traffic| {
         let ctx = GemmContext::build(sys, sub, &opts);
-        with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
-            simulate_pei_engine(&mut ts, &mut bus, sys, &opts, tcur, &ctx)
-        })
+        let (mut ts, mut bus) = fresh_memory(sys);
+        let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
+        simulate_pei_engine(&mut ts, &mut bus, sys, &opts, tcur.as_mut(), &ctx)
     })
 }
 
@@ -152,9 +152,9 @@ pub fn simulate_ncho(
         // Context only provides the mapping/layout/partition algebra; nCHO
         // carves its own vector regions.
         let ctx = GemmContext::build(sys, sub, &opts);
-        with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
-            simulate_ncho_engine(&mut ts, &mut bus, sys, sub, &opts.level_cfg, tcur, &ctx)
-        })
+        let (mut ts, mut bus) = fresh_memory(sys);
+        let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
+        simulate_ncho_engine(&mut ts, &mut bus, sys, sub, &opts.level_cfg, tcur.as_mut(), &ctx)
     })
 }
 

@@ -107,11 +107,6 @@ impl SystemConfig {
         self
     }
 
-    pub fn with_agen(mut self, agen: AgenMode) -> Self {
-        self.agen = agen;
-        self
-    }
-
     pub fn with_validation(mut self) -> Self {
         self.validate = true;
         self

@@ -8,11 +8,9 @@
 //! backend stay approximately time-ordered while PIM units with disjoint
 //! bank partitions proceed concurrently.
 //!
-//! The engine core is generic over [`MemoryBackend`] — the exact
-//! [`TimingState`](stepstone_dram::TimingState) Table-II model by default,
-//! or the analytic fast tier — and everything monomorphizes, so the
-//! default path compiles to the same code as when `TimingState` was
-//! hardwired.
+//! The engine core is generic over [`MemoryBackend`], whose one
+//! implementor is the exact [`TimingState`](stepstone_dram::TimingState)
+//! Table-II model; everything monomorphizes to its inherent calls.
 //!
 //! The per-unit model implements the paper's pipeline semantics (§III-A,
 //! §V-C): a 20-deep execution pipeline hides DRAM and AGEN latency; the
@@ -547,20 +545,10 @@ impl<'a> UnitCursor<'a> {
         }
     }
 
-    /// A plain transfer stream (DMA, reductions): no compute, no launches.
-    pub fn transfer(
-        label: &'static str,
-        channel: u32,
-        port: Port,
-        steps: impl Iterator<Item = Step> + Send + 'a,
-        start: u64,
-        inter_block_gap: u64,
-    ) -> Self {
-        Self::transfer_source(label, channel, port, PlainSteps(steps), start, inter_block_gap)
-    }
-
-    /// [`UnitCursor::transfer`] over a [`StepSource`] (the DMA engine's
-    /// region interleave, whose round promises enable the periodic jump).
+    /// A transfer stream (DMA, reductions): no compute, no launches. Every
+    /// transfer cursor comes from [`crate::flow::transfer_cursors`], over
+    /// the DMA engine's region interleave, whose round promises enable the
+    /// periodic jump.
     pub(crate) fn transfer_source(
         label: &'static str,
         channel: u32,
@@ -860,10 +848,6 @@ impl<'a> UnitCursor<'a> {
             self.win_uniform = self.window_scope_uniform(scope) || self.window.is_empty();
         }
         e
-    }
-
-    pub fn is_done(&mut self) -> bool {
-        self.run_left == 0 && self.window.is_empty() && self.peek().is_none()
     }
 
     /// Desired time of the next command (scheduling key).
@@ -1260,10 +1244,7 @@ impl<'a> UnitCursor<'a> {
         };
         let mut tr = self.period.take().expect("periodic grant");
         let mut b = tr.spare.pop().unwrap_or_default();
-        if !ts.snapshot_channel(self.channel, &mut b.ch) {
-            // The backend cannot extrapolate: the grant lapses.
-            return false;
-        }
+        ts.snapshot_channel(self.channel, &mut b.ch);
         b.round = hint.done;
         b.width = hint.width;
         b.promise = hint.rounds;
@@ -1452,9 +1433,9 @@ impl<'a> TrafficCursor<'a> {
 /// O(log units) per step.
 ///
 /// The scheduling path follows from the phase's observable configuration
-/// alone: the span fast path and run-granular admission apply only on a
-/// backend that supports closed-form runs, with no colocated traffic, no
-/// refresh, no command trace, and every unit [`UnitCursor::exclusive`].
+/// alone: the span fast path and run-granular admission apply only with no
+/// colocated traffic, no refresh, no command trace, and every unit
+/// [`UnitCursor::exclusive`].
 /// Otherwise every block goes through the exact per-block FR-FCFS probe
 /// scan. Both paths produce identical results.
 pub fn run_phase<B: MemoryBackend>(
@@ -1493,8 +1474,7 @@ fn run_units<B: MemoryBackend>(
     // — `desired` already fills reorder windows. The fallback cause
     // explains the whole phase (precedence: traffic > refresh > trace >
     // other).
-    let fast = ts.supports_closed_form_runs()
-        && traffic.is_none()
+    let fast = traffic.is_none()
         && !ts.config().refresh
         && !ts.trace_enabled()
         && units.iter().all(|u| u.exclusive);

@@ -26,7 +26,7 @@ use stepstone_addr::{
     PagingConfig, PimLevel, RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping,
     BLOCK_BYTES, BLOCK_SHIFT,
 };
-use stepstone_dram::{BackendKind, CommandBus, MemoryBackend, Port, TrafficSource};
+use stepstone_dram::{BackendKind, CommandBus, MemoryBackend, Port, TimingState, TrafficSource};
 use stepstone_fabric::{FabricState, FabricStats, ReduceVia};
 use stepstone_pim::{
     BufferPlan, KernelGranularity, LocalizationMode, PimLevelConfig, TransferPlan,
@@ -109,33 +109,16 @@ pub(crate) fn chain_pow2(
     report
 }
 
-/// Evaluate `$body` over fresh per-pass state of `$sys`'s memory tier:
-/// `$ts` a new backend (the exact tier traced under `sys.trace`), `$bus` a
-/// new command bus, and `$tcur` a cursor over the optional colocated
-/// traffic `$traffic` from cycle `$t0`. The body is instantiated once per
-/// tier, so the exact tier keeps static dispatch.
-macro_rules! with_fresh_backend {
-    ($sys:expr, $traffic:expr, $t0:expr, |$ts:ident, $bus:ident, $tcur:ident| $body:expr) => {{
-        let sys: &$crate::config::SystemConfig = $sys;
-        let mut $bus = stepstone_dram::CommandBus::new(sys.dram.geom.channels as usize);
-        let mut cursor = $traffic.map(|t| $crate::engine::TrafficCursor::new(t, $t0));
-        let $tcur = cursor.as_mut();
-        match sys.backend {
-            stepstone_dram::BackendKind::Exact => {
-                let mut $ts = stepstone_dram::TimingState::new(sys.dram);
-                if sys.trace {
-                    $ts.enable_trace();
-                }
-                $body
-            }
-            stepstone_dram::BackendKind::Analytic => {
-                let mut $ts = stepstone_dram::AnalyticState::new(sys.dram);
-                $body
-            }
-        }
-    }};
+/// Fresh per-pass memory state of `sys`: a new exact timing state (traced
+/// under `sys.trace`) and a new command bus. Every engine-driven request
+/// runs on these, whatever `sys.backend` selects.
+pub(crate) fn fresh_memory(sys: &SystemConfig) -> (TimingState, CommandBus) {
+    let mut ts = TimingState::new(sys.dram);
+    if sys.trace {
+        ts.enable_trace();
+    }
+    (ts, CommandBus::new(sys.dram.geom.channels as usize))
 }
-pub(crate) use with_fresh_backend;
 
 /// Everything a [`GemmContext`] build consumes: the GEMM shape, the
 /// option fields that change the mapping analysis, buffer plan, span
@@ -1321,15 +1304,14 @@ fn subset_remap(ctx: &GemmContext, sys: &SystemConfig, opts: &SimOptions) -> Opt
 /// Simulate one power-of-two GEMM over a pre-built (possibly
 /// session-cached) context, starting at virtual time `t0`. `_mode` is
 /// ignored: [`ExecMode`] has the single `Streaming` variant, and the
-/// argument stays only so existing callers keep compiling. Dispatches on
-/// the system's memory-backend tier: `Exact` drives
-/// [`simulate_pow2_gemm_resident`] over a fresh cycle-exact timing state;
-/// `Analytic` uses the closed-form executor (`crate::analytic`), falling
-/// back to the engine over the analytic per-bank state when colocated
-/// traffic needs per-block scheduling. The report's cycle counts are *relative* to `t0` (latency,
-/// not absolute completion time), so a request simulated at any offset
-/// yields the same report as one at time zero when timing is
-/// shift-invariant (refresh disabled — the default).
+/// argument stays only so existing callers keep compiling. On the
+/// `Analytic` tier a request without colocated traffic takes the
+/// closed-form executor (`crate::analytic`); every other request drives
+/// [`simulate_pow2_gemm_resident`] over fresh exact timing state. The
+/// report's cycle counts are *relative* to `t0` (latency, not absolute
+/// completion time), so a request simulated at any offset yields the same
+/// report as one at time zero when timing is shift-invariant (refresh
+/// disabled — the default).
 pub fn simulate_pow2_gemm_ctx(
     sys: &SystemConfig,
     spec: &GemmSpec,
@@ -1344,9 +1326,9 @@ pub fn simulate_pow2_gemm_ctx(
     let mut report = if sys.backend == BackendKind::Analytic && traffic.is_none() {
         crate::analytic::execute_pow2_gemm(sys, spec, opts, ctx)
     } else {
-        with_fresh_backend!(sys, traffic, t0, |ts, bus, tcur| {
-            simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, &[ctx], t0)
-        })
+        let (mut ts, mut bus) = fresh_memory(sys);
+        let mut tcur = traffic.map(|t| TrafficCursor::new(t, t0));
+        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur.as_mut(), &[ctx], t0)
     };
     report.clock_hz = sys.dram.clock_hz;
     if sys.validate {

@@ -13,7 +13,8 @@
 
 use crate::config::SystemConfig;
 use crate::cpu::CpuModel;
-use crate::flow::{simulate_pow2_gemm_resident, with_fresh_backend, GemmContext, SimOptions};
+use crate::engine::TrafficCursor;
+use crate::flow::{fresh_memory, simulate_pow2_gemm_resident, GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::LatencyReport;
 use stepstone_addr::PimLevel;
@@ -125,9 +126,10 @@ pub fn simulate_gemm_fused(
         ctxs.push(ctx);
     }
     let ctxs: Vec<&GemmContext> = ctxs.iter().collect();
-    let mut report = with_fresh_backend!(sys, traffic, 0, |ts, bus, tcur| {
-        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur, &ctxs, 0)
-    });
+    let (mut ts, mut bus) = fresh_memory(sys);
+    let mut tcur = traffic.map(|t| TrafficCursor::new(t, 0));
+    let mut report =
+        simulate_pow2_gemm_resident(&mut ts, &mut bus, sys, opts, tcur.as_mut(), &ctxs, 0);
     report.backend = format!("STP-{}/fused", opts.level_cfg.level.tag());
     report.clock_hz = sys.dram.clock_hz;
     report

@@ -1,27 +1,27 @@
-//! The engine↔DRAM boundary: a pluggable memory-backend trait.
+//! The engine↔DRAM boundary: the memory-backend trait.
 //!
 //! [`MemoryBackend`] is cut at the exact surface the engine consumes from
-//! [`TimingState`] today — **execute-and-stall**, never latency-query. The
+//! [`TimingState`] — **execute-and-stall**, never latency-query. The
 //! engine asks the model to *perform* each access (or closed-form run) and
 //! learns when the data moved; it never asks "how long would this take?"
 //! and then advances its own clock. The DRAMsim3-integration postmortems
 //! that seeded this design (SNIPPETS.md) found latency-query interfaces
 //! over stateful memory models to be wrong by construction: the answer
 //! changes as soon as any other access commits. Every method here either
-//! commits state (`access`, `access_run_stream`, `adopt_channel`) or is an
-//! explicitly non-committing estimate used only for FR-FCFS front
-//! selection (`probe`).
+//! commits state (`access`, `access_run_stream`, `adopt_channel`,
+//! `extrapolate_channel`) or is an explicitly non-committing estimate used
+//! only for FR-FCFS front selection (`probe`).
 //!
-//! Implementors:
-//! * [`TimingState`] — the exact Table-II model (default; cycle-exact).
-//! * [`crate::analytic::AnalyticState`] — closed-form row-hit/row-miss
-//!   costing with O(1) state per bank/path, for design-space sweeps.
+//! The one implementor is [`TimingState`], the exact Table-II model. The
+//! analytic tier ([`BackendKind::Analytic`]) is not a second model behind
+//! this trait: it costs whole power-of-two GEMMs in closed form
+//! (`core::analytic`), and a request without a closed form runs the exact
+//! engine over a [`TimingState`].
 //!
-//! The trait deliberately keeps the generic-closure run-streaming methods
+//! The trait keeps the generic-closure run-streaming method
 //! (`access_run_stream` is generic over `F`, not `dyn FnMut`): the engine
-//! is generic over `B: MemoryBackend`, so everything monomorphizes and the
-//! default exact path compiles to the same code as before the trait
-//! existed.
+//! is generic over `B: MemoryBackend`, so everything monomorphizes to the
+//! inherent [`TimingState`] calls.
 
 use stepstone_addr::DramCoord;
 
@@ -35,9 +35,11 @@ pub enum BackendKind {
     /// The exact cycle-level Table-II model ([`TimingState`]).
     #[default]
     Exact,
-    /// The closed-form analytic fast model
-    /// ([`crate::analytic::AnalyticState`] plus the analytic GEMM executor
-    /// in `stepstone-core`).
+    /// The closed-form analytic executor in `stepstone-core`
+    /// (`core::analytic`): whole power-of-two GEMMs without colocated
+    /// traffic are costed in closed form; every other request (colocated
+    /// traffic, fused passes, PEI, nCHO) runs the exact engine and
+    /// reports exact cycles.
     Analytic,
 }
 
@@ -62,9 +64,7 @@ impl BackendKind {
 
 /// A DRAM timing model the engine can drive.
 ///
-/// Semantics contract (shared with [`TimingState`], which is the reference
-/// implementation — the analytic model is differentially validated against
-/// it by the workspace root's `tests/engine_matrix.rs`):
+/// Semantics contract ([`TimingState`] is the one implementor):
 ///
 /// * `access` commits one block and returns its [`BlockTiming`];
 ///   `probe` is the non-committing estimate of the same access's data
@@ -83,9 +83,9 @@ pub trait MemoryBackend: Clone + Send + Sync {
     fn stats(&self) -> &DramStats;
     fn stats_mut(&mut self) -> &mut DramStats;
 
-    /// Start recording issued commands (auditing); models without a
-    /// command stream keep this a no-op and report `trace_enabled(): false`
-    /// so the engine never takes trace-dependent paths.
+    /// Start recording issued commands (auditing). A traced model sends
+    /// the engine down its per-block path, whose command order is part of
+    /// the trace contract.
     fn enable_trace(&mut self);
     fn take_trace(&mut self) -> Option<CommandTrace>;
     fn trace_enabled(&self) -> bool;
@@ -126,32 +126,15 @@ pub trait MemoryBackend: Clone + Send + Sync {
     /// independently). Statistics are not adopted.
     fn adopt_channel(&mut self, other: &Self, ch: u32);
 
-    /// Whether the closed-form [`RunReply::Jump`] tail (PR 6's run-granular
-    /// fast path) is exact for this model. The engine's span/run fast paths
-    /// are *proved* against the exact model's FR-FCFS + steady-state
-    /// recurrence; a backend whose cost model breaks those proofs must
-    /// return `false` to force per-block execution.
-    fn supports_closed_form_runs(&self) -> bool {
-        true
-    }
-
     /// Copy channel `ch`'s timing state into `out` (see
     /// [`ChannelSnapshot`]), excluding statistics and refresh deadlines.
-    /// Returns `false` — the default — when the model cannot snapshot
-    /// and extrapolate channel state; the engine's periodic transfer jump
-    /// then stays off.
-    fn snapshot_channel(&self, _ch: u32, _out: &mut ChannelSnapshot) -> bool {
-        false
-    }
+    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot);
 
     /// Extrapolate channel `ch` by `k` further periods: every time field
     /// that differs from `earlier` (a snapshot of the same channel one
     /// period ago) advances by `k` times its difference; every other field
-    /// stays. Statistics are not touched. Only called after
-    /// [`MemoryBackend::snapshot_channel`] returned `true`.
-    fn extrapolate_channel(&mut self, _ch: u32, _earlier: &ChannelSnapshot, _k: u64) {
-        unreachable!("extrapolate_channel on a backend without channel snapshots")
-    }
+    /// stays. Statistics are not touched.
+    fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64);
 }
 
 /// One channel's timing state, split by how a uniform time shift acts on
@@ -250,9 +233,8 @@ impl MemoryBackend for TimingState {
         TimingState::adopt_channel(self, other, ch)
     }
 
-    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) -> bool {
-        TimingState::snapshot_channel(self, ch, out);
-        true
+    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) {
+        TimingState::snapshot_channel(self, ch, out)
     }
 
     fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64) {
@@ -293,7 +275,6 @@ mod tests {
         );
         assert_eq!((end_t, probe_t), (bt.data_end, probed));
         assert_eq!(via_trait.stats().reads, 1);
-        assert!(via_trait.supports_closed_form_runs());
         assert!(MemoryBackend::row_open(&via_trait, &c));
     }
 

@@ -12,8 +12,13 @@
 //! access computes its legal issue time from explicit constraint registers
 //! (the Ramulator approach), so simulating a multi-million-cycle GEMM costs
 //! microseconds per thousand blocks.
+//!
+//! [`TimingState`] is the one DRAM model: the engine drives it through
+//! [`MemoryBackend`], whose only implementor it is. The analytic tier
+//! ([`BackendKind::Analytic`]) is a closed-form GEMM executor in
+//! `stepstone-core`, not a second timing model; requests it has no closed
+//! form for run the exact engine over a [`TimingState`].
 
-pub mod analytic;
 pub mod audit;
 pub mod backend;
 pub mod cmdbus;
@@ -22,7 +27,6 @@ pub mod memory;
 pub mod timing;
 pub mod traffic;
 
-pub use analytic::AnalyticState;
 pub use audit::{CmdKind, CmdRecord, CommandTrace};
 pub use backend::{BackendKind, ChannelSnapshot, MemoryBackend};
 pub use cmdbus::CommandBus;

@@ -95,11 +95,6 @@ impl SparseMem {
             self.write_f32(pa + 4 * i as u64, *v);
         }
     }
-
-    /// Read `n` f32 values starting at `pa`.
-    pub fn read_f32_vec(&self, pa: u64, n: usize) -> Vec<f32> {
-        (0..n).map(|i| self.read_f32(pa + 4 * i as u64)).collect()
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,9 @@
 //! (the transfer phases' verified periodic jumps).
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
-//!         [--backend=exact|analytic] [--preset=ddr4|ddr5|lpddr5|hbm2]`
-//! (defaults to 2048 2048 64 at StepStone-BG on the exact DDR4 tier).
+//!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
+//! (defaults to 2048 2048 64 at StepStone-BG on DDR4). The engine always
+//! drives the exact timing model.
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
@@ -17,20 +18,14 @@ use stepstone_core::engine::{
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
-use stepstone_dram::{
-    AnalyticState, BackendKind, CommandBus, DramConfig, MemoryBackend, TimingState,
-};
+use stepstone_dram::{CommandBus, DramConfig, MemoryBackend, TimingState};
 
 fn main() {
     let mut dims: Vec<usize> = Vec::new();
-    let mut backend = BackendKind::Exact;
     let mut dram = DramConfig::default();
     let mut preset = "ddr4".to_string();
     for arg in std::env::args().skip(1) {
-        if let Some(name) = arg.strip_prefix("--backend=") {
-            backend = BackendKind::by_name(name)
-                .unwrap_or_else(|| panic!("unknown backend '{name}' (exact|analytic)"));
-        } else if let Some(name) = arg.strip_prefix("--preset=") {
+        if let Some(name) = arg.strip_prefix("--preset=") {
             dram = DramConfig::by_name(name)
                 .unwrap_or_else(|| panic!("unknown preset '{name}' (ddr4|ddr5|lpddr5|hbm2)"));
             preset = name.to_string();
@@ -40,17 +35,13 @@ fn main() {
     }
     let (m, k, n) =
         if dims.len() == 3 { (dims[0], dims[1], dims[2]) } else { (2048, 2048, 64) };
-    let sys = SystemConfig { parallel: false, ..SystemConfig::default() }
-        .with_backend(backend)
-        .with_dram(dram);
-    println!("backend {} on {preset} ({} MHz)", backend.name(), dram.clock_hz / 1_000_000);
-    match sys.backend {
-        BackendKind::Exact => profile(&mut TimingState::new(sys.dram), &sys, m, k, n),
-        BackendKind::Analytic => profile(&mut AnalyticState::new(sys.dram), &sys, m, k, n),
-    }
+    let sys = SystemConfig { parallel: false, ..SystemConfig::default() }.with_dram(dram);
+    println!("{preset} ({} MHz)", dram.clock_hz / 1_000_000);
+    profile(&sys, m, k, n);
 }
 
-fn profile<B: MemoryBackend>(ts: &mut B, sys: &SystemConfig, m: usize, k: usize, n: usize) {
+fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize) {
+    let ts = &mut TimingState::new(sys.dram);
     let spec = GemmSpec::new(m, k, n);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
     let ctx = GemmContext::build(sys, &spec, &opts);

@@ -33,10 +33,12 @@ use stepstone_core::engine::{
 };
 use stepstone_core::flow::{transfer_cursors, KernelStream};
 use stepstone_core::{
-    simulate_gemm_opt, FabricConfig, GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia,
-    SimOptions, SystemConfig, TopologyKind,
+    simulate_gemm_fused, simulate_gemm_opt, simulate_ncho, simulate_pei, FabricConfig,
+    GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig,
+    TopologyKind,
 };
 use stepstone_dram::{BackendKind, CommandBus, DramConfig, MemoryBackend, TimingState};
+use stepstone_workloads::SyntheticTraffic;
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
     assert_eq!(a.total, b.total, "{what}: total cycles");
@@ -109,9 +111,38 @@ fn matrix_parallel_trace_refresh_match_frozen_seed() {
 /// documented error band (0.5×–2× of exact, see `core::analytic`) and must
 /// preserve the *relative latency ordering* of the workload shapes, which
 /// is what the fast tier is for (design-space pruning, not cycle returns).
+///
+/// Routing: the analytic tier costs only plain power-of-two passes in
+/// closed form. Colocated traffic, fused passes, PEI and nCHO have no
+/// closed form, so on the analytic system they run the exact engine and
+/// return the exact system's report.
 #[test]
 fn matrix_backend_tiers_exact_and_analytic() {
     let _serial = counter_lock();
+    let exact_sys = SystemConfig::default();
+    let analytic_sys = exact_sys.clone().with_backend(BackendKind::Analytic);
+    let level = PimLevel::BankGroup;
+    let opts = SimOptions::stepstone(level);
+    let spec = GemmSpec::new(256, 1024, 2);
+    let traffic = |sys: &SystemConfig| {
+        let mut t = SyntheticTraffic::spec_mix(7, 2000);
+        simulate_gemm_opt(sys, &spec, &opts, Some(&mut t))
+    };
+    let fused_spec = GemmSpec::new(384, 1024, 2);
+    type Request<'a> = (&'a str, &'a dyn Fn(&SystemConfig) -> LatencyReport);
+    let routed: [Request; 4] = [
+        ("colocated traffic", &traffic),
+        ("fused", &|sys| simulate_gemm_fused(sys, &fused_spec, &opts, None)),
+        ("PEI", &|sys| simulate_pei(sys, &spec, level, None)),
+        ("nCHO", &|sys| simulate_ncho(sys, &spec, level, None)),
+    ];
+    for (what, run) in routed {
+        let exact = run(&exact_sys);
+        assert_reports_equal(&run(&analytic_sys), &exact, &format!("analytic {what}"));
+    }
+    let plain = |sys: &SystemConfig| simulate_gemm_opt(sys, &spec, &opts, None).total;
+    assert_ne!(plain(&analytic_sys), plain(&exact_sys), "a plain pass takes the closed form");
+
     // Table-I-flavored shapes (scaled to test budget), distinct enough to
     // have a meaningful latency order.
     let shapes: &[(usize, usize, usize)] = &[(256, 1024, 2), (512, 2048, 4), (1024, 4096, 4)];
@@ -358,6 +389,7 @@ fn matrix_covers_subset_and_echo_program_shapes() {
 /// must match the frozen seed's phase ends, total and DRAM counters.
 #[test]
 fn matrix_transfer_jump_matches_frozen_seed() {
+    let _serial = counter_lock();
     let spec = GemmSpec::new(512, 512, 32);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
     let base = SystemConfig { parallel: false, ..SystemConfig::default() };
