@@ -16,10 +16,12 @@ doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # The engine equivalence matrix (the observable scheduling arms — serial,
-# parallel, traced, refresh, subset, the periodic transfer jump — x
-# {backend, reduce-via, paging} vs the frozen seed), the transfer-jump
+# parallel, traced, refresh, subset, the periodic transfer and kernel jumps
+# — x {backend, reduce-via, paging} vs the frozen seed), the transfer-jump
 # differential suite (channel-private localization/reduction phases vs a
-# traced reference), the window-successor differential suite, and the
+# traced reference), the kernel-jump differential suite (exclusive kernel
+# phases vs a promise-free and a traced reference), the window-successor
+# differential suite, and the
 # fabric conformance proptests (conservation, per-link FIFO, ring==line
 # degeneracy, input-order invariance, reduce determinism), release-mode —
 # the all-or-nothing gating paths the debug tier-1 run also covers, minus
@@ -27,6 +29,7 @@ doc:
 matrix:
 	cargo test --release -p stepstone --test engine_matrix -q
 	cargo test --release -p stepstone-core --test transfer_jump -q
+	cargo test --release -p stepstone-core --test kernel_jump -q
 	cargo test --release -p stepstone-addr --test window_successor -q
 	cargo test --release -p stepstone-fabric -q
 

@@ -24,12 +24,12 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, ChannelSnapshot, CommandBus, DramStats, MemoryBackend, Port, RunReply, TrafficSource,
+    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, Scope, Snapshot, TrafficSource,
 };
 
 /// Fallback-cause indices for [`RunStats::fallback`] /
 /// [`RunCounters::fallback`]: why a block was not covered by an admitted
-/// hinted run (blocks of a periodic transfer jump count here too).
+/// hinted run.
 pub const FB_REFRESH: usize = 0;
 pub const FB_ROW: usize = 1;
 pub const FB_TRACE: usize = 2;
@@ -52,9 +52,9 @@ pub struct RunStats {
     /// of length `2^i ..= 2^(i+1) - 1`, saturating in the last bucket.
     pub hist: [u64; 16],
     /// Blocks not covered by an admitted hinted run, by the cause that
-    /// kept them out (`FB_*` indices). Blocks a periodic transfer jump
-    /// issues in closed form count here as well: they are not admitted
-    /// runs.
+    /// kept them out (`FB_*` indices). A periodic jump keeps the per-block
+    /// accounting of the blocks it issues in closed form, so they count
+    /// here (or as runs) exactly as if issued one by one.
     pub fallback: [u64; 5],
 }
 
@@ -198,8 +198,10 @@ impl SubsetRemap {
 /// skipped entries from the anchor, so a source honoring the contract is
 /// cycle-exact with the per-block path by construction.
 ///
-/// `round_hint` and `skip_rounds` describe round-robin sources (the DMA
-/// engine's region interleave): see [`RoundHint`].
+/// `round_hint`, `skip_rounds`, `round_keys` and `cost_back` describe
+/// periodic sources — the DMA engine's region interleave (a round is one
+/// block per region) and the kernel A-walk (a round is one AGEN span): see
+/// [`RoundHint`].
 pub trait StepSource: Iterator<Item = Step> {
     fn run_hint(&self) -> u64 {
         1
@@ -218,10 +220,26 @@ pub trait StepSource: Iterator<Item = Step> {
         Err(u64::MAX)
     }
 
-    /// Skip `n` whole rounds without yielding them. Only callable at a
-    /// round boundary for rounds the current [`RoundHint::rounds`] covers.
-    fn skip_rounds(&mut self, _n: u64) {
+    /// Skip `n` whole rounds without yielding them, and return their
+    /// exact AGEN charges (a bubble is a block charged more than
+    /// `bubble_over` iterations). Only callable at a round boundary for
+    /// rounds the current [`RoundHint::rounds`] covers.
+    fn skip_rounds(&mut self, _n: u64, _bubble_over: u64) -> Skipped {
         unreachable!("skip_rounds on a source without round promises")
+    }
+
+    /// `(address, write)` of the first block of each distinct window key
+    /// in the round just completed, in order. Every promised round repeats
+    /// those keys block by block, so they name all the banks it touches.
+    /// Sources whose stream holds its channel alone leave it empty.
+    fn round_keys(&self, _out: &mut Vec<(u64, bool)>) {}
+
+    /// AGEN iterations charged to the block pulled `back` pulls before the
+    /// current position (0 = the latest), when the source still knows:
+    /// at a round boundary, for blocks of recent rounds as long as the
+    /// round just completed.
+    fn cost_back(&self, _back: u64) -> Option<u32> {
+        None
     }
 }
 
@@ -238,24 +256,62 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
         (**self).round_hint(min_rounds)
     }
 
-    fn skip_rounds(&mut self, n: u64) {
-        (**self).skip_rounds(n)
+    fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+        (**self).skip_rounds(n, bubble_over)
+    }
+
+    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
+        (**self).round_keys(out)
+    }
+
+    fn cost_back(&self, back: u64) -> Option<u32> {
+        (**self).cost_back(back)
     }
 }
 
-/// What a round-robin source promises at a round boundary, where every
-/// active stream (region) has yielded its block of the round.
+/// What a periodic source promises at a round boundary: for a
+/// round-robin transfer, where every active stream (region) has yielded
+/// its block of the round; for a kernel A-walk, where an AGEN span ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoundHint {
     /// Rounds completed so far (skipped rounds included).
     pub done: u64,
-    /// Active streams, i.e. blocks per round.
+    /// Blocks per round: active streams, or the span length.
     pub width: u64,
-    /// Upcoming full rounds in which every active stream yields one
-    /// `Step::Access` with the window key — (bank, row, direction) — of
-    /// its block in the round just completed, the same category and
-    /// compute flag, at one AGEN iteration.
+    /// Upcoming full rounds whose blocks each repeat their counterpart in
+    /// the round just completed: a `Step::Access` with the same window key
+    /// — (bank, row, direction) — category, compute flag and run hints.
     pub rounds: u64,
+    /// The largest AGEN charge of any block of those rounds (every block
+    /// but a span's first costs one iteration).
+    pub max_iters: u32,
+}
+
+/// The exact AGEN charges of rounds a source skipped
+/// ([`StepSource::skip_rounds`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Skipped {
+    pub blocks: u64,
+    /// AGEN iterations over the skipped blocks.
+    pub iters: u64,
+    /// The largest single-block charge.
+    pub max_iters: u32,
+    /// Blocks charged more than the caller's bubble threshold.
+    pub bubbles: u64,
+}
+
+impl Skipped {
+    /// Account `n` blocks charged `iters` iterations each.
+    pub fn add(&mut self, n: u64, iters: u32, bubble_over: u64) {
+        self.blocks += n;
+        self.iters += n * iters as u64;
+        if n > 0 {
+            self.max_iters = self.max_iters.max(iters);
+        }
+        if iters as u64 > bubble_over {
+            self.bubbles += n;
+        }
+    }
 }
 
 /// Adapter giving any step iterator the trivial (hint-free) source shape.
@@ -284,6 +340,9 @@ struct WinEntry {
     /// entry (probe times are nondecreasing along the window) and the span
     /// fast path applies.
     key: u64,
+    /// Pull index (the unit's `pulls` when it was pulled, wrapping): its
+    /// distance back from the source position names its AGEN charge.
+    seq: u32,
 }
 
 /// Round-boundary snapshots kept for the periodic jump: at most this many
@@ -298,15 +357,98 @@ const PERIOD_HISTORY: usize = 4;
 /// paper-shape region.
 const MIN_SNAPSHOT_ROUNDS: u64 = 32;
 
+/// The same floor for a kernel A-walk: a stretch must promise this many
+/// spans, and a fresh one this many blocks. A kernel's snapshots cost
+/// about as much as 10–20 blocks of per-block work, and a stretch settles
+/// once the reorder window holds only its blocks (up to four spans), so
+/// shorter stretches would not pay them back: StepStone-BG walks of
+/// Table-I shapes hold one key for 32–64 blocks, DV walks for 64–128.
+const MIN_SNAPSHOT_SPANS: u64 = 8;
+const MIN_SNAPSHOT_BLOCKS: u64 = 48;
+
+/// Pull bases a unit remembers ([`UnitCursor::charge_agen`]): a kernel
+/// jump's verified period spans at most this many blocks.
+const PULL_BASES: usize = 32;
+
 /// How a unit field behaves under the periodic jump.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Field {
     /// A time: shifts with the stream.
     Time,
+    /// The AGEN stamp of the block pulled this many pulls back (the AGEN
+    /// clock is the latest pull's): a time on a transfer stream; on a
+    /// kernel stream, whose span heads cost 1–2 iterations in no periodic
+    /// pattern, a stamp the jump rebuilds instead (see
+    /// [`UnitCursor::try_period_jump`]).
+    Gen(u64),
+    /// The SIMD completion time of the block issued this many issues
+    /// before the oldest still in flight: a time, unless the pipeline
+    /// cannot bind a kernel stream, when the jump recomputes it instead
+    /// (see [`UnitCursor::simd_settled`]).
+    Done(usize),
     /// Identity (window keys, lengths, flags): must repeat verbatim.
     Id,
-    /// An accumulator: grows by the same amount every period.
-    Count,
+}
+
+/// A unit's accumulators: each grows by the same amount every period of
+/// a verified periodic stream. (The AGEN charges are not among them: a
+/// jump takes those from the source, [`Skipped`].)
+#[derive(Debug, Default, Clone, Copy)]
+struct Counts {
+    scratch_accesses: u64,
+    simd_ops: u64,
+    launches: u64,
+    cat_cycles: [u64; 8],
+    run: RunStats,
+    /// The DRAM statistics of the unit's own blocks.
+    own: DramStats,
+}
+
+impl Counts {
+    fn of(u: &UnitCursor) -> Self {
+        Self {
+            scratch_accesses: u.scratch_accesses,
+            simd_ops: u.simd_ops,
+            launches: u.launches,
+            cat_cycles: u.cat_cycles,
+            run: u.run_stats,
+            own: u.own_stats,
+        }
+    }
+
+    /// Set `u`'s accumulators to `self + k·(self − a)`: `k` more periods
+    /// that each add what the period from `a` to `self` added.
+    fn extrapolate_into(&self, a: &Counts, k: u64, u: &mut UnitCursor) {
+        let ext = |b: u64, a: u64| b + k * (b - a);
+        let ext_all = |b: &mut [u64], a: &[u64]| {
+            b.iter_mut().zip(a).for_each(|(b, &a)| *b = ext(*b, a));
+        };
+        let (mut run, mut own) = (self.run, self.own);
+        u.scratch_accesses = ext(self.scratch_accesses, a.scratch_accesses);
+        u.simd_ops = ext(self.simd_ops, a.simd_ops);
+        u.launches = ext(self.launches, a.launches);
+        u.cat_cycles = self.cat_cycles;
+        ext_all(&mut u.cat_cycles, &a.cat_cycles);
+        run.runs = ext(run.runs, a.run.runs);
+        run.run_blocks = ext(run.run_blocks, a.run.run_blocks);
+        ext_all(&mut run.hist, &a.run.hist);
+        ext_all(&mut run.fallback, &a.run.fallback);
+        for (b, a) in [
+            (&mut own.reads, a.own.reads),
+            (&mut own.writes, a.own.writes),
+            (&mut own.acts, a.own.acts),
+            (&mut own.row_hits, a.own.row_hits),
+            (&mut own.row_misses, a.own.row_misses),
+            (&mut own.data_cycles, a.own.data_cycles),
+            (&mut own.refreshes, a.own.refreshes),
+        ] {
+            *b = ext(*b, a);
+        }
+        ext_all(&mut own.reads_by_port, &a.own.reads_by_port);
+        ext_all(&mut own.writes_by_port, &a.own.writes_by_port);
+        u.run_stats = run;
+        u.own_stats = own;
+    }
 }
 
 /// One round-boundary snapshot of a unit on the periodic path.
@@ -319,11 +461,16 @@ struct RoundSnap {
     promise: u64,
     /// The unit's not-before: nothing issues earlier from here on.
     not_before: u64,
-    /// Unit times and identity fields (with the channel's dead gap).
-    unit: ChannelSnapshot,
-    counts: Vec<u64>,
-    /// The unit's channel.
-    ch: ChannelSnapshot,
+    /// Unit times and identity fields (with the memory's dead gap).
+    unit: Snapshot,
+    counts: Counts,
+    /// A transfer's channel, or a kernel's partition: the banks of `keys`
+    /// and the unit's datapath.
+    mem: Snapshot,
+    /// A kernel round's distinct window keys, decoded, and the addresses
+    /// they come from.
+    keys: Vec<DramCoord>,
+    pas: Vec<(u64, bool)>,
 }
 
 /// Per-phase state of the periodic jump for one unit.
@@ -333,6 +480,19 @@ struct PeriodTracker {
     history: VecDeque<RoundSnap>,
     /// Recycled snapshot buffers.
     spare: Vec<RoundSnap>,
+    /// Reused buffers: a kernel jump's AGEN charges, in visit order, and its SIMD
+    /// completions.
+    costs: Vec<u32>,
+    done: Vec<u64>,
+    /// End of promise (in rounds) of the kernel stretch being worked on,
+    /// and how many stretches in a row were too short to start on.
+    stretch_end: u64,
+    declined: u32,
+    /// Snapshots of the current kernel stretch that matched no earlier
+    /// one. The first three are a round apart, and each later one waits
+    /// twice as long as the last (up to 8 rounds), so a stretch that does
+    /// not settle costs few snapshots.
+    misses: u32,
 }
 
 /// Execution state of one unit.
@@ -378,6 +538,10 @@ pub struct UnitCursor<'a> {
     /// [`UnitCursor::try_period_jump`]) with its round-boundary history;
     /// `None` when not granted.
     period: Option<Box<PeriodTracker>>,
+    /// Blocks taken from the source so far: pulled, or skipped by an
+    /// admitted run or a periodic jump (window entries' `seq` counts
+    /// these).
+    pulls: u64,
     /// Issues (one pull each) left before the source's round promise is
     /// worth asking for again.
     round_wait: u64,
@@ -385,6 +549,10 @@ pub struct UnitCursor<'a> {
     /// are pending (`count_own`): the backend's are shared across channels
     /// in the serial engine, so a period's increments are taken from these.
     own_stats: DramStats,
+    /// The AGEN start (stamp minus charge) of recent pulls, by pull index
+    /// modulo the ring size, also kept while snapshots are pending: a
+    /// kernel jump rebuilds its stamps from the last verified period's.
+    pull_bases: [u64; PULL_BASES],
     count_own: bool,
     /// Periods of a verified periodic stream issued in closed form.
     pub jumped_periods: u64,
@@ -507,8 +675,10 @@ impl<'a> UnitCursor<'a> {
             fast: false,
             fallback_cause: FB_OTHER as u8,
             period: None,
+            pulls: 0,
             round_wait: 0,
             own_stats: DramStats::default(),
+            pull_bases: [0; PULL_BASES],
             count_own: false,
             jumped_periods: 0,
             jumped_blocks: 0,
@@ -598,7 +768,7 @@ impl<'a> UnitCursor<'a> {
             match self.peek() {
                 Some(Step::Access { pa, write, cat, agen_iters, compute }) => {
                     self.peeked = None;
-                    self.gen_clock = self.gen_clock.max(self.not_before) + agen_iters as u64;
+                    self.charge_agen(self.pulls, agen_iters as u64);
                     self.agen_iter_sum += agen_iters as u64;
                     self.agen_iter_max = self.agen_iter_max.max(agen_iters);
                     if agen_iters as u64 > self.burst_window {
@@ -616,11 +786,7 @@ impl<'a> UnitCursor<'a> {
                         "unit '{}' issued a cross-channel access (pa {pa:#x})",
                         self.label
                     );
-                    let computed_key = || {
-                        (coord.bank_index(mapping.geometry()) as u64) << 33
-                            | (coord.row as u64) << 1
-                            | write as u64
-                    };
+                    let computed_key = || window_key(mapping, &coord, write);
                     let hinted = !run_first && self.hint_left > 0;
                     let key = if hinted {
                         debug_assert_eq!(
@@ -649,8 +815,16 @@ impl<'a> UnitCursor<'a> {
                             self.win_uniform = self.win_uniform && (key ^ b.key) & scope == 0;
                         }
                     }
-                    let entry =
-                        WinEntry { coord, write, cat, compute, gen_ready: self.gen_clock, key };
+                    let entry = WinEntry {
+                        coord,
+                        write,
+                        cat,
+                        compute,
+                        gen_ready: self.gen_clock,
+                        key,
+                        seq: self.pulls as u32,
+                    };
+                    self.pulls += 1;
                     self.window.push_back(entry);
                     // Run-granular admission: a fresh hint promising more
                     // same-key blocks lets the source skip them wholesale;
@@ -662,6 +836,7 @@ impl<'a> UnitCursor<'a> {
                             debug_assert!(skipped <= self.hint_left, "over-skip");
                             self.hint_left -= skipped;
                             self.run_left = skipped;
+                            self.pulls += skipped;
                             self.run_anchor = Some(entry);
                             // The anchor itself is a real pull; only the
                             // synthesized followers pushed after it count
@@ -702,8 +877,11 @@ impl<'a> UnitCursor<'a> {
     #[inline]
     fn synth_follower(&mut self, scope: u64) {
         let anchor = self.run_anchor.expect("admitted run has an anchor");
+        // The skipped blocks were counted at admission: this follower is
+        // the `run_left`-th from their end.
+        let ix = self.pulls - self.run_left;
         self.run_left -= 1;
-        self.gen_clock = self.gen_clock.max(self.not_before) + 1;
+        self.charge_agen(ix, 1);
         self.agen_iter_sum += 1;
         self.agen_iter_max = self.agen_iter_max.max(1);
         if 1 > self.burst_window {
@@ -715,7 +893,7 @@ impl<'a> UnitCursor<'a> {
                 self.win_uniform = self.win_uniform && (anchor.key ^ b.key) & scope == 0;
             }
         }
-        self.window.push_back(WinEntry { gen_ready: self.gen_clock, ..anchor });
+        self.window.push_back(WinEntry { gen_ready: self.gen_clock, seq: ix as u32, ..anchor });
         self.win_synth += 1;
     }
 
@@ -803,6 +981,13 @@ impl<'a> UnitCursor<'a> {
         let kd = k * d;
         let last_cas = bt.cas_at + kd;
         let last_data_end = bt.data_end + kd;
+        if self.count_own {
+            // Follower `i` of the jump starts its AGEN at the CAS before it.
+            let first = self.pulls - self.run_left;
+            for i in k.saturating_sub(PULL_BASES as u64)..k {
+                self.pull_bases[((first + i) % PULL_BASES as u64) as usize] = bt.cas_at + i * d;
+            }
+        }
         self.run_left -= k;
         // After issuing the last follower: one AGEN tick past the
         // previous block's CAS.
@@ -826,6 +1011,18 @@ impl<'a> UnitCursor<'a> {
         self.cat_cycles[cur.cat.index()] += kd;
         self.clock += kd;
         self.end_time = self.end_time.max(last_data_end).max(self.simd_free);
+    }
+
+    /// Charge the AGEN for the pull with index `ix`, costing `iters`: it
+    /// starts once the AGEN is free and the last issue is done. While
+    /// snapshots are pending, that start is remembered.
+    #[inline]
+    fn charge_agen(&mut self, ix: u64, iters: u64) {
+        let base = self.gen_clock.max(self.not_before);
+        if self.count_own {
+            self.pull_bases[(ix % PULL_BASES as u64) as usize] = base;
+        }
+        self.gen_clock = base + iters;
     }
 
     /// Remove window entry `ix`, restoring the uniformity flag when the
@@ -948,7 +1145,7 @@ impl<'a> UnitCursor<'a> {
         let kind = if e.write { CasKind::Write } else { CasKind::Read };
         let bt = ts.access(e.coord, kind, self.port, nb);
         if self.count_own {
-            self.own_stats.count_block(kind, self.port, &bt);
+            self.own_stats.count_blocks(kind, self.port, &bt, 1);
         }
         self.finish_block(&e, bt);
     }
@@ -1035,27 +1232,26 @@ impl<'a> UnitCursor<'a> {
     /// tRRD/tFAW windows), refresh, kernel launches on the command bus,
     /// FR-FCFS probes of a mixed window — still waits for its exact
     /// scheduler turn, so results stay bit-identical to the per-block path.
+    ///
+    /// Under the periodic-jump grant, the source's round promise is
+    /// checked whenever it is due (see `UnitCursor::try_period_jump`):
+    /// `desired` or the batch loop has just refilled the window, so at a
+    /// round boundary the source and the window hold the state a period
+    /// compares. Every issue is followed by one pull, so the wait counts
+    /// issues.
     pub fn advance_batch<B: MemoryBackend>(
         &mut self,
         ts: &mut B,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
-        if !self.fast {
-            // `desired` has just filled the window: at a round boundary
-            // the source and the window hold the state a period compares.
-            // Every issue is followed by one pull, so the wait counts
-            // issues.
-            if self.period.is_some() {
-                self.round_wait = self.round_wait.saturating_sub(1);
-                if self.round_wait == 0 && self.try_period_jump(ts) {
-                    return;
-                }
-            }
-            self.advance_one(ts, bus, mapping);
+        if self.period_due() && self.try_period_jump(ts, mapping) {
             return;
         }
         self.advance_one(ts, bus, mapping);
+        if !self.fast {
+            return;
+        }
         let scope = scope_mask(mapping);
         loop {
             self.fill_window(mapping);
@@ -1070,6 +1266,11 @@ impl<'a> UnitCursor<'a> {
             if !self.win_uniform || !ts.row_open(&front.coord) {
                 return;
             }
+            // The previous issue's promise check (a unit leaving above
+            // takes it at the top of its next turn).
+            if self.period_due() && self.try_period_jump(ts, mapping) {
+                continue;
+            }
             let e0 = self.take_entry(0, scope);
             let kind = if e0.write { CasKind::Write } else { CasKind::Read };
             let nb = self.issue_nb(e0.gen_ready);
@@ -1082,6 +1283,9 @@ impl<'a> UnitCursor<'a> {
                     // one (`bt` is the last jumped block's timing).
                     jumped = false;
                 } else {
+                    if self.count_own {
+                        self.own_stats.count_blocks(kind, self.port, &bt, 1);
+                    }
                     self.finish_block(&cur, bt);
                 }
                 // Frozen-window streaming: once the whole window consists
@@ -1099,12 +1303,21 @@ impl<'a> UnitCursor<'a> {
                     let anchor = self.run_anchor.as_ref().expect("admitted run has an anchor");
                     if cur.key == anchor.key {
                         if let Some((k, d)) = self.jump_len(&cur, bt, step) {
+                            if self.count_own {
+                                // Each jumped block is a steady row hit
+                                // with `bt`'s burst.
+                                let hit =
+                                    stepstone_dram::BlockTiming { row_hit: true, acts: 0, ..bt };
+                                self.own_stats.count_blocks(kind, self.port, &hit, k);
+                            }
                             self.jump_followers(&cur, bt, k, d);
+                            self.round_wait = self.round_wait.saturating_sub(k);
                             jumped = true;
                             return RunReply::Jump { count: k, d };
                         }
+                        self.charge_agen(self.pulls - self.run_left, 1);
                         self.run_left -= 1;
-                        self.gen_clock = self.gen_clock.max(self.not_before) + 1;
+                        self.round_wait = self.round_wait.saturating_sub(1);
                         self.agen_iter_sum += 1;
                         if 1 > self.burst_window {
                             self.agen_bubbles += 1;
@@ -1134,6 +1347,14 @@ impl<'a> UnitCursor<'a> {
                 if front.key != cur.key || !self.win_uniform {
                     return RunReply::End;
                 }
+                // A due promise check ends the run: the outer loop takes
+                // it on committed memory state.
+                if self.period.is_some() {
+                    if self.round_wait <= 1 {
+                        return RunReply::End;
+                    }
+                    self.round_wait -= 1;
+                }
                 cur = self.take_entry(0, scope);
                 let nb = self.issue_nb(cur.gen_ready);
                 RunReply::Block(cur.coord, nb)
@@ -1141,28 +1362,46 @@ impl<'a> UnitCursor<'a> {
         }
     }
 
+    /// Count one issue against the wait for the source's next round
+    /// promise; true when the promise is due now.
+    #[inline]
+    fn period_due(&mut self) -> bool {
+        if self.period.is_none() {
+            return false;
+        }
+        self.round_wait = self.round_wait.saturating_sub(1);
+        self.round_wait == 0
+    }
+
+    /// Pulls since window entry `e` was pulled (0 = the latest pull).
+    #[inline]
+    fn back(&self, e: &WinEntry) -> u64 {
+        (self.pulls as u32).wrapping_sub(e.seq).wrapping_sub(1) as u64
+    }
+
     /// Visit every field the periodic jump compares or moves, in one fixed
-    /// order: the unit's times, its identity fields, and its accumulators
-    /// (its own blocks' DRAM statistics included).
+    /// order: the unit's times, AGEN stamps and SIMD completions, and its
+    /// identity fields. Its accumulators are [`Counts`].
     fn visit_period_state(&mut self, f: &mut impl FnMut(Field, &mut u64)) {
-        let own = &mut self.own_stats;
-        use Field::{Count, Id, Time};
+        use Field::{Done, Gen, Id, Time};
         for t in [
-            &mut self.gen_clock,
             &mut self.not_before,
             &mut self.simd_free,
             &mut self.launch_avail,
             &mut self.launch_req,
             &mut self.clock,
             &mut self.end_time,
-        ]
-        .into_iter()
-        .chain(&mut self.inflight)
-        {
+        ] {
             f(Time, t);
         }
+        for (t, v) in self.inflight.iter_mut().enumerate() {
+            f(Done(t), v);
+        }
+        f(Gen(0), &mut self.gen_clock);
+        let pulls = self.pulls as u32;
         for e in &mut self.window {
-            f(Time, &mut e.gen_ready);
+            let back = pulls.wrapping_sub(e.seq).wrapping_sub(1) as u64;
+            f(Gen(back), &mut e.gen_ready);
             for mut v in [e.key, (e.cat.index() as u64) << 1 | e.compute as u64] {
                 f(Id, &mut v);
             }
@@ -1176,66 +1415,66 @@ impl<'a> UnitCursor<'a> {
             self.win_synth as u64,
             self.win_uniform as u64,
             self.pending_kernel_start as u64,
-            self.agen_iter_max as u64,
         ] {
             f(Id, &mut v);
         }
-        for c in [
-            &mut self.agen_iter_sum,
-            &mut self.agen_bubbles,
-            &mut self.scratch_accesses,
-            &mut self.simd_ops,
-            &mut self.launches,
-            &mut self.run_stats.runs,
-            &mut self.run_stats.run_blocks,
-            &mut own.reads,
-            &mut own.writes,
-            &mut own.acts,
-            &mut own.row_hits,
-            &mut own.row_misses,
-            &mut own.data_cycles,
-            &mut own.refreshes,
-        ]
-        .into_iter()
-        .chain(&mut self.cat_cycles)
-        .chain(&mut self.run_stats.hist)
-        .chain(&mut self.run_stats.fallback)
-        .chain(&mut own.reads_by_port)
-        .chain(&mut own.writes_by_port)
-        {
-            f(Count, c);
-        }
     }
 
-    /// The periodic jump of a transfer stream alone on its channel.
+    /// The periodic jump of a transfer stream alone on its channel, or of
+    /// an exclusive kernel unit over an A-walk stretch.
     ///
-    /// Called before a per-block issue under the scheduler's grant (no
-    /// other unit on the channel, no colocated traffic, refresh, or trace)
-    /// whenever the source's round promise is due; returns whether it
-    /// jumped.
+    /// Called before a per-block issue under the scheduler's grant (a
+    /// transfer alone on its channel, or a kernel on the fast path without
+    /// a subset remap; no colocated traffic, refresh, or trace) whenever
+    /// the source's round promise is due; returns whether it jumped.
     ///
     /// At a round boundary of a source promising [`RoundHint::rounds`]
     /// more rounds on unchanged window keys, each block's transition — the
     /// FR-FCFS probe scan, `issue_nb`, the DRAM access, `finish_block` —
-    /// is a max/plus map over the unit's state and its channel's timing
-    /// state, and such a map commutes with shifting every time by one
-    /// constant. So if the state at this boundary equals the state `j`
-    /// rounds earlier moved by `D` cycles — every changed time advanced by
-    /// exactly `D`, every unchanged one too old to bind any later command,
-    /// identity fields (window keys, open rows, bus rank) equal — then
-    /// every further `j` promised rounds advance it by `D` again, and the
+    /// is a max/plus map over the unit's state and its memory state, and
+    /// such a map commutes with shifting every time by one constant. So if
+    /// the state at this boundary equals the state `j` rounds earlier
+    /// moved by `D` cycles — every changed time advanced by exactly `D`,
+    /// every unchanged one too old to bind any later command, identity
+    /// fields (window keys, open rows, bus rank) equal — then every
+    /// further `j` promised rounds advance it by `D` again, and the
     /// accumulators by the same amounts. Those periods are issued in
     /// closed form: the source skips them, times move `k·D`, and counters
     /// (statistics of the unit's own blocks included) move `k` periods'
     /// worth. This is [`UnitCursor::jump_len`]'s one-block argument over
     /// `j` rounds; the period is verified, never assumed.
+    ///
+    /// The memory state is the unit's channel for a transfer. A kernel's
+    /// promised blocks are row hits on rows its partition already holds
+    /// open (checked): they issue no PRE/ACT and never touch the command
+    /// bus, so they read and write only the banks the round's keys name
+    /// and the unit's datapath ([`Scope::Partition`]); the rank's shared
+    /// activation windows are neither read nor written.
+    ///
+    /// A kernel's span heads cost 1–2 AGEN iterations in no periodic
+    /// pattern, so the AGEN stamps are not a shift. They do not bind,
+    /// though: with a full window every pull follows an issue, so when the
+    /// AGEN has caught up (every stamp at most `tCCDS` past the last CAS)
+    /// and no promised block costs more than `tCCDS`, each pull starts
+    /// from the last CAS and each stamp is at most `tCCDS` past it, while
+    /// every later CAS on the unit's datapath is at least `tCCDS` past it.
+    /// Stamps then never decide an issue or a probe, and the AGEN keeps
+    /// up, so the period leaves them out. After the jump each stamp is
+    /// rebuilt: its pull's base (the CAS before it) is a period multiple
+    /// past the base of a pull of the last verified period, remembered in
+    /// `pull_bases`, plus the charge the source reports for the block now
+    /// at its distance back; the charge sums come from the source as exact
+    /// sums. A settled SIMD pipeline (see [`UnitCursor::simd_settled`]) is
+    /// rebuilt the same way from the last period's completions.
     #[cold]
     #[inline(never)]
-    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B) -> bool {
+    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
         if self.peeked.is_some() || self.run_left > 0 {
             return false;
         }
-        let hint = match self.steps.round_hint(MIN_SNAPSHOT_ROUNDS) {
+        let kernel = self.fast;
+        let min = if kernel { MIN_SNAPSHOT_SPANS } else { MIN_SNAPSHOT_ROUNDS };
+        let hint = match self.steps.round_hint(min) {
             Ok(hint) => hint,
             Err(wait) => {
                 self.round_wait = wait;
@@ -1243,61 +1482,156 @@ impl<'a> UnitCursor<'a> {
             }
         };
         let mut tr = self.period.take().expect("periodic grant");
+        // A kernel's new stretch (another end of promise) starts a fresh
+        // history, if it is long enough to start on at all.
+        let end = hint.done.saturating_add(hint.rounds);
+        if kernel && tr.stretch_end != end {
+            let stale = tr.history.drain(..);
+            tr.spare.extend(stale);
+            tr.misses = 0;
+            if hint.rounds * hint.width < MIN_SNAPSHOT_BLOCKS {
+                // Too short to start on: ask again past its end, and past
+                // ever more stretches while they keep coming short.
+                self.round_wait = (hint.rounds * hint.width + 1) << tr.declined.min(4);
+                tr.declined += 1;
+                self.period = Some(tr);
+                return false;
+            }
+            tr.stretch_end = end;
+            tr.declined = 0;
+        }
         let mut b = tr.spare.pop().unwrap_or_default();
-        ts.snapshot_channel(self.channel, &mut b.ch);
         b.round = hint.done;
         b.width = hint.width;
         b.promise = hint.rounds;
         b.not_before = self.not_before;
-        b.unit.dead_gap = b.ch.dead_gap;
         b.unit.times.clear();
         b.unit.ids.clear();
-        b.counts.clear();
-        let (unit, counts) = (&mut b.unit, &mut b.counts);
+        b.counts = Counts::of(self);
+        b.keys.clear();
+        if kernel {
+            if let Err(wait) = self.kernel_boundary(&*ts, mapping, &hint, &mut b) {
+                self.round_wait = wait;
+                tr.spare.push(b);
+                self.period = Some(tr);
+                return false;
+            }
+        }
+        let (port, channel) = (self.port, self.channel);
+        ts.snapshot(mem_scope(kernel, &b.keys, port, channel), &mut b.mem);
+        b.unit.dead_gap = b.mem.dead_gap;
+        let settled = kernel && self.simd_settled(&*ts);
+        b.unit.ids.push(settled as u64);
+        let unit = &mut b.unit;
+        let mut max_back = 0;
         self.visit_period_state(&mut |kind, v| match kind {
-            Field::Time => unit.times.push(*v),
+            Field::Gen(back) if kernel => {
+                unit.ids.push(back);
+                max_back = max_back.max(back);
+            }
+            Field::Done(_) if settled => {}
+            Field::Time | Field::Gen(_) | Field::Done(_) => unit.times.push(*v),
             Field::Id => unit.ids.push(*v),
-            Field::Count => counts.push(*v),
         });
+        let depth = self.inflight.len() as u64;
         let matched = tr.history.iter().rposition(|a| {
-            let j = b.round - a.round;
+            let j = b.round.wrapping_sub(a.round);
             let d = b.not_before.wrapping_sub(a.not_before);
             j > 0
                 && a.width == b.width
+                // A kernel's stamps are rebuilt from the last period's
+                // pull bases, and a settled pipeline from its completions:
+                // they must all be remembered, and every stamp the jump
+                // leaves must belong to a skipped block.
+                && (!kernel || j * b.width <= PULL_BASES as u64)
+                && (!kernel || max_back < (b.promise / j) * j * b.width)
+                && (!settled || j * b.width <= depth)
                 && a.promise >= j
                 && b.promise >= 2 * j
                 && b.not_before > a.not_before
                 && b.unit.is_shift_of(&a.unit, d, a.not_before)
-                && b.ch.is_shift_of(&a.ch, d, a.not_before)
+                && b.mem.is_shift_of(&a.mem, d, a.not_before)
         });
         let jumped = matched.is_some();
-        // The next boundary comes one round on; after a jump, ask at once.
-        // Own statistics only matter between snapshots.
-        self.round_wait = if jumped { 0 } else { hint.width };
+        // After a jump, ask again at once; otherwise the next boundary
+        // comes one round on (for a kernel, ever further once its first
+        // snapshots of a stretch, a round apart, all missed). Own
+        // statistics only matter between snapshots.
+        self.round_wait = if jumped {
+            tr.misses = 0;
+            0
+        } else if kernel {
+            tr.misses += 1;
+            hint.width << tr.misses.saturating_sub(3).min(3)
+        } else {
+            hint.width
+        };
         self.count_own = !jumped;
         if let Some(ix) = matched {
             let a = &tr.history[ix];
             let j = b.round - a.round;
             let k = b.promise / j;
-            self.steps.skip_rounds(k * j);
+            let skipped = self.steps.skip_rounds(k * j, self.burst_window);
+            // Window entries keep their distance back from the source.
+            let period_start = self.pulls - j * b.width;
+            self.pulls += skipped.blocks;
+            for e in &mut self.window {
+                e.seq = e.seq.wrapping_add(skipped.blocks as u32);
+            }
+            let mut costs = std::mem::take(&mut tr.costs);
+            costs.clear();
+            if kernel {
+                let backs = std::iter::once(0).chain(self.window.iter().map(|e| self.back(e)));
+                for back in backs {
+                    let charge = self.steps.cost_back(back);
+                    costs.push(charge.expect("the skipped rounds' charges are known"));
+                }
+            }
             let own0 = self.own_stats;
-            let (mut ti, mut ci) = (0, 0);
+            b.counts.extrapolate_into(&a.counts, k, self);
+            let (mut ti, mut gi) = (0, 0);
+            let mut done = std::mem::take(&mut tr.done);
+            done.clear();
+            done.extend(self.inflight.iter());
+            let (per, shift) = (j * b.width, b.not_before - a.not_before);
+            let (bases, pulls) = (self.pull_bases, self.pulls);
             self.visit_period_state(&mut |kind, v| match kind {
-                Field::Time => {
+                Field::Done(t) if settled => {
+                    // The completion of the block `t` issues after the
+                    // oldest in flight: still one of `done`, or one period
+                    // multiple past a block of the last verified period.
+                    let off = t as u64 + skipped.blocks;
+                    *v = match off.checked_sub(depth) {
+                        None => done[off as usize],
+                        Some(i) => done[(depth - per + i % per) as usize] + (i / per + 1) * shift,
+                    };
+                }
+                Field::Gen(back) if kernel => {
+                    // The stamp of a skipped pull: its base is a period
+                    // multiple past the base of a pull of the last
+                    // verified period, plus the charge now at its place.
+                    let i = pulls - 1 - back - period_start;
+                    let base = bases[((period_start + i % per) % PULL_BASES as u64) as usize];
+                    *v = base + (i / per) * shift + costs[gi] as u64;
+                    gi += 1;
+                }
+                Field::Time | Field::Gen(_) | Field::Done(_) => {
                     *v += k * (*v - a.unit.times[ti]);
                     ti += 1;
                 }
-                Field::Count => {
-                    *v += k * (*v - a.counts[ci]);
-                    ci += 1;
-                }
                 Field::Id => {}
             });
-            ts.extrapolate_channel(self.channel, &a.ch, k);
+            self.agen_iter_sum += skipped.iters;
+            self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
+            self.agen_bubbles += skipped.bubbles;
+            ts.extrapolate(mem_scope(kernel, &b.keys, port, channel), &a.mem, k, shift);
             let added = self.own_stats.delta(&own0);
+            debug_assert_eq!(added.accesses(), skipped.blocks, "own statistics cover the jump");
             ts.stats_mut().merge(&added);
             self.jumped_periods += k;
             self.jumped_blocks += added.accesses();
+            tr.done = done;
+            tr.costs = costs;
             tr.spare.extend(tr.history.drain(..));
             tr.spare.push(b);
         } else {
@@ -1308,6 +1642,90 @@ impl<'a> UnitCursor<'a> {
         }
         self.period = Some(tr);
         jumped
+    }
+
+    /// Whether the SIMD pipeline of a kernel stream can no longer bind
+    /// any issue: every in-flight completion is popped no later than the
+    /// CAS-to-CAS cadence alone would issue its popper (the `t`-th oldest
+    /// pops at the `t + 1`-th issue from here, at least `(t + 1)·tCCDS`
+    /// past the last CAS), the SIMD unit is free before the next block's
+    /// data ends, and the steady state keeps both: a block computes in at
+    /// most `tCCDS` and completes `latency + tBL + compute` after its CAS,
+    /// at most `depth·tCCDS`. Then each completion is its block's data end
+    /// plus the compute time, and a jump rebuilds the pipeline from the
+    /// completions of the last verified period instead of comparing it.
+    /// The round's keys share one direction (see
+    /// [`UnitCursor::kernel_boundary`]), the window's.
+    fn simd_settled<B: MemoryBackend>(&self, ts: &B) -> bool {
+        let tp = ts.config().timing;
+        let compute = self.compute_cycles_per_block;
+        let depth = self.pipeline_depth as u64;
+        let Some(front) = self.window.front() else { return false };
+        let latency = if front.write { tp.t_cwl } else { tp.t_cl };
+        compute <= tp.t_ccds
+            && latency + tp.t_bl + compute <= depth * tp.t_ccds
+            && self.inflight.len() as u64 == depth
+            && self.simd_free <= self.not_before + tp.t_ccds + latency + tp.t_bl
+            && self
+                .inflight
+                .iter()
+                .zip(1..)
+                .all(|(&v, t)| v <= self.not_before + t * tp.t_ccds)
+    }
+
+    /// The kernel side of a round boundary, before its snapshot: checks
+    /// that the promised rounds are row hits on open rows of the partition
+    /// the round's keys name (every window entry included) and that the
+    /// AGEN cannot bind (see [`UnitCursor::try_period_jump`]), with the
+    /// charge of every stamp's block known; fills `b.keys` with the
+    /// decoded keys and their key values into `b.unit.ids`.
+    /// Otherwise returns how many issues to wait: a window still holding
+    /// `f` blocks of another stretch (whose rows the stretch's own have
+    /// not yet replaced) cannot have drained them in fewer than `f`
+    /// issues; anything else may settle by the next round.
+    fn kernel_boundary<B: MemoryBackend>(
+        &self,
+        ts: &B,
+        mapping: &XorMapping,
+        hint: &RoundHint,
+        b: &mut RoundSnap,
+    ) -> Result<(), u64> {
+        let t_ccds = ts.config().timing.t_ccds;
+        let horizon = self.not_before + t_ccds;
+        let next_round = Err(hint.width);
+        if self.host_gap != 0 || hint.max_iters as u64 > t_ccds {
+            return Err(u64::MAX);
+        }
+        if self.window.len() != self.window_cap
+            || self.gen_clock > horizon
+            || self.window.iter().any(|e| e.gen_ready > horizon)
+        {
+            return next_round;
+        }
+        let pas = &mut b.pas;
+        pas.clear();
+        self.steps.round_keys(pas);
+        if pas.is_empty() || pas.iter().any(|&(_, w)| w != pas[0].1) {
+            return next_round;
+        }
+        let mut closed = false;
+        for &(pa, write) in pas.iter() {
+            let c = mapping.decode(pa);
+            closed |= !ts.row_open(&c);
+            b.keys.push(c);
+            b.unit.ids.push(window_key(mapping, &c, write));
+        }
+        let foreign = self.window.iter().filter(|e| !b.unit.ids.contains(&e.key)).count();
+        if foreign > 0 || closed {
+            return Err((foreign as u64).max(1).div_ceil(hint.width) * hint.width);
+        }
+        // The source knows charges back through a run of equal spans, so
+        // the oldest stamp's is known only if all are.
+        let oldest = self.window.iter().map(|e| self.back(e)).max().unwrap_or(0);
+        if self.steps.cost_back(oldest).is_none() {
+            return next_round;
+        }
+        Ok(())
     }
 
     /// Close out attribution after the program is exhausted: the SIMD
@@ -1340,6 +1758,23 @@ impl<'a> UnitCursor<'a> {
             }
         }
     }
+}
+
+/// The memory state a unit's periodic jump covers: a kernel's partition
+/// (the banks of its round's keys and its datapath) or a transfer's
+/// channel.
+fn mem_scope(kernel: bool, keys: &[DramCoord], port: Port, channel: u32) -> Scope<'_> {
+    if kernel {
+        Scope::Partition(keys, port)
+    } else {
+        Scope::Channel(channel)
+    }
+}
+
+/// A window entry's same-run identity: (bank index, row, direction).
+#[inline]
+fn window_key(mapping: &XorMapping, c: &DramCoord, write: bool) -> u64 {
+    (c.bank_index(mapping.geometry()) as u64) << 33 | (c.row as u64) << 1 | write as u64
 }
 
 /// Key bits identifying (channel, rank, bank group, direction): everything
@@ -1487,17 +1922,27 @@ fn run_units<B: MemoryBackend>(
     } else {
         FB_OTHER
     } as u8;
-    // The periodic jump (see `UnitCursor::try_period_jump`) extrapolates a
-    // unit's whole channel, so it needs the channel to itself: no other
-    // unit on it, no traffic, refresh, or trace. Units on the span fast
-    // path are exclusive kernels and never take it.
+    // The periodic jump (see `UnitCursor::try_period_jump`) needs memory
+    // state no one else moves, and no traffic, refresh, or trace: a
+    // transfer extrapolates its whole channel, so it needs the channel to
+    // itself; a kernel on the fast path extrapolates only its partition,
+    // which no other unit touches, unless a subset remap folds address
+    // parities into its keys. A kernel whose SIMD unit is slower than the
+    // CAS cadence builds a backlog for longer than a row's stretch lasts,
+    // so it is never periodic there and does not ask.
     let quiet = traffic.is_none() && !ts.config().refresh && !ts.trace_enabled();
+    let t_ccds = ts.config().timing.t_ccds;
     let channels: Vec<u32> = units.iter().map(|u| u.channel).collect();
     for u in units.iter_mut() {
         u.fast = fast;
         u.fallback_cause = cause;
         let alone = channels.iter().filter(|&&c| c == u.channel).count() == 1;
-        u.period = (quiet && !fast && alone).then(Box::default);
+        let granted = if fast {
+            u.subset.is_none() && u.compute_cycles_per_block <= t_ccds
+        } else {
+            quiet && alone
+        };
+        u.period = granted.then(Box::default);
         u.round_wait = 0;
         u.count_own = false;
     }

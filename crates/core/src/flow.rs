@@ -15,8 +15,9 @@
 
 use crate::config::{AgenMode, SystemConfig};
 use crate::engine::{
-    run_phase_auto, RoundHint, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
+    run_phase_auto, RoundHint, Skipped, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
 };
+use std::collections::VecDeque;
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
 use stepstone_addr::agen::Spans;
@@ -505,7 +506,13 @@ impl GemmContext {
                 } else {
                     SpanSource::Program(Box::new(a.span_program()))
                 };
-                WalkCursor::Spanned { spans, cur: 0, remaining: 0, first_iters: 0 }
+                WalkCursor::Spanned {
+                    spans,
+                    cur: 0,
+                    remaining: 0,
+                    first_iters: 0,
+                    log: Box::default(),
+                }
             }
         }
     }
@@ -531,6 +538,112 @@ impl SpanSource {
     }
 }
 
+/// Spans a stretch promise looks ahead at most ([`WalkCursor::stretch`]).
+const STRETCH_LOOKAHEAD: usize = 128;
+
+/// Recent spans whose AGEN charges a walk remembers
+/// ([`WalkCursor::cost_back`]).
+const RECENT_SPANS: usize = 8;
+
+/// What a [`WalkCursor`] keeps for stretch promises: the spans a promise
+/// looked ahead at, and the lengths and head charges of the latest spans.
+#[derive(Debug, Default)]
+pub struct SpanLog {
+    /// Spans pulled from the generator but not started, oldest first.
+    ahead: VecDeque<AgenSpan>,
+    /// How many of `ahead` (from the front) repeat the key pattern of the
+    /// latest started span.
+    ahead_same: usize,
+    /// The largest head charge among spans counted into `ahead_same` since
+    /// it was last zero (a bound on the charges of those still ahead).
+    ahead_max: u32,
+    /// `(len, head charge)` of the latest started spans; a ring whose
+    /// newest entry is at `recent_at`.
+    recent: [(u64, u32); RECENT_SPANS],
+    recent_at: usize,
+    /// Spans started so far, skipped ones included.
+    started: u64,
+}
+
+impl SpanLog {
+    /// The next span to start: a looked-ahead one first.
+    #[inline]
+    fn next_span(&mut self, spans: &mut SpanSource) -> Option<AgenSpan> {
+        let span = match self.ahead.pop_front() {
+            Some(s) => {
+                // It repeated the previous pattern, so the rest of the
+                // known run repeats its own.
+                self.ahead_same = self.ahead_same.saturating_sub(1);
+                if self.ahead_same == 0 {
+                    self.ahead_max = 0;
+                }
+                s
+            }
+            None => spans.next()?,
+        };
+        self.recent_at = (self.recent_at + 1) % RECENT_SPANS;
+        // A zero-iteration head is still charged one iteration.
+        self.recent[self.recent_at] = (span.len, span.iterations.max(1));
+        self.started += 1;
+        Some(span)
+    }
+}
+
+/// What [`WalkCursor::stretch`] found at a span boundary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stretch {
+    /// Upcoming spans repeating the latest span's key pattern.
+    spans: u64,
+    /// Their length in blocks (the latest span's).
+    len: u64,
+    /// At least the largest head charge among them.
+    max_iters: u32,
+    /// Length of the first span after them, if the walk has one.
+    next_len: Option<u64>,
+}
+
+/// Blocks from `cur` on (at most `remaining`) that share one window key
+/// under a mapping whose column-only address bits are `col_pure_mask`:
+/// all of them when every varying bit is column-pure, else up to the
+/// first boundary where a non-column bit flips.
+#[inline]
+fn same_key_prefix(cur: u64, remaining: u64, col_pure_mask: u64) -> u64 {
+    if remaining <= 1 {
+        return remaining;
+    }
+    let last = cur + (remaining - 1) * BLOCK_BYTES;
+    let top = 63 - (cur ^ last).leading_zeros();
+    let varying = (1u64 << (top + 1)) - (1u64 << BLOCK_SHIFT);
+    let impure = varying & !col_pure_mask;
+    if impure == 0 {
+        return remaining;
+    }
+    // Addresses share every bit at or above the lowest impure varying bit
+    // until the next multiple of it, so the run up to that boundary still
+    // holds one window key.
+    let b = impure.trailing_zeros();
+    let boundary = ((cur >> b) + 1) << b;
+    (boundary - cur) / BLOCK_BYTES
+}
+
+/// Whether span `s` repeats span `r`'s window keys block by block, with the
+/// same run hints: equal lengths and equal address bits below the top bit
+/// that varies inside `r` (so blocks at equal offsets differ by `r.start ^
+/// s.start` exactly), a difference that moves only the column (decode is
+/// XOR-linear), and — under paging — both spans in `r`'s page, where
+/// translation keeps key equality and no page walk is charged.
+fn same_keys(mapping: &XorMapping, page: Option<&PageMap>, r: &AgenSpan, s: &AgenSpan) -> bool {
+    let inside = r.start_pa ^ (r.start_pa + (r.len - 1) * BLOCK_BYTES);
+    let low = if inside == 0 { 0 } else { u64::MAX >> inside.leading_zeros() };
+    let diff = r.start_pa ^ s.start_pa;
+    if s.len != r.len || diff & low != 0 {
+        return false;
+    }
+    let c = mapping.decode(diff);
+    c.channel | c.rank | c.bankgroup | c.bank | c.row == 0
+        && page.is_none_or(|pm| (inside | diff) & !pm.page_mask() == 0)
+}
+
 /// A lazy (pa, AGEN iterations) cursor over one Algorithm-1 cell.
 ///
 /// The StepStone variant pulls batched [`stepstone_addr::AgenSpan`] runs —
@@ -539,7 +652,8 @@ impl SpanSource {
 /// most once per run instead of once per block.
 pub enum WalkCursor {
     Naive(NaiveAgen),
-    Spanned { spans: SpanSource, cur: u64, remaining: u64, first_iters: u32 },
+    /// `log` is boxed: it would otherwise dominate the enum's size.
+    Spanned { spans: SpanSource, cur: u64, remaining: u64, first_iters: u32, log: Box<SpanLog> },
 }
 
 impl WalkCursor {
@@ -548,9 +662,9 @@ impl WalkCursor {
     pub fn next(&mut self) -> Option<(u64, u32)> {
         match self {
             WalkCursor::Naive(a) => a.next().map(|s| (s.pa, s.iterations)),
-            WalkCursor::Spanned { spans, cur, remaining, first_iters } => {
+            WalkCursor::Spanned { spans, cur, remaining, first_iters, log } => {
                 if *remaining == 0 {
-                    let span = spans.next()?;
+                    let span = log.next_span(spans)?;
                     *cur = span.start_pa;
                     *remaining = span.len;
                     *first_iters = span.iterations;
@@ -577,22 +691,7 @@ impl WalkCursor {
         match self {
             WalkCursor::Naive(_) => 1,
             WalkCursor::Spanned { cur, remaining, .. } => {
-                if *remaining <= 1 {
-                    return 1;
-                }
-                let last = *cur + (*remaining - 1) * BLOCK_BYTES;
-                let top = 63 - (*cur ^ last).leading_zeros();
-                let varying = (1u64 << (top + 1)) - (1u64 << BLOCK_SHIFT);
-                let impure = varying & !col_pure_mask;
-                if impure == 0 {
-                    return *remaining;
-                }
-                // Addresses share every bit at or above the lowest impure
-                // varying bit until the next multiple of it, so the run up
-                // to that boundary still holds one window key.
-                let b = impure.trailing_zeros();
-                let boundary = ((*cur >> b) + 1) << b;
-                (boundary - *cur) / BLOCK_BYTES
+                same_key_prefix(*cur, *remaining, col_pure_mask).max(1)
             }
         }
     }
@@ -608,6 +707,100 @@ impl WalkCursor {
                 (*remaining > 0).then_some(*cur)
             }
         }
+    }
+
+    /// The span just completed, when the cursor sits at a span boundary
+    /// after at least one span.
+    fn last_span(&self) -> Option<AgenSpan> {
+        match self {
+            WalkCursor::Spanned { cur, remaining: 0, log, .. } if log.started > 0 => {
+                let (len, iterations) = log.recent[log.recent_at];
+                Some(AgenSpan { start_pa: *cur - len * BLOCK_BYTES, len, iterations })
+            }
+            _ => None,
+        }
+    }
+
+    /// Spans started so far (0 for the naive walk).
+    fn spans_started(&self) -> u64 {
+        match self {
+            WalkCursor::Spanned { log, .. } => log.started,
+            WalkCursor::Naive(_) => 0,
+        }
+    }
+
+    /// At a span boundary, count the upcoming spans that repeat the key
+    /// pattern of the span just completed (`same(last, next)`, an
+    /// equivalence), looking ahead at most 128 spans.
+    /// Looked-ahead spans are kept and yielded in order, so the walk's
+    /// output and its generator's work do not change. `None` off a
+    /// boundary.
+    pub(crate) fn stretch(
+        &mut self,
+        same: impl Fn(&AgenSpan, &AgenSpan) -> bool,
+    ) -> Option<Stretch> {
+        let r = self.last_span()?;
+        let WalkCursor::Spanned { spans, log, .. } = self else { return None };
+        loop {
+            if let Some(s) = log.ahead.get(log.ahead_same) {
+                if !same(&r, s) {
+                    break;
+                }
+                log.ahead_same += 1;
+                log.ahead_max = log.ahead_max.max(s.iterations.max(1));
+            } else if log.ahead.len() < STRETCH_LOOKAHEAD {
+                match spans.next() {
+                    Some(s) => log.ahead.push_back(s),
+                    None => break,
+                }
+            } else {
+                break;
+            }
+        }
+        Some(Stretch {
+            spans: log.ahead_same as u64,
+            len: r.len,
+            max_iters: log.ahead_max.max(1),
+            next_len: log.ahead.get(log.ahead_same).map(|s| s.len),
+        })
+    }
+
+    /// Skip `n` spans a [`WalkCursor::stretch`] counted, without yielding
+    /// them; returns their exact AGEN charges.
+    pub(crate) fn skip_spans(&mut self, n: u64, bubble_over: u64) -> Skipped {
+        let mut out = Skipped::default();
+        let WalkCursor::Spanned { spans, cur, remaining, first_iters, log } = self else {
+            unreachable!("skip_spans on a naive walk")
+        };
+        debug_assert!(*remaining == 0 && n as usize <= log.ahead_same, "skip past the stretch");
+        for _ in 0..n {
+            let span = log.next_span(spans).expect("a counted span");
+            out.add(1, span.iterations.max(1), bubble_over);
+            out.add(span.len - 1, 1, bubble_over);
+            *cur = span.start_pa + span.len * BLOCK_BYTES;
+        }
+        *first_iters = 0;
+        out
+    }
+
+    /// AGEN charge of the block `back` blocks before the cursor (0 = the
+    /// latest), at a span boundary, while the recent spans back to it all
+    /// have the latest span's length.
+    pub(crate) fn cost_back(&self, back: u64) -> Option<u32> {
+        let WalkCursor::Spanned { remaining: 0, log, .. } = self else { return None };
+        let newest = log.recent[log.recent_at].0;
+        let mut back = back;
+        for i in 0..(log.started as usize).min(RECENT_SPANS) {
+            let (len, head) = log.recent[(log.recent_at + RECENT_SPANS - i) % RECENT_SPANS];
+            if len != newest {
+                return None;
+            }
+            if back < len {
+                return Some(if back == len - 1 { head } else { 1 });
+            }
+            back -= len;
+        }
+        None
     }
 
     /// Skip up to `n` blocks of the current span without yielding them
@@ -687,6 +880,11 @@ pub struct KernelStream<'a> {
     /// frame (translation can break keys there, and transitions must be
     /// real pulls that carry the PTW's AGEN cost).
     page: Option<PageMap>,
+    /// A-walk spans of finished cells (round count of the stretch
+    /// promise).
+    spans_before: u64,
+    /// Consecutive stretch promises that fell short (they back off).
+    misses: u32,
     /// Last emitted access address — debug builds verify every block a
     /// `take_run` skips against its (bank, row) key.
     #[cfg(debug_assertions)]
@@ -741,6 +939,8 @@ impl<'a> KernelStream<'a> {
             uncached_agen: false,
             col_pure: ctx.mapping.column_pure_mask(),
             page: ctx.page_map.clone().filter(|m| m.affects_stream()),
+            spans_before: 0,
+            misses: 0,
             #[cfg(debug_assertions)]
             last_pa: 0,
         }
@@ -843,6 +1043,7 @@ impl KernelStream<'_> {
                 KernelStage::Gemm => {
                     let walk = self.walk.as_mut().expect("walk set on Gemm entry");
                     let Some((pa, iters)) = walk.next() else {
+                        self.spans_before += walk.spans_started();
                         self.walk = None;
                         self.cell_ix += 1;
                         self.fill = self.cell_fill();
@@ -973,6 +1174,67 @@ impl StepSource for KernelStream<'_> {
                 }
             }
             _ => 1,
+        }
+    }
+
+    /// At an A-walk span boundary (not eCHO, whose rows each relaunch):
+    /// the upcoming spans repeating the just-completed span's keys
+    /// (same lengths, and address differences that move only the column),
+    /// found by looking ahead in the walk.
+    /// Short of `min_rounds`, the wait runs to the boundary after the
+    /// first span that breaks the pattern, doubled for every further
+    /// consecutive miss (capped at 64×): a walk whose keys change every
+    /// span asks rarely. Off the A-walk, the wait runs to the end of the
+    /// current fill.
+    fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+        if self.echo || self.stage == KernelStage::Done {
+            return Err(u64::MAX);
+        }
+        if self.queued.is_some() {
+            return Err(1);
+        }
+        if self.stage != KernelStage::Gemm {
+            return Err(self.fill.as_ref().map_or(1, |it| it.len() as u64 + 1));
+        }
+        let (mapping, page) = (&self.ctx.mapping, self.page.as_ref());
+        let Some(walk) = self.walk.as_mut() else { return Err(1) };
+        let found = walk.stretch(|r, s| same_keys(mapping, page, r, s));
+        let done = self.spans_before + walk.spans_started();
+        let Some(st) = found else {
+            return Err(match walk {
+                WalkCursor::Spanned { remaining, .. } => (*remaining).max(1),
+                WalkCursor::Naive(_) => u64::MAX,
+            });
+        };
+        if st.spans >= min_rounds {
+            self.misses = 0;
+            return Ok(RoundHint { done, width: st.len, rounds: st.spans, max_iters: st.max_iters });
+        }
+        let wait = (st.spans * st.len + st.next_len.unwrap_or(1)) << self.misses.min(6);
+        self.misses += 1;
+        Err(wait)
+    }
+
+    fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+        let walk = self.walk.as_mut().expect("a promise implies an A-walk");
+        walk.skip_spans(n, bubble_over)
+    }
+
+    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
+        let Some(r) = self.walk.as_ref().and_then(WalkCursor::last_span) else { return };
+        let (mut pa, mut left) = (r.start_pa, r.len);
+        while left > 0 {
+            out.push((pa, false));
+            let h = same_key_prefix(pa, left, self.col_pure).max(1);
+            pa += h * BLOCK_BYTES;
+            left -= h;
+        }
+    }
+
+    fn cost_back(&self, back: u64) -> Option<u32> {
+        match self.stage {
+            KernelStage::Gemm if self.queued.is_none() => self.walk.as_ref()?.cost_back(back),
+            _ => None,
         }
     }
 
@@ -1165,17 +1427,20 @@ impl StepSource for RegionInterleave<'_> {
             }
             rounds = rounds.min(p);
         }
-        Ok(RoundHint { done: self.round + 1, width, rounds })
+        Ok(RoundHint { done: self.round + 1, width, rounds, max_iters: 1 })
     }
 
-    fn skip_rounds(&mut self, n: u64) {
+    fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+        let mut out = Skipped::default();
         for it in &mut self.regions {
             if it.len() > 0 {
                 debug_assert!(it.len() as u64 >= n, "skip past a region's end");
                 it.skip_blocks(n);
+                out.add(n, 1, bubble_over);
             }
         }
         self.round += n;
+        out
     }
 }
 
@@ -1184,20 +1449,28 @@ impl StepSource for RegionInterleave<'_> {
 /// each page *transition* of the stream charges the PTW's extra AGEN
 /// iterations (kernel streams walk their own page table; DMA transfers
 /// are host-programmed with pre-translated descriptors, so they translate
-/// without walking). Run hints and skips forward unchanged: the inner
-/// sources clip their promises at page boundaries, and within one page
-/// key equality is translation-invariant, so a promise that held on
-/// virtual addresses holds on the translated stream.
+/// without walking). The current page's frame is computed once, at the
+/// transition, and reused while the stream stays in the page. Run hints
+/// and skips forward unchanged: the inner sources clip their promises at
+/// page boundaries, and within one page key equality is
+/// translation-invariant, so a promise that held on virtual addresses
+/// holds on the translated stream.
 pub struct PagedSteps<S> {
     inner: S,
     map: PageMap,
     charge_ptw: bool,
     cur_vpn: Option<u64>,
+    /// Physical base of `cur_vpn`'s frame.
+    frame: u64,
+    /// Blocks taken from `inner` (pulled or skipped), and the index of the
+    /// first block in the current page (the one charged the PTW).
+    taken: u64,
+    entered: u64,
 }
 
 impl<S> PagedSteps<S> {
     pub fn new(inner: S, map: PageMap, charge_ptw: bool) -> Self {
-        Self { inner, map, charge_ptw, cur_vpn: None }
+        Self { inner, map, charge_ptw, cur_vpn: None, frame: 0, taken: 0, entered: 0 }
     }
 }
 
@@ -1210,12 +1483,18 @@ impl<S: Iterator<Item = Step>> Iterator for PagedSteps<S> {
             Step::Access { pa, write, cat, agen_iters, compute } => {
                 let vpn = self.map.vpn(pa);
                 let mut agen_iters = agen_iters;
-                if self.charge_ptw && self.cur_vpn != Some(vpn) {
+                if self.cur_vpn != Some(vpn) {
                     // The stream left its page (or is cold): re-walk.
-                    agen_iters += self.map.ptw_cycles();
+                    if self.charge_ptw {
+                        agen_iters += self.map.ptw_cycles();
+                    }
+                    self.cur_vpn = Some(vpn);
+                    self.frame = self.map.translate(pa) & !self.map.page_mask();
+                    self.entered = self.taken;
                 }
-                self.cur_vpn = Some(vpn);
-                Step::Access { pa: self.map.translate(pa), write, cat, agen_iters, compute }
+                self.taken += 1;
+                let pa = self.frame | (pa & self.map.page_mask());
+                Step::Access { pa, write, cat, agen_iters, compute }
             }
             s => s,
         })
@@ -1230,7 +1509,9 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
     // Skipped blocks were promised by a page-clipped hint, so they share
     // the anchor's page: `cur_vpn` is already theirs.
     fn take_run(&mut self, n: u64) -> u64 {
-        self.inner.take_run(n)
+        let k = self.inner.take_run(n);
+        self.taken += k;
+        k
     }
 
     // Round promises are page-clipped too: skipped rounds never leave the
@@ -1239,8 +1520,30 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
         self.inner.round_hint(min_rounds)
     }
 
-    fn skip_rounds(&mut self, n: u64) {
-        self.inner.skip_rounds(n)
+    fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+        let out = self.inner.skip_rounds(n, bubble_over);
+        self.taken += out.blocks;
+        out
+    }
+
+    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
+        let from = out.len();
+        self.inner.round_keys(out);
+        for (pa, _) in &mut out[from..] {
+            *pa = self.map.translate(*pa);
+        }
+    }
+
+    // The block that entered the current page also paid the page walk;
+    // blocks before it are not tracked.
+    fn cost_back(&self, back: u64) -> Option<u32> {
+        let ix = self.taken.checked_sub(back + 1)?;
+        let walk = match self.charge_ptw {
+            true if ix < self.entered => return None,
+            true if ix == self.entered => self.map.ptw_cycles(),
+            _ => 0,
+        };
+        Some(self.inner.cost_back(back)? + walk)
     }
 }
 

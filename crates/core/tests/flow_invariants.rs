@@ -1,7 +1,7 @@
 //! Conservation and accounting invariants of the StepStone execution flow.
 
 use proptest::prelude::*;
-use stepstone_addr::{PimLevel, BLOCK_BYTES};
+use stepstone_addr::{ParityConstraint, PimLevel, RegionPlan, BLOCK_BYTES};
 use stepstone_core::{simulate_gemm_opt, GemmSpec, Phase, SimOptions, SystemConfig};
 use stepstone_dram::Port;
 
@@ -107,4 +107,39 @@ fn phase_breakdown_matches_figure_semantics() {
     assert!(
         r.total >= r.phase(Phase::Localization) + r.phase(Phase::Gemm) + r.phase(Phase::Reduction)
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Page-clipped round promises (`flow::PageClip`) take the region
+    // blocks of one page as the count of every page holding any: an
+    // aligned page fixes the address bits above its offset, so a region's
+    // blocks in it solve one parity system on the in-page bits — none, or
+    // a coset of one kernel, the same size in every page. Random
+    // constraint systems, pages of 4 to 64 KiB, unaligned arenas.
+    #[test]
+    fn region_blocks_fill_every_page_alike(
+        masks in proptest::collection::vec((1u64..1 << 24, any::<bool>()), 1..6),
+        page_log in 12u32..17,
+        arena_blocks in 0u64..1 << 14,
+        count in 2u64..4096,
+    ) {
+        let cs = masks
+            .iter()
+            .map(|&(mask, parity)| ParityConstraint { mask: mask << 6, parity })
+            .collect();
+        let plan = RegionPlan::carve(cs, (1 << 30) + arena_blocks * BLOCK_BYTES, count);
+        prop_assume!(plan.len() > 1);
+        let page = 1u64 << page_log;
+        let (first, last) = (plan.get(0), plan.get(plan.len() - 1));
+        let mut per_page = None;
+        for base in (first & !(page - 1)..=last).step_by(page as usize) {
+            let held = plan.rank_below(base + page) - plan.rank_below(base);
+            if held > 0 {
+                let want = *per_page.get_or_insert(held);
+                prop_assert_eq!(held, want, "page {:#x} of {} bytes", base, page);
+            }
+        }
+    }
 }

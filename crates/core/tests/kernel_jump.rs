@@ -1,0 +1,342 @@
+//! Differential suite of the kernel periodic jump.
+//!
+//! An exclusive kernel unit on the fast path issues verified periods of
+//! its A-walk stretches in closed form (`UnitCursor::jumped_blocks`). Two
+//! references check it:
+//!
+//! * the same phase over a source that makes no round promises, so run
+//!   admission and the span fast path are unchanged but the jump never
+//!   fires — everything must match, run counters included;
+//! * the same phase on a trace-enabled backend, where the jump is off and
+//!   every block goes through the per-block FR-FCFS path — everything but
+//!   the run counters must match (tracing withholds run admission, so its
+//!   blocks all count as trace fallbacks).
+//!
+//! Each run is a kernel phase followed by an identical phase from its end,
+//! which would expose any wrongly extrapolated bank, path or unit state.
+
+use proptest::prelude::*;
+use stepstone_addr::{PagingConfig, PimLevel};
+use stepstone_core::engine::{
+    reset_run_counters, run_counters, run_phase_auto, RunCounters, Step, StepSource, SubsetRemap,
+    TrafficCursor, UnitCursor, FB_TRACE,
+};
+use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
+use stepstone_core::{GemmSpec, PagedSteps, Phase, SimOptions, SystemConfig};
+use stepstone_dram::{CommandBus, DramConfig, DramStats, TimingState, TrafficReq, TrafficSource};
+
+/// The run counters are process-global: tests reading them serialize.
+fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// A kernel stream without round promises: hints and admitted runs pass
+/// through, so only the periodic jump is missing.
+struct NoPromise<S>(S);
+
+impl<S: Iterator<Item = Step>> Iterator for NoPromise<S> {
+    type Item = Step;
+
+    fn next(&mut self) -> Option<Step> {
+        self.0.next()
+    }
+}
+
+impl<S: StepSource> StepSource for NoPromise<S> {
+    fn run_hint(&self) -> u64 {
+        self.0.run_hint()
+    }
+
+    fn take_run(&mut self, n: u64) -> u64 {
+        self.0.take_run(n)
+    }
+}
+
+/// How the kernel phase runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Promising streams on an untraced backend: the jump may fire.
+    Jump,
+    /// Streams without promises.
+    NoPromise,
+    /// Promising streams on a traced backend.
+    Traced,
+}
+
+/// Everything public a kernel unit reports, minus the jump counters.
+type UnitFields = (u32, u64, [u64; 8], u64, u64, u64, u64, u64, u32, u64);
+
+fn fields(u: &UnitCursor) -> UnitFields {
+    (
+        u.channel,
+        u.not_before,
+        u.cat_cycles,
+        u.end_time,
+        u.launches,
+        u.simd_ops,
+        u.scratch_accesses,
+        u.agen_iter_sum,
+        u.agen_iter_max,
+        u.agen_bubbles,
+    )
+}
+
+/// What one phase produced: its end, per-unit fields, the statistics it
+/// added, and its run counters.
+#[derive(Debug, PartialEq)]
+struct PhaseOut {
+    end: u64,
+    units: Vec<UnitFields>,
+    stats: DramStats,
+    counters: RunCounters,
+}
+
+/// One GEMM's kernel units as the pass builds them, starting at `start`.
+fn kernel_units<'a>(
+    ctx: &'a GemmContext,
+    sys: &SystemConfig,
+    opts: &SimOptions,
+    start: u64,
+    promise: bool,
+) -> Vec<UnitCursor<'a>> {
+    (0..ctx.active_pims.len())
+        .map(|pix| {
+            let steps = KernelStream::new(ctx, sys, opts, pix);
+            let steps: Box<dyn StepSource + Send + 'a> =
+                match (ctx.page_map.as_ref().filter(|pm| pm.affects_stream()), promise) {
+                    (Some(pm), true) => Box::new(PagedSteps::new(steps, pm.clone(), true)),
+                    (Some(pm), false) => {
+                        Box::new(NoPromise(PagedSteps::new(steps, pm.clone(), true)))
+                    }
+                    (None, true) => Box::new(steps),
+                    (None, false) => Box::new(NoPromise(steps)),
+                };
+            let mut u = UnitCursor::from_source(
+                "pim",
+                ctx.pim_channel(ctx.active_pims[pix]),
+                opts.level_cfg.port(),
+                steps,
+                start,
+                opts.level_cfg.compute_cycles_per_block(ctx.n),
+                opts.level_cfg.simd_ops_per_block(ctx.n),
+                opts.level_cfg.pipeline_depth as usize,
+                sys.launch.slots_for(opts.granularity),
+                sys.launch.launch_latency,
+                sys.dram.timing.t_bl,
+                None,
+            );
+            u.exclusive = true;
+            u
+        })
+        .collect()
+}
+
+/// Run the kernel phase, then an identical follow-up phase from its end,
+/// on one backend; returns both phases and the blocks jumped in all.
+fn run_twice(
+    sys: &SystemConfig,
+    ctx: &GemmContext,
+    opts: &SimOptions,
+    start: u64,
+    mode: Mode,
+) -> ([PhaseOut; 2], u64) {
+    let mut ts = TimingState::new(sys.dram);
+    if mode == Mode::Traced {
+        ts.enable_trace();
+    }
+    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
+    let mut start = start;
+    let mut jumped = 0;
+    let mut phase = || {
+        let before = ts.stats;
+        reset_run_counters();
+        let mut units = kernel_units(ctx, sys, opts, start, mode != Mode::NoPromise);
+        let end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
+        start = end;
+        jumped += units.iter().map(|u| u.jumped_blocks).sum::<u64>();
+        PhaseOut {
+            end,
+            units: units.iter().map(fields).collect(),
+            stats: ts.stats.delta(&before),
+            counters: run_counters(),
+        }
+    };
+    let out = [phase(), phase()];
+    (out, jumped)
+}
+
+/// Compare the jump-enabled run with both references; returns the blocks
+/// the jump-enabled run issued in closed form.
+fn check(sys: &SystemConfig, spec: GemmSpec, level: PimLevel, start: u64) -> u64 {
+    let opts = SimOptions::stepstone(level);
+    let ctx = GemmContext::build(sys, &spec, &opts);
+    let what = format!("{spec} {level:?} paged={} parallel={}", sys.paging.is_some(), sys.parallel);
+    let (got, jumped) = run_twice(sys, &ctx, &opts, start, Mode::Jump);
+    let (plain, none) = run_twice(sys, &ctx, &opts, start, Mode::NoPromise);
+    assert_eq!(none, 0, "{what}: a source without promises never jumps");
+    assert_eq!(got, plain, "{what}: jump vs no promises");
+    let (traced, none) = run_twice(sys, &ctx, &opts, start, Mode::Traced);
+    assert_eq!(none, 0, "{what}: the trace turns the jump off");
+    for (i, (g, t)) in got.iter().zip(&traced).enumerate() {
+        let blocks = t.stats.accesses();
+        assert_eq!(t.counters.runs, 0, "{what} phase {i}: tracing admits no runs");
+        assert_eq!(t.counters.fallback[FB_TRACE], blocks, "{what} phase {i}");
+        assert_eq!((g.end, &g.units, g.stats), (t.end, &t.units, t.stats), "{what} phase {i}");
+    }
+    jumped
+}
+
+fn sys(page: Option<u64>, parallel: bool) -> SystemConfig {
+    let paging = page.map(|p| PagingConfig::fragmented(p, 3));
+    SystemConfig { paging, parallel, ..SystemConfig::default() }
+}
+
+/// A 256×4096 N=1 A-walk at StepStone-DV and -BG holds one row pair (DV)
+/// or one row (BG) for 64 blocks per bank, like the 1024×4096 Table-I
+/// shape. Unpaged, under 4 KiB and 64 KiB fragmented paging, serial and
+/// sharded, the jump must match both references; it must fire unpaged
+/// and with 64 KiB pages (promises clipped at page ends), while a 4 KiB
+/// page holds too few blocks of one stretch.
+#[test]
+fn stretches_jump_and_match_both_references() {
+    let _serial = counter_lock();
+    let spec = GemmSpec::new(256, 4096, 1);
+    let arms = [
+        (PimLevel::Device, None, false),
+        (PimLevel::Device, None, true),
+        (PimLevel::Device, Some(4096), false),
+        (PimLevel::Device, Some(1 << 16), false),
+        (PimLevel::BankGroup, None, false),
+        (PimLevel::BankGroup, Some(1 << 16), true),
+    ];
+    for (level, page, parallel) in arms {
+        let jumped = check(&sys(page, parallel), spec, level, 0);
+        if page != Some(4096) {
+            assert!(jumped > 0, "{level:?} page {page:?} parallel={parallel}: no jump");
+        }
+    }
+}
+
+/// The share of kernel blocks the 1024×4096 N=1 Table-I shape issues in
+/// closed form, pinned as lower bounds (the counts are deterministic).
+#[test]
+fn table1_shape_jump_shares() {
+    let _serial = counter_lock();
+    let spec = GemmSpec::new(1024, 4096, 1);
+    let base = sys(None, false);
+    for (level, share) in [(PimLevel::Device, 0.79), (PimLevel::BankGroup, 0.80)] {
+        let opts = SimOptions::stepstone(level);
+        let ctx = GemmContext::build(&base, &spec, &opts);
+        let mut ts = TimingState::new(base.dram);
+        let mut bus = CommandBus::new(base.dram.geom.channels as usize);
+        let mut units = kernel_units(&ctx, &base, &opts, 0, true);
+        run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
+        let jumped: u64 = units.iter().map(|u| u.jumped_blocks).sum();
+        let got = jumped as f64 / ts.stats.accesses() as f64;
+        assert!(got >= share, "{level:?}: jumped {jumped} of {} blocks", ts.stats.accesses());
+    }
+}
+
+/// A source that pulls one request from each of a few channel-0 blocks.
+struct Trickle(u32);
+
+impl TrafficSource for Trickle {
+    fn next_req(&mut self) -> Option<TrafficReq> {
+        self.0 = self.0.checked_sub(1)?;
+        Some(TrafficReq { pa: 64 * (self.0 as u64 + 1), write: false, gap: 50 })
+    }
+}
+
+/// The kernel jump stays off where its grant does not hold: under trace
+/// (above), refresh, colocated traffic, a subset remap, eCHO's per-row
+/// launches, and in a fused round, where a transfer cursor shares the
+/// phase.
+#[test]
+fn jump_stays_off_without_its_grant() {
+    let _serial = counter_lock();
+    let spec = GemmSpec::new(256, 4096, 1);
+    let base = sys(None, false);
+    let opts = SimOptions::stepstone(PimLevel::Device);
+    let ctx = GemmContext::build(&base, &spec, &opts);
+    let jumped = |units: &[UnitCursor]| units.iter().map(|u| u.jumped_blocks).sum::<u64>();
+    let fresh = |dram: DramConfig| (TimingState::new(dram), CommandBus::new(2));
+
+    let (mut ts, mut bus) = fresh(DramConfig::default());
+    let mut units = kernel_units(&ctx, &base, &opts, 0, true);
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
+    assert!(jumped(&units) > 0, "the granted arm jumps");
+
+    let (mut ts, mut bus) = fresh(DramConfig { refresh: true, ..DramConfig::default() });
+    let mut units = kernel_units(&ctx, &base, &opts, 0, true);
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
+    assert_eq!(jumped(&units), 0, "refresh");
+
+    let (mut ts, mut bus) = fresh(DramConfig::default());
+    let mut src = Trickle(64);
+    let mut traffic = TrafficCursor::new(&mut src, 0);
+    let mut units = kernel_units(&ctx, &base, &opts, 0, true);
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, Some(&mut traffic), false);
+    assert_eq!(jumped(&units), 0, "colocated traffic");
+
+    let (mut ts, mut bus) = fresh(DramConfig::default());
+    let remap = SubsetRemap { dropped_masks: vec![], bg_bits: 0, row_bits: 16 };
+    let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
+        .map(|pix| {
+            let mut u = UnitCursor::from_source(
+                "pim",
+                ctx.pim_channel(ctx.active_pims[pix]),
+                opts.level_cfg.port(),
+                KernelStream::new(&ctx, &base, &opts, pix),
+                0,
+                opts.level_cfg.compute_cycles_per_block(ctx.n),
+                opts.level_cfg.simd_ops_per_block(ctx.n),
+                opts.level_cfg.pipeline_depth as usize,
+                base.launch.slots_for(opts.granularity),
+                base.launch.launch_latency,
+                base.dram.timing.t_bl,
+                Some(remap.clone()),
+            );
+            u.exclusive = true;
+            u
+        })
+        .collect();
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
+    assert_eq!(jumped(&units), 0, "subset remap");
+
+    let echo = SimOptions::echo(PimLevel::Device);
+    let echo_ctx = GemmContext::build(&base, &spec, &echo);
+    let (mut ts, mut bus) = fresh(DramConfig::default());
+    let mut units = kernel_units(&echo_ctx, &base, &echo, 0, true);
+    run_phase_auto(&mut ts, &mut bus, &echo_ctx.mapping, &mut units, None, false);
+    assert_eq!(jumped(&units), 0, "eCHO");
+
+    let (mut ts, mut bus) = fresh(DramConfig::default());
+    let mut units = kernel_units(&ctx, &base, &opts, 0, true);
+    units.extend(transfer_cursors(&ctx, &ctx.b_regions, true, Phase::Localization, 0, 0));
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
+    assert_eq!(jumped(&units), 0, "fused round");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    // Random Table-I-like shapes at StepStone-DV and -BG, unpaged and
+    // under 4 KiB fragmented paging, serial and sharded, from random start
+    // times: the jump must match both references wherever it fires.
+    #[test]
+    fn random_shapes_match_both_references(
+        dv in any::<bool>(),
+        m_log in 7u32..10,
+        k_log in 9u32..13,
+        n_log in 0u32..4,
+        paged in any::<bool>(),
+        parallel in any::<bool>(),
+        start in 0u64..5000,
+    ) {
+        let _serial = counter_lock();
+        let level = if dv { PimLevel::Device } else { PimLevel::BankGroup };
+        let spec = GemmSpec::new(1 << m_log, 1 << k_log, 1 << n_log);
+        check(&sys(paged.then_some(4096), parallel), spec, level, start);
+    }
+}

@@ -9,8 +9,8 @@
 //! over stateful memory models to be wrong by construction: the answer
 //! changes as soon as any other access commits. Every method here either
 //! commits state (`access`, `access_run_stream`, `adopt_channel`,
-//! `extrapolate_channel`) or is an explicitly non-committing estimate used
-//! only for FR-FCFS front selection (`probe`).
+//! `extrapolate`) or is an explicitly non-committing estimate used only for
+//! FR-FCFS front selection (`probe`).
 //!
 //! The one implementor is [`TimingState`], the exact Table-II model. The
 //! analytic tier ([`BackendKind::Analytic`]) is not a second model behind
@@ -126,44 +126,69 @@ pub trait MemoryBackend: Clone + Send + Sync {
     /// independently). Statistics are not adopted.
     fn adopt_channel(&mut self, other: &Self, ch: u32);
 
-    /// Copy channel `ch`'s timing state into `out` (see
-    /// [`ChannelSnapshot`]), excluding statistics and refresh deadlines.
-    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot);
+    /// Copy the timing state `scope` covers into `out` (see [`Snapshot`]),
+    /// excluding statistics and refresh deadlines.
+    fn snapshot(&self, scope: Scope, out: &mut Snapshot);
 
-    /// Extrapolate channel `ch` by `k` further periods: every time field
-    /// that differs from `earlier` (a snapshot of the same channel one
-    /// period ago) advances by `k` times its difference; every other field
-    /// stays. Statistics are not touched.
-    fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64);
+    /// Extrapolate the state `scope` covers by `k` further periods of `d`
+    /// cycles: every time field that differs from `earlier` (a snapshot of
+    /// the same scope one period ago, see [`Snapshot::is_shift_of`])
+    /// advances by `k·d`; every other field stays. Statistics are not
+    /// touched.
+    fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64);
 }
 
-/// One channel's timing state, split by how a uniform time shift acts on
-/// it: `times` holds every time-valued field (absolute cycles, or the
-/// `t + 1` stamps of last commands) and moves with the shift; `ids` holds
-/// the fields a shift must leave alone (open rows, the rank that last
-/// drove the bus, history lengths). The field order is fixed by the
-/// backend, so two snapshots of one channel compare elementwise.
+/// The part of the timing state a [`Snapshot`] covers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scope<'a> {
+    /// Every bank, rank and datapath of one channel: all a stream that is
+    /// alone on the channel reads and writes.
+    Channel(u32),
+    /// The banks of these coordinates and the datapaths `port` reaches
+    /// them by: all a stream of row hits on their open rows reads and
+    /// writes (a row hit issues no PRE/ACT, so it never reads or writes
+    /// the rank's activation windows or a bank's next-ACT time).
+    Partition(&'a [DramCoord], Port),
+}
+
+/// Timing state, split by how a uniform time shift acts on it: `times`
+/// holds every time-valued field (absolute cycles, or the `t + 1` stamps
+/// of last commands) and moves with the shift; `ids` holds the fields a
+/// shift must leave alone (open rows, the rank that last drove the bus,
+/// history lengths). The field order is fixed by the backend and the
+/// [`Scope`], so two snapshots of one scope compare elementwise.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ChannelSnapshot {
+pub struct Snapshot {
     pub times: Vec<u64>,
     pub ids: Vec<u64>,
     /// A time field `v` with `v + dead_gap ≤ t` can no longer bind any
     /// command issued at or after `t`: the largest Table-II gap any field
     /// is compared with, plus one for the stamp encoding.
     pub dead_gap: u64,
+    /// The first `direct` time fields are only ever compared with a
+    /// command's time itself: `v ≤ t` already keeps them from binding.
+    pub direct: usize,
+    /// The last `ratchets` of those are never compared at all, only raised
+    /// to a command's time plus a fixed gap: once one has moved, it is the
+    /// last such command's and moves with the stream.
+    pub ratchets: usize,
 }
 
-impl ChannelSnapshot {
+impl Snapshot {
     /// Whether `self` is `earlier` moved by exactly `d` cycles: identity
-    /// fields equal, every changed time field advanced by exactly `d`, and
-    /// every unchanged one dead at `floor` (the earliest time anything is
-    /// issued from `earlier` on).
-    pub fn is_shift_of(&self, earlier: &ChannelSnapshot, d: u64, floor: u64) -> bool {
+    /// fields equal, every changed time field advanced by exactly `d` (a
+    /// ratchet by any amount), and every unchanged one dead at `floor` (the
+    /// earliest time anything is issued from `earlier` on).
+    pub fn is_shift_of(&self, earlier: &Snapshot, d: u64, floor: u64) -> bool {
+        let ratchets = self.direct - self.ratchets..self.direct;
         self.ids == earlier.ids
             && self.times.len() == earlier.times.len()
-            && self.times.iter().zip(&earlier.times).all(|(&b, &a)| {
+            && self.times.iter().zip(&earlier.times).enumerate().all(|(i, (&b, &a))| {
                 if b == a {
-                    a.saturating_add(self.dead_gap) <= floor
+                    let gap = if i < self.direct { 0 } else { self.dead_gap };
+                    a.saturating_add(gap) <= floor
+                } else if ratchets.contains(&i) {
+                    b > a
                 } else {
                     b.wrapping_sub(a) == d
                 }
@@ -233,12 +258,12 @@ impl MemoryBackend for TimingState {
         TimingState::adopt_channel(self, other, ch)
     }
 
-    fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) {
-        TimingState::snapshot_channel(self, ch, out)
+    fn snapshot(&self, scope: Scope, out: &mut Snapshot) {
+        TimingState::snapshot(self, scope, out)
     }
 
-    fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64) {
-        TimingState::extrapolate_channel(self, ch, earlier, k)
+    fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64) {
+        TimingState::extrapolate(self, scope, earlier, k, d)
     }
 }
 

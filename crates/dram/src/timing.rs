@@ -18,7 +18,7 @@
 //!   the paper exploits (§III-E).
 
 use crate::audit::{CmdKind, CmdRecord, CommandTrace};
-use crate::backend::ChannelSnapshot;
+use crate::backend::{Scope, Snapshot};
 use crate::config::DramConfig;
 use stepstone_addr::{DramCoord, Geometry};
 
@@ -139,6 +139,49 @@ struct PathState {
     bus_used: bool,
 }
 
+/// Index of the datapath `port` reaches `c` by, in [`TimingState`]'s path
+/// table: channel paths, then rank-internal, then BG-internal ones.
+fn path_index(g: &Geometry, port: Port, c: &DramCoord) -> usize {
+    match port {
+        Port::Channel => c.channel as usize,
+        Port::RankInternal => g.channels as usize + c.rank_index(g),
+        Port::BgInternal => {
+            g.channels as usize + (g.channels * g.ranks_per_channel) as usize + c.bankgroup_index(g)
+        }
+    }
+}
+
+/// Table indices a [`Scope`] covers, in snapshot order.
+enum ScopeIndices<'s> {
+    /// Consecutive index ranges (a channel's tables).
+    Ranges([std::ops::Range<usize>; 3]),
+    /// The distinct `index` of each coordinate, in first-seen order.
+    Distinct {
+        coords: &'s [DramCoord],
+        index: fn(&Geometry, Port, &DramCoord) -> usize,
+        geom: Geometry,
+        port: Port,
+    },
+}
+
+impl ScopeIndices<'_> {
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (ranges, coords) = match self {
+            ScopeIndices::Ranges(r) => (r.clone(), &[][..]),
+            ScopeIndices::Distinct { coords, .. } => ([0..0, 0..0, 0..0], *coords),
+        };
+        let index = |c: &DramCoord| match self {
+            ScopeIndices::Distinct { index, geom, port, .. } => index(geom, *port, c),
+            ScopeIndices::Ranges(_) => unreachable!("ranges name no coordinates"),
+        };
+        let distinct = coords.iter().enumerate().filter_map(move |(i, c)| {
+            let ix = index(c);
+            (!coords[..i].iter().any(|d| index(d) == ix)).then_some(ix)
+        });
+        ranges.into_iter().flatten().chain(distinct)
+    }
+}
+
 /// Aggregate DRAM event counters, split by port for the energy model
 /// (in-device vs off-chip transfers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,27 +224,29 @@ impl DramStats {
         self.reads_by_port[Port::Channel.index()] + self.writes_by_port[Port::Channel.index()]
     }
 
-    /// Add what one committed refresh-free block access contributes, from
-    /// its [`BlockTiming`]: the counters a caller keeps for its own blocks
-    /// when the backend's statistics are shared with other callers.
-    pub fn count_block(&mut self, kind: CasKind, port: Port, bt: &BlockTiming) {
+    /// Add what `n` committed refresh-free block accesses contribute when
+    /// each has timing like `bt` (the last block of a closed-form run
+    /// stands for its predecessors): the counters a caller keeps for its
+    /// own blocks when the backend's statistics are shared with other
+    /// callers.
+    pub fn count_blocks(&mut self, kind: CasKind, port: Port, bt: &BlockTiming, n: u64) {
         match kind {
             CasKind::Read => {
-                self.reads += 1;
-                self.reads_by_port[port.index()] += 1;
+                self.reads += n;
+                self.reads_by_port[port.index()] += n;
             }
             CasKind::Write => {
-                self.writes += 1;
-                self.writes_by_port[port.index()] += 1;
+                self.writes += n;
+                self.writes_by_port[port.index()] += n;
             }
         }
-        self.acts += bt.acts as u64;
+        self.acts += n * bt.acts as u64;
         if bt.row_hit {
-            self.row_hits += 1;
+            self.row_hits += n;
         } else {
-            self.row_misses += 1;
+            self.row_misses += n;
         }
-        self.data_cycles += bt.data_end - bt.data_start;
+        self.data_cycles += n * (bt.data_end - bt.data_start);
     }
 
     /// Counters accumulated since an earlier snapshot `base` of the same
@@ -341,34 +386,76 @@ impl TimingState {
         ]
     }
 
-    /// Snapshot channel `ch`'s timing state (see [`ChannelSnapshot`]).
+    /// The banks, ranks and paths `scope` covers, as table indices in
+    /// snapshot order: a channel's tables, or a partition's distinct banks
+    /// and datapaths in the order its coordinates first name them.
+    fn scope_tables<'s>(&self, scope: Scope<'s>) -> [ScopeIndices<'s>; 3] {
+        match scope {
+            Scope::Channel(ch) => {
+                let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
+                let none = || 0..0;
+                [
+                    ScopeIndices::Ranges([banks, none(), none()]),
+                    ScopeIndices::Ranges([ranks, none(), none()]),
+                    ScopeIndices::Ranges([p_ch, p_rk, p_bg]),
+                ]
+            }
+            Scope::Partition(coords, port) => {
+                let geom = self.cfg.geom;
+                let distinct = |index| ScopeIndices::Distinct { coords, index, geom, port };
+                [
+                    distinct(|g, _, c| c.bank_index(g)),
+                    ScopeIndices::Ranges([0..0, 0..0, 0..0]),
+                    distinct(path_index),
+                ]
+            }
+        }
+    }
+
+    /// Snapshot the timing state `scope` covers (see [`Snapshot`]).
     /// Refresh deadlines are left out: the engine only compares snapshots
-    /// with refresh disabled, where nothing reads or writes them.
-    /// `write_channel_times` visits the time fields in the same order.
-    pub fn snapshot_channel(&self, ch: u32, out: &mut ChannelSnapshot) {
+    /// with refresh disabled, where nothing reads or writes them. A
+    /// partition leaves out its banks' next-ACT times too, which row hits
+    /// neither read nor write. Its banks' next-CAS times come first and
+    /// bind directly (a row hit waits for them), then their next-PRE times,
+    /// ratchets (a row hit only raises them to its CAS plus a gap), and
+    /// its dead gap covers only the CAS cadence and turnaround gaps row
+    /// hits compare path stamps with. `update_times` visits the time
+    /// fields in the same order.
+    pub fn snapshot(&self, scope: Scope, out: &mut Snapshot) {
         let tp = &self.cfg.timing;
         out.times.clear();
         out.ids.clear();
-        out.dead_gap = 1 + [
-            tp.t_bl, tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp,
-            tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr, tp.t_rrds, tp.t_rrdl, tp.t_faw,
-            tp.wtr(true), tp.rtw(),
-        ]
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
-        for b in &self.banks[banks] {
+        let cas_gaps = [tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.wtr(false), tp.wtr(true), tp.rtw()];
+        let row_gaps = [
+            tp.t_bl, tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp, tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr,
+            tp.t_rrds, tp.t_rrdl, tp.t_faw,
+        ];
+        let acts = matches!(scope, Scope::Channel(_));
+        let gap = cas_gaps.into_iter().chain(row_gaps.into_iter().filter(|_| acts)).max();
+        out.dead_gap = 1 + gap.unwrap_or(0);
+        let [banks, ranks, paths] = self.scope_tables(scope);
+        for b in banks.iter().map(|i| &self.banks[i]) {
             out.ids.push(b.open_row.map_or(0, |r| r as u64 + 1));
-            out.times.extend([b.next_act, b.next_cas, b.next_pre]);
+            if acts {
+                out.times.extend([b.next_act, b.next_cas, b.next_pre]);
+            } else {
+                out.times.push(b.next_cas);
+            }
         }
-        for r in &self.ranks[ranks] {
+        (out.direct, out.ratchets) = (0, 0);
+        if !acts {
+            let next_cas = out.times.len();
+            out.times.extend(banks.iter().map(|i| self.banks[i].next_pre));
+            (out.direct, out.ratchets) = (out.times.len(), out.times.len() - next_cas);
+        }
+        for r in ranks.iter().map(|i| &self.ranks[i]) {
             out.ids.push(r.act_window.len() as u64);
             out.times.extend(&r.act_window);
             out.times.extend(&r.last_act_by_bg);
             out.times.push(r.last_act);
         }
-        for p in [p_ch, p_rk, p_bg].into_iter().flat_map(|r| &self.paths[r]) {
+        for p in paths.iter().map(|i| &self.paths[i]) {
             out.ids.extend([p.bus_last_rank as u64, p.bus_used as u64]);
             out.times.extend(&p.last_cas_by_bg);
             out.times.extend(&p.last_wr_by_bg);
@@ -378,42 +465,57 @@ impl TimingState {
         }
     }
 
-    /// Overwrite channel `ch`'s time fields with `times`, in
-    /// [`TimingState::snapshot_channel`] order.
-    fn write_channel_times(&mut self, ch: u32, times: &[u64]) {
-        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
-        let mut it = times.iter().copied();
-        let mut next = || it.next().expect("snapshot covers every time field");
-        for b in &mut self.banks[banks] {
-            (b.next_act, b.next_cas, b.next_pre) = (next(), next(), next());
+    /// Replace each time field `scope` covers by `f` of it, in
+    /// [`TimingState::snapshot`] order.
+    fn update_times(&mut self, scope: Scope, mut f: impl FnMut(u64) -> u64) {
+        let acts = matches!(scope, Scope::Channel(_));
+        let [banks, ranks, paths] = self.scope_tables(scope);
+        let mut upd = |t: &mut u64| *t = f(*t);
+        for i in banks.iter() {
+            let b = &mut self.banks[i];
+            if acts {
+                upd(&mut b.next_act);
+            }
+            upd(&mut b.next_cas);
+            if acts {
+                upd(&mut b.next_pre);
+            }
         }
-        for r in &mut self.ranks[ranks] {
-            r.act_window.iter_mut().for_each(|t| *t = next());
-            r.last_act_by_bg.iter_mut().for_each(|t| *t = next());
-            r.last_act = next();
+        if !acts {
+            banks.iter().for_each(|i| upd(&mut self.banks[i].next_pre));
         }
-        for ix in [p_ch, p_rk, p_bg].into_iter().flatten() {
-            let p = &mut self.paths[ix];
-            p.last_cas_by_bg.iter_mut().for_each(|t| *t = next());
-            p.last_wr_by_bg.iter_mut().for_each(|t| *t = next());
-            p.last_rd_by_rank.iter_mut().for_each(|t| *t = next());
-            p.last_wr_by_rank.iter_mut().for_each(|t| *t = next());
-            (p.last_cas, p.bus_free) = (next(), next());
+        for i in ranks.iter() {
+            let r = &mut self.ranks[i];
+            r.act_window.iter_mut().for_each(&mut upd);
+            r.last_act_by_bg.iter_mut().for_each(&mut upd);
+            upd(&mut r.last_act);
+        }
+        for i in paths.iter() {
+            let p = &mut self.paths[i];
+            let stamps = [&mut p.last_cas_by_bg, &mut p.last_wr_by_bg];
+            stamps.into_iter().flatten().for_each(&mut upd);
+            let stamps = [&mut p.last_rd_by_rank, &mut p.last_wr_by_rank];
+            stamps.into_iter().flatten().for_each(&mut upd);
+            upd(&mut p.last_cas);
+            upd(&mut p.bus_free);
         }
     }
 
-    /// Advance channel `ch` by `k` further periods of a verified periodic
-    /// stream: each time field that differs from `earlier` (the same
-    /// channel one period ago) moves on by `k` times its difference;
+    /// Advance the state `scope` covers by `k` further periods of `d`
+    /// cycles of a verified periodic stream: each time field that differs
+    /// from `earlier` (the same scope one period ago) moves on by `k·d`;
     /// everything else, statistics included, stays.
-    pub fn extrapolate_channel(&mut self, ch: u32, earlier: &ChannelSnapshot, k: u64) {
-        let mut now = ChannelSnapshot::default();
-        self.snapshot_channel(ch, &mut now);
-        debug_assert_eq!(now.ids, earlier.ids, "extrapolating across an identity change");
-        for (t, &e) in now.times.iter_mut().zip(&earlier.times) {
-            *t += k * (*t - e);
-        }
-        self.write_channel_times(ch, &now.times);
+    pub fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64) {
+        let mut then = earlier.times.iter();
+        self.update_times(scope, |t| {
+            let e = *then.next().expect("the snapshot covers every time field");
+            if t != e {
+                t + k * d
+            } else {
+                t
+            }
+        });
+        debug_assert!(then.next().is_none(), "extrapolating across a scope change");
     }
 
     fn record(&mut self, time: u64, kind: CmdKind, coord: DramCoord, port: Port) {
@@ -427,16 +529,7 @@ impl TimingState {
     }
 
     fn path_index(&self, port: Port, c: &DramCoord) -> usize {
-        let g = self.geom();
-        match port {
-            Port::Channel => c.channel as usize,
-            Port::RankInternal => g.channels as usize + c.rank_index(g),
-            Port::BgInternal => {
-                g.channels as usize
-                    + (g.channels * g.ranks_per_channel) as usize
-                    + c.bankgroup_index(g)
-            }
-        }
+        path_index(self.geom(), port, c)
     }
 
     /// Index of `c`'s bank group within the path's `last_cas_by_bg` table
@@ -1087,27 +1180,78 @@ mod tests {
             l0 = round(&mut ts);
         }
         let other = ts.access(coord(1, 0, 0, 0, 0, 0), CasKind::Read, Port::Channel, 0);
-        let (mut a, mut b) = (ChannelSnapshot::default(), ChannelSnapshot::default());
-        ts.snapshot_channel(0, &mut a);
+        let (mut a, mut b) = (Snapshot::default(), Snapshot::default());
+        ts.snapshot(Scope::Channel(0), &mut a);
         let before = ts.stats;
         let d = round(&mut ts) - l0;
-        ts.snapshot_channel(0, &mut b);
+        ts.snapshot(Scope::Channel(0), &mut b);
         assert_eq!(d, 4 * ts.cfg.timing.t_ccds, "steady tCCDS cadence across bank groups");
         assert!(b.is_shift_of(&a, d, l0));
         assert!(!b.is_shift_of(&a, d + 1, l0), "every changed field moves by exactly d");
         assert!(!b.is_shift_of(&a, d, a.dead_gap), "unchanged fields must be dead");
         let mut jumped = ts.clone();
-        jumped.extrapolate_channel(0, &a, 5);
+        jumped.extrapolate(Scope::Channel(0), &a, 5, d);
         for _ in 0..5 {
             round(&mut ts);
         }
-        let (mut want, mut got) = (ChannelSnapshot::default(), ChannelSnapshot::default());
-        ts.snapshot_channel(0, &mut want);
-        jumped.snapshot_channel(0, &mut got);
+        let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
+        ts.snapshot(Scope::Channel(0), &mut want);
+        jumped.snapshot(Scope::Channel(0), &mut got);
         assert_eq!(got, want);
         assert_eq!(jumped.stats.writes, before.writes + 4, "statistics are not extrapolated");
         let again = jumped.access(coord(1, 0, 0, 0, 0, 1), CasKind::Read, Port::Channel, 0);
         assert_eq!(again.cas_at, other.cas_at + ts.cfg.timing.t_ccdl, "channel 1 untouched");
+    }
+
+    /// A rank-internal stream of row-hit pairs alternating two bank groups
+    /// (a StepStone-DV A-walk span) repeats its partition — the two banks
+    /// and the rank's internal path — one span later, shifted; the
+    /// partition extrapolates like the simulated spans, and the rest of
+    /// the channel (another bank, the activation window) is left alone.
+    #[test]
+    fn partition_extrapolation_matches_simulated_spans() {
+        let mut ts = TimingState::new(DramConfig::default());
+        let port = Port::RankInternal;
+        let keys = [coord(0, 1, 0, 0, 9, 0), coord(0, 1, 1, 0, 9, 0)];
+        let (mut col, mut nb) = (0, 0);
+        let mut span = |ts: &mut TimingState| {
+            for c in [keys[0], keys[0], keys[1], keys[1]] {
+                nb = ts.access(DramCoord { col, ..c }, CasKind::Read, port, nb).cas_at;
+                col += 1;
+            }
+            nb
+        };
+        let mut l0 = 0;
+        for _ in 0..20 {
+            l0 = span(&mut ts);
+        }
+        // The host opens another bank of the rank (an ACT in the rank's
+        // window) over the channel.
+        let other = ts.access(coord(0, 1, 2, 3, 4, 0), CasKind::Read, Port::Channel, 0);
+        let scope = Scope::Partition(&keys, port);
+        let (mut a, mut b) = (Snapshot::default(), Snapshot::default());
+        ts.snapshot(scope, &mut a);
+        let d = span(&mut ts) - l0;
+        ts.snapshot(scope, &mut b);
+        assert!(b.is_shift_of(&a, d, l0), "one span later the partition is a shift");
+        assert_eq!(b.ids.len(), 2 + 2, "two banks, one path (bus rank and use)");
+        assert_eq!((b.direct, b.ratchets), (4, 2), "next-CAS and next-PRE of two banks");
+        let mut jumped = ts.clone();
+        jumped.extrapolate(scope, &a, 7, d);
+        for _ in 0..7 {
+            span(&mut ts);
+        }
+        let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
+        ts.snapshot(scope, &mut want);
+        jumped.snapshot(scope, &mut got);
+        assert_eq!(got, want);
+        // Row hits leave the rest of the channel alone, so the whole
+        // channel matches too: nothing outside the partition moved.
+        ts.snapshot(Scope::Channel(0), &mut want);
+        jumped.snapshot(Scope::Channel(0), &mut got);
+        assert_eq!(got, want);
+        let again = jumped.access(coord(0, 1, 2, 3, 4, 1), CasKind::Read, Port::Channel, 0);
+        assert!(again.row_hit && again.cas_at >= other.cas_at, "the other bank kept its row");
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! admitted as single scheduling objects, their mean length, the
 //! per-block fallback split by cause (refresh / row / trace / traffic /
 //! other), and the periods and blocks the units issued in closed form
-//! (the transfer phases' verified periodic jumps).
+//! (the verified periodic jumps of transfer rounds and kernel A-walk
+//! stretches) with their share of the phase's blocks.
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
-//! (defaults to 2048 2048 64 at StepStone-BG on DDR4). The engine always
-//! drives the exact timing model.
+//! (defaults to 2048 2048 64 on DDR4). The shape is profiled at
+//! StepStone-BG, then at StepStone-DV. The engine always drives the exact
+//! timing model.
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
@@ -37,13 +39,16 @@ fn main() {
         if dims.len() == 3 { (dims[0], dims[1], dims[2]) } else { (2048, 2048, 64) };
     let sys = SystemConfig { parallel: false, ..SystemConfig::default() }.with_dram(dram);
     println!("{preset} ({} MHz)", dram.clock_hz / 1_000_000);
-    profile(&sys, m, k, n);
+    for level in [PimLevel::BankGroup, PimLevel::Device] {
+        println!("StepStone-{}", level.tag());
+        profile(&sys, m, k, n, level);
+    }
 }
 
-fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize) {
+fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize, level: PimLevel) {
     let ts = &mut TimingState::new(sys.dram);
     let spec = GemmSpec::new(m, k, n);
-    let opts = SimOptions::stepstone(PimLevel::BankGroup);
+    let opts = SimOptions::stepstone(level);
     let ctx = GemmContext::build(sys, &spec, &opts);
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let loc_mode = sys.localization;
@@ -68,7 +73,11 @@ fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize) {
         );
         let periods: u64 = units.iter().map(|u| u.jumped_periods).sum();
         let jumped: u64 = units.iter().map(|u| u.jumped_blocks).sum();
-        println!("        {periods} periods jumped in closed form, covering {jumped} blocks");
+        println!(
+            "        {periods} periods jumped in closed form, covering {jumped} blocks \
+             ({:.1}% of the phase)",
+            100.0 * jumped as f64 / blocks.max(1) as f64
+        );
     };
 
     let t0 = Instant::now();

@@ -20,7 +20,10 @@
 //!   without admission;
 //! * a transfer cursor alone on its channel with a long round promise —
 //!   the periodic jump of the localization and reduction streams, which
-//!   trace and refresh turn off.
+//!   trace and refresh turn off;
+//! * exclusive kernel units over long same-key A-walk stretches — the
+//!   kernel jump over their partitions, which trace and refresh turn off
+//!   too.
 //!
 //! Every arm must produce a `LatencyReport` identical to the frozen seed
 //! engine, which replays fully materialized programs. The run counters
@@ -37,7 +40,7 @@ use stepstone_core::{
     GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig,
     TopologyKind,
 };
-use stepstone_dram::{BackendKind, CommandBus, DramConfig, MemoryBackend, TimingState};
+use stepstone_dram::{BackendKind, CommandBus, DramConfig, DramStats, MemoryBackend, TimingState};
 use stepstone_workloads::SyntheticTraffic;
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
@@ -387,6 +390,74 @@ fn matrix_covers_subset_and_echo_program_shapes() {
 /// periods, the jump must fire in both transfer phases on the serial and
 /// sharded engines and stay off under trace and refresh, and every arm
 /// must match the frozen seed's phase ends, total and DRAM counters.
+/// One composed pass of `ctx` — localization, the kernels, reduction —
+/// on fresh memory: the phase ends, the DRAM statistics, and what each
+/// phase issued in closed form (transfer periods, kernel blocks).
+struct Composed {
+    loc_end: u64,
+    kernel_end: u64,
+    red_end: u64,
+    stats: DramStats,
+    jumped: [u64; 3],
+}
+
+fn composed_pass(
+    ctx: &GemmContext,
+    base: &SystemConfig,
+    opts: &SimOptions,
+    parallel: bool,
+    trace: bool,
+    refresh: bool,
+) -> Composed {
+    let dram = DramConfig { refresh, ..DramConfig::default() };
+    let mut ts = TimingState::new(dram);
+    if trace {
+        ts.enable_trace();
+    }
+    let mut bus = CommandBus::new(dram.geom.channels as usize);
+    let mut loc = transfer_cursors(ctx, &ctx.b_regions, true, Phase::Localization, 0, 0);
+    let loc_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut loc, None, parallel);
+    let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
+        .map(|pix| {
+            let mut u = UnitCursor::from_source(
+                "pim",
+                ctx.pim_channel(ctx.active_pims[pix]),
+                opts.level_cfg.port(),
+                KernelStream::new(ctx, base, opts, pix),
+                loc_end,
+                opts.level_cfg.compute_cycles_per_block(ctx.n),
+                opts.level_cfg.simd_ops_per_block(ctx.n),
+                opts.level_cfg.pipeline_depth as usize,
+                base.launch.slots_for(opts.granularity),
+                base.launch.launch_latency,
+                dram.timing.t_bl,
+                None,
+            );
+            u.exclusive = true;
+            u
+        })
+        .collect();
+    run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, parallel);
+    let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
+    let mut red = transfer_cursors(ctx, &ctx.c_regions, false, Phase::Reduction, kernel_end, 0);
+    let red_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut red, None, parallel);
+    let jumped = [
+        loc.iter().map(|u| u.jumped_periods).sum(),
+        units.iter().map(|u| u.jumped_blocks).sum(),
+        red.iter().map(|u| u.jumped_periods).sum(),
+    ];
+    Composed { loc_end, kernel_end, red_end, stats: *ts.stats(), jumped }
+}
+
+/// Arms of the jump tests: (parallel, trace, refresh).
+const JUMP_ARMS: [(bool, bool, bool); 4] =
+    [(false, false, false), (true, false, false), (false, true, false), (true, false, true)];
+
+/// A pass recomposed from its phases on the jump-enabled path: on a
+/// shape whose localization and reduction streams settle into verified
+/// periods, the jump must fire in both transfer phases on the serial and
+/// sharded engines and stay off under trace and refresh, and every arm
+/// must match the frozen seed's phase ends, total and DRAM counters.
 #[test]
 fn matrix_transfer_jump_matches_frozen_seed() {
     let _serial = counter_lock();
@@ -395,59 +466,69 @@ fn matrix_transfer_jump_matches_frozen_seed() {
     let base = SystemConfig { parallel: false, ..SystemConfig::default() };
     let seed = simulate_pow2_gemm_seed(&base, &spec, &opts);
     let ctx = GemmContext::build(&base, &spec, &opts);
-    for (parallel, trace, refresh) in
-        [(false, false, false), (true, false, false), (false, true, false), (true, false, true)]
-    {
-        let dram = DramConfig { refresh, ..DramConfig::default() };
-        let mut ts = TimingState::new(dram);
-        if trace {
-            ts.enable_trace();
-        }
-        let mut bus = CommandBus::new(dram.geom.channels as usize);
-        let mut jumped = [0u64; 2];
-        let mut loc = transfer_cursors(&ctx, &ctx.b_regions, true, Phase::Localization, 0, 0);
-        let loc_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut loc, None, parallel);
-        jumped[0] = loc.iter().map(|u| u.jumped_periods).sum();
-        let mut units: Vec<UnitCursor> = (0..ctx.active_pims.len())
-            .map(|pix| {
-                let mut u = UnitCursor::from_source(
-                    "pim",
-                    ctx.pim_channel(ctx.active_pims[pix]),
-                    opts.level_cfg.port(),
-                    KernelStream::new(&ctx, &base, &opts, pix),
-                    loc_end,
-                    opts.level_cfg.compute_cycles_per_block(ctx.n),
-                    opts.level_cfg.simd_ops_per_block(ctx.n),
-                    opts.level_cfg.pipeline_depth as usize,
-                    base.launch.slots_for(opts.granularity),
-                    base.launch.launch_latency,
-                    dram.timing.t_bl,
-                    None,
-                );
-                u.exclusive = true;
-                u
-            })
-            .collect();
-        run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, parallel);
-        let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
-        let mut red = transfer_cursors(&ctx, &ctx.c_regions, false, Phase::Reduction, kernel_end, 0);
-        let red_end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut red, None, parallel);
-        jumped[1] = red.iter().map(|u| u.jumped_periods).sum();
+    for (parallel, trace, refresh) in JUMP_ARMS {
+        let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
+        let jumped = [pass.jumped[0], pass.jumped[2]];
         let what = format!("{spec} parallel={parallel} trace={trace} refresh={refresh}");
         if refresh {
             // Refresh moves the pass away from the refresh-free seed; the
             // arm only pins that it turns the jump off.
-            assert!(ts.stats().refreshes > 0, "{what}: REFs issued");
+            assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
         } else {
-            assert_eq!(loc_end, seed.phase(Phase::Localization), "{what}: localization end");
-            assert_eq!(red_end - kernel_end, seed.phase(Phase::Reduction), "{what}: reduction");
-            assert_eq!(red_end, seed.total, "{what}: total");
-            assert_eq!(*ts.stats(), seed.dram, "{what}: DRAM event counts");
+            assert_eq!(pass.loc_end, seed.phase(Phase::Localization), "{what}: localization end");
+            assert_eq!(
+                pass.red_end - pass.kernel_end,
+                seed.phase(Phase::Reduction),
+                "{what}: reduction"
+            );
+            assert_eq!(pass.red_end, seed.total, "{what}: total");
+            assert_eq!(pass.stats, seed.dram, "{what}: DRAM event counts");
         }
         if trace || refresh {
             assert_eq!(jumped, [0, 0], "{what}: trace and refresh turn the jump off");
         } else {
             assert!(jumped.iter().all(|&j| j > 0), "{what}: jumped periods {jumped:?}");
+        }
+    }
+}
+
+/// The kernel jump in a composed StepStone-DV pass: the A-walk of a
+/// 256×4096 N=1 GEMM holds each row pair for 64 blocks per bank, so the
+/// exclusive kernel units issue most of it in closed form on the serial
+/// and sharded engines, and not under trace or refresh; every refresh-free
+/// arm must match the frozen seed's phase ends, total and DRAM counters.
+#[test]
+fn matrix_kernel_jump_matches_frozen_seed() {
+    let _serial = counter_lock();
+    let spec = GemmSpec::new(256, 4096, 1);
+    let opts = SimOptions::stepstone(PimLevel::Device);
+    let base = SystemConfig { parallel: false, ..SystemConfig::default() };
+    let seed = simulate_pow2_gemm_seed(&base, &spec, &opts);
+    let ctx = GemmContext::build(&base, &spec, &opts);
+    for (parallel, trace, refresh) in JUMP_ARMS {
+        let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
+        let what = format!("{spec} DV parallel={parallel} trace={trace} refresh={refresh}");
+        if refresh {
+            assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
+            assert_eq!(pass.jumped[1], 0, "{what}: refresh turns the kernel jump off");
+            continue;
+        }
+        let kernel = pass.kernel_end - pass.loc_end;
+        assert_eq!(pass.loc_end, seed.phase(Phase::Localization), "{what}: localization end");
+        let seed_kernel =
+            seed.total - seed.phase(Phase::Localization) - seed.phase(Phase::Reduction);
+        assert_eq!(kernel, seed_kernel, "{what}: kernel phase");
+        assert_eq!(pass.red_end, seed.total, "{what}: total");
+        assert_eq!(pass.stats, seed.dram, "{what}: DRAM event counts");
+        if trace {
+            assert_eq!(pass.jumped[1], 0, "{what}: the trace turns the kernel jump off");
+        } else {
+            let kernel_blocks = seed.dram.accesses() - seed.dram.channel_accesses();
+            assert!(
+                pass.jumped[1] * 2 > kernel_blocks,
+                "{what}: jumped {} of {kernel_blocks} kernel blocks",
+                pass.jumped[1]
+            );
         }
     }
 }
