@@ -24,7 +24,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, Scope, Snapshot, TrafficSource,
+    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, Scope, Snapshot, TimingParams,
+    TrafficSource,
 };
 
 /// Fallback-cause indices for [`RunStats::fallback`] /
@@ -64,6 +65,24 @@ impl RunStats {
         self.runs += 1;
         self.run_blocks += len;
         self.hist[(63 - len.leading_zeros() as usize).min(15)] += 1;
+    }
+
+    /// `self + k·(self − a)/j`: `k` more stretches of the stream that each
+    /// add what each of the `j` from `a` to `self` added.
+    fn extrapolated(&self, a: &RunStats, k: u64, j: u64) -> RunStats {
+        let ext = |b: &mut u64, a: u64| {
+            let grew = *b - a;
+            if grew > 0 {
+                debug_assert_eq!(grew % j, 0, "{j} stretches that grew alike");
+                *b += k * grew / j;
+            }
+        };
+        let mut out = *self;
+        ext(&mut out.runs, a.runs);
+        ext(&mut out.run_blocks, a.run_blocks);
+        out.hist.iter_mut().zip(a.hist).for_each(|(b, a)| ext(b, a));
+        out.fallback.iter_mut().zip(a.fallback).for_each(|(b, a)| ext(b, a));
+        out
     }
 }
 
@@ -357,12 +376,15 @@ const PERIOD_HISTORY: usize = 4;
 /// paper-shape region.
 const MIN_SNAPSHOT_ROUNDS: u64 = 32;
 
-/// The same floor for a kernel A-walk: a stretch must promise this many
-/// spans, and a fresh one this many blocks. A kernel's snapshots cost
-/// about as much as 10–20 blocks of per-block work, and a stretch settles
-/// once the reorder window holds only its blocks (up to four spans), so
-/// shorter stretches would not pay them back: StepStone-BG walks of
-/// Table-I shapes hold one key for 32–64 blocks, DV walks for 64–128.
+/// The same floor for a kernel A-walk whose spans carry several window
+/// keys: a stretch must promise this many spans, and a fresh one this
+/// many blocks. A kernel's snapshots cost about as much as 10–20 blocks of
+/// per-block work, and a stretch settles once the reorder window holds
+/// only its blocks (up to four spans), so shorter stretches would not pay
+/// them back: StepStone-DV walks of Table-I shapes hold one row pair for
+/// 64–128 blocks. A single-key stretch (StepStone-BG) takes no snapshot
+/// and has no floor: it jumps in the run stream (see
+/// [`UnitCursor::stretch_due`]).
 const MIN_SNAPSHOT_SPANS: u64 = 8;
 const MIN_SNAPSHOT_BLOCKS: u64 = 48;
 
@@ -388,6 +410,19 @@ enum Field {
     Done(usize),
     /// Identity (window keys, lengths, flags): must repeat verbatim.
     Id,
+}
+
+/// What a due round-promise check in the run stream decided
+/// ([`UnitCursor::stretch_due`]).
+enum Due {
+    /// Issue this many further blocks, each this many cycles after the
+    /// previous CAS ([`RunReply::Jump`]).
+    Jump(u64, u64),
+    /// A round with several window keys: end the run, so the outer loop
+    /// checks it on committed memory state (the snapshot jump).
+    Outer,
+    /// Keep streaming; `round_wait` says when to check again.
+    Stream,
 }
 
 /// A unit's accumulators: each grows by the same amount every period of
@@ -423,16 +458,12 @@ impl Counts {
         let ext_all = |b: &mut [u64], a: &[u64]| {
             b.iter_mut().zip(a).for_each(|(b, &a)| *b = ext(*b, a));
         };
-        let (mut run, mut own) = (self.run, self.own);
+        let mut own = self.own;
         u.scratch_accesses = ext(self.scratch_accesses, a.scratch_accesses);
         u.simd_ops = ext(self.simd_ops, a.simd_ops);
         u.launches = ext(self.launches, a.launches);
         u.cat_cycles = self.cat_cycles;
         ext_all(&mut u.cat_cycles, &a.cat_cycles);
-        run.runs = ext(run.runs, a.run.runs);
-        run.run_blocks = ext(run.run_blocks, a.run.run_blocks);
-        ext_all(&mut run.hist, &a.run.hist);
-        ext_all(&mut run.fallback, &a.run.fallback);
         for (b, a) in [
             (&mut own.reads, a.own.reads),
             (&mut own.writes, a.own.writes),
@@ -446,7 +477,7 @@ impl Counts {
         }
         ext_all(&mut own.reads_by_port, &a.own.reads_by_port);
         ext_all(&mut own.writes_by_port, &a.own.writes_by_port);
-        u.run_stats = run;
+        u.run_stats = self.run.extrapolated(&a.run, k, 1);
         u.own_stats = own;
     }
 }
@@ -467,10 +498,8 @@ struct RoundSnap {
     /// A transfer's channel, or a kernel's partition: the banks of `keys`
     /// and the unit's datapath.
     mem: Snapshot,
-    /// A kernel round's distinct window keys, decoded, and the addresses
-    /// they come from.
+    /// A kernel round's window keys, decoded.
     keys: Vec<DramCoord>,
-    pas: Vec<(u64, bool)>,
 }
 
 /// Per-phase state of the periodic jump for one unit.
@@ -493,6 +522,13 @@ struct PeriodTracker {
     /// twice as long as the last (up to 8 rounds), so a stretch that does
     /// not settle costs few snapshots.
     misses: u32,
+    /// Reused buffer: the addresses of a kernel round's window keys
+    /// ([`StepSource::round_keys`]).
+    pas: Vec<(u64, bool)>,
+    /// The last single-key round boundary checked: its round index
+    /// ([`RoundHint::done`]), the end of its promise, and the run
+    /// statistics there. Every round up to that end grows them alike.
+    span_mark: Option<(u64, u64, RunStats)>,
 }
 
 /// Execution state of one unit.
@@ -554,10 +590,20 @@ pub struct UnitCursor<'a> {
     /// kernel jump rebuilds its stamps from the last verified period's.
     pull_bases: [u64; PULL_BASES],
     count_own: bool,
-    /// Periods of a verified periodic stream issued in closed form.
+    // Blocks issued in closed form, by mechanism (host-side observability:
+    // none of these is a simulated quantity, and no run counter sees them).
+    /// Periods of a verified periodic stream issued in closed form: the
+    /// round-robin periods of a transfer, or of a kernel's multi-key
+    /// A-walk stretch.
     pub jumped_periods: u64,
     /// Blocks those periods covered.
     pub jumped_blocks: u64,
+    /// Blocks of single-key A-walk stretches issued in the run stream.
+    pub stretch_blocks: u64,
+    /// Blocks of admitted-run tails issued in the run stream.
+    pub tail_blocks: u64,
+    /// Round-boundary snapshots the periodic jump took.
+    pub snapshots: u64,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
     pub run_stats: RunStats,
@@ -682,6 +728,9 @@ impl<'a> UnitCursor<'a> {
             count_own: false,
             jumped_periods: 0,
             jumped_blocks: 0,
+            stretch_blocks: 0,
+            tail_blocks: 0,
+            snapshots: 0,
             run_stats: RunStats::default(),
             win_uniform: true,
             window: VecDeque::with_capacity(8),
@@ -825,6 +874,7 @@ impl<'a> UnitCursor<'a> {
                         seq: self.pulls as u32,
                     };
                     self.pulls += 1;
+                    self.debug_assert_push_ordered();
                     self.window.push_back(entry);
                     // Run-granular admission: a fresh hint promising more
                     // same-key blocks lets the source skip them wholesale;
@@ -893,8 +943,30 @@ impl<'a> UnitCursor<'a> {
                 self.win_uniform = self.win_uniform && (anchor.key ^ b.key) & scope == 0;
             }
         }
+        self.debug_assert_push_ordered();
         self.window.push_back(WinEntry { gen_ready: self.gen_clock, seq: ix as u32, ..anchor });
         self.win_synth += 1;
+    }
+
+    /// Whether the window's AGEN stamps are nondecreasing in window order,
+    /// as [`UnitCursor::window_scope_uniform`]'s front-wins argument and
+    /// the shared-key run identity of [`WinEntry::key`] assume. A push
+    /// keeps it (the AGEN clock never runs back); every jump that rebuilds
+    /// stamps asserts it in debug builds.
+    fn window_ordered(&self) -> bool {
+        let w = &self.window;
+        w.iter().zip(w.iter().skip(1)).all(|(a, b)| a.gen_ready <= b.gen_ready)
+    }
+
+    /// Debug check before a push stamped with the AGEN clock: it is not
+    /// older than the window's newest stamp.
+    #[inline]
+    fn debug_assert_push_ordered(&self) {
+        debug_assert!(
+            self.window.back().is_none_or(|b| b.gen_ready <= self.gen_clock),
+            "unit '{}': window stamps out of order",
+            self.label
+        );
     }
 
     /// Decide whether the rest of the admitted run can be issued as one
@@ -934,43 +1006,91 @@ impl<'a> UnitCursor<'a> {
         // Predict the next transition exactly as issue_nb + the steady CAS
         // rule would compute it (the AGEN term is `max(gen_clock, cas) + 1
         // ≤ cas + step`, so it never decides the max).
-        let full = self.inflight.len() >= self.pipeline_depth;
-        let mut nb = cas + step;
-        if full {
-            nb = nb.max(*self.inflight.front().expect("pipeline_depth > 0"));
-        }
-        let d = nb - cas;
+        let d = self.cadence(cas, step);
         if cur.compute {
-            // The deque must already be one arithmetic cadence: then each
-            // jumped block pops its front and pushes back + d, a pure
-            // shift of the whole deque by d.
-            if !full
-                || self.simd_free != *self.inflight.back().unwrap()
-                || self
-                    .inflight
-                    .iter()
-                    .zip(self.inflight.iter().skip(1))
-                    .any(|(a, b)| b.wrapping_sub(*a) != d)
-            {
-                return None;
-            }
-            // The next completion must continue that cadence…
-            let done = self.simd_free.max(bt.data_end + d) + self.compute_cycles_per_block;
-            if done != self.simd_free + d {
-                return None;
-            }
-            // …and the unit clock must be tracking the CAS.
-            if self.clock != cas {
+            // The pipeline must be one cadence of `d` and the unit clock
+            // must be tracking the CAS.
+            if !self.simd_cadence(bt.data_end, d) || self.clock != cas {
                 return None;
             }
         } else {
             // No pushes: any pops would drain pre-run completions that are
             // not part of the shift-invariant state.
-            if full || self.clock != bt.data_end {
+            if self.inflight.len() >= self.pipeline_depth || self.clock != bt.data_end {
                 return None;
             }
         }
         Some((self.run_left, d))
+    }
+
+    /// The CAS-to-CAS distance of the next issue after a CAS at `cas` in a
+    /// steady row-hit run with cadence floor `step`, when neither the AGEN
+    /// nor the launch gate binds: the floor, or the oldest SIMD completion
+    /// a full pipeline must retire first, if that is later.
+    fn cadence(&self, cas: u64, step: u64) -> u64 {
+        let mut nb = cas + step;
+        if self.inflight.len() >= self.pipeline_depth {
+            nb = nb.max(*self.inflight.front().expect("pipeline_depth > 0"));
+        }
+        nb - cas
+    }
+
+    /// Whether the SIMD pipeline is one arithmetic cadence of `d`: full,
+    /// its completions `d` apart with the newest at the SIMD horizon, and
+    /// the next block (its data ending `d` past `data_end`) completing `d`
+    /// after it. Each issue at that cadence then pops the front and pushes
+    /// the back plus `d`: a pure shift of the pipeline by `d`.
+    fn simd_cadence(&self, data_end: u64, d: u64) -> bool {
+        let q = &self.inflight;
+        q.len() >= self.pipeline_depth
+            && q.back() == Some(&self.simd_free)
+            && q.iter().zip(q.iter().skip(1)).all(|(a, b)| b.wrapping_sub(*a) == d)
+            && self.simd_free.max(data_end + d) + self.compute_cycles_per_block
+                == self.simd_free + d
+    }
+
+    /// The SIMD completion of the `m`-th block (from 1) of a stretch whose
+    /// CAS commands follow one at `cas` every `d` cycles, each block's data
+    /// ending `data` after its CAS: the recurrence `done = max(simd_free,
+    /// data end) + compute` over data ends `d` apart, in max/plus closed
+    /// form — the SIMD backlog carried forward, or the first block's data
+    /// end plus whichever of compute and `d` paces the later ones.
+    fn simd_done(&self, cas: u64, d: u64, data: u64) -> impl Fn(u64) -> u64 {
+        let (c, s) = (self.compute_cycles_per_block, self.simd_free);
+        let first = cas + d + data + c;
+        move |m| (s + m * c).max(first + (m - 1) * c.max(d))
+    }
+
+    /// How many blocks a stretch issuing a CAS every `d` cycles after one
+    /// at `cas` (`d` the cadence floor) can issue before the SIMD pipeline
+    /// binds. Issues retire nothing until the pipeline is full, then each
+    /// retires the oldest completion, at `cas + t·d` for the `t`-th issue:
+    /// first those in flight, then block `m`'s ([`UnitCursor::simd_done`])
+    /// at issue `m + depth`. None may be later than its issue. Both terms
+    /// of block `m`'s completion outgrow its retirement by `compute − d`
+    /// per block, so a SIMD unit no slower than the cadence never binds if
+    /// block 1 does not, and a slower one first binds at a block found by
+    /// one division. The stretch is capped just before the first binding.
+    fn simd_room(&self, cas: u64, d: u64, data: u64) -> u64 {
+        let depth = self.pipeline_depth as u64;
+        let c = self.compute_cycles_per_block;
+        let idle = depth.saturating_sub(self.inflight.len() as u64);
+        let late = self.inflight.iter().zip(idle + 1..).position(|(&f, t)| f > cas + t * d);
+        if let Some(i) = late {
+            return idle + i as u64;
+        }
+        let retire = cas + (depth + 1) * d;
+        let mut blocks = u64::MAX;
+        for first in [self.simd_free + c, cas + d + data + c] {
+            if first > retire {
+                // Only blocks still in flight at the end may issue.
+                return depth;
+            }
+            if c > d {
+                blocks = blocks.min(1 + (retire - first) / (c - d));
+            }
+        }
+        depth.saturating_add(blocks)
     }
 
     /// Account `k` jumped followers (see [`UnitCursor::jump_len`]): the
@@ -989,6 +1109,7 @@ impl<'a> UnitCursor<'a> {
             }
         }
         self.run_left -= k;
+        self.tail_blocks += k;
         // After issuing the last follower: one AGEN tick past the
         // previous block's CAS.
         self.gen_clock = last_cas - d + 1;
@@ -1011,6 +1132,190 @@ impl<'a> UnitCursor<'a> {
         self.cat_cycles[cur.cat.index()] += kd;
         self.clock += kd;
         self.end_time = self.end_time.max(last_data_end).max(self.simd_free);
+        debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
+    }
+
+    /// The window key of the round just completed, if all its blocks carry
+    /// one: read off the window's newest `width` entries while none of them
+    /// has issued, otherwise decoded from the source's round keys.
+    fn round_key(&mut self, width: u64, mapping: &XorMapping) -> Option<u64> {
+        let w = self.window.len() as u64;
+        if width <= w && self.back(&self.window[(w - width) as usize]) == width - 1 {
+            let mut round = self.window.iter().skip((w - width) as usize).map(|e| e.key);
+            let key = round.next()?;
+            return round.all(|k| k == key).then_some(key);
+        }
+        let pas = &mut self.period.as_mut().expect("periodic grant").pas;
+        pas.clear();
+        self.steps.round_keys(pas);
+        let key = |&(pa, write): &(u64, bool)| window_key(mapping, &mapping.decode(pa), write);
+        let (first, rest) = pas.split_first()?;
+        let k = key(first);
+        rest.iter().all(|p| key(p) == k).then_some(k)
+    }
+
+    /// The single-key stretch jump: the run stream's check of a due round
+    /// promise, just after `cur` issued at `bt` in a steady row-hit run
+    /// whose cadence floor is `step`.
+    ///
+    /// At an A-walk span boundary where the source promises `P` more spans
+    /// on the one window key that `cur` and every entry of the full reorder
+    /// window carry, each of the `P·len` promised blocks is a row hit on
+    /// the open row, and each issue pops the window front and pulls one
+    /// block. If the checks below pass, each issues exactly `d` after the
+    /// previous CAS — [`UnitCursor::jump_len`]'s max/plus shift argument
+    /// over a promised stretch instead of one admitted run — so the source
+    /// skips the spans and the run stream commits them as one
+    /// [`RunReply::Jump`]. No snapshot is taken:
+    ///
+    /// * no host gap, no pending kernel start, the launch gate below the
+    ///   CAS: neither binds again;
+    /// * the AGEN cannot bind: the AGEN clock and every window stamp are
+    ///   at most `d` past the CAS, and no promised block costs more than
+    ///   `d`. Each pull then starts at the CAS just issued (the previous
+    ///   pull ended by it), so its stamp is at most `d` past the CAS its
+    ///   block waits behind: never later than the cadence;
+    /// * the SIMD pipeline does not change the cadence: either `d` is the
+    ///   floor and no completion retires later than the issue that needs
+    ///   its slot, which caps the stretch where the oldest would first
+    ///   bind ([`UnitCursor::simd_room`]); or the pipeline is one cadence
+    ///   of `d` ([`UnitCursor::simd_cadence`], a SIMD-bound stream whose
+    ///   every issue waits on exactly its oldest completion).
+    ///
+    /// Every unit field then follows in closed form: the `m`-th block's
+    /// CAS is `cas + m·d`; the clock, horizons and category cycles run to
+    /// the last; completions follow `simd_room`'s closed form of the SIMD
+    /// recurrence (a pure shift in the second case); each skipped pull's
+    /// stamp is the CAS before it plus the charge the source reports; the
+    /// AGEN sums come from [`Skipped`]. Run admission and fallback counts
+    /// grow `P` times by what each span added since an earlier boundary of
+    /// the same promise (`span_mark`): every promised span repeats the run
+    /// hints of the span before it, so a stretch's first check only marks
+    /// it. A window still holding blocks of another key waits until they
+    /// have issued; a round with several keys ends the run instead.
+    fn stretch_due(
+        &mut self,
+        cur: &WinEntry,
+        bt: stepstone_dram::BlockTiming,
+        step: u64,
+        tp: &TimingParams,
+        mapping: &XorMapping,
+    ) -> Due {
+        if self.peeked.is_some() {
+            self.round_wait = 1;
+            return Due::Stream;
+        }
+        let hint = match self.steps.round_hint(1) {
+            // The followers of an admitted run pull nothing from the
+            // source, so they add to its wait.
+            Err(wait) => {
+                self.round_wait = wait.saturating_add(self.run_left);
+                return Due::Stream;
+            }
+            // Ask again once the admitted run is in the window.
+            Ok(_) if self.run_left > 0 => {
+                self.round_wait = self.run_left;
+                return Due::Stream;
+            }
+            Ok(hint) => hint,
+        };
+        let Some(key) = self.round_key(hint.width, mapping) else { return Due::Outer };
+        let tr = self.period.as_mut().expect("periodic grant");
+        let end = hint.done + hint.rounds;
+        let mark = tr.span_mark.replace((hint.done, end, self.run_stats));
+        let since = mark.filter(|&(done, end, _)| done < hint.done && hint.done <= end);
+        // Issues until `cur` and every window entry carry the round's key
+        // (the stretch's blocks are the window's newest), rounded up to the
+        // next span boundary.
+        let foreign = match self.window.iter().rposition(|e| e.key != key) {
+            Some(i) => i as u64 + 2,
+            None => (cur.key != key) as u64,
+        };
+        self.round_wait = foreign.div_ceil(hint.width).max(1) * hint.width;
+        let Some((marked_at, _, marked)) = since.filter(|_| foreign == 0) else {
+            return Due::Stream;
+        };
+        let cas = bt.cas_at;
+        let d = self.cadence(cas, step);
+        let horizon = cas + d;
+        let data = if cur.write { tp.t_cwl } else { tp.t_cl } + tp.t_bl;
+        let ready = self.host_gap == 0
+            && !self.pending_kernel_start
+            && self.launch_avail <= cas
+            && self.hint_left == 0
+            && hint.max_iters as u64 <= d
+            && self.gen_clock <= horizon
+            && self.window.len() == self.window_cap
+            && self.window.iter().all(|e| e.compute && e.gen_ready <= horizon);
+        let room = if !ready {
+            0
+        } else if d == step {
+            self.simd_room(cas, d, data)
+        } else if self.simd_cadence(bt.data_end, d) {
+            u64::MAX
+        } else {
+            0
+        };
+        let rounds = hint.rounds.min(room / hint.width);
+        if rounds == 0 {
+            return Due::Stream;
+        }
+        let n = rounds * hint.width;
+        let skipped = self.steps.skip_rounds(rounds, self.burst_window);
+        debug_assert_eq!(skipped.blocks, n, "a promised stretch skips whole spans");
+        let last = cas + n * d;
+        if self.count_own {
+            let kind = if cur.write { CasKind::Write } else { CasKind::Read };
+            let hit = stepstone_dram::BlockTiming { row_hit: true, acts: 0, ..bt };
+            self.own_stats.count_blocks(kind, self.port, &hit, n);
+            // The `m`-th pull of the stretch starts at the `m`-th CAS.
+            for m in n.saturating_sub(PULL_BASES as u64)..n {
+                let ix = ((self.pulls + m) % PULL_BASES as u64) as usize;
+                self.pull_bases[ix] = cas + (m + 1) * d;
+            }
+        }
+        self.pulls += n;
+        // The window ends up holding the latest pulls (entries differ only
+        // in their stamps and pull indices). Only a span's first block
+        // costs more than one AGEN iteration.
+        let w = self.window.len() as u64;
+        let fresh = n.min(w);
+        self.window.rotate_left(fresh as usize);
+        for (i, e) in self.window.iter_mut().enumerate().skip((w - fresh) as usize) {
+            let back = w - 1 - i as u64;
+            let charge = match back % hint.width + 1 == hint.width {
+                true => self.steps.cost_back(back).expect("a skipped span's charges are known"),
+                false => 1,
+            };
+            e.seq = (self.pulls - 1 - back) as u32;
+            e.gen_ready = last - back * d + charge as u64;
+        }
+        self.gen_clock = self.window.back().expect("a full window").gen_ready;
+        self.not_before = last;
+        // Each issue adds its block's completion and, once the pipeline is
+        // full, retires the oldest.
+        let done = self.simd_done(cas, d, data);
+        let held = self.inflight.len() as u64;
+        let retired = (held + n).saturating_sub(self.pipeline_depth as u64);
+        self.inflight.drain(..retired.min(held) as usize);
+        self.inflight.extend((1 + retired.saturating_sub(held)..=n).map(&done));
+        self.simd_free = done(n);
+        self.simd_ops += n * self.simd_ops_per_block;
+        self.scratch_accesses += 2 * n;
+        let clock = self.clock.max(last);
+        self.cat_cycles[cur.cat.index()] += clock - self.clock;
+        self.clock = clock;
+        self.end_time = self.end_time.max(last + data).max(self.simd_free);
+        self.agen_iter_sum += skipped.iters;
+        self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
+        self.agen_bubbles += skipped.bubbles;
+        self.run_stats = self.run_stats.extrapolated(&marked, rounds, hint.done - marked_at);
+        self.stretch_blocks += n;
+        // The next promise is due right away (the mark stays at the
+        // boundary before the jump, whose promise covered it).
+        self.round_wait = 1;
+        debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
+        Due::Jump(n, d)
     }
 
     /// Charge the AGEN for the pull with index `ix`, costing `iters`: it
@@ -1234,11 +1539,14 @@ impl<'a> UnitCursor<'a> {
     /// scheduler turn, so results stay bit-identical to the per-block path.
     ///
     /// Under the periodic-jump grant, the source's round promise is
-    /// checked whenever it is due (see `UnitCursor::try_period_jump`):
-    /// `desired` or the batch loop has just refilled the window, so at a
-    /// round boundary the source and the window hold the state a period
-    /// compares. Every issue is followed by one pull, so the wait counts
-    /// issues.
+    /// checked whenever it is due: `desired`, the batch loop or the run
+    /// stream has just refilled the window, so at a round boundary the
+    /// source and the window hold the state a jump starts from. Inside the
+    /// run stream a single-key A-walk stretch jumps on the spot (see
+    /// `UnitCursor::stretch_due`); any other round ends the run, and the
+    /// batch loop checks it against snapshots of committed memory state
+    /// (see `UnitCursor::try_period_jump`). Every issue is followed by one
+    /// pull, so the wait counts issues.
     pub fn advance_batch<B: MemoryBackend>(
         &mut self,
         ts: &mut B,
@@ -1275,7 +1583,7 @@ impl<'a> UnitCursor<'a> {
             let kind = if e0.write { CasKind::Write } else { CasKind::Read };
             let nb = self.issue_nb(e0.gen_ready);
             let mut cur = e0;
-            let step = ts.cas_step();
+            let (step, tp) = (ts.cas_step(), ts.config().timing);
             let mut jumped = false;
             ts.access_run_stream(e0.coord, kind, self.port, nb, &mut |bt| {
                 if jumped {
@@ -1347,13 +1655,22 @@ impl<'a> UnitCursor<'a> {
                 if front.key != cur.key || !self.win_uniform {
                     return RunReply::End;
                 }
-                // A due promise check ends the run: the outer loop takes
-                // it on committed memory state.
+                // A due promise check: a single-key A-walk stretch jumps
+                // right here; any other round ends the run, and the outer
+                // loop checks it on committed memory state.
                 if self.period.is_some() {
-                    if self.round_wait <= 1 {
-                        return RunReply::End;
+                    if self.round_wait > 1 {
+                        self.round_wait -= 1;
+                    } else {
+                        match self.stretch_due(&cur, bt, step, &tp, mapping) {
+                            Due::Jump(count, d) => {
+                                jumped = true;
+                                return RunReply::Jump { count, d };
+                            }
+                            Due::Outer => return RunReply::End,
+                            Due::Stream => {}
+                        }
                     }
-                    self.round_wait -= 1;
                 }
                 cur = self.take_entry(0, scope);
                 let nb = self.issue_nb(cur.gen_ready);
@@ -1421,7 +1738,9 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// The periodic jump of a transfer stream alone on its channel, or of
-    /// an exclusive kernel unit over an A-walk stretch.
+    /// an exclusive kernel unit over an A-walk stretch whose spans carry
+    /// several window keys (a single-key stretch jumps in the run stream
+    /// instead, with no snapshot: [`UnitCursor::stretch_due`]).
     ///
     /// Called before a per-block issue under the scheduler's grant (a
     /// transfer alone on its channel, or a kernel on the fast path without
@@ -1481,16 +1800,33 @@ impl<'a> UnitCursor<'a> {
                 return false;
             }
         };
+        // A single-key round takes no snapshot: it jumps in the run stream,
+        // which checks it at a later span boundary against this one (see
+        // `UnitCursor::stretch_due`).
+        if kernel && self.round_key(hint.width, mapping).is_some() {
+            let mark = (hint.done, hint.done + hint.rounds, self.run_stats);
+            self.period.as_mut().expect("periodic grant").span_mark = Some(mark);
+            self.round_wait = hint.width;
+            return false;
+        }
         let mut tr = self.period.take().expect("periodic grant");
+        if kernel {
+            tr.pas.clear();
+            self.steps.round_keys(&mut tr.pas);
+        }
         // A kernel's new stretch (another end of promise) starts a fresh
-        // history, if it is long enough to start on at all.
+        // history, if it is long enough to start on at all, and if its
+        // SIMD unit keeps up with the CAS cadence: a slower one builds a
+        // backlog for longer than a row's stretch lasts, so it is never
+        // periodic there.
         let end = hint.done.saturating_add(hint.rounds);
         if kernel && tr.stretch_end != end {
             let stale = tr.history.drain(..);
             tr.spare.extend(stale);
             tr.misses = 0;
-            if hint.rounds * hint.width < MIN_SNAPSHOT_BLOCKS {
-                // Too short to start on: ask again past its end, and past
+            let simd_bound = self.compute_cycles_per_block > ts.config().timing.t_ccds;
+            if hint.rounds * hint.width < MIN_SNAPSHOT_BLOCKS || simd_bound {
+                // Not worth starting on: ask again past its end, and past
                 // ever more stretches while they keep coming short.
                 self.round_wait = (hint.rounds * hint.width + 1) << tr.declined.min(4);
                 tr.declined += 1;
@@ -1510,7 +1846,7 @@ impl<'a> UnitCursor<'a> {
         b.counts = Counts::of(self);
         b.keys.clear();
         if kernel {
-            if let Err(wait) = self.kernel_boundary(&*ts, mapping, &hint, &mut b) {
+            if let Err(wait) = self.kernel_boundary(&*ts, mapping, &hint, &tr.pas, &mut b) {
                 self.round_wait = wait;
                 tr.spare.push(b);
                 self.period = Some(tr);
@@ -1519,6 +1855,7 @@ impl<'a> UnitCursor<'a> {
         }
         let (port, channel) = (self.port, self.channel);
         ts.snapshot(mem_scope(kernel, &b.keys, port, channel), &mut b.mem);
+        self.snapshots += 1;
         b.unit.dead_gap = b.mem.dead_gap;
         let settled = kernel && self.simd_settled(&*ts);
         b.unit.ids.push(settled as u64);
@@ -1621,6 +1958,7 @@ impl<'a> UnitCursor<'a> {
                 }
                 Field::Id => {}
             });
+            debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
             self.agen_iter_sum += skipped.iters;
             self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
             self.agen_bubbles += skipped.bubbles;
@@ -1675,10 +2013,11 @@ impl<'a> UnitCursor<'a> {
 
     /// The kernel side of a round boundary, before its snapshot: checks
     /// that the promised rounds are row hits on open rows of the partition
-    /// the round's keys name (every window entry included) and that the
-    /// AGEN cannot bind (see [`UnitCursor::try_period_jump`]), with the
-    /// charge of every stamp's block known; fills `b.keys` with the
-    /// decoded keys and their key values into `b.unit.ids`.
+    /// the round's keys (their addresses `pas`) name, every window entry
+    /// included, and that the AGEN cannot bind (see
+    /// [`UnitCursor::try_period_jump`]), with the charge of every stamp's
+    /// block known; fills `b.keys` with the decoded keys and their key
+    /// values into `b.unit.ids`.
     /// Otherwise returns how many issues to wait: a window still holding
     /// `f` blocks of another stretch (whose rows the stretch's own have
     /// not yet replaced) cannot have drained them in fewer than `f`
@@ -1688,6 +2027,7 @@ impl<'a> UnitCursor<'a> {
         ts: &B,
         mapping: &XorMapping,
         hint: &RoundHint,
+        pas: &[(u64, bool)],
         b: &mut RoundSnap,
     ) -> Result<(), u64> {
         let t_ccds = ts.config().timing.t_ccds;
@@ -1702,14 +2042,11 @@ impl<'a> UnitCursor<'a> {
         {
             return next_round;
         }
-        let pas = &mut b.pas;
-        pas.clear();
-        self.steps.round_keys(pas);
         if pas.is_empty() || pas.iter().any(|&(_, w)| w != pas[0].1) {
             return next_round;
         }
         let mut closed = false;
-        for &(pa, write) in pas.iter() {
+        for &(pa, write) in pas {
             let c = mapping.decode(pa);
             closed |= !ts.row_open(&c);
             b.keys.push(c);
@@ -1925,23 +2262,18 @@ fn run_units<B: MemoryBackend>(
     // The periodic jump (see `UnitCursor::try_period_jump`) needs memory
     // state no one else moves, and no traffic, refresh, or trace: a
     // transfer extrapolates its whole channel, so it needs the channel to
-    // itself; a kernel on the fast path extrapolates only its partition,
-    // which no other unit touches, unless a subset remap folds address
-    // parities into its keys. A kernel whose SIMD unit is slower than the
-    // CAS cadence builds a backlog for longer than a row's stretch lasts,
-    // so it is never periodic there and does not ask.
+    // itself; a kernel on the fast path moves only its partition, which no
+    // other unit touches, unless a subset remap folds address parities
+    // into its keys. The same grant covers a kernel's single-key stretch
+    // jump in the run stream (`UnitCursor::stretch_due`), which a
+    // SIMD-bound kernel takes too; such a kernel takes no snapshots.
     let quiet = traffic.is_none() && !ts.config().refresh && !ts.trace_enabled();
-    let t_ccds = ts.config().timing.t_ccds;
     let channels: Vec<u32> = units.iter().map(|u| u.channel).collect();
     for u in units.iter_mut() {
         u.fast = fast;
         u.fallback_cause = cause;
         let alone = channels.iter().filter(|&&c| c == u.channel).count() == 1;
-        let granted = if fast {
-            u.subset.is_none() && u.compute_cycles_per_block <= t_ccds
-        } else {
-            quiet && alone
-        };
+        let granted = if fast { u.subset.is_none() } else { quiet && alone };
         u.period = granted.then(Box::default);
         u.round_wait = 0;
         u.count_own = false;

@@ -554,6 +554,10 @@ pub struct SpanLog {
     /// How many of `ahead` (from the front) repeat the key pattern of the
     /// latest started span.
     ahead_same: usize,
+    /// Whether the span after those is known not to repeat it: the
+    /// pattern is an equivalence, so the answer holds until that span is
+    /// started.
+    ahead_broken: bool,
     /// The largest head charge among spans counted into `ahead_same` since
     /// it was last zero (a bound on the charges of those still ahead).
     ahead_max: u32,
@@ -572,7 +576,10 @@ impl SpanLog {
         let span = match self.ahead.pop_front() {
             Some(s) => {
                 // It repeated the previous pattern, so the rest of the
-                // known run repeats its own.
+                // known run repeats its own; or it starts a new one.
+                if self.ahead_same == 0 {
+                    self.ahead_broken = false;
+                }
                 self.ahead_same = self.ahead_same.saturating_sub(1);
                 if self.ahead_same == 0 {
                     self.ahead_max = 0;
@@ -733,8 +740,9 @@ impl WalkCursor {
     /// pattern of the span just completed (`same(last, next)`, an
     /// equivalence), looking ahead at most 128 spans.
     /// Looked-ahead spans are kept and yielded in order, so the walk's
-    /// output and its generator's work do not change. `None` off a
-    /// boundary.
+    /// output and its generator's work do not change; later boundaries of
+    /// the same stretch reuse the count and the span found to break it.
+    /// `None` off a boundary.
     pub(crate) fn stretch(
         &mut self,
         same: impl Fn(&AgenSpan, &AgenSpan) -> bool,
@@ -743,7 +751,8 @@ impl WalkCursor {
         let WalkCursor::Spanned { spans, log, .. } = self else { return None };
         loop {
             if let Some(s) = log.ahead.get(log.ahead_same) {
-                if !same(&r, s) {
+                if log.ahead_broken || !same(&r, s) {
+                    log.ahead_broken = true;
                     break;
                 }
                 log.ahead_same += 1;

@@ -1,8 +1,10 @@
-//! Differential suite of the kernel periodic jump.
+//! Differential suite of the kernel A-walk jumps.
 //!
-//! An exclusive kernel unit on the fast path issues verified periods of
-//! its A-walk stretches in closed form (`UnitCursor::jumped_blocks`). Two
-//! references check it:
+//! An exclusive kernel unit on the fast path issues stretches of its
+//! A-walk in closed form: single-key stretches (StepStone-BG) in the run
+//! stream without snapshots (`UnitCursor::stretch_blocks`), and verified
+//! periods of multi-key stretches (StepStone-DV) against partition
+//! snapshots (`UnitCursor::jumped_blocks`). Two references check both:
 //!
 //! * the same phase over a source that makes no round promises, so run
 //!   admission and the span fast path are unchanged but the jump never
@@ -132,29 +134,55 @@ fn kernel_units<'a>(
         .collect()
 }
 
+/// What the kernel units of a run issued in closed form: blocks of
+/// single-key stretches and of verified periods, and the snapshots the
+/// period checks took.
+#[derive(Debug, Default, Clone, Copy)]
+struct Jumped {
+    stretch: u64,
+    period: u64,
+    snapshots: u64,
+}
+
+impl Jumped {
+    fn add(&mut self, units: &[UnitCursor]) {
+        for u in units {
+            self.stretch += u.stretch_blocks;
+            self.period += u.jumped_blocks;
+            self.snapshots += u.snapshots;
+        }
+    }
+
+    /// Blocks issued by either stretch jump.
+    fn blocks(&self) -> u64 {
+        self.stretch + self.period
+    }
+}
+
 /// Run the kernel phase, then an identical follow-up phase from its end,
-/// on one backend; returns both phases and the blocks jumped in all.
+/// on one backend; returns both phases and what they issued in closed
+/// form.
 fn run_twice(
     sys: &SystemConfig,
     ctx: &GemmContext,
     opts: &SimOptions,
     start: u64,
     mode: Mode,
-) -> ([PhaseOut; 2], u64) {
+) -> ([PhaseOut; 2], Jumped) {
     let mut ts = TimingState::new(sys.dram);
     if mode == Mode::Traced {
         ts.enable_trace();
     }
     let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
     let mut start = start;
-    let mut jumped = 0;
+    let mut jumped = Jumped::default();
     let mut phase = || {
         let before = ts.stats;
         reset_run_counters();
         let mut units = kernel_units(ctx, sys, opts, start, mode != Mode::NoPromise);
         let end = run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
         start = end;
-        jumped += units.iter().map(|u| u.jumped_blocks).sum::<u64>();
+        jumped.add(&units);
         PhaseOut {
             end,
             units: units.iter().map(fields).collect(),
@@ -166,18 +194,18 @@ fn run_twice(
     (out, jumped)
 }
 
-/// Compare the jump-enabled run with both references; returns the blocks
-/// the jump-enabled run issued in closed form.
-fn check(sys: &SystemConfig, spec: GemmSpec, level: PimLevel, start: u64) -> u64 {
+/// Compare the jump-enabled run with both references; returns what the
+/// jump-enabled run issued in closed form.
+fn check(sys: &SystemConfig, spec: GemmSpec, level: PimLevel, start: u64) -> Jumped {
     let opts = SimOptions::stepstone(level);
     let ctx = GemmContext::build(sys, &spec, &opts);
     let what = format!("{spec} {level:?} paged={} parallel={}", sys.paging.is_some(), sys.parallel);
     let (got, jumped) = run_twice(sys, &ctx, &opts, start, Mode::Jump);
     let (plain, none) = run_twice(sys, &ctx, &opts, start, Mode::NoPromise);
-    assert_eq!(none, 0, "{what}: a source without promises never jumps");
+    assert_eq!(none.blocks(), 0, "{what}: a source without promises never jumps");
     assert_eq!(got, plain, "{what}: jump vs no promises");
     let (traced, none) = run_twice(sys, &ctx, &opts, start, Mode::Traced);
-    assert_eq!(none, 0, "{what}: the trace turns the jump off");
+    assert_eq!(none.blocks(), 0, "{what}: the trace turns the jump off");
     for (i, (g, t)) in got.iter().zip(&traced).enumerate() {
         let blocks = t.stats.accesses();
         assert_eq!(t.counters.runs, 0, "{what} phase {i}: tracing admits no runs");
@@ -195,9 +223,9 @@ fn sys(page: Option<u64>, parallel: bool) -> SystemConfig {
 /// A 256×4096 N=1 A-walk at StepStone-DV and -BG holds one row pair (DV)
 /// or one row (BG) for 64 blocks per bank, like the 1024×4096 Table-I
 /// shape. Unpaged, under 4 KiB and 64 KiB fragmented paging, serial and
-/// sharded, the jump must match both references; it must fire unpaged
+/// sharded, the jumps must match both references; they must fire unpaged
 /// and with 64 KiB pages (promises clipped at page ends), while a 4 KiB
-/// page holds too few blocks of one stretch.
+/// page holds too few blocks of one DV stretch.
 #[test]
 fn stretches_jump_and_match_both_references() {
     let _serial = counter_lock();
@@ -213,13 +241,36 @@ fn stretches_jump_and_match_both_references() {
     for (level, page, parallel) in arms {
         let jumped = check(&sys(page, parallel), spec, level, 0);
         if page != Some(4096) {
-            assert!(jumped > 0, "{level:?} page {page:?} parallel={parallel}: no jump");
+            assert!(jumped.blocks() > 0, "{level:?} page {page:?} parallel={parallel}: no jump");
         }
     }
 }
 
-/// The share of kernel blocks the 1024×4096 N=1 Table-I shape issues in
-/// closed form, pinned as lower bounds (the counts are deterministic).
+/// StepStone-BG walks hold one window key per stretch: 32 blocks on the
+/// K ≤ 2048 Table-I shapes (1024×1024 N=4), where a snapshot would not
+/// pay back, and at N = 32 a SIMD unit slower than the CAS cadence, whose
+/// stretches run until its oldest completion binds and then at the SIMD
+/// cadence. Unpaged, under 4 KiB and 64 KiB fragmented paging, serial and
+/// sharded, over two phases, the single-key jump must match both
+/// references and fire, and no round may take a snapshot.
+#[test]
+fn single_key_stretches_jump_without_snapshots() {
+    let _serial = counter_lock();
+    for spec in [GemmSpec::new(1024, 1024, 4), GemmSpec::new(512, 1024, 32)] {
+        for page in [None, Some(4096), Some(1 << 16)] {
+            for parallel in [false, true] {
+                let jumped = check(&sys(page, parallel), spec, PimLevel::BankGroup, 0);
+                let what = format!("{spec} page {page:?} parallel={parallel}");
+                assert!(jumped.stretch > 0, "{what}: no single-key jump");
+                assert_eq!((jumped.period, jumped.snapshots), (0, 0), "{what}: snapshots");
+            }
+        }
+    }
+}
+
+/// The share of kernel blocks the 1024×4096 N=1 Table-I shape issues by
+/// either stretch jump, pinned as lower bounds (the counts are
+/// deterministic).
 #[test]
 fn table1_shape_jump_shares() {
     let _serial = counter_lock();
@@ -232,7 +283,9 @@ fn table1_shape_jump_shares() {
         let mut bus = CommandBus::new(base.dram.geom.channels as usize);
         let mut units = kernel_units(&ctx, &base, &opts, 0, true);
         run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
-        let jumped: u64 = units.iter().map(|u| u.jumped_blocks).sum();
+        let mut jumped = Jumped::default();
+        jumped.add(&units);
+        let jumped = jumped.blocks();
         let got = jumped as f64 / ts.stats.accesses() as f64;
         assert!(got >= share, "{level:?}: jumped {jumped} of {} blocks", ts.stats.accesses());
     }
@@ -248,18 +301,29 @@ impl TrafficSource for Trickle {
     }
 }
 
-/// The kernel jump stays off where its grant does not hold: under trace
+/// The kernel jumps stay off where their grant does not hold: under trace
 /// (above), refresh, colocated traffic, a subset remap, eCHO's per-row
 /// launches, and in a fused round, where a transfer cursor shares the
-/// phase.
+/// phase — the verified periods of StepStone-DV and the single-key
+/// stretches of StepStone-BG alike.
 #[test]
 fn jump_stays_off_without_its_grant() {
     let _serial = counter_lock();
+    for level in [PimLevel::Device, PimLevel::BankGroup] {
+        stays_off_without_grant(level);
+    }
+}
+
+fn stays_off_without_grant(level: PimLevel) {
     let spec = GemmSpec::new(256, 4096, 1);
     let base = sys(None, false);
-    let opts = SimOptions::stepstone(PimLevel::Device);
+    let opts = SimOptions::stepstone(level);
     let ctx = GemmContext::build(&base, &spec, &opts);
-    let jumped = |units: &[UnitCursor]| units.iter().map(|u| u.jumped_blocks).sum::<u64>();
+    let jumped = |units: &[UnitCursor]| {
+        let mut j = Jumped::default();
+        j.add(units);
+        j.blocks()
+    };
     let fresh = |dram: DramConfig| (TimingState::new(dram), CommandBus::new(2));
 
     let (mut ts, mut bus) = fresh(DramConfig::default());
@@ -304,7 +368,7 @@ fn jump_stays_off_without_its_grant() {
     run_phase_auto(&mut ts, &mut bus, &ctx.mapping, &mut units, None, false);
     assert_eq!(jumped(&units), 0, "subset remap");
 
-    let echo = SimOptions::echo(PimLevel::Device);
+    let echo = SimOptions::echo(level);
     let echo_ctx = GemmContext::build(&base, &spec, &echo);
     let (mut ts, mut bus) = fresh(DramConfig::default());
     let mut units = kernel_units(&echo_ctx, &base, &echo, 0, true);

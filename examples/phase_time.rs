@@ -3,9 +3,10 @@
 //! Each phase also reports its run-granularity statistics: hinted runs
 //! admitted as single scheduling objects, their mean length, the
 //! per-block fallback split by cause (refresh / row / trace / traffic /
-//! other), and the periods and blocks the units issued in closed form
-//! (the verified periodic jumps of transfer rounds and kernel A-walk
-//! stretches) with their share of the phase's blocks.
+//! other), and the blocks the units issued in closed form, by mechanism,
+//! with their share of the phase's blocks: admitted-run tails, single-key
+//! A-walk stretches (StepStone-BG), and verified periods (transfer rounds
+//! and multi-key A-walk stretches, with the snapshots their checks took).
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -71,12 +72,18 @@ fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize, level: PimLevel) {
             rc.mean_run_len(),
             if splits.is_empty() { "none".into() } else { splits.join(", ") },
         );
-        let periods: u64 = units.iter().map(|u| u.jumped_periods).sum();
-        let jumped: u64 = units.iter().map(|u| u.jumped_blocks).sum();
+        let sum = |f: fn(&UnitCursor) -> u64| units.iter().map(f).sum::<u64>();
+        let share = |b: u64| 100.0 * b as f64 / blocks.max(1) as f64;
+        let (tail, stretch) = (sum(|u| u.tail_blocks), sum(|u| u.stretch_blocks));
+        let (periods, jumped) = (sum(|u| u.jumped_periods), sum(|u| u.jumped_blocks));
         println!(
-            "        {periods} periods jumped in closed form, covering {jumped} blocks \
-             ({:.1}% of the phase)",
-            100.0 * jumped as f64 / blocks.max(1) as f64
+            "        closed form: run tails {tail} blocks ({:.1}%), single-key stretches \
+             {stretch} ({:.1}%), verified periods {periods} covering {jumped} ({:.1}%); \
+             {} snapshots",
+            share(tail),
+            share(stretch),
+            share(jumped),
+            sum(|u| u.snapshots),
         );
     };
 

@@ -21,9 +21,10 @@
 //! * a transfer cursor alone on its channel with a long round promise —
 //!   the periodic jump of the localization and reduction streams, which
 //!   trace and refresh turn off;
-//! * exclusive kernel units over long same-key A-walk stretches — the
-//!   kernel jump over their partitions, which trace and refresh turn off
-//!   too.
+//! * exclusive kernel units over long A-walk stretches — the verified
+//!   periods of multi-key (StepStone-DV) stretches over their partitions,
+//!   and the single-key (StepStone-BG) stretches issued in the run stream
+//!   without snapshots, which trace and refresh turn off too.
 //!
 //! Every arm must produce a `LatencyReport` identical to the frozen seed
 //! engine, which replays fully materialized programs. The run counters
@@ -392,13 +393,15 @@ fn matrix_covers_subset_and_echo_program_shapes() {
 /// must match the frozen seed's phase ends, total and DRAM counters.
 /// One composed pass of `ctx` — localization, the kernels, reduction —
 /// on fresh memory: the phase ends, the DRAM statistics, and what each
-/// phase issued in closed form (transfer periods, kernel blocks).
+/// phase issued in closed form (transfer periods, kernel blocks of
+/// verified periods; kernel blocks of single-key stretches).
 struct Composed {
     loc_end: u64,
     kernel_end: u64,
     red_end: u64,
     stats: DramStats,
     jumped: [u64; 3],
+    stretched: u64,
 }
 
 fn composed_pass(
@@ -446,7 +449,8 @@ fn composed_pass(
         units.iter().map(|u| u.jumped_blocks).sum(),
         red.iter().map(|u| u.jumped_periods).sum(),
     ];
-    Composed { loc_end, kernel_end, red_end, stats: *ts.stats(), jumped }
+    let stretched = units.iter().map(|u| u.stretch_blocks).sum();
+    Composed { loc_end, kernel_end, red_end, stats: *ts.stats(), jumped, stretched }
 }
 
 /// Arms of the jump tests: (parallel, trace, refresh).
@@ -528,6 +532,50 @@ fn matrix_kernel_jump_matches_frozen_seed() {
                 pass.jumped[1] * 2 > kernel_blocks,
                 "{what}: jumped {} of {kernel_blocks} kernel blocks",
                 pass.jumped[1]
+            );
+        }
+    }
+}
+
+/// The single-key stretch jump in a composed StepStone-BG pass: the A-walk
+/// of a 256×1024 N=4 GEMM holds each row for 32 blocks (16 two-block
+/// spans, like the K ≤ 2048 Table-I shapes), so the exclusive kernel units
+/// issue most of it in closed form in the run stream on the serial and
+/// sharded engines, without a snapshot period, and not under trace or
+/// refresh; every refresh-free arm must match the frozen seed's phase
+/// ends, total and DRAM counters.
+#[test]
+fn matrix_bg_stretch_jump_matches_frozen_seed() {
+    let _serial = counter_lock();
+    let spec = GemmSpec::new(256, 1024, 4);
+    let opts = SimOptions::stepstone(PimLevel::BankGroup);
+    let base = SystemConfig { parallel: false, ..SystemConfig::default() };
+    let seed = simulate_pow2_gemm_seed(&base, &spec, &opts);
+    let ctx = GemmContext::build(&base, &spec, &opts);
+    for (parallel, trace, refresh) in JUMP_ARMS {
+        let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
+        let what = format!("{spec} BG parallel={parallel} trace={trace} refresh={refresh}");
+        assert_eq!(pass.jumped[1], 0, "{what}: single-key rounds take no snapshot period");
+        if refresh {
+            assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
+            assert_eq!(pass.stretched, 0, "{what}: refresh turns the stretch jump off");
+            continue;
+        }
+        let kernel = pass.kernel_end - pass.loc_end;
+        assert_eq!(pass.loc_end, seed.phase(Phase::Localization), "{what}: localization end");
+        let seed_kernel =
+            seed.total - seed.phase(Phase::Localization) - seed.phase(Phase::Reduction);
+        assert_eq!(kernel, seed_kernel, "{what}: kernel phase");
+        assert_eq!(pass.red_end, seed.total, "{what}: total");
+        assert_eq!(pass.stats, seed.dram, "{what}: DRAM event counts");
+        if trace {
+            assert_eq!(pass.stretched, 0, "{what}: the trace turns the stretch jump off");
+        } else {
+            let kernel_blocks = seed.dram.accesses() - seed.dram.channel_accesses();
+            assert!(
+                pass.stretched * 2 > kernel_blocks,
+                "{what}: jumped {} of {kernel_blocks} kernel blocks",
+                pass.stretched
             );
         }
     }
