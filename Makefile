@@ -58,8 +58,12 @@ ci: build test clippy doc matrix simbench bench-smoke
 # floored at the 30 ns/block paper target, for host noise), and the
 # parallel-vs-serial speedup is only gated when more than one CPU is
 # available (on a 1-CPU host the sharded engine ties serial, modulo
-# noise). Backend tiers (PR 7): the exact tier's sim_cycles must stay
-# bit-identical to the committed value, the analytic tier's (deterministic)
+# noise). That speedup is the median of 5 interleaved serial/parallel
+# pairs of the paper shape, each printed by bench_sim: single samples of
+# one unchanged build spread from 0.81x to 1.24x on a 2-CPU host, so the
+# threshold (0.9) is unchanged and only its sampling is. Backend tiers
+# (PR 7): the exact tier's sim_cycles must stay bit-identical to the
+# committed value, the analytic tier's (deterministic)
 # cycles must exact-match and its wall-clock speedup over exact must meet
 # the committed floor, and the DRAM preset smoke must reproduce every
 # preset's committed cycle count. Serving (PR 8): the 1000-request load

@@ -217,7 +217,7 @@ impl SubsetRemap {
 /// skipped entries from the anchor, so a source honoring the contract is
 /// cycle-exact with the per-block path by construction.
 ///
-/// `round_hint`, `skip_rounds`, `round_keys` and `cost_back` describe
+/// `round_hint`, `skip_rounds` and `cost_back` describe
 /// periodic sources — the DMA engine's region interleave (a round is one
 /// block per region) and the kernel A-walk (a round is one AGEN span): see
 /// [`RoundHint`].
@@ -247,12 +247,6 @@ pub trait StepSource: Iterator<Item = Step> {
         unreachable!("skip_rounds on a source without round promises")
     }
 
-    /// `(address, write)` of the first block of each distinct window key
-    /// in the round just completed, in order. Every promised round repeats
-    /// those keys block by block, so they name all the banks it touches.
-    /// Sources whose stream holds its channel alone leave it empty.
-    fn round_keys(&self, _out: &mut Vec<(u64, bool)>) {}
-
     /// AGEN iterations charged to the block pulled `back` pulls before the
     /// current position (0 = the latest), when the source still knows:
     /// at a round boundary, for blocks of recent rounds as long as the
@@ -277,10 +271,6 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
 
     fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
         (**self).skip_rounds(n, bubble_over)
-    }
-
-    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
-        (**self).round_keys(out)
     }
 
     fn cost_back(&self, back: u64) -> Option<u32> {
@@ -376,38 +366,18 @@ const PERIOD_HISTORY: usize = 4;
 /// paper-shape region.
 const MIN_SNAPSHOT_ROUNDS: u64 = 32;
 
-/// The same floor for a kernel A-walk whose spans carry several window
-/// keys: a stretch must promise this many spans, and a fresh one this
-/// many blocks. A kernel's snapshots cost about as much as 10–20 blocks of
-/// per-block work, and a stretch settles once the reorder window holds
-/// only its blocks (up to four spans), so shorter stretches would not pay
-/// them back: StepStone-DV walks of Table-I shapes hold one row pair for
-/// 64–128 blocks. A single-key stretch (StepStone-BG) takes no snapshot
-/// and has no floor: it jumps in the run stream (see
-/// [`UnitCursor::stretch_due`]).
-const MIN_SNAPSHOT_SPANS: u64 = 8;
-const MIN_SNAPSHOT_BLOCKS: u64 = 48;
+/// Issues a unit remembers ([`UnitCursor::recent`]): a multi-key round
+/// jump verifies the last two rounds of at most 8 issues each.
+const RECENT: usize = 16;
 
-/// Pull bases a unit remembers ([`UnitCursor::charge_agen`]): a kernel
-/// jump's verified period spans at most this many blocks.
-const PULL_BASES: usize = 32;
+/// A placeholder for the issue ring's unused entries.
+const NO_COORD: DramCoord = DramCoord { channel: 0, rank: 0, bankgroup: 0, bank: 0, row: 0, col: 0 };
 
-/// How a unit field behaves under the periodic jump.
+/// How a unit field behaves under the periodic jump of a transfer.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Field {
     /// A time: shifts with the stream.
     Time,
-    /// The AGEN stamp of the block pulled this many pulls back (the AGEN
-    /// clock is the latest pull's): a time on a transfer stream; on a
-    /// kernel stream, whose span heads cost 1–2 iterations in no periodic
-    /// pattern, a stamp the jump rebuilds instead (see
-    /// [`UnitCursor::try_period_jump`]).
-    Gen(u64),
-    /// The SIMD completion time of the block issued this many issues
-    /// before the oldest still in flight: a time, unless the pipeline
-    /// cannot bind a kernel stream, when the jump recomputes it instead
-    /// (see [`UnitCursor::simd_settled`]).
-    Done(usize),
     /// Identity (window keys, lengths, flags): must repeat verbatim.
     Id,
 }
@@ -419,7 +389,7 @@ enum Due {
     /// previous CAS ([`RunReply::Jump`]).
     Jump(u64, u64),
     /// A round with several window keys: end the run, so the outer loop
-    /// checks it on committed memory state (the snapshot jump).
+    /// checks it ([`UnitCursor::round_jump`]).
     Outer,
     /// Keep streaming; `round_wait` says when to check again.
     Stream,
@@ -482,7 +452,7 @@ impl Counts {
     }
 }
 
-/// One round-boundary snapshot of a unit on the periodic path.
+/// One round-boundary snapshot of a transfer on the periodic path.
 #[derive(Default)]
 struct RoundSnap {
     /// [`RoundHint::done`] and [`RoundHint::width`] at the boundary.
@@ -495,40 +465,50 @@ struct RoundSnap {
     /// Unit times and identity fields (with the memory's dead gap).
     unit: Snapshot,
     counts: Counts,
-    /// A transfer's channel, or a kernel's partition: the banks of `keys`
-    /// and the unit's datapath.
+    /// The transfer's channel.
     mem: Snapshot,
-    /// A kernel round's window keys, decoded.
-    keys: Vec<DramCoord>,
 }
 
-/// Per-phase state of the periodic jump for one unit.
+/// One issue a unit remembers: the entry's window key, pull index and
+/// coordinate, and its CAS time.
+#[derive(Debug, Clone, Copy)]
+struct Issued {
+    key: u64,
+    seq: u32,
+    cas: u64,
+    coord: DramCoord,
+}
+
+/// A kernel round boundary the promise check visited
+/// ([`UnitCursor::round_jump`], [`UnitCursor::stretch_due`]).
+#[derive(Clone, Copy)]
+struct Mark {
+    /// [`RoundHint::done`] there, and the end of its promise.
+    done: u64,
+    end: u64,
+    /// The run statistics there: every round up to `end` grows them alike.
+    run: RunStats,
+    /// Whether the unit had settled there, so that neither the AGEN, the
+    /// launch gate nor a host gap could decide the next round's issues
+    /// ([`UnitCursor::settled`], at the multi-key bound `tCCDS`).
+    settled: bool,
+    /// The window's key sequence there, oldest first.
+    window: [u64; 8],
+    /// When the SIMD pipeline was one cadence of some `d` there:
+    /// `(d, simd_free − not_before)`.
+    pipe: Option<(u64, u64)>,
+}
+
+/// Per-phase state of the promise checks for one unit: a transfer's
+/// snapshot history, a kernel's last round boundary.
 #[derive(Default)]
 struct PeriodTracker {
     /// Recent snapshots, oldest first.
     history: VecDeque<RoundSnap>,
     /// Recycled snapshot buffers.
     spare: Vec<RoundSnap>,
-    /// Reused buffers: a kernel jump's AGEN charges, in visit order, and its SIMD
-    /// completions.
-    costs: Vec<u32>,
-    done: Vec<u64>,
-    /// End of promise (in rounds) of the kernel stretch being worked on,
-    /// and how many stretches in a row were too short to start on.
-    stretch_end: u64,
-    declined: u32,
-    /// Snapshots of the current kernel stretch that matched no earlier
-    /// one. The first three are a round apart, and each later one waits
-    /// twice as long as the last (up to 8 rounds), so a stretch that does
-    /// not settle costs few snapshots.
-    misses: u32,
-    /// Reused buffer: the addresses of a kernel round's window keys
-    /// ([`StepSource::round_keys`]).
-    pas: Vec<(u64, bool)>,
-    /// The last single-key round boundary checked: its round index
-    /// ([`RoundHint::done`]), the end of its promise, and the run
-    /// statistics there. Every round up to that end grows them alike.
-    span_mark: Option<(u64, u64, RunStats)>,
+    /// The last kernel round boundary checked.
+    mark: Option<Mark>,
 }
 
 /// Execution state of one unit.
@@ -570,9 +550,10 @@ pub struct UnitCursor<'a> {
     /// (`FB_*` index chosen by the scheduler: traffic > refresh > trace >
     /// other).
     fallback_cause: u8,
-    /// Scheduler's per-phase grant of the periodic jump (see
-    /// [`UnitCursor::try_period_jump`]) with its round-boundary history;
-    /// `None` when not granted.
+    /// Scheduler's per-phase grant of the promise checks (a kernel's
+    /// stretch jumps, a transfer's periodic jump: see
+    /// [`UnitCursor::jump_due`]) with their round-boundary state; `None`
+    /// when not granted.
     period: Option<Box<PeriodTracker>>,
     /// Blocks taken from the source so far: pulled, or skipped by an
     /// admitted run or a periodic jump (window entries' `seq` counts
@@ -585,24 +566,29 @@ pub struct UnitCursor<'a> {
     /// are pending (`count_own`): the backend's are shared across channels
     /// in the serial engine, so a period's increments are taken from these.
     own_stats: DramStats,
-    /// The AGEN start (stamp minus charge) of recent pulls, by pull index
-    /// modulo the ring size, also kept while snapshots are pending: a
-    /// kernel jump rebuilds its stamps from the last verified period's.
-    pull_bases: [u64; PULL_BASES],
     count_own: bool,
+    /// The unit's latest issues, newest at `recent_at`; the newest
+    /// `recent_len` of them are this phase's, one by one, with nothing
+    /// issued in closed form since. A unit alone on its bank partition
+    /// and datapath is the only one to move them, so its own issues tell
+    /// what a row hit of its next round reads (see
+    /// [`UnitCursor::round_jump`]).
+    recent: [Issued; RECENT],
+    recent_at: usize,
+    recent_len: usize,
     // Blocks issued in closed form, by mechanism (host-side observability:
     // none of these is a simulated quantity, and no run counter sees them).
-    /// Periods of a verified periodic stream issued in closed form: the
-    /// round-robin periods of a transfer, or of a kernel's multi-key
-    /// A-walk stretch.
+    /// Periods of a transfer's verified periodic stream issued in closed
+    /// form.
     pub jumped_periods: u64,
     /// Blocks those periods covered.
     pub jumped_blocks: u64,
-    /// Blocks of single-key A-walk stretches issued in the run stream.
+    /// Blocks of A-walk stretches issued in closed form: rounds of one
+    /// window key (StepStone-BG) or several (StepStone-DV).
     pub stretch_blocks: u64,
     /// Blocks of admitted-run tails issued in the run stream.
     pub tail_blocks: u64,
-    /// Round-boundary snapshots the periodic jump took.
+    /// Round-boundary snapshots the transfer jump took.
     pub snapshots: u64,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
@@ -724,8 +710,10 @@ impl<'a> UnitCursor<'a> {
             pulls: 0,
             round_wait: 0,
             own_stats: DramStats::default(),
-            pull_bases: [0; PULL_BASES],
             count_own: false,
+            recent: [Issued { key: 0, seq: 0, cas: 0, coord: NO_COORD }; RECENT],
+            recent_at: 0,
+            recent_len: 0,
             jumped_periods: 0,
             jumped_blocks: 0,
             stretch_blocks: 0,
@@ -817,7 +805,7 @@ impl<'a> UnitCursor<'a> {
             match self.peek() {
                 Some(Step::Access { pa, write, cat, agen_iters, compute }) => {
                     self.peeked = None;
-                    self.charge_agen(self.pulls, agen_iters as u64);
+                    self.charge_agen(agen_iters as u64);
                     self.agen_iter_sum += agen_iters as u64;
                     self.agen_iter_max = self.agen_iter_max.max(agen_iters);
                     if agen_iters as u64 > self.burst_window {
@@ -931,7 +919,7 @@ impl<'a> UnitCursor<'a> {
         // the `run_left`-th from their end.
         let ix = self.pulls - self.run_left;
         self.run_left -= 1;
-        self.charge_agen(ix, 1);
+        self.charge_agen(1);
         self.agen_iter_sum += 1;
         self.agen_iter_max = self.agen_iter_max.max(1);
         if 1 > self.burst_window {
@@ -1101,15 +1089,9 @@ impl<'a> UnitCursor<'a> {
         let kd = k * d;
         let last_cas = bt.cas_at + kd;
         let last_data_end = bt.data_end + kd;
-        if self.count_own {
-            // Follower `i` of the jump starts its AGEN at the CAS before it.
-            let first = self.pulls - self.run_left;
-            for i in k.saturating_sub(PULL_BASES as u64)..k {
-                self.pull_bases[((first + i) % PULL_BASES as u64) as usize] = bt.cas_at + i * d;
-            }
-        }
         self.run_left -= k;
         self.tail_blocks += k;
+        self.recent_len = 0;
         // After issuing the last follower: one AGEN tick past the
         // previous block's CAS.
         self.gen_clock = last_cas - d + 1;
@@ -1136,22 +1118,109 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// The window key of the round just completed, if all its blocks carry
-    /// one: read off the window's newest `width` entries while none of them
-    /// has issued, otherwise decoded from the source's round keys.
-    fn round_key(&mut self, width: u64, mapping: &XorMapping) -> Option<u64> {
+    /// one and none of them has issued: read off the window's newest
+    /// `width` entries.
+    fn round_key(&self, width: u64) -> Option<u64> {
         let w = self.window.len() as u64;
-        if width <= w && self.back(&self.window[(w - width) as usize]) == width - 1 {
-            let mut round = self.window.iter().skip((w - width) as usize).map(|e| e.key);
-            let key = round.next()?;
-            return round.all(|k| k == key).then_some(key);
+        if width > w || self.back(&self.window[(w - width) as usize]) != width - 1 {
+            return None;
         }
-        let pas = &mut self.period.as_mut().expect("periodic grant").pas;
-        pas.clear();
-        self.steps.round_keys(pas);
-        let key = |&(pa, write): &(u64, bool)| window_key(mapping, &mapping.decode(pa), write);
-        let (first, rest) = pas.split_first()?;
-        let k = key(first);
-        rest.iter().all(|p| key(p) == k).then_some(k)
+        let mut round = self.window.iter().skip((w - width) as usize).map(|e| e.key);
+        let key = round.next()?;
+        round.all(|k| k == key).then_some(key)
+    }
+
+    /// Record a kernel round boundary as the latest mark, and return the
+    /// mark before it if that one's promise covers this boundary: the run
+    /// statistics grew alike over every round between them.
+    fn mark_boundary(
+        &mut self,
+        hint: &RoundHint,
+        settled: bool,
+        pipe: Option<(u64, u64)>,
+    ) -> Option<Mark> {
+        let mut window = [0; 8];
+        for (slot, e) in window.iter_mut().zip(&self.window) {
+            *slot = e.key;
+        }
+        let end = hint.done + hint.rounds;
+        let mark = Mark { done: hint.done, end, run: self.run_stats, settled, window, pipe };
+        let tr = self.period.as_mut().expect("periodic grant");
+        tr.mark.replace(mark).filter(|m| m.done < hint.done && hint.done <= m.end)
+    }
+
+    /// Whether nothing but the memory and the SIMD pipeline can decide this
+    /// unit's issues from a round boundary on, the last CAS at `c`, while
+    /// every later CAS is at least `g` past the one before it and no
+    /// promised block costs more than `g` AGEN iterations (`max_iters`):
+    ///
+    /// * no host gap and no pending kernel start, and the launch gate at
+    ///   most `c`: it never moves again;
+    /// * no run hint half used, and the window full of compute entries:
+    ///   every issue pops one entry and is followed by one pull;
+    /// * the AGEN clock and every window stamp at most `g` past `c`. A
+    ///   pull starts at `max(AGEN clock, not-before)` and follows an issue;
+    ///   the pull before it started at the previous CAS and ended at most
+    ///   `g` later, so no later than this CAS. So every pull starts at the
+    ///   CAS just issued and its stamp is at most `g` past it, while every
+    ///   later CAS is at least `g` past it: no stamp decides an issue. At
+    ///   `g = tCCDS`, every time the FR-FCFS probe finds for a window entry
+    ///   is that far past the last CAS too (its datapath's CAS cadence), so
+    ///   no stamp decides a probe either.
+    fn settled(&self, c: u64, g: u64, max_iters: u32) -> bool {
+        self.host_gap == 0
+            && !self.pending_kernel_start
+            && self.launch_avail <= c
+            && self.hint_left == 0
+            && max_iters as u64 <= g
+            && self.gen_clock <= c + g
+            && self.window.len() == self.window_cap
+            && self.window.iter().all(|e| e.compute && e.gen_ready <= c + g)
+    }
+
+    /// `(d, simd_free − not_before)` when the SIMD pipeline is one cadence
+    /// of `d`: full, its completions `d` apart with the newest at the SIMD
+    /// horizon. The pipeline is then a function of the two.
+    fn pipe_cadence(&self) -> Option<(u64, u64)> {
+        let q = &self.inflight;
+        let d = q.back()?.wrapping_sub(*q.get(q.len().checked_sub(2)?)?);
+        let full = q.len() >= self.pipeline_depth && q.back() == Some(&self.simd_free);
+        let even = q.iter().zip(q.iter().skip(1)).all(|(a, b)| b.wrapping_sub(*a) == d);
+        (full && even && d > 0).then(|| (d, self.simd_free.wrapping_sub(self.not_before)))
+    }
+
+    /// The pulls back of every window entry after `n` more pulls whose
+    /// keys repeat `pattern` (the key of the pull `b` back is
+    /// `pattern[b mod len]`), if the window then carries the same key
+    /// sequence: it holds the youngest pulls of each of its keys, as many
+    /// as now, in pull order. (While no AGEN stamp decides a probe,
+    /// entries of one key probe alike, so the oldest issues first.)
+    fn rebuilt_backs(&self, n: u64, pattern: &[u64]) -> Option<[u64; 8]> {
+        let w = self.window.len();
+        let mut held = [(0, 0); 8];
+        for (h, e) in held.iter_mut().zip(&self.window) {
+            *h = (e.key, self.back(e));
+        }
+        let mut chosen = [(0, 0); 8];
+        let mut m = 0;
+        for (i, &(key, _)) in held[..w].iter().enumerate() {
+            if held[..i].iter().any(|h| h.0 == key) {
+                continue;
+            }
+            let need = held[..w].iter().filter(|h| h.0 == key).count();
+            let period = pattern.len() as u64;
+            let fresh = (0..n.min(8 * period)).filter(|b| pattern[(b % period) as usize] == key);
+            // Held entries of the key, youngest first (the window is in
+            // pull order).
+            let older = held[..w].iter().rev().filter(|h| h.0 == key).map(|h| h.1 + n);
+            for back in fresh.chain(older).take(need) {
+                chosen[m] = (back, key);
+                m += 1;
+            }
+        }
+        chosen[..w].sort_unstable_by_key(|c| std::cmp::Reverse(c.0));
+        let same = chosen[..w].iter().zip(&held[..w]).all(|(c, h)| c.1 == h.0);
+        same.then(|| chosen.map(|c| c.0))
     }
 
     /// The single-key stretch jump: the run stream's check of a due round
@@ -1166,15 +1235,12 @@ impl<'a> UnitCursor<'a> {
     /// previous CAS — [`UnitCursor::jump_len`]'s max/plus shift argument
     /// over a promised stretch instead of one admitted run — so the source
     /// skips the spans and the run stream commits them as one
-    /// [`RunReply::Jump`]. No snapshot is taken:
+    /// [`RunReply::Jump`]. It is the one-key case of
+    /// [`UnitCursor::round_jump`]: with one key, the memory state a block
+    /// reads is the last CAS's alone, so no history is needed.
     ///
-    /// * no host gap, no pending kernel start, the launch gate below the
-    ///   CAS: neither binds again;
-    /// * the AGEN cannot bind: the AGEN clock and every window stamp are
-    ///   at most `d` past the CAS, and no promised block costs more than
-    ///   `d`. Each pull then starts at the CAS just issued (the previous
-    ///   pull ended by it), so its stamp is at most `d` past the CAS its
-    ///   block waits behind: never later than the cadence;
+    /// * the unit is [`UnitCursor::settled`] at the bound `d`: every later
+    ///   CAS is at least `d` past the one before it;
     /// * the SIMD pipeline does not change the cadence: either `d` is the
     ///   floor and no completion retires later than the issue that needs
     ///   its slot, which caps the stretch where the oldest would first
@@ -1182,24 +1248,19 @@ impl<'a> UnitCursor<'a> {
     ///   of `d` ([`UnitCursor::simd_cadence`], a SIMD-bound stream whose
     ///   every issue waits on exactly its oldest completion).
     ///
-    /// Every unit field then follows in closed form: the `m`-th block's
-    /// CAS is `cas + m·d`; the clock, horizons and category cycles run to
-    /// the last; completions follow `simd_room`'s closed form of the SIMD
-    /// recurrence (a pure shift in the second case); each skipped pull's
-    /// stamp is the CAS before it plus the charge the source reports; the
-    /// AGEN sums come from [`Skipped`]. Run admission and fallback counts
-    /// grow `P` times by what each span added since an earlier boundary of
-    /// the same promise (`span_mark`): every promised span repeats the run
-    /// hints of the span before it, so a stretch's first check only marks
-    /// it. A window still holding blocks of another key waits until they
-    /// have issued; a round with several keys ends the run instead.
+    /// The unit then moves as [`UnitCursor::jump_rounds`] says. Run
+    /// admission and fallback counts grow `P` times by what each span
+    /// added since an earlier boundary of the same promise (the mark):
+    /// every promised span repeats the run hints of the span before it, so
+    /// a stretch's first check only marks it. A window still holding
+    /// blocks of another key waits until they have issued; a round with
+    /// several keys ends the run instead.
     fn stretch_due(
         &mut self,
         cur: &WinEntry,
         bt: stepstone_dram::BlockTiming,
         step: u64,
         tp: &TimingParams,
-        mapping: &XorMapping,
     ) -> Due {
         if self.peeked.is_some() {
             self.round_wait = 1;
@@ -1219,11 +1280,8 @@ impl<'a> UnitCursor<'a> {
             }
             Ok(hint) => hint,
         };
-        let Some(key) = self.round_key(hint.width, mapping) else { return Due::Outer };
-        let tr = self.period.as_mut().expect("periodic grant");
-        let end = hint.done + hint.rounds;
-        let mark = tr.span_mark.replace((hint.done, end, self.run_stats));
-        let since = mark.filter(|&(done, end, _)| done < hint.done && hint.done <= end);
+        let Some(key) = self.round_key(hint.width) else { return Due::Outer };
+        let since = self.mark_boundary(&hint, false, None);
         // Issues until `cur` and every window entry carry the round's key
         // (the stretch's blocks are the window's newest), rounded up to the
         // next span boundary.
@@ -1232,22 +1290,11 @@ impl<'a> UnitCursor<'a> {
             None => (cur.key != key) as u64,
         };
         self.round_wait = foreign.div_ceil(hint.width).max(1) * hint.width;
-        let Some((marked_at, _, marked)) = since.filter(|_| foreign == 0) else {
-            return Due::Stream;
-        };
+        let Some(marked) = since.filter(|_| foreign == 0) else { return Due::Stream };
         let cas = bt.cas_at;
         let d = self.cadence(cas, step);
-        let horizon = cas + d;
         let data = if cur.write { tp.t_cwl } else { tp.t_cl } + tp.t_bl;
-        let ready = self.host_gap == 0
-            && !self.pending_kernel_start
-            && self.launch_avail <= cas
-            && self.hint_left == 0
-            && hint.max_iters as u64 <= d
-            && self.gen_clock <= horizon
-            && self.window.len() == self.window_cap
-            && self.window.iter().all(|e| e.compute && e.gen_ready <= horizon);
-        let room = if !ready {
+        let room = if !self.settled(cas, d, hint.max_iters) {
             0
         } else if d == step {
             self.simd_room(cas, d, data)
@@ -1257,77 +1304,225 @@ impl<'a> UnitCursor<'a> {
             0
         };
         let rounds = hint.rounds.min(room / hint.width);
-        if rounds == 0 {
-            return Due::Stream;
+        let backs = self.rebuilt_backs(rounds * hint.width, &[key]);
+        let Some(backs) = backs.filter(|_| rounds > 0) else { return Due::Stream };
+        Due::Jump(self.jump_rounds(cas, d, data, rounds, &hint, &marked, &backs), d)
+    }
+
+    /// The multi-key stretch jump (StepStone-DV): the promise check at a
+    /// span boundary outside the run stream, whose last CAS is the unit's
+    /// not-before `c`. Returns whether it jumped.
+    ///
+    /// A row hit reads its bank's next-CAS time, its datapath's CAS,
+    /// turnaround and bus stamps and the unit's own times, and writes its
+    /// bank's next-PRE time and those stamps; the unit is alone on its
+    /// banks and datapath. So when the unit's last round of `w` issues (a
+    /// span's worth, from [`UnitCursor::recent`]) hit `K ≥ 2` keys, one
+    /// direction and one bank per key, each CAS `d` after the previous,
+    /// and the round before it repeated them key by key at the same
+    /// cadence, everything a later row hit of the round's keys reads is a
+    /// function of those CAS times: the path's and bus's stamps are the
+    /// last CAS's, each bank group's CAS stamp is its key's last CAS, and
+    /// every stamp older than its key's last issue (its bank's next-CAS,
+    /// the other direction's turnarounds) bound that issue no later than
+    /// it issued, so it binds no later issue. The rows stay open: every
+    /// key's bank saw no other row since its last issue.
+    ///
+    /// Both boundaries, this one and the marked one a span earlier, must
+    /// be [`UnitCursor::settled`] at `g = tCCDS` (every CAS on a datapath
+    /// is that far past the one before it), and their full windows must
+    /// carry the same sequence of the round's keys. Then
+    /// the unit's state here is its state there shifted by `w·d`: the
+    /// window and the memory it reads are, the launch gate and the AGEN
+    /// decide nothing, and the SIMD pipeline either decides nothing or is
+    /// the same cadence of `d` at both ([`UnitCursor::pipe_cadence`]).
+    /// When `d` is the floor (`tCCDS`, or `cas_step()` for keys of one
+    /// bank group) no issue of the last round could have been delayed
+    /// by the pipeline, and [`UnitCursor::simd_room`] caps the stretch
+    /// where it would first bind. The per-block transition — the FR-FCFS
+    /// probe scan, `issue_nb`, the row hit, `finish_block`, one pull — is
+    /// max/plus and commutes with the shift, and the promised spans repeat
+    /// the pulls' keys, so every promised round repeats the last one `w·d`
+    /// later. The unit moves as [`UnitCursor::jump_rounds`] says, and the
+    /// memory takes the rounds' row hits in one closed-form commit
+    /// ([`MemoryBackend::commit_round_hits`]). No snapshot is taken.
+    fn round_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
+        if self.peeked.is_some() || self.run_left > 0 {
+            return false;
         }
+        let hint = match self.steps.round_hint(1) {
+            Ok(hint) => hint,
+            Err(wait) => {
+                self.round_wait = wait;
+                return false;
+            }
+        };
+        self.round_wait = hint.width;
+        let tp = ts.config().timing;
+        let c = self.not_before;
+        let settled = self.settled(c, tp.t_ccds, hint.max_iters);
+        let slow = self.compute_cycles_per_block > tp.t_ccds;
+        let pipe = if slow { self.pipe_cadence() } else { None };
+        let Some(marked) = self.mark_boundary(&hint, settled, pipe) else { return false };
+        let w = hint.width as usize;
+        if !(settled && marked.settled && marked.done + 1 == hint.done && 2 * w <= self.recent_len)
+        {
+            return false;
+        }
+        let issued = |p: usize| self.recent[(self.recent_at + RECENT - p) % RECENT];
+        let d = c.wrapping_sub(issued(1).cas);
+        let paced = (0..2 * w - 1).all(|p| issued(p).cas.wrapping_sub(issued(p + 1).cas) == d);
+        if issued(0).cas != c || !paced || (0..w).any(|p| issued(p).key != issued(p + w).key) {
+            return false;
+        }
+        // The round's keys: one direction, and one key per bank.
+        let mut keys = [0u64; 8];
+        let mut k = 0;
+        for p in 0..w {
+            let key = issued(p).key;
+            if !keys[..k].contains(&key) {
+                if keys[..k].iter().any(|&o| o >> 33 == key >> 33 || (o ^ key) & 1 != 0) {
+                    return false;
+                }
+                keys[k] = key;
+                k += 1;
+            }
+        }
+        let now = self.period.as_ref().and_then(|tr| tr.mark.as_ref()).expect("just marked");
+        let foreign = self.window.iter().any(|e| !keys[..k].contains(&e.key));
+        if k < 2 || foreign || now.window != marked.window {
+            return false;
+        }
+        // The keys of the last span's pulls, by pulls back: each is still
+        // in the window or issued in the last round.
+        let mut pattern = [u64::MAX; 8];
+        let held = self.window.iter().map(|e| (e.key, e.seq));
+        for (key, seq) in held.chain((0..w).map(|p| (issued(p).key, issued(p).seq))) {
+            let back = (self.pulls as u32).wrapping_sub(seq).wrapping_sub(1) as usize;
+            if back < w {
+                pattern[back] = key;
+            }
+        }
+        if pattern[..w].contains(&u64::MAX) {
+            return false;
+        }
+        let one_group = keys[..k].iter().all(|&o| (o ^ keys[0]) & scope_mask(mapping) == 0);
+        let floor = if one_group { ts.cas_step() } else { tp.t_ccds };
+        let write = keys[0] & 1 == 1;
+        let data = if write { tp.t_cwl } else { tp.t_cl } + tp.t_bl;
+        let room = if d == floor {
+            self.simd_room(c, d, data)
+        } else if d > floor && pipe.is_some_and(|(pd, _)| pd == d) && pipe == marked.pipe {
+            u64::MAX
+        } else {
+            0
+        };
+        let rounds = hint.rounds.min(room / hint.width);
+        let backs = self.rebuilt_backs(rounds * hint.width, &pattern[..w]);
+        let Some(backs) = backs.filter(|_| rounds > 0) else { return false };
+        let mut round = [NO_COORD; 8];
+        for p in 0..w {
+            round[w - 1 - p] = issued(p).coord;
+        }
+        self.jump_rounds(c, d, data, rounds, &hint, &marked, &backs);
+        let kind = if write { CasKind::Write } else { CasKind::Read };
+        ts.commit_round_hits(&round[..w], kind, self.port, c, d, rounds);
+        true
+    }
+
+    /// Account `rounds` promised rounds of `hint.width` pulls issued in
+    /// closed form after a CAS at `cas`, each block's CAS `d` after the
+    /// previous and its data ending `data` after its CAS, exactly as the
+    /// per-block path would (see [`UnitCursor::round_jump`] and
+    /// [`UnitCursor::stretch_due`] for why every block issues so), with
+    /// `marked` the mark of an earlier boundary of the promise and `backs`
+    /// the window's pulls back afterwards
+    /// ([`UnitCursor::rebuilt_backs`]). Returns the number of blocks.
+    ///
+    /// * the `m`-th block's CAS is `cas + m·d`; not-before, the clock, the
+    ///   category cycles and the end time run to the last one;
+    /// * every window entry keeps its key. One pulled within the jump
+    ///   followed the issue that many issues before the last, so it is
+    ///   stamped with that CAS plus the charge the source reports (more
+    ///   than one iteration only for a span's first block); an older one
+    ///   is the entry of its key pulled that many pulls later. The AGEN
+    ///   clock is the newest stamp;
+    /// * the SIMD completions follow [`UnitCursor::simd_done`], and the
+    ///   pipeline keeps its newest `depth`;
+    /// * SIMD ops and scratchpad accesses grow per block; AGEN sum, maximum
+    ///   and bubbles come from the source ([`Skipped`]);
+    /// * run admission and fallback counts grow `rounds` times by what each
+    ///   round added since `marked`.
+    #[allow(clippy::too_many_arguments)]
+    fn jump_rounds(
+        &mut self,
+        cas: u64,
+        d: u64,
+        data: u64,
+        rounds: u64,
+        hint: &RoundHint,
+        marked: &Mark,
+        backs: &[u64; 8],
+    ) -> u64 {
         let n = rounds * hint.width;
         let skipped = self.steps.skip_rounds(rounds, self.burst_window);
         debug_assert_eq!(skipped.blocks, n, "a promised stretch skips whole spans");
         let last = cas + n * d;
-        if self.count_own {
-            let kind = if cur.write { CasKind::Write } else { CasKind::Read };
-            let hit = stepstone_dram::BlockTiming { row_hit: true, acts: 0, ..bt };
-            self.own_stats.count_blocks(kind, self.port, &hit, n);
-            // The `m`-th pull of the stretch starts at the `m`-th CAS.
-            for m in n.saturating_sub(PULL_BASES as u64)..n {
-                let ix = ((self.pulls + m) % PULL_BASES as u64) as usize;
-                self.pull_bases[ix] = cas + (m + 1) * d;
-            }
+        let w = self.window.len();
+        let mut held = [(0, 0, 0); 8];
+        for (h, e) in held.iter_mut().zip(&self.window) {
+            *h = (e.key, self.back(e), e.gen_ready);
         }
         self.pulls += n;
-        // The window ends up holding the latest pulls (entries differ only
-        // in their stamps and pull indices). Only a span's first block
-        // costs more than one AGEN iteration.
-        let w = self.window.len() as u64;
-        let fresh = n.min(w);
-        self.window.rotate_left(fresh as usize);
-        for (i, e) in self.window.iter_mut().enumerate().skip((w - fresh) as usize) {
-            let back = w - 1 - i as u64;
-            let charge = match back % hint.width + 1 == hint.width {
-                true => self.steps.cost_back(back).expect("a skipped span's charges are known"),
-                false => 1,
+        for (i, &back) in backs[..w].iter().enumerate() {
+            let key = held[i].0;
+            let stamp = match back.checked_sub(n) {
+                Some(b) => held[..w].iter().find(|h| (h.0, h.1) == (key, b)).expect("held").2,
+                None if back % hint.width + 1 == hint.width => {
+                    let charge = self.steps.cost_back(back).expect("a skipped span's charges");
+                    last - back * d + charge as u64
+                }
+                None => last - back * d + 1,
             };
+            let e = &mut self.window[i];
             e.seq = (self.pulls - 1 - back) as u32;
-            e.gen_ready = last - back * d + charge as u64;
+            e.gen_ready = stamp;
         }
         self.gen_clock = self.window.back().expect("a full window").gen_ready;
         self.not_before = last;
         // Each issue adds its block's completion and, once the pipeline is
         // full, retires the oldest.
         let done = self.simd_done(cas, d, data);
-        let held = self.inflight.len() as u64;
-        let retired = (held + n).saturating_sub(self.pipeline_depth as u64);
-        self.inflight.drain(..retired.min(held) as usize);
-        self.inflight.extend((1 + retired.saturating_sub(held)..=n).map(&done));
+        let inflight = self.inflight.len() as u64;
+        let retired = (inflight + n).saturating_sub(self.pipeline_depth as u64);
+        self.inflight.drain(..retired.min(inflight) as usize);
+        self.inflight.extend((1 + retired.saturating_sub(inflight)..=n).map(&done));
         self.simd_free = done(n);
         self.simd_ops += n * self.simd_ops_per_block;
         self.scratch_accesses += 2 * n;
         let clock = self.clock.max(last);
-        self.cat_cycles[cur.cat.index()] += clock - self.clock;
+        let cat = self.window.front().expect("a full window").cat;
+        self.cat_cycles[cat.index()] += clock - self.clock;
         self.clock = clock;
         self.end_time = self.end_time.max(last + data).max(self.simd_free);
         self.agen_iter_sum += skipped.iters;
         self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
         self.agen_bubbles += skipped.bubbles;
-        self.run_stats = self.run_stats.extrapolated(&marked, rounds, hint.done - marked_at);
+        self.run_stats = self.run_stats.extrapolated(&marked.run, rounds, hint.done - marked.done);
         self.stretch_blocks += n;
+        self.recent_len = 0;
         // The next promise is due right away (the mark stays at the
         // boundary before the jump, whose promise covered it).
         self.round_wait = 1;
         debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
-        Due::Jump(n, d)
+        n
     }
 
-    /// Charge the AGEN for the pull with index `ix`, costing `iters`: it
-    /// starts once the AGEN is free and the last issue is done. While
-    /// snapshots are pending, that start is remembered.
+    /// Charge the AGEN for a pull costing `iters`: it starts once the AGEN
+    /// is free and the last issue is done.
     #[inline]
-    fn charge_agen(&mut self, ix: u64, iters: u64) {
-        let base = self.gen_clock.max(self.not_before);
-        if self.count_own {
-            self.pull_bases[(ix % PULL_BASES as u64) as usize] = base;
-        }
-        self.gen_clock = base + iters;
+    fn charge_agen(&mut self, iters: u64) {
+        self.gen_clock = self.gen_clock.max(self.not_before) + iters;
     }
 
     /// Remove window entry `ix`, restoring the uniformity flag when the
@@ -1477,6 +1672,9 @@ impl<'a> UnitCursor<'a> {
     /// `e`: clock/category attribution, SIMD pipeline, launch gating, and
     /// the next block's earliest desire.
     fn finish_block(&mut self, e: &WinEntry, bt: stepstone_dram::BlockTiming) {
+        self.recent_at = (self.recent_at + 1) % RECENT;
+        self.recent[self.recent_at] = Issued { key: e.key, seq: e.seq, cas: bt.cas_at, coord: e.coord };
+        self.recent_len = (self.recent_len + 1).min(RECENT);
         if self.pending_kernel_start {
             self.pending_kernel_start = false;
             self.launch_req = bt.cas_at;
@@ -1538,22 +1736,21 @@ impl<'a> UnitCursor<'a> {
     /// FR-FCFS probes of a mixed window — still waits for its exact
     /// scheduler turn, so results stay bit-identical to the per-block path.
     ///
-    /// Under the periodic-jump grant, the source's round promise is
-    /// checked whenever it is due: `desired`, the batch loop or the run
-    /// stream has just refilled the window, so at a round boundary the
-    /// source and the window hold the state a jump starts from. Inside the
-    /// run stream a single-key A-walk stretch jumps on the spot (see
+    /// Under the promise grant, the source's round promise is checked
+    /// whenever it is due: `desired`, the batch loop or the run stream has
+    /// just refilled the window, so at a round boundary the source and the
+    /// window hold the state a jump starts from. Inside the run stream a
+    /// single-key A-walk stretch jumps on the spot (see
     /// `UnitCursor::stretch_due`); any other round ends the run, and the
-    /// batch loop checks it against snapshots of committed memory state
-    /// (see `UnitCursor::try_period_jump`). Every issue is followed by one
-    /// pull, so the wait counts issues.
+    /// batch loop checks it (see `UnitCursor::jump_due`). Every issue is
+    /// followed by one pull, so the wait counts issues.
     pub fn advance_batch<B: MemoryBackend>(
         &mut self,
         ts: &mut B,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
-        if self.period_due() && self.try_period_jump(ts, mapping) {
+        if self.period_due() && self.jump_due(ts, mapping) {
             return;
         }
         self.advance_one(ts, bus, mapping);
@@ -1576,7 +1773,7 @@ impl<'a> UnitCursor<'a> {
             }
             // The previous issue's promise check (a unit leaving above
             // takes it at the top of its next turn).
-            if self.period_due() && self.try_period_jump(ts, mapping) {
+            if self.period_due() && self.jump_due(ts, mapping) {
                 continue;
             }
             let e0 = self.take_entry(0, scope);
@@ -1591,9 +1788,6 @@ impl<'a> UnitCursor<'a> {
                     // one (`bt` is the last jumped block's timing).
                     jumped = false;
                 } else {
-                    if self.count_own {
-                        self.own_stats.count_blocks(kind, self.port, &bt, 1);
-                    }
                     self.finish_block(&cur, bt);
                 }
                 // Frozen-window streaming: once the whole window consists
@@ -1611,19 +1805,12 @@ impl<'a> UnitCursor<'a> {
                     let anchor = self.run_anchor.as_ref().expect("admitted run has an anchor");
                     if cur.key == anchor.key {
                         if let Some((k, d)) = self.jump_len(&cur, bt, step) {
-                            if self.count_own {
-                                // Each jumped block is a steady row hit
-                                // with `bt`'s burst.
-                                let hit =
-                                    stepstone_dram::BlockTiming { row_hit: true, acts: 0, ..bt };
-                                self.own_stats.count_blocks(kind, self.port, &hit, k);
-                            }
                             self.jump_followers(&cur, bt, k, d);
                             self.round_wait = self.round_wait.saturating_sub(k);
                             jumped = true;
                             return RunReply::Jump { count: k, d };
                         }
-                        self.charge_agen(self.pulls - self.run_left, 1);
+                        self.charge_agen(1);
                         self.run_left -= 1;
                         self.round_wait = self.round_wait.saturating_sub(1);
                         self.agen_iter_sum += 1;
@@ -1662,7 +1849,7 @@ impl<'a> UnitCursor<'a> {
                     if self.round_wait > 1 {
                         self.round_wait -= 1;
                     } else {
-                        match self.stretch_due(&cur, bt, step, &tp, mapping) {
+                        match self.stretch_due(&cur, bt, step, &tp) {
                             Due::Jump(count, d) => {
                                 jumped = true;
                                 return RunReply::Jump { count, d };
@@ -1696,11 +1883,12 @@ impl<'a> UnitCursor<'a> {
         (self.pulls as u32).wrapping_sub(e.seq).wrapping_sub(1) as u64
     }
 
-    /// Visit every field the periodic jump compares or moves, in one fixed
-    /// order: the unit's times, AGEN stamps and SIMD completions, and its
-    /// identity fields. Its accumulators are [`Counts`].
+    /// Visit every field the periodic jump of a transfer compares or
+    /// moves, in one fixed order: the unit's times, AGEN stamps and SIMD
+    /// completions, and its identity fields. Its accumulators are
+    /// [`Counts`].
     fn visit_period_state(&mut self, f: &mut impl FnMut(Field, &mut u64)) {
-        use Field::{Done, Gen, Id, Time};
+        use Field::{Id, Time};
         for t in [
             &mut self.not_before,
             &mut self.simd_free,
@@ -1708,17 +1896,15 @@ impl<'a> UnitCursor<'a> {
             &mut self.launch_req,
             &mut self.clock,
             &mut self.end_time,
+            &mut self.gen_clock,
         ] {
             f(Time, t);
         }
-        for (t, v) in self.inflight.iter_mut().enumerate() {
-            f(Done(t), v);
+        for v in self.inflight.iter_mut() {
+            f(Time, v);
         }
-        f(Gen(0), &mut self.gen_clock);
-        let pulls = self.pulls as u32;
         for e in &mut self.window {
-            let back = pulls.wrapping_sub(e.seq).wrapping_sub(1) as u64;
-            f(Gen(back), &mut e.gen_ready);
+            f(Time, &mut e.gen_ready);
             for mut v in [e.key, (e.cat.index() as u64) << 1 | e.compute as u64] {
                 f(Id, &mut v);
             }
@@ -1737,105 +1923,55 @@ impl<'a> UnitCursor<'a> {
         }
     }
 
-    /// The periodic jump of a transfer stream alone on its channel, or of
-    /// an exclusive kernel unit over an A-walk stretch whose spans carry
-    /// several window keys (a single-key stretch jumps in the run stream
-    /// instead, with no snapshot: [`UnitCursor::stretch_due`]).
+    /// A due promise check outside the run stream: a kernel unit's
+    /// multi-key stretch jump ([`UnitCursor::round_jump`]), or a transfer's
+    /// periodic jump ([`UnitCursor::try_period_jump`]); returns whether it
+    /// jumped.
+    fn jump_due<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
+        if self.fast {
+            self.round_jump(ts, mapping)
+        } else {
+            self.try_period_jump(ts)
+        }
+    }
+
+    /// The periodic jump of a transfer stream alone on its channel.
     ///
     /// Called before a per-block issue under the scheduler's grant (a
-    /// transfer alone on its channel, or a kernel on the fast path without
-    /// a subset remap; no colocated traffic, refresh, or trace) whenever
-    /// the source's round promise is due; returns whether it jumped.
+    /// transfer alone on its channel; no colocated traffic, refresh, or
+    /// trace) whenever the source's round promise is due; returns whether
+    /// it jumped.
     ///
     /// At a round boundary of a source promising [`RoundHint::rounds`]
     /// more rounds on unchanged window keys, each block's transition — the
     /// FR-FCFS probe scan, `issue_nb`, the DRAM access, `finish_block` —
-    /// is a max/plus map over the unit's state and its memory state, and
-    /// such a map commutes with shifting every time by one constant. So if
-    /// the state at this boundary equals the state `j` rounds earlier
-    /// moved by `D` cycles — every changed time advanced by exactly `D`,
-    /// every unchanged one too old to bind any later command, identity
-    /// fields (window keys, open rows, bus rank) equal — then every
-    /// further `j` promised rounds advance it by `D` again, and the
+    /// is a max/plus map over the unit's state and its channel's memory
+    /// state, and such a map commutes with shifting every time by one
+    /// constant. So if the state at this boundary equals the state `j`
+    /// rounds earlier moved by `D` cycles — every changed time advanced by
+    /// exactly `D`, every unchanged one too old to bind any later command,
+    /// identity fields (window keys, open rows, bus rank) equal — then
+    /// every further `j` promised rounds advance it by `D` again, and the
     /// accumulators by the same amounts. Those periods are issued in
     /// closed form: the source skips them, times move `k·D`, and counters
     /// (statistics of the unit's own blocks included) move `k` periods'
     /// worth. This is [`UnitCursor::jump_len`]'s one-block argument over
-    /// `j` rounds; the period is verified, never assumed.
-    ///
-    /// The memory state is the unit's channel for a transfer. A kernel's
-    /// promised blocks are row hits on rows its partition already holds
-    /// open (checked): they issue no PRE/ACT and never touch the command
-    /// bus, so they read and write only the banks the round's keys name
-    /// and the unit's datapath ([`Scope::Partition`]); the rank's shared
-    /// activation windows are neither read nor written.
-    ///
-    /// A kernel's span heads cost 1–2 AGEN iterations in no periodic
-    /// pattern, so the AGEN stamps are not a shift. They do not bind,
-    /// though: with a full window every pull follows an issue, so when the
-    /// AGEN has caught up (every stamp at most `tCCDS` past the last CAS)
-    /// and no promised block costs more than `tCCDS`, each pull starts
-    /// from the last CAS and each stamp is at most `tCCDS` past it, while
-    /// every later CAS on the unit's datapath is at least `tCCDS` past it.
-    /// Stamps then never decide an issue or a probe, and the AGEN keeps
-    /// up, so the period leaves them out. After the jump each stamp is
-    /// rebuilt: its pull's base (the CAS before it) is a period multiple
-    /// past the base of a pull of the last verified period, remembered in
-    /// `pull_bases`, plus the charge the source reports for the block now
-    /// at its distance back; the charge sums come from the source as exact
-    /// sums. A settled SIMD pipeline (see [`UnitCursor::simd_settled`]) is
-    /// rebuilt the same way from the last period's completions.
+    /// `j` rounds; the period is verified against snapshots of the unit
+    /// and its channel ([`Scope::Channel`]), never assumed.
     #[cold]
     #[inline(never)]
-    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
+    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B) -> bool {
         if self.peeked.is_some() || self.run_left > 0 {
             return false;
         }
-        let kernel = self.fast;
-        let min = if kernel { MIN_SNAPSHOT_SPANS } else { MIN_SNAPSHOT_ROUNDS };
-        let hint = match self.steps.round_hint(min) {
+        let hint = match self.steps.round_hint(MIN_SNAPSHOT_ROUNDS) {
             Ok(hint) => hint,
             Err(wait) => {
                 self.round_wait = wait;
                 return false;
             }
         };
-        // A single-key round takes no snapshot: it jumps in the run stream,
-        // which checks it at a later span boundary against this one (see
-        // `UnitCursor::stretch_due`).
-        if kernel && self.round_key(hint.width, mapping).is_some() {
-            let mark = (hint.done, hint.done + hint.rounds, self.run_stats);
-            self.period.as_mut().expect("periodic grant").span_mark = Some(mark);
-            self.round_wait = hint.width;
-            return false;
-        }
         let mut tr = self.period.take().expect("periodic grant");
-        if kernel {
-            tr.pas.clear();
-            self.steps.round_keys(&mut tr.pas);
-        }
-        // A kernel's new stretch (another end of promise) starts a fresh
-        // history, if it is long enough to start on at all, and if its
-        // SIMD unit keeps up with the CAS cadence: a slower one builds a
-        // backlog for longer than a row's stretch lasts, so it is never
-        // periodic there.
-        let end = hint.done.saturating_add(hint.rounds);
-        if kernel && tr.stretch_end != end {
-            let stale = tr.history.drain(..);
-            tr.spare.extend(stale);
-            tr.misses = 0;
-            let simd_bound = self.compute_cycles_per_block > ts.config().timing.t_ccds;
-            if hint.rounds * hint.width < MIN_SNAPSHOT_BLOCKS || simd_bound {
-                // Not worth starting on: ask again past its end, and past
-                // ever more stretches while they keep coming short.
-                self.round_wait = (hint.rounds * hint.width + 1) << tr.declined.min(4);
-                tr.declined += 1;
-                self.period = Some(tr);
-                return false;
-            }
-            tr.stretch_end = end;
-            tr.declined = 0;
-        }
         let mut b = tr.spare.pop().unwrap_or_default();
         b.round = hint.done;
         b.width = hint.width;
@@ -1844,45 +1980,20 @@ impl<'a> UnitCursor<'a> {
         b.unit.times.clear();
         b.unit.ids.clear();
         b.counts = Counts::of(self);
-        b.keys.clear();
-        if kernel {
-            if let Err(wait) = self.kernel_boundary(&*ts, mapping, &hint, &tr.pas, &mut b) {
-                self.round_wait = wait;
-                tr.spare.push(b);
-                self.period = Some(tr);
-                return false;
-            }
-        }
-        let (port, channel) = (self.port, self.channel);
-        ts.snapshot(mem_scope(kernel, &b.keys, port, channel), &mut b.mem);
+        let scope = Scope::Channel(self.channel);
+        ts.snapshot(scope, &mut b.mem);
         self.snapshots += 1;
         b.unit.dead_gap = b.mem.dead_gap;
-        let settled = kernel && self.simd_settled(&*ts);
-        b.unit.ids.push(settled as u64);
         let unit = &mut b.unit;
-        let mut max_back = 0;
         self.visit_period_state(&mut |kind, v| match kind {
-            Field::Gen(back) if kernel => {
-                unit.ids.push(back);
-                max_back = max_back.max(back);
-            }
-            Field::Done(_) if settled => {}
-            Field::Time | Field::Gen(_) | Field::Done(_) => unit.times.push(*v),
+            Field::Time => unit.times.push(*v),
             Field::Id => unit.ids.push(*v),
         });
-        let depth = self.inflight.len() as u64;
         let matched = tr.history.iter().rposition(|a| {
             let j = b.round.wrapping_sub(a.round);
             let d = b.not_before.wrapping_sub(a.not_before);
             j > 0
                 && a.width == b.width
-                // A kernel's stamps are rebuilt from the last period's
-                // pull bases, and a settled pipeline from its completions:
-                // they must all be remembered, and every stamp the jump
-                // leaves must belong to a skipped block.
-                && (!kernel || j * b.width <= PULL_BASES as u64)
-                && (!kernel || max_back < (b.promise / j) * j * b.width)
-                && (!settled || j * b.width <= depth)
                 && a.promise >= j
                 && b.promise >= 2 * j
                 && b.not_before > a.not_before
@@ -1890,19 +2001,9 @@ impl<'a> UnitCursor<'a> {
                 && b.mem.is_shift_of(&a.mem, d, a.not_before)
         });
         let jumped = matched.is_some();
-        // After a jump, ask again at once; otherwise the next boundary
-        // comes one round on (for a kernel, ever further once its first
-        // snapshots of a stretch, a round apart, all missed). Own
-        // statistics only matter between snapshots.
-        self.round_wait = if jumped {
-            tr.misses = 0;
-            0
-        } else if kernel {
-            tr.misses += 1;
-            hint.width << tr.misses.saturating_sub(3).min(3)
-        } else {
-            hint.width
-        };
+        // After a jump, ask again at once; otherwise at the next boundary.
+        // Own statistics only matter between snapshots.
+        self.round_wait = if jumped { 0 } else { hint.width };
         self.count_own = !jumped;
         if let Some(ix) = matched {
             let a = &tr.history[ix];
@@ -1910,66 +2011,30 @@ impl<'a> UnitCursor<'a> {
             let k = b.promise / j;
             let skipped = self.steps.skip_rounds(k * j, self.burst_window);
             // Window entries keep their distance back from the source.
-            let period_start = self.pulls - j * b.width;
             self.pulls += skipped.blocks;
             for e in &mut self.window {
                 e.seq = e.seq.wrapping_add(skipped.blocks as u32);
             }
-            let mut costs = std::mem::take(&mut tr.costs);
-            costs.clear();
-            if kernel {
-                let backs = std::iter::once(0).chain(self.window.iter().map(|e| self.back(e)));
-                for back in backs {
-                    let charge = self.steps.cost_back(back);
-                    costs.push(charge.expect("the skipped rounds' charges are known"));
-                }
-            }
             let own0 = self.own_stats;
             b.counts.extrapolate_into(&a.counts, k, self);
-            let (mut ti, mut gi) = (0, 0);
-            let mut done = std::mem::take(&mut tr.done);
-            done.clear();
-            done.extend(self.inflight.iter());
-            let (per, shift) = (j * b.width, b.not_before - a.not_before);
-            let (bases, pulls) = (self.pull_bases, self.pulls);
-            self.visit_period_state(&mut |kind, v| match kind {
-                Field::Done(t) if settled => {
-                    // The completion of the block `t` issues after the
-                    // oldest in flight: still one of `done`, or one period
-                    // multiple past a block of the last verified period.
-                    let off = t as u64 + skipped.blocks;
-                    *v = match off.checked_sub(depth) {
-                        None => done[off as usize],
-                        Some(i) => done[(depth - per + i % per) as usize] + (i / per + 1) * shift,
-                    };
-                }
-                Field::Gen(back) if kernel => {
-                    // The stamp of a skipped pull: its base is a period
-                    // multiple past the base of a pull of the last
-                    // verified period, plus the charge now at its place.
-                    let i = pulls - 1 - back - period_start;
-                    let base = bases[((period_start + i % per) % PULL_BASES as u64) as usize];
-                    *v = base + (i / per) * shift + costs[gi] as u64;
-                    gi += 1;
-                }
-                Field::Time | Field::Gen(_) | Field::Done(_) => {
+            let mut ti = 0;
+            self.visit_period_state(&mut |kind, v| {
+                if kind == Field::Time {
                     *v += k * (*v - a.unit.times[ti]);
                     ti += 1;
                 }
-                Field::Id => {}
             });
             debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
             self.agen_iter_sum += skipped.iters;
             self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
             self.agen_bubbles += skipped.bubbles;
-            ts.extrapolate(mem_scope(kernel, &b.keys, port, channel), &a.mem, k, shift);
+            ts.extrapolate(scope, &a.mem, k, b.not_before - a.not_before);
             let added = self.own_stats.delta(&own0);
             debug_assert_eq!(added.accesses(), skipped.blocks, "own statistics cover the jump");
             ts.stats_mut().merge(&added);
             self.jumped_periods += k;
             self.jumped_blocks += added.accesses();
-            tr.done = done;
-            tr.costs = costs;
+            self.recent_len = 0;
             tr.spare.extend(tr.history.drain(..));
             tr.spare.push(b);
         } else {
@@ -1980,89 +2045,6 @@ impl<'a> UnitCursor<'a> {
         }
         self.period = Some(tr);
         jumped
-    }
-
-    /// Whether the SIMD pipeline of a kernel stream can no longer bind
-    /// any issue: every in-flight completion is popped no later than the
-    /// CAS-to-CAS cadence alone would issue its popper (the `t`-th oldest
-    /// pops at the `t + 1`-th issue from here, at least `(t + 1)·tCCDS`
-    /// past the last CAS), the SIMD unit is free before the next block's
-    /// data ends, and the steady state keeps both: a block computes in at
-    /// most `tCCDS` and completes `latency + tBL + compute` after its CAS,
-    /// at most `depth·tCCDS`. Then each completion is its block's data end
-    /// plus the compute time, and a jump rebuilds the pipeline from the
-    /// completions of the last verified period instead of comparing it.
-    /// The round's keys share one direction (see
-    /// [`UnitCursor::kernel_boundary`]), the window's.
-    fn simd_settled<B: MemoryBackend>(&self, ts: &B) -> bool {
-        let tp = ts.config().timing;
-        let compute = self.compute_cycles_per_block;
-        let depth = self.pipeline_depth as u64;
-        let Some(front) = self.window.front() else { return false };
-        let latency = if front.write { tp.t_cwl } else { tp.t_cl };
-        compute <= tp.t_ccds
-            && latency + tp.t_bl + compute <= depth * tp.t_ccds
-            && self.inflight.len() as u64 == depth
-            && self.simd_free <= self.not_before + tp.t_ccds + latency + tp.t_bl
-            && self
-                .inflight
-                .iter()
-                .zip(1..)
-                .all(|(&v, t)| v <= self.not_before + t * tp.t_ccds)
-    }
-
-    /// The kernel side of a round boundary, before its snapshot: checks
-    /// that the promised rounds are row hits on open rows of the partition
-    /// the round's keys (their addresses `pas`) name, every window entry
-    /// included, and that the AGEN cannot bind (see
-    /// [`UnitCursor::try_period_jump`]), with the charge of every stamp's
-    /// block known; fills `b.keys` with the decoded keys and their key
-    /// values into `b.unit.ids`.
-    /// Otherwise returns how many issues to wait: a window still holding
-    /// `f` blocks of another stretch (whose rows the stretch's own have
-    /// not yet replaced) cannot have drained them in fewer than `f`
-    /// issues; anything else may settle by the next round.
-    fn kernel_boundary<B: MemoryBackend>(
-        &self,
-        ts: &B,
-        mapping: &XorMapping,
-        hint: &RoundHint,
-        pas: &[(u64, bool)],
-        b: &mut RoundSnap,
-    ) -> Result<(), u64> {
-        let t_ccds = ts.config().timing.t_ccds;
-        let horizon = self.not_before + t_ccds;
-        let next_round = Err(hint.width);
-        if self.host_gap != 0 || hint.max_iters as u64 > t_ccds {
-            return Err(u64::MAX);
-        }
-        if self.window.len() != self.window_cap
-            || self.gen_clock > horizon
-            || self.window.iter().any(|e| e.gen_ready > horizon)
-        {
-            return next_round;
-        }
-        if pas.is_empty() || pas.iter().any(|&(_, w)| w != pas[0].1) {
-            return next_round;
-        }
-        let mut closed = false;
-        for &(pa, write) in pas {
-            let c = mapping.decode(pa);
-            closed |= !ts.row_open(&c);
-            b.keys.push(c);
-            b.unit.ids.push(window_key(mapping, &c, write));
-        }
-        let foreign = self.window.iter().filter(|e| !b.unit.ids.contains(&e.key)).count();
-        if foreign > 0 || closed {
-            return Err((foreign as u64).max(1).div_ceil(hint.width) * hint.width);
-        }
-        // The source knows charges back through a run of equal spans, so
-        // the oldest stamp's is known only if all are.
-        let oldest = self.window.iter().map(|e| self.back(e)).max().unwrap_or(0);
-        if self.steps.cost_back(oldest).is_none() {
-            return next_round;
-        }
-        Ok(())
     }
 
     /// Close out attribution after the program is exhausted: the SIMD
@@ -2094,17 +2076,6 @@ impl<'a> UnitCursor<'a> {
                 G_FALLBACK[i].fetch_add(*f, Ordering::Relaxed);
             }
         }
-    }
-}
-
-/// The memory state a unit's periodic jump covers: a kernel's partition
-/// (the banks of its round's keys and its datapath) or a transfer's
-/// channel.
-fn mem_scope(kernel: bool, keys: &[DramCoord], port: Port, channel: u32) -> Scope<'_> {
-    if kernel {
-        Scope::Partition(keys, port)
-    } else {
-        Scope::Channel(channel)
     }
 }
 
@@ -2259,14 +2230,13 @@ fn run_units<B: MemoryBackend>(
     } else {
         FB_OTHER
     } as u8;
-    // The periodic jump (see `UnitCursor::try_period_jump`) needs memory
-    // state no one else moves, and no traffic, refresh, or trace: a
-    // transfer extrapolates its whole channel, so it needs the channel to
-    // itself; a kernel on the fast path moves only its partition, which no
-    // other unit touches, unless a subset remap folds address parities
-    // into its keys. The same grant covers a kernel's single-key stretch
-    // jump in the run stream (`UnitCursor::stretch_due`), which a
-    // SIMD-bound kernel takes too; such a kernel takes no snapshots.
+    // The promise checks (see `UnitCursor::jump_due`) need memory state no
+    // one else moves, and no traffic, refresh, or trace: a transfer
+    // extrapolates its whole channel, so it needs the channel to itself; a
+    // kernel on the fast path reads its own issues for the memory state of
+    // its banks and datapath, which no other unit touches, unless a subset
+    // remap folds address parities into its keys. SIMD-bound kernels take
+    // the stretch jumps too.
     let quiet = traffic.is_none() && !ts.config().refresh && !ts.trace_enabled();
     let channels: Vec<u32> = units.iter().map(|u| u.channel).collect();
     for u in units.iter_mut() {
@@ -2277,6 +2247,7 @@ fn run_units<B: MemoryBackend>(
         u.period = granted.then(Box::default);
         u.round_wait = 0;
         u.count_own = false;
+        u.recent_len = 0;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
         .iter_mut()
@@ -2377,6 +2348,7 @@ mod tests {
     use super::*;
     use stepstone_dram::TimingState;
     use stepstone_addr::{mapping_by_id, MappingId};
+    use proptest::prelude::*;
     use stepstone_dram::{DramConfig, TrafficReq};
 
     fn read_step(pa: u64) -> Step {
@@ -2392,6 +2364,52 @@ mod tests {
         )];
         run_phase(&mut ts, &mut bus, &mapping, &mut units, None);
         units.pop().expect("one unit")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // `simd_room` against a per-block replay of the SIMD recurrence
+        // (`issue_nb` retires the oldest completion of a full pipeline,
+        // `finish_block` pushes the block's): over random pipelines,
+        // compute times, cadences and data latencies, no completion
+        // retired within the room is later than the issue that retires it,
+        // and when the room is finite, the next block's is.
+        #[test]
+        fn simd_room_matches_a_per_block_replay(
+            depth in 1usize..24,
+            held in 0usize..24,
+            seed in any::<u64>(),
+            compute in 1u64..24,
+            d in 1u64..12,
+            data in 1u64..40,
+        ) {
+            let mut u = UnitCursor::new(
+                "t", 0, Port::Channel, std::iter::empty(), 0, compute, 0, depth, 0, 0, 4, None,
+            );
+            let cas = 1000;
+            let mut state = seed;
+            let mut next = |below: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            let mut t = cas - 60 + next(120);
+            for _ in 0..held.min(depth) {
+                t += next(2 * compute + 1);
+                u.inflight.push_back(t);
+            }
+            u.simd_free = u.inflight.back().copied().unwrap_or(cas - 60 + next(120));
+            let room = u.simd_room(cas, d, data);
+            let (mut q, mut free) = (u.inflight.clone(), u.simd_free);
+            for t in 1..=room.saturating_add(1).min(4096) {
+                let issue = cas + t * d;
+                let retired = if q.len() >= depth { q.pop_front() } else { None };
+                let binds = retired.is_some_and(|r| r > issue);
+                prop_assert_eq!(binds, t > room, "issue {} of room {}", t, room);
+                free = free.max(issue + data) + compute;
+                q.push_back(free);
+            }
+        }
     }
 
     #[test]

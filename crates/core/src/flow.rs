@@ -1229,17 +1229,6 @@ impl StepSource for KernelStream<'_> {
         walk.skip_spans(n, bubble_over)
     }
 
-    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
-        let Some(r) = self.walk.as_ref().and_then(WalkCursor::last_span) else { return };
-        let (mut pa, mut left) = (r.start_pa, r.len);
-        while left > 0 {
-            out.push((pa, false));
-            let h = same_key_prefix(pa, left, self.col_pure).max(1);
-            pa += h * BLOCK_BYTES;
-            left -= h;
-        }
-    }
-
     fn cost_back(&self, back: u64) -> Option<u32> {
         match self.stage {
             KernelStage::Gemm if self.queued.is_none() => self.walk.as_ref()?.cost_back(back),
@@ -1533,14 +1522,6 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
         let out = self.inner.skip_rounds(n, bubble_over);
         self.taken += out.blocks;
         out
-    }
-
-    fn round_keys(&self, out: &mut Vec<(u64, bool)>) {
-        let from = out.len();
-        self.inner.round_keys(out);
-        for (pa, _) in &mut out[from..] {
-            *pa = self.map.translate(*pa);
-        }
     }
 
     // The block that entered the current page also paid the page walk;

@@ -8,9 +8,9 @@
 //! that seeded this design (SNIPPETS.md) found latency-query interfaces
 //! over stateful memory models to be wrong by construction: the answer
 //! changes as soon as any other access commits. Every method here either
-//! commits state (`access`, `access_run_stream`, `adopt_channel`,
-//! `extrapolate`) or is an explicitly non-committing estimate used only for
-//! FR-FCFS front selection (`probe`).
+//! commits state (`access`, `access_run_stream`, `commit_round_hits`,
+//! `adopt_channel`, `extrapolate`) or is an explicitly non-committing
+//! estimate used only for FR-FCFS front selection (`probe`).
 //!
 //! The one implementor is [`TimingState`], the exact Table-II model. The
 //! analytic tier ([`BackendKind::Analytic`]) is not a second model behind
@@ -126,6 +126,19 @@ pub trait MemoryBackend: Clone + Send + Sync {
     /// independently). Statistics are not adopted.
     fn adopt_channel(&mut self, other: &Self, ch: u32);
 
+    /// Commit `rounds` repetitions of a round of row hits on open rows in
+    /// closed form, the `m`-th block's CAS `m·d` after `cas` (see
+    /// [`TimingState::commit_round_hits`]).
+    fn commit_round_hits(
+        &mut self,
+        round: &[DramCoord],
+        kind: CasKind,
+        port: Port,
+        cas: u64,
+        d: u64,
+        rounds: u64,
+    );
+
     /// Copy the timing state `scope` covers into `out` (see [`Snapshot`]),
     /// excluding statistics and refresh deadlines.
     fn snapshot(&self, scope: Scope, out: &mut Snapshot);
@@ -140,15 +153,10 @@ pub trait MemoryBackend: Clone + Send + Sync {
 
 /// The part of the timing state a [`Snapshot`] covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope<'a> {
+pub enum Scope {
     /// Every bank, rank and datapath of one channel: all a stream that is
     /// alone on the channel reads and writes.
     Channel(u32),
-    /// The banks of these coordinates and the datapaths `port` reaches
-    /// them by: all a stream of row hits on their open rows reads and
-    /// writes (a row hit issues no PRE/ACT, so it never reads or writes
-    /// the rank's activation windows or a bank's next-ACT time).
-    Partition(&'a [DramCoord], Port),
 }
 
 /// Timing state, split by how a uniform time shift acts on it: `times`
@@ -165,30 +173,19 @@ pub struct Snapshot {
     /// command issued at or after `t`: the largest Table-II gap any field
     /// is compared with, plus one for the stamp encoding.
     pub dead_gap: u64,
-    /// The first `direct` time fields are only ever compared with a
-    /// command's time itself: `v ≤ t` already keeps them from binding.
-    pub direct: usize,
-    /// The last `ratchets` of those are never compared at all, only raised
-    /// to a command's time plus a fixed gap: once one has moved, it is the
-    /// last such command's and moves with the stream.
-    pub ratchets: usize,
 }
 
 impl Snapshot {
     /// Whether `self` is `earlier` moved by exactly `d` cycles: identity
-    /// fields equal, every changed time field advanced by exactly `d` (a
-    /// ratchet by any amount), and every unchanged one dead at `floor` (the
-    /// earliest time anything is issued from `earlier` on).
+    /// fields equal, every changed time field advanced by exactly `d`, and
+    /// every unchanged one dead at `floor` (the earliest time anything is
+    /// issued from `earlier` on).
     pub fn is_shift_of(&self, earlier: &Snapshot, d: u64, floor: u64) -> bool {
-        let ratchets = self.direct - self.ratchets..self.direct;
         self.ids == earlier.ids
             && self.times.len() == earlier.times.len()
-            && self.times.iter().zip(&earlier.times).enumerate().all(|(i, (&b, &a))| {
+            && self.times.iter().zip(&earlier.times).all(|(&b, &a)| {
                 if b == a {
-                    let gap = if i < self.direct { 0 } else { self.dead_gap };
-                    a.saturating_add(gap) <= floor
-                } else if ratchets.contains(&i) {
-                    b > a
+                    a.saturating_add(self.dead_gap) <= floor
                 } else {
                     b.wrapping_sub(a) == d
                 }
@@ -256,6 +253,18 @@ impl MemoryBackend for TimingState {
 
     fn adopt_channel(&mut self, other: &Self, ch: u32) {
         TimingState::adopt_channel(self, other, ch)
+    }
+
+    fn commit_round_hits(
+        &mut self,
+        round: &[DramCoord],
+        kind: CasKind,
+        port: Port,
+        cas: u64,
+        d: u64,
+        rounds: u64,
+    ) {
+        TimingState::commit_round_hits(self, round, kind, port, cas, d, rounds)
     }
 
     fn snapshot(&self, scope: Scope, out: &mut Snapshot) {

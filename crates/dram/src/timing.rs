@@ -139,49 +139,6 @@ struct PathState {
     bus_used: bool,
 }
 
-/// Index of the datapath `port` reaches `c` by, in [`TimingState`]'s path
-/// table: channel paths, then rank-internal, then BG-internal ones.
-fn path_index(g: &Geometry, port: Port, c: &DramCoord) -> usize {
-    match port {
-        Port::Channel => c.channel as usize,
-        Port::RankInternal => g.channels as usize + c.rank_index(g),
-        Port::BgInternal => {
-            g.channels as usize + (g.channels * g.ranks_per_channel) as usize + c.bankgroup_index(g)
-        }
-    }
-}
-
-/// Table indices a [`Scope`] covers, in snapshot order.
-enum ScopeIndices<'s> {
-    /// Consecutive index ranges (a channel's tables).
-    Ranges([std::ops::Range<usize>; 3]),
-    /// The distinct `index` of each coordinate, in first-seen order.
-    Distinct {
-        coords: &'s [DramCoord],
-        index: fn(&Geometry, Port, &DramCoord) -> usize,
-        geom: Geometry,
-        port: Port,
-    },
-}
-
-impl ScopeIndices<'_> {
-    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let (ranges, coords) = match self {
-            ScopeIndices::Ranges(r) => (r.clone(), &[][..]),
-            ScopeIndices::Distinct { coords, .. } => ([0..0, 0..0, 0..0], *coords),
-        };
-        let index = |c: &DramCoord| match self {
-            ScopeIndices::Distinct { index, geom, port, .. } => index(geom, *port, c),
-            ScopeIndices::Ranges(_) => unreachable!("ranges name no coordinates"),
-        };
-        let distinct = coords.iter().enumerate().filter_map(move |(i, c)| {
-            let ix = index(c);
-            (!coords[..i].iter().any(|d| index(d) == ix)).then_some(ix)
-        });
-        ranges.into_iter().flatten().chain(distinct)
-    }
-}
-
 /// Aggregate DRAM event counters, split by port for the energy model
 /// (in-device vs off-chip transfers).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -386,76 +343,34 @@ impl TimingState {
         ]
     }
 
-    /// The banks, ranks and paths `scope` covers, as table indices in
-    /// snapshot order: a channel's tables, or a partition's distinct banks
-    /// and datapaths in the order its coordinates first name them.
-    fn scope_tables<'s>(&self, scope: Scope<'s>) -> [ScopeIndices<'s>; 3] {
-        match scope {
-            Scope::Channel(ch) => {
-                let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
-                let none = || 0..0;
-                [
-                    ScopeIndices::Ranges([banks, none(), none()]),
-                    ScopeIndices::Ranges([ranks, none(), none()]),
-                    ScopeIndices::Ranges([p_ch, p_rk, p_bg]),
-                ]
-            }
-            Scope::Partition(coords, port) => {
-                let geom = self.cfg.geom;
-                let distinct = |index| ScopeIndices::Distinct { coords, index, geom, port };
-                [
-                    distinct(|g, _, c| c.bank_index(g)),
-                    ScopeIndices::Ranges([0..0, 0..0, 0..0]),
-                    distinct(path_index),
-                ]
-            }
-        }
-    }
-
-    /// Snapshot the timing state `scope` covers (see [`Snapshot`]).
-    /// Refresh deadlines are left out: the engine only compares snapshots
-    /// with refresh disabled, where nothing reads or writes them. A
-    /// partition leaves out its banks' next-ACT times too, which row hits
-    /// neither read nor write. Its banks' next-CAS times come first and
-    /// bind directly (a row hit waits for them), then their next-PRE times,
-    /// ratchets (a row hit only raises them to its CAS plus a gap), and
-    /// its dead gap covers only the CAS cadence and turnaround gaps row
-    /// hits compare path stamps with. `update_times` visits the time
-    /// fields in the same order.
+    /// Snapshot the timing state `scope` covers (see [`Snapshot`]): every
+    /// bank, rank and datapath of the channel. Refresh deadlines are left
+    /// out: the engine only compares snapshots with refresh disabled, where
+    /// nothing reads or writes them. `update_times` visits the time fields
+    /// in the same order.
     pub fn snapshot(&self, scope: Scope, out: &mut Snapshot) {
         let tp = &self.cfg.timing;
         out.times.clear();
         out.ids.clear();
-        let cas_gaps = [tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.wtr(false), tp.wtr(true), tp.rtw()];
-        let row_gaps = [
-            tp.t_bl, tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp, tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr,
-            tp.t_rrds, tp.t_rrdl, tp.t_faw,
+        let gaps = [
+            tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.wtr(false), tp.wtr(true), tp.rtw(), tp.t_bl,
+            tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp, tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr, tp.t_rrds,
+            tp.t_rrdl, tp.t_faw,
         ];
-        let acts = matches!(scope, Scope::Channel(_));
-        let gap = cas_gaps.into_iter().chain(row_gaps.into_iter().filter(|_| acts)).max();
-        out.dead_gap = 1 + gap.unwrap_or(0);
-        let [banks, ranks, paths] = self.scope_tables(scope);
-        for b in banks.iter().map(|i| &self.banks[i]) {
+        out.dead_gap = 1 + gaps.into_iter().max().unwrap_or(0);
+        let Scope::Channel(ch) = scope;
+        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
+        for b in &self.banks[banks] {
             out.ids.push(b.open_row.map_or(0, |r| r as u64 + 1));
-            if acts {
-                out.times.extend([b.next_act, b.next_cas, b.next_pre]);
-            } else {
-                out.times.push(b.next_cas);
-            }
+            out.times.extend([b.next_act, b.next_cas, b.next_pre]);
         }
-        (out.direct, out.ratchets) = (0, 0);
-        if !acts {
-            let next_cas = out.times.len();
-            out.times.extend(banks.iter().map(|i| self.banks[i].next_pre));
-            (out.direct, out.ratchets) = (out.times.len(), out.times.len() - next_cas);
-        }
-        for r in ranks.iter().map(|i| &self.ranks[i]) {
+        for r in &self.ranks[ranks] {
             out.ids.push(r.act_window.len() as u64);
             out.times.extend(&r.act_window);
             out.times.extend(&r.last_act_by_bg);
             out.times.push(r.last_act);
         }
-        for p in paths.iter().map(|i| &self.paths[i]) {
+        for p in [p_ch, p_rk, p_bg].into_iter().flat_map(|r| &self.paths[r]) {
             out.ids.extend([p.bus_last_rank as u64, p.bus_used as u64]);
             out.times.extend(&p.last_cas_by_bg);
             out.times.extend(&p.last_wr_by_bg);
@@ -468,36 +383,26 @@ impl TimingState {
     /// Replace each time field `scope` covers by `f` of it, in
     /// [`TimingState::snapshot`] order.
     fn update_times(&mut self, scope: Scope, mut f: impl FnMut(u64) -> u64) {
-        let acts = matches!(scope, Scope::Channel(_));
-        let [banks, ranks, paths] = self.scope_tables(scope);
+        let Scope::Channel(ch) = scope;
+        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
         let mut upd = |t: &mut u64| *t = f(*t);
-        for i in banks.iter() {
-            let b = &mut self.banks[i];
-            if acts {
-                upd(&mut b.next_act);
-            }
-            upd(&mut b.next_cas);
-            if acts {
-                upd(&mut b.next_pre);
-            }
+        for b in &mut self.banks[banks] {
+            [&mut b.next_act, &mut b.next_cas, &mut b.next_pre].into_iter().for_each(&mut upd);
         }
-        if !acts {
-            banks.iter().for_each(|i| upd(&mut self.banks[i].next_pre));
-        }
-        for i in ranks.iter() {
-            let r = &mut self.ranks[i];
+        for r in &mut self.ranks[ranks] {
             r.act_window.iter_mut().for_each(&mut upd);
             r.last_act_by_bg.iter_mut().for_each(&mut upd);
             upd(&mut r.last_act);
         }
-        for i in paths.iter() {
-            let p = &mut self.paths[i];
-            let stamps = [&mut p.last_cas_by_bg, &mut p.last_wr_by_bg];
-            stamps.into_iter().flatten().for_each(&mut upd);
-            let stamps = [&mut p.last_rd_by_rank, &mut p.last_wr_by_rank];
-            stamps.into_iter().flatten().for_each(&mut upd);
-            upd(&mut p.last_cas);
-            upd(&mut p.bus_free);
+        for range in [p_ch, p_rk, p_bg] {
+            for p in &mut self.paths[range] {
+                let stamps = [&mut p.last_cas_by_bg, &mut p.last_wr_by_bg];
+                stamps.into_iter().flatten().for_each(&mut upd);
+                let stamps = [&mut p.last_rd_by_rank, &mut p.last_wr_by_rank];
+                stamps.into_iter().flatten().for_each(&mut upd);
+                upd(&mut p.last_cas);
+                upd(&mut p.bus_free);
+            }
         }
     }
 
@@ -528,8 +433,19 @@ impl TimingState {
         &self.cfg.geom
     }
 
+    /// Index of the datapath `port` reaches `c` by in the path table:
+    /// channel paths, then rank-internal, then BG-internal ones.
     fn path_index(&self, port: Port, c: &DramCoord) -> usize {
-        path_index(self.geom(), port, c)
+        let g = self.geom();
+        match port {
+            Port::Channel => c.channel as usize,
+            Port::RankInternal => g.channels as usize + c.rank_index(g),
+            Port::BgInternal => {
+                g.channels as usize
+                    + (g.channels * g.ranks_per_channel) as usize
+                    + c.bankgroup_index(g)
+            }
+        }
     }
 
     /// Index of `c`'s bank group within the path's `last_cas_by_bg` table
@@ -974,6 +890,42 @@ impl TimingState {
         self.stats.row_hits += count;
         self.stats.data_cycles += count * tp.t_bl;
     }
+
+    /// Commit `rounds` repetitions of a round of row hits in closed form:
+    /// the `m`-th block (from 1) goes to `round[(m − 1) mod len]`, the same
+    /// bank and row open as every block of its key (bank and row), with its
+    /// CAS exactly `m·d` after `cas`. The caller promises what
+    /// [`RunReply::Jump`] promises for one key: the rows are open, no
+    /// refresh or trace interleaves, and every block issues at its time.
+    ///
+    /// Every field a row hit writes is monotone in its CAS time, so the
+    /// state after the blocks is `commit_run` of each key's
+    /// blocks at its last CAS, committed in CAS order (the latest wins the
+    /// path's and bus's stamps), and the statistics grow per block.
+    pub fn commit_round_hits(
+        &mut self,
+        round: &[DramCoord],
+        kind: CasKind,
+        port: Port,
+        cas: u64,
+        d: u64,
+        rounds: u64,
+    ) {
+        debug_assert!(self.trace.is_none() && !self.cfg.refresh, "closed-form row hits");
+        let g = *self.geom();
+        let key = |c: &DramCoord| (c.bank_index(&g), c.row);
+        let n = rounds * round.len() as u64;
+        for (i, c) in round.iter().enumerate() {
+            // Each key commits once, at its last place in the round.
+            if round[i + 1..].iter().any(|o| key(o) == key(c)) {
+                continue;
+            }
+            debug_assert_eq!(self.banks[c.bank_index(&g)].open_row, Some(c.row), "row hits");
+            let per_round = round.iter().filter(|o| key(o) == key(c)).count() as u64;
+            let last = cas + (n - (round.len() - 1 - i) as u64) * d;
+            self.commit_run(c, kind, port, rounds * per_round, last);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1203,54 +1155,46 @@ mod tests {
         assert_eq!(again.cas_at, other.cas_at + ts.cfg.timing.t_ccdl, "channel 1 untouched");
     }
 
-    /// A rank-internal stream of row-hit pairs alternating two bank groups
-    /// (a StepStone-DV A-walk span) repeats its partition — the two banks
-    /// and the rank's internal path — one span later, shifted; the
-    /// partition extrapolates like the simulated spans, and the rest of
-    /// the channel (another bank, the activation window) is left alone.
+    /// A rank-internal row-hit stream alternating two bank groups at tCCDS
+    /// (a StepStone-DV A-walk): committing further rounds in closed form
+    /// lands on the state, statistics and next timings of per-block
+    /// `access` calls, with a round holding each key once or twice, and
+    /// leaves the rest of the channel alone.
     #[test]
-    fn partition_extrapolation_matches_simulated_spans() {
-        let mut ts = TimingState::new(DramConfig::default());
+    fn round_hits_commit_like_per_block_accesses() {
         let port = Port::RankInternal;
         let keys = [coord(0, 1, 0, 0, 9, 0), coord(0, 1, 1, 0, 9, 0)];
-        let (mut col, mut nb) = (0, 0);
-        let mut span = |ts: &mut TimingState| {
-            for c in [keys[0], keys[0], keys[1], keys[1]] {
-                nb = ts.access(DramCoord { col, ..c }, CasKind::Read, port, nb).cas_at;
-                col += 1;
-            }
-            nb
-        };
-        let mut l0 = 0;
-        for _ in 0..20 {
-            l0 = span(&mut ts);
-        }
-        // The host opens another bank of the rank (an ACT in the rank's
-        // window) over the channel.
+        let mut ts = TimingState::new(DramConfig::default());
+        // The host opens another bank of the rank over the channel.
         let other = ts.access(coord(0, 1, 2, 3, 4, 0), CasKind::Read, Port::Channel, 0);
-        let scope = Scope::Partition(&keys, port);
-        let (mut a, mut b) = (Snapshot::default(), Snapshot::default());
-        ts.snapshot(scope, &mut a);
-        let d = span(&mut ts) - l0;
-        ts.snapshot(scope, &mut b);
-        assert!(b.is_shift_of(&a, d, l0), "one span later the partition is a shift");
-        assert_eq!(b.ids.len(), 2 + 2, "two banks, one path (bus rank and use)");
-        assert_eq!((b.direct, b.ratchets), (4, 2), "next-CAS and next-PRE of two banks");
-        let mut jumped = ts.clone();
-        jumped.extrapolate(scope, &a, 7, d);
-        for _ in 0..7 {
-            span(&mut ts);
+        let mut nb = 0;
+        for i in 0..16 {
+            nb = ts.access(keys[i % 2], CasKind::Read, port, nb).cas_at;
         }
-        let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
-        ts.snapshot(scope, &mut want);
-        jumped.snapshot(scope, &mut got);
-        assert_eq!(got, want);
-        // Row hits leave the rest of the channel alone, so the whole
-        // channel matches too: nothing outside the partition moved.
-        ts.snapshot(Scope::Channel(0), &mut want);
-        jumped.snapshot(Scope::Channel(0), &mut got);
-        assert_eq!(got, want);
-        let again = jumped.access(coord(0, 1, 2, 3, 4, 1), CasKind::Read, Port::Channel, 0);
+        let t_ccds = ts.cfg.timing.t_ccds;
+        for (round, rounds) in [(keys.to_vec(), 7), ([keys, keys].concat(), 3)] {
+            let (cas, before) = (nb, ts.stats);
+            let mut jumped = ts.clone();
+            jumped.commit_round_hits(&round, CasKind::Read, port, cas, t_ccds, rounds);
+            for m in 1..=rounds * round.len() as u64 {
+                let c = round[(m - 1) as usize % round.len()];
+                let bt = ts.access(DramCoord { col: m as u32, ..c }, CasKind::Read, port, 0);
+                assert_eq!((bt.cas_at, bt.row_hit), (cas + m * t_ccds, true), "block {m}");
+                nb = bt.cas_at;
+            }
+            let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
+            ts.snapshot(Scope::Channel(0), &mut want);
+            jumped.snapshot(Scope::Channel(0), &mut got);
+            assert_eq!(got, want, "{} keys per round", round.len());
+            assert_eq!(jumped.stats, ts.stats);
+            assert_eq!(ts.stats.delta(&before).row_hits, rounds * round.len() as u64);
+            for c in [keys[0], keys[1], coord(0, 1, 2, 3, 4, 1)] {
+                let p = if c.bank == 3 { Port::Channel } else { port };
+                let next = |t: &TimingState| t.clone().access(c, CasKind::Write, p, 0);
+                assert_eq!(next(&jumped), next(&ts), "the next write to {c:?}");
+            }
+        }
+        let again = ts.access(coord(0, 1, 2, 3, 4, 1), CasKind::Read, Port::Channel, 0);
         assert!(again.row_hit && again.cas_at >= other.cas_at, "the other bank kept its row");
     }
 

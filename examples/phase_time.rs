@@ -1,18 +1,26 @@
-//! Per-phase wall-clock breakdown of one streaming GEMM simulation —
-//! the profiling companion to `bench_sim` (which times end-to-end runs).
+//! Per-phase wall-clock breakdown of streaming GEMM simulations — the
+//! profiling companion to `bench_sim` (which times end-to-end runs).
 //! Each phase also reports its run-granularity statistics: hinted runs
 //! admitted as single scheduling objects, their mean length, the
 //! per-block fallback split by cause (refresh / row / trace / traffic /
 //! other), and the blocks the units issued in closed form, by mechanism,
-//! with their share of the phase's blocks: admitted-run tails, single-key
-//! A-walk stretches (StepStone-BG), and verified periods (transfer rounds
-//! and multi-key A-walk stretches, with the snapshots their checks took).
+//! with their share of the phase's blocks: admitted-run tails, A-walk
+//! stretches (rounds of one or several window keys, jumped by arithmetic
+//! on the unit's own state), and verified periods (transfer rounds, with
+//! the snapshots their checks took).
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
 //! (defaults to 2048 2048 64 on DDR4). The shape is profiled at
 //! StepStone-BG, then at StepStone-DV. The engine always drives the exact
 //! timing model.
+//!
+//! `--table1 [--passes=R]` profiles the 80 Table-I GEMMs (10 weight shapes
+//! × N ∈ {1, 4, 8, 32} × {BG, DV}) instead: one row per (level, N) with the
+//! kernel blocks by closed-form mechanism, the snapshots taken, and each
+//! phase's host time summed over the slice's power-of-two parts, as the
+//! minimum of `R` passes (default 3). Contexts are built once, before
+//! timing; every pass runs the serial engine on fresh memory.
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
@@ -27,79 +35,101 @@ fn main() {
     let mut dims: Vec<usize> = Vec::new();
     let mut dram = DramConfig::default();
     let mut preset = "ddr4".to_string();
+    let (mut table1, mut passes) = (false, 3);
     for arg in std::env::args().skip(1) {
         if let Some(name) = arg.strip_prefix("--preset=") {
             dram = DramConfig::by_name(name)
                 .unwrap_or_else(|| panic!("unknown preset '{name}' (ddr4|ddr5|lpddr5|hbm2)"));
             preset = name.to_string();
+        } else if let Some(r) = arg.strip_prefix("--passes=") {
+            passes = r.parse().expect("--passes=R takes a positive count");
+        } else if arg == "--table1" {
+            table1 = true;
         } else if let Ok(v) = arg.parse() {
             dims.push(v);
         }
     }
-    let (m, k, n) =
-        if dims.len() == 3 { (dims[0], dims[1], dims[2]) } else { (2048, 2048, 64) };
     let sys = SystemConfig { parallel: false, ..SystemConfig::default() }.with_dram(dram);
     println!("{preset} ({} MHz)", dram.clock_hz / 1_000_000);
+    if table1 {
+        return table1_slices(&sys, passes.max(1));
+    }
+    let (m, k, n) =
+        if dims.len() == 3 { (dims[0], dims[1], dims[2]) } else { (2048, 2048, 64) };
     for level in [PimLevel::BankGroup, PimLevel::Device] {
         println!("StepStone-{}", level.tag());
-        profile(&sys, m, k, n, level);
+        let opts = SimOptions::stepstone(level);
+        let ctx = GemmContext::build(&sys, &GemmSpec::new(m, k, n), &opts);
+        let pass = run_pass(&sys, &ctx, &opts);
+        for (label, p) in ["loc   ", "kernel", "red   "].iter().zip(&pass) {
+            print_phase(label, p);
+        }
     }
 }
 
-fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize, level: PimLevel) {
-    let ts = &mut TimingState::new(sys.dram);
-    let spec = GemmSpec::new(m, k, n);
-    let opts = SimOptions::stepstone(level);
-    let ctx = GemmContext::build(sys, &spec, &opts);
-    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
-    let loc_mode = sys.localization;
+/// What one phase of a pass did: its host time, its blocks, its run
+/// counters, and the blocks its units issued in closed form.
+#[derive(Default, Clone, Copy)]
+struct PhaseOut {
+    ms: f64,
+    blocks: u64,
+    rc: RunCounters,
+    /// Blocks of the kernel's A-walk (its compute blocks).
+    awalk: u64,
+    tail: u64,
+    stretch: u64,
+    periods: u64,
+    jumped: u64,
+    snapshots: u64,
+}
 
-    let phase_stats = |label: &str, t0: Instant, blocks: u64, rc: RunCounters, units: &[UnitCursor]| {
-        println!(
-            "{label}: {:>9.1} ms  {:>6.1} ns/blk ({blocks} blocks)",
-            t0.elapsed().as_secs_f64() * 1e3,
-            t0.elapsed().as_nanos() as f64 / blocks.max(1) as f64,
-        );
-        let splits: Vec<String> = FB_LABELS
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| rc.fallback[i] > 0)
-            .map(|(i, l)| format!("{l} {}", rc.fallback[i]))
-            .collect();
-        println!(
-            "        {} runs admitted, mean {:.1} blocks; per-block splits: {}",
-            rc.runs,
-            rc.mean_run_len(),
-            if splits.is_empty() { "none".into() } else { splits.join(", ") },
-        );
+impl PhaseOut {
+    fn of(t0: Instant, blocks: u64, rc: RunCounters, units: &[UnitCursor], ops: u64) -> Self {
         let sum = |f: fn(&UnitCursor) -> u64| units.iter().map(f).sum::<u64>();
-        let share = |b: u64| 100.0 * b as f64 / blocks.max(1) as f64;
-        let (tail, stretch) = (sum(|u| u.tail_blocks), sum(|u| u.stretch_blocks));
-        let (periods, jumped) = (sum(|u| u.jumped_periods), sum(|u| u.jumped_blocks));
-        println!(
-            "        closed form: run tails {tail} blocks ({:.1}%), single-key stretches \
-             {stretch} ({:.1}%), verified periods {periods} covering {jumped} ({:.1}%); \
-             {} snapshots",
-            share(tail),
-            share(stretch),
-            share(jumped),
-            sum(|u| u.snapshots),
-        );
-    };
+        PhaseOut {
+            ms: t0.elapsed().as_secs_f64() * 1e3,
+            blocks,
+            rc,
+            awalk: sum(|u| u.simd_ops) / ops.max(1),
+            tail: sum(|u| u.tail_blocks),
+            stretch: sum(|u| u.stretch_blocks),
+            periods: sum(|u| u.jumped_periods),
+            jumped: sum(|u| u.jumped_blocks),
+            snapshots: sum(|u| u.snapshots),
+        }
+    }
+
+    /// Add `o`'s counts; host times add too.
+    fn add(&mut self, o: &PhaseOut) {
+        self.ms += o.ms;
+        for (a, b) in [
+            (&mut self.blocks, o.blocks),
+            (&mut self.awalk, o.awalk),
+            (&mut self.tail, o.tail),
+            (&mut self.stretch, o.stretch),
+            (&mut self.periods, o.periods),
+            (&mut self.jumped, o.jumped),
+            (&mut self.snapshots, o.snapshots),
+        ] {
+            *a += b;
+        }
+    }
+}
+
+/// One pass of `ctx` — localization, the kernels, reduction — on fresh
+/// memory with the serial engine.
+fn run_pass(sys: &SystemConfig, ctx: &GemmContext, opts: &SimOptions) -> [PhaseOut; 3] {
+    let ts = &mut TimingState::new(sys.dram);
+    let mut bus = CommandBus::new(sys.dram.geom.channels as usize);
+    let gap = sys.localization.inter_block_gap();
+    let ops = opts.level_cfg.simd_ops_per_block(ctx.n);
 
     let t0 = Instant::now();
     reset_run_counters();
-    let mut loc = transfer_cursors(
-        &ctx,
-        &ctx.b_regions,
-        true,
-        Phase::Localization,
-        0,
-        loc_mode.inter_block_gap(),
-    );
+    let mut loc = transfer_cursors(ctx, &ctx.b_regions, true, Phase::Localization, 0, gap);
     let loc_end = run_phase_auto(ts, &mut bus, &ctx.mapping, &mut loc, None, sys.parallel);
     let loc_blocks = ts.stats().accesses();
-    phase_stats("loc   ", t0, loc_blocks, run_counters(), &loc);
+    let loc = PhaseOut::of(t0, loc_blocks, run_counters(), &loc, ops);
 
     let t0 = Instant::now();
     reset_run_counters();
@@ -109,7 +139,7 @@ fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize, level: PimLevel) {
                 "pim",
                 ctx.pim_channel(ctx.active_pims[pix]),
                 opts.level_cfg.port(),
-                KernelStream::new(&ctx, sys, &opts, pix),
+                KernelStream::new(ctx, sys, opts, pix),
                 loc_end,
                 opts.level_cfg.compute_cycles_per_block(ctx.n),
                 opts.level_cfg.simd_ops_per_block(ctx.n),
@@ -125,20 +155,108 @@ fn profile(sys: &SystemConfig, m: usize, k: usize, n: usize, level: PimLevel) {
         .collect();
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut units, None, sys.parallel);
     let kern_blocks = ts.stats().accesses() - loc_blocks;
-    phase_stats("kernel", t0, kern_blocks, run_counters(), &units);
+    let kernel = PhaseOut::of(t0, kern_blocks, run_counters(), &units, ops);
 
     let kernel_end = units.iter().map(|u| u.end_time).max().unwrap_or(loc_end);
     let t0 = Instant::now();
     reset_run_counters();
-    let mut red = transfer_cursors(
-        &ctx,
-        &ctx.c_regions,
-        false,
-        Phase::Reduction,
-        kernel_end,
-        loc_mode.inter_block_gap(),
-    );
+    let mut red = transfer_cursors(ctx, &ctx.c_regions, false, Phase::Reduction, kernel_end, gap);
     run_phase_auto(ts, &mut bus, &ctx.mapping, &mut red, None, sys.parallel);
     let red_blocks = ts.stats().accesses() - loc_blocks - kern_blocks;
-    phase_stats("red   ", t0, red_blocks, run_counters(), &red);
+    let red = PhaseOut::of(t0, red_blocks, run_counters(), &red, ops);
+    [loc, kernel, red]
+}
+
+fn share(b: u64, of: u64) -> f64 {
+    100.0 * b as f64 / of.max(1) as f64
+}
+
+fn print_phase(label: &str, p: &PhaseOut) {
+    println!(
+        "{label}: {:>9.1} ms  {:>6.1} ns/blk ({} blocks)",
+        p.ms,
+        p.ms * 1e6 / p.blocks.max(1) as f64,
+        p.blocks,
+    );
+    let splits: Vec<String> = FB_LABELS
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| p.rc.fallback[i] > 0)
+        .map(|(i, l)| format!("{l} {}", p.rc.fallback[i]))
+        .collect();
+    println!(
+        "        {} runs admitted, mean {:.1} blocks; per-block splits: {}",
+        p.rc.runs,
+        p.rc.mean_run_len(),
+        if splits.is_empty() { "none".into() } else { splits.join(", ") },
+    );
+    println!(
+        "        closed form: run tails {} blocks ({:.1}%), A-walk stretches {} ({:.1}%), \
+         verified periods {} covering {} ({:.1}%); {} snapshots",
+        p.tail,
+        share(p.tail, p.blocks),
+        p.stretch,
+        share(p.stretch, p.blocks),
+        p.periods,
+        p.jumped,
+        share(p.jumped, p.blocks),
+        p.snapshots,
+    );
+}
+
+/// The Table-I profile: one row per (level, N) slice.
+fn table1_slices(sys: &SystemConfig, passes: usize) {
+    println!(
+        "80 Table-I GEMMs, power-of-two parts, serial engine; host ms are the minimum of {passes} \
+         passes"
+    );
+    println!(
+        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8}",
+        "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "periods",
+        "snapshots", "loc ms", "kern ms", "red ms",
+    );
+    for level in [PimLevel::BankGroup, PimLevel::Device] {
+        let opts = SimOptions::stepstone(level);
+        for n in [1, 4, 8, 32] {
+            let parts: Vec<GemmSpec> = stepstone_workloads::table1()
+                .iter()
+                .flat_map(|e| GemmSpec::new(e.m, e.k, n).decompose_pow2())
+                .collect();
+            let ctxs: Vec<GemmContext> =
+                parts.iter().map(|p| GemmContext::build(sys, p, &opts)).collect();
+            let mut best = [f64::INFINITY; 3];
+            let mut total = [PhaseOut::default(); 3];
+            for pass in 0..passes {
+                let mut sum = [PhaseOut::default(); 3];
+                for ctx in &ctxs {
+                    let out = run_pass(sys, ctx, &opts);
+                    sum.iter_mut().zip(&out).for_each(|(s, p)| s.add(p));
+                }
+                for (b, s) in best.iter_mut().zip(&sum) {
+                    *b = b.min(s.ms);
+                }
+                if pass == 0 {
+                    total = sum;
+                }
+            }
+            let k = &total[1];
+            let closed = |b: u64| format!("{:.1}%", share(b, k.blocks));
+            println!(
+                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>8.1} {:>8.1} {:>8.1}",
+                level.tag(),
+                n,
+                parts.len(),
+                k.blocks,
+                k.awalk,
+                closed(k.stretch),
+                format!("{:.1}%", share(k.stretch, k.awalk)),
+                closed(k.tail),
+                closed(k.jumped),
+                k.snapshots,
+                best[0],
+                best[1],
+                best[2],
+            );
+        }
+    }
 }

@@ -21,10 +21,11 @@
 //! * a transfer cursor alone on its channel with a long round promise —
 //!   the periodic jump of the localization and reduction streams, which
 //!   trace and refresh turn off;
-//! * exclusive kernel units over long A-walk stretches — the verified
-//!   periods of multi-key (StepStone-DV) stretches over their partitions,
-//!   and the single-key (StepStone-BG) stretches issued in the run stream
-//!   without snapshots, which trace and refresh turn off too.
+//! * exclusive kernel units over long A-walk stretches — the multi-key
+//!   (StepStone-DV) stretches jumped once the unit's last two rounds of
+//!   issues repeat, and the single-key (StepStone-BG) stretches issued in
+//!   the run stream, both without snapshots, which trace and refresh turn
+//!   off too.
 //!
 //! Every arm must produce a `LatencyReport` identical to the frozen seed
 //! engine, which replays fully materialized programs. The run counters
@@ -394,7 +395,8 @@ fn matrix_covers_subset_and_echo_program_shapes() {
 /// One composed pass of `ctx` — localization, the kernels, reduction —
 /// on fresh memory: the phase ends, the DRAM statistics, and what each
 /// phase issued in closed form (transfer periods, kernel blocks of
-/// verified periods; kernel blocks of single-key stretches).
+/// verified periods; kernel blocks of A-walk stretches, and the kernels'
+/// snapshots).
 struct Composed {
     loc_end: u64,
     kernel_end: u64,
@@ -402,6 +404,7 @@ struct Composed {
     stats: DramStats,
     jumped: [u64; 3],
     stretched: u64,
+    kernel_snapshots: u64,
 }
 
 fn composed_pass(
@@ -450,7 +453,9 @@ fn composed_pass(
         red.iter().map(|u| u.jumped_periods).sum(),
     ];
     let stretched = units.iter().map(|u| u.stretch_blocks).sum();
-    Composed { loc_end, kernel_end, red_end, stats: *ts.stats(), jumped, stretched }
+    let kernel_snapshots = units.iter().map(|u| u.snapshots).sum();
+    let stats = *ts.stats();
+    Composed { loc_end, kernel_end, red_end, stats, jumped, stretched, kernel_snapshots }
 }
 
 /// Arms of the jump tests: (parallel, trace, refresh).
@@ -496,11 +501,12 @@ fn matrix_transfer_jump_matches_frozen_seed() {
     }
 }
 
-/// The kernel jump in a composed StepStone-DV pass: the A-walk of a
-/// 256×4096 N=1 GEMM holds each row pair for 64 blocks per bank, so the
-/// exclusive kernel units issue most of it in closed form on the serial
-/// and sharded engines, and not under trace or refresh; every refresh-free
-/// arm must match the frozen seed's phase ends, total and DRAM counters.
+/// The multi-key stretch jump in a composed StepStone-DV pass: the A-walk
+/// of a 256×4096 N=1 GEMM holds each row pair for 64 blocks per bank, so
+/// the exclusive kernel units issue most of it in closed form, without a
+/// snapshot, on the serial and sharded engines, and not under trace or
+/// refresh; every refresh-free arm must match the frozen seed's phase
+/// ends, total and DRAM counters.
 #[test]
 fn matrix_kernel_jump_matches_frozen_seed() {
     let _serial = counter_lock();
@@ -512,9 +518,11 @@ fn matrix_kernel_jump_matches_frozen_seed() {
     for (parallel, trace, refresh) in JUMP_ARMS {
         let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
         let what = format!("{spec} DV parallel={parallel} trace={trace} refresh={refresh}");
+        let snapshots = (pass.jumped[1], pass.kernel_snapshots);
+        assert_eq!(snapshots, (0, 0), "{what}: the kernels take no snapshot period");
         if refresh {
             assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
-            assert_eq!(pass.jumped[1], 0, "{what}: refresh turns the kernel jump off");
+            assert_eq!(pass.stretched, 0, "{what}: refresh turns the kernel jump off");
             continue;
         }
         let kernel = pass.kernel_end - pass.loc_end;
@@ -525,13 +533,13 @@ fn matrix_kernel_jump_matches_frozen_seed() {
         assert_eq!(pass.red_end, seed.total, "{what}: total");
         assert_eq!(pass.stats, seed.dram, "{what}: DRAM event counts");
         if trace {
-            assert_eq!(pass.jumped[1], 0, "{what}: the trace turns the kernel jump off");
+            assert_eq!(pass.stretched, 0, "{what}: the trace turns the kernel jump off");
         } else {
             let kernel_blocks = seed.dram.accesses() - seed.dram.channel_accesses();
             assert!(
-                pass.jumped[1] * 2 > kernel_blocks,
+                pass.stretched * 2 > kernel_blocks,
                 "{what}: jumped {} of {kernel_blocks} kernel blocks",
-                pass.jumped[1]
+                pass.stretched
             );
         }
     }
