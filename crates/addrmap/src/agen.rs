@@ -33,7 +33,8 @@
 
 use crate::geometry::BLOCK_BYTES;
 use crate::gf2::Gf2System;
-use std::collections::HashMap;
+use crate::mapping::XorMapping;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -708,15 +709,168 @@ impl Iterator for Spans {
 }
 
 /// One recorded span of a window skeleton: block offset from the window
-/// base, run length in blocks, and the corrector iterations of the run's
-/// first block (meaningful for every span but the window's first, whose
+/// base, run length in blocks, the corrector iterations of the run's first
+/// block (meaningful for every span but the window's first, whose
 /// iteration count depends on the *previous* window and is recomputed live
-/// at replay time).
+/// at replay time), and the stretch table's entry: how many following
+/// spans of the skeleton repeat its window keys under the skeleton's key
+/// test ([`Skeleton::key`]). Every field fits 16 bits: a window holds at
+/// most `2^SPAN_WINDOW_BLOCK_BITS` blocks, and a charge counts at most one
+/// iteration per address bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct SkelSpan {
-    off: u32,
-    len: u32,
-    iters: u32,
+    off: u16,
+    len: u16,
+    iters: u16,
+    run: u16,
+}
+
+const _: () = assert!(1 << SPAN_WINDOW_BLOCK_BITS <= u16::MAX as u64);
+
+impl SkelSpan {
+    fn new(w: u64, span: &AgenSpan) -> Self {
+        let off = (span.start_pa - w) / BLOCK_BYTES;
+        Self { off: off as u16, len: span.len as u16, iters: span.iterations as u16, run: 0 }
+    }
+
+    /// The span in window `w`, charged its recorded head iterations.
+    #[inline]
+    fn at(&self, w: u64) -> AgenSpan {
+        AgenSpan {
+            start_pa: w + self.off as u64 * BLOCK_BYTES,
+            len: self.len as u64,
+            iterations: self.iters as u32,
+        }
+    }
+}
+
+/// A recorded window skeleton. Its spans carry the stretch table under the
+/// mapping of the walk that recorded it (`key`, [`KeyTest::id`];
+/// `u32::MAX` when that walk had none). Page sizes clip the table at query
+/// time ([`Runs::run`]); a walk under another mapping reads no table from
+/// it ([`Skeleton::runs`]) and looks ahead span by span instead.
+#[derive(Debug)]
+struct Skeleton {
+    spans: Vec<SkelSpan>,
+    key: u32,
+}
+
+impl Skeleton {
+    /// The stretch table under `keys`, if the skeleton was recorded under
+    /// its mapping.
+    fn runs(&self, keys: &KeyTest) -> Option<Runs<'_>> {
+        let page_mask = keys.0.page_mask;
+        (self.key == keys.id()).then_some(Runs { spans: &self.spans, page_mask })
+    }
+}
+
+/// The stretch table of a skeleton under a mapping: for each span, how
+/// many following spans repeat its keys, pages aside. Inside a replayed
+/// window every span starts at the window base OR its skeleton offset, so
+/// two spans of one window differ by their offsets' XOR alone, and
+/// [`KeyTest::same`] between them depends only on the skeleton, the
+/// mapping and the page size: it holds for every window that replays the
+/// skeleton. One test per adjacent pair builds it (the test is an
+/// equivalence, so repeats chain).
+fn stretch_runs(spans: &[SkelSpan], keys: &KeyTest, tests: &mut u64) -> Vec<u16> {
+    let mut runs = vec![0u16; spans.len()];
+    for i in (0..spans.len().saturating_sub(1)).rev() {
+        *tests += 1;
+        if keys.same_unpaged(&spans[i].at(0), &spans[i + 1].at(0)) {
+            runs[i] = runs[i + 1] + 1;
+        }
+    }
+    runs
+}
+
+/// The span key-equality test of one mapping and page size, interned: walks
+/// under one mapping share an `id`, which names the mapping a skeleton's
+/// stretch table was built under.
+///
+/// Span `s` repeats span `r`'s window keys block by block, with the same
+/// run hints, when: their lengths are equal and so are their address bits
+/// below the top bit that varies inside `r` (so blocks at equal offsets
+/// differ by `r.start ^ s.start` exactly); that difference moves only the
+/// column — the mapping decodes XOR-linearly, so it moves no other
+/// coordinate bit iff it has even parity under every non-column mask; and,
+/// under paging, both spans lie in `r`'s page, where translation keeps key
+/// equality. The test is an equivalence: equal low bits give `s` the same
+/// varying bits as `r`, and differences compose by XOR.
+#[derive(Debug, Clone)]
+pub struct KeyTest(Arc<KeyMasks>);
+
+#[derive(Debug, PartialEq, Eq)]
+struct KeyMasks {
+    /// Equal for equal `moves`.
+    id: u32,
+    /// The mapping's bank, bank-group, rank, channel and row masks.
+    moves: Vec<u64>,
+    page_mask: Option<u64>,
+}
+
+impl KeyTest {
+    pub fn new(mapping: &XorMapping, page_mask: Option<u64>) -> Self {
+        use crate::mapping::Field;
+        static TESTS: Mutex<Vec<Arc<KeyMasks>>> = Mutex::new(Vec::new());
+        let fields = [Field::Bank, Field::BankGroup, Field::Rank, Field::Channel, Field::Row];
+        let moves: Vec<u64> =
+            fields.iter().flat_map(|&f| mapping.field_masks(f).iter().copied()).collect();
+        let mut tests = TESTS.lock().expect("key tests poisoned");
+        if let Some(t) = tests.iter().find(|t| t.moves == moves && t.page_mask == page_mask) {
+            return Self(Arc::clone(t));
+        }
+        let id = match tests.iter().find(|t| t.moves == moves) {
+            Some(t) => t.id,
+            None => tests.iter().map(|t| t.id + 1).max().unwrap_or(0),
+        };
+        let t = Arc::new(KeyMasks { id, moves, page_mask });
+        tests.push(Arc::clone(&t));
+        Self(t)
+    }
+
+    fn id(&self) -> u32 {
+        self.0.id
+    }
+
+    /// Does span `s` repeat span `r`'s window keys?
+    pub fn same(&self, r: &AgenSpan, s: &AgenSpan) -> bool {
+        self.same_unpaged(r, s)
+            && self.0.page_mask.is_none_or(|pm| (inside(r) | (r.start_pa ^ s.start_pa)) & !pm == 0)
+    }
+
+    /// [`KeyTest::same`] without the page condition.
+    fn same_unpaged(&self, r: &AgenSpan, s: &AgenSpan) -> bool {
+        let inside = inside(r);
+        let low = if inside == 0 { 0 } else { u64::MAX >> inside.leading_zeros() };
+        let diff = r.start_pa ^ s.start_pa;
+        s.len == r.len
+            && diff & low == 0
+            && self.0.moves.iter().all(|m| (diff & m).count_ones() & 1 == 0)
+    }
+}
+
+/// The address bits that vary inside span `r`.
+#[inline]
+fn inside(r: &AgenSpan) -> u64 {
+    r.start_pa ^ (r.start_pa + (r.len - 1) * BLOCK_BYTES)
+}
+
+/// A stretch read off a [`SpanProgram`]'s skeleton tables
+/// ([`SpanProgram::stretch`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableStretch {
+    /// Upcoming spans repeating the last yielded span's keys.
+    pub spans: u64,
+    /// Their length in blocks (the last yielded span's).
+    pub len: u64,
+    /// The largest head charge among them (1 when there are none).
+    pub max_iters: u32,
+    /// Blocks past them to the end of the next span that may open a
+    /// stretch; 0 when that lies beyond the windows the tables know.
+    pub after: u64,
+    /// When the span right after them opens a stretch: spans of its window
+    /// that repeat it (at least 1; 0 otherwise).
+    pub next: u64,
 }
 
 /// Per-(low-mask system, rules, pivot) skeleton store: one recorded span
@@ -725,7 +879,7 @@ struct SkelSpan {
 /// layers.
 #[derive(Debug, Default)]
 struct SharedSkeletons {
-    by_state: Mutex<HashMap<u32, Arc<Vec<SkelSpan>>>>,
+    by_state: Mutex<HashMap<u32, Arc<Skeleton>>>,
 }
 
 /// Caps for the global span-program cache: distinct (low-mask, pivot,
@@ -882,8 +1036,16 @@ pub struct SpanProgram {
     shared_in_cache: bool,
     /// Window of the most recently emitted span (`u64::MAX` before any).
     cur_window: u64,
-    replay: Option<(Arc<Vec<SkelSpan>>, usize)>,
+    replay: Option<Replay>,
     recording: Option<(u32, Vec<SkelSpan>)>,
+    /// Windows after `chain_from` that stretch queries found the window
+    /// successor will replay, nearest first: (window, nonempty-run end,
+    /// replay state). `chain_end`: the window after the last of them will
+    /// not replay. Stale once `cur_window` moves off `chain_from` other
+    /// than by entering the chain's first window.
+    chain: VecDeque<(u64, u64, Replay)>,
+    chain_from: u64,
+    chain_end: bool,
     /// Gate-row window-successor tables plus this walk's folded gate RHS
     /// (`None` when replay is disabled).
     wtables: Option<(Arc<WindowTables>, u32)>,
@@ -905,6 +1067,82 @@ pub struct SpanProgram {
     pub skeleton_hits: u64,
     /// Skeleton-cache misses (windows walked live and recorded).
     pub skeleton_misses: u64,
+    /// The key test of the walk's stretch queries, which also builds the
+    /// stretch tables of the windows it records (see [`Skeleton`]).
+    keys: Option<KeyTest>,
+    /// Span key-equality tests evaluated for stretch queries, table builds
+    /// included (host-side).
+    pub key_tests: u64,
+}
+
+/// The replayed window: its skeleton and the index of the next span to
+/// yield.
+struct Replay {
+    skel: Arc<Skeleton>,
+    ix: usize,
+}
+
+impl Replay {
+    fn new(skel: Arc<Skeleton>) -> Self {
+        Self { skel, ix: 1 }
+    }
+}
+
+/// A skeleton's spans with their stretch table ([`stretch_runs`]) and the
+/// page mask that clips it.
+#[derive(Clone, Copy)]
+struct Runs<'a> {
+    spans: &'a [SkelSpan],
+    page_mask: Option<u64>,
+}
+
+impl Runs<'_> {
+    /// Following spans that repeat span `i`'s keys, pages aside.
+    fn unpaged(&self, i: usize) -> usize {
+        self.spans[i].run as usize
+    }
+
+    /// Following spans that repeat span `i`'s keys. Under paging the
+    /// repeats must also lie in span `i`'s page, which must hold all of
+    /// it: spans ascend, so that clips the table's run to a prefix. The
+    /// window base cancels from both tests (it has no bit below the
+    /// window's size), so offsets decide.
+    fn run(&self, i: usize) -> usize {
+        let n = self.unpaged(i);
+        let Some(pm) = self.page_mask else { return n };
+        let page = |s: &SkelSpan| (s.off as u64 * BLOCK_BYTES) & !pm;
+        let first = &self.spans[i];
+        if inside(&first.at(0)) & !pm != 0 {
+            return 0;
+        }
+        self.spans[i + 1..=i + n].iter().take_while(|s| page(s) == page(first)).count()
+    }
+
+    /// Whether span `i` opens a stretch: [`Runs::run`]` > 0`.
+    fn opens(&self, i: usize) -> bool {
+        self.unpaged(i) > 0 && (self.page_mask.is_none() || self.run(i) > 0)
+    }
+
+    /// The largest head charge among the `n` spans after span `i`.
+    fn max_iters(&self, i: usize, n: usize) -> u32 {
+        self.spans[i + 1..=i + n].iter().map(|s| s.iters as u32).max().unwrap_or(0)
+    }
+
+    /// From span `from` on: the blocks to the end of the first span that
+    /// may open a stretch — one the next span repeats, or the skeleton's
+    /// last, whose stretch may run on into the next window — and how many
+    /// spans repeat `from` itself (0 unless it opens one).
+    fn next_stretch(&self, from: usize) -> (u64, u64) {
+        let mut blocks = 0;
+        let mut j = from;
+        loop {
+            blocks += self.spans[j].len as u64;
+            if self.opens(j) || j + 1 == self.spans.len() {
+                return (blocks, self.run(from) as u64);
+            }
+            j += 1;
+        }
+    }
 }
 
 impl Drop for SpanProgram {
@@ -989,6 +1227,9 @@ impl SpanProgram {
             cur_window: u64::MAX,
             replay: None,
             recording: None,
+            chain: VecDeque::new(),
+            chain_from: u64::MAX,
+            chain_end: false,
             wtables,
             win_run_end: 0,
             // A window-aligned start has no partial prefix window, so the
@@ -1002,7 +1243,16 @@ impl SpanProgram {
             boundary_successors: 0,
             skeleton_hits: 0,
             skeleton_misses: 0,
+            keys: None,
+            key_tests: 0,
         }
+    }
+
+    /// Answer stretch queries under `keys` ([`SpanProgram::stretch`]),
+    /// building the stretch table of every window the walk records.
+    pub fn with_keys(mut self, keys: KeyTest) -> Self {
+        self.keys = Some(keys);
+        self
     }
 
     /// The cache-resident skeleton store for a key, or a private one (not
@@ -1071,11 +1321,77 @@ impl SpanProgram {
                 return;
             }
         }
-        by_state.insert(state, Arc::new(spans));
+        // The walk's key test builds the skeleton's stretch table.
+        let mut spans = spans;
+        let key = match &self.keys {
+            Some(keys) => {
+                let runs = stretch_runs(&spans, keys, &mut self.key_tests);
+                spans.iter_mut().zip(runs).for_each(|(s, run)| s.run = run);
+                keys.id()
+            }
+            None => u32::MAX,
+        };
+        by_state.insert(state, Arc::new(Skeleton { spans, key }));
     }
 
-    fn lookup(&self, state: u32) -> Option<Arc<Vec<SkelSpan>>> {
+    fn lookup(&self, state: u32) -> Option<Arc<Skeleton>> {
         self.shared.by_state.lock().expect("skeleton map poisoned").get(&state).cloned()
+    }
+
+    /// The next nonempty aligned window after window `w` (`u64::MAX`: the
+    /// walk's first), from the gate-row system, and the end of the
+    /// nonempty-window run it lies in, given `w`'s (`run_end`); `None` when
+    /// no nonempty window remains (or replay is off).
+    fn locate_after(&self, w: u64, run_end: u64) -> Option<(u64, u64)> {
+        let (wt, gate_rhs) = self.wtables.as_ref()?;
+        if w == u64::MAX {
+            // Walk start (window-aligned, so no partial prefix): the first
+            // nonempty window at or after `start`.
+            let w = if wt.satisfied(self.start, *gate_rhs) {
+                self.start
+            } else {
+                wt.next_window(self.start, *gate_rhs)?
+            };
+            return Some((w, wt.run_end(w)));
+        }
+        let cand = w + self.window_bytes;
+        if cand < run_end {
+            return Some((cand, run_end));
+        }
+        let w2 = wt.next_window(w, *gate_rhs)?;
+        Some((w2, wt.run_end(w2)))
+    }
+
+    /// The next window after `w` with its skeleton, when the window
+    /// successor would replay it: fully in range, its state recorded.
+    fn replayable_after(&self, w: u64, run_end: u64) -> Option<(u64, u64, Replay)> {
+        let (next, run_end) = self.locate_after(w, run_end)?;
+        if next + self.window_bytes > self.agen.end {
+            return None;
+        }
+        Some((next, run_end, Replay::new(self.lookup(self.state_of(next))?)))
+    }
+
+    /// The `k`-th window after the current one (from 0), when the window
+    /// successor will replay it and every window before it: found once and
+    /// kept, with its skeleton, for [`SpanProgram::window_jump`].
+    fn peek(&mut self, k: usize) -> Option<u64> {
+        if self.chain_from != self.cur_window {
+            self.chain.clear();
+            self.chain_end = false;
+            self.chain_from = self.cur_window;
+        }
+        while self.chain.len() <= k && !self.chain_end {
+            let (w, run_end) = match self.chain.back() {
+                Some(&(w, run_end, _)) => (w, run_end),
+                None => (self.cur_window, self.win_run_end),
+            };
+            match self.replayable_after(w, run_end) {
+                Some(next) => self.chain.push_back(next),
+                None => self.chain_end = true,
+            }
+        }
+        self.chain.get(k).map(|c| c.0)
     }
 
     /// Cross the consumed-window boundary arithmetically: enumerate the
@@ -1086,40 +1402,28 @@ impl SpanProgram {
     /// live walk) for the clipped tail, for a cold (unrecorded) window
     /// state, or when no nonempty window remains.
     fn window_jump(&mut self) -> Option<AgenSpan> {
-        let (wt, gate_rhs) = match &self.wtables {
-            Some((wt, rhs)) => (Arc::clone(wt), *rhs),
-            None => return None,
+        let peeked = match self.chain_from == self.cur_window {
+            true => self.chain.pop_front(),
+            false => None,
         };
-        let next_w = if self.cur_window == u64::MAX {
-            // Walk start (window-aligned, so no partial prefix): the first
-            // nonempty window at or after `start`.
-            if wt.satisfied(self.start, gate_rhs) {
-                self.win_run_end = wt.run_end(self.start);
-                self.start
-            } else {
-                let w2 = wt.next_window(self.start, gate_rhs)?;
-                self.win_run_end = wt.run_end(w2);
-                w2
+        let (next_w, rep) = match peeked {
+            Some((w, run_end, rep)) => {
+                self.win_run_end = run_end;
+                (w, rep)
             }
-        } else {
-            let cand = self.cur_window + self.window_bytes;
-            if cand < self.win_run_end {
-                cand
-            } else {
-                let w2 = wt.next_window(self.cur_window, gate_rhs)?;
-                self.win_run_end = wt.run_end(w2);
-                w2
+            None => {
+                self.chain.clear();
+                self.chain_end = false;
+                let (w, run_end) = self.locate_after(self.cur_window, self.win_run_end)?;
+                self.win_run_end = run_end;
+                if w + self.window_bytes > self.agen.end {
+                    return None;
+                }
+                (w, Replay::new(self.lookup(self.state_of(w))?))
             }
         };
-        if next_w + self.window_bytes > self.agen.end {
-            return None;
-        }
-        let state = self.state_of(next_w);
-        let skel = self.lookup(state)?;
         self.skeleton_hits += 1;
-        let s0 = skel[0];
-        let pa = next_w + s0.off as u64 * BLOCK_BYTES;
-        let len = s0.len as u64;
+        let AgenSpan { start_pa: pa, len, .. } = rep.skel.spans[0].at(next_w);
         // The windows skipped over are empty (their gate rows fail), so
         // `pa` is the true successor of the previous span's last address —
         // or, before the first emission, the walk's first address (which
@@ -1132,17 +1436,115 @@ impl SpanProgram {
         };
         self.agen.started = true;
         self.cur_window = next_w;
+        // The rest of the chain follows the window just entered.
+        self.chain_from = next_w;
         self.agen.last_pa = pa + (len - 1) * BLOCK_BYTES;
         self.agen.cur = 0;
         self.agen.span_end = 0;
         self.window_jumps += 1;
         self.replayed_spans += 1;
-        if skel.len() > 1 {
-            self.replay = Some((skel, 1));
-        } else {
-            self.at_boundary = true;
-        }
+        self.replay = Some(rep);
         Some(AgenSpan { start_pa: pa, len, iterations })
+    }
+
+    /// At a span boundary inside a replayed window, the stretch after the
+    /// span just yielded, read off the skeletons' stretch tables under the
+    /// walk's key test (`stretch_runs`): the spans of its window that
+    /// repeat its keys and, each time they reach a window's end, the leading
+    /// repeats of the next window, which one test of the actual spans
+    /// decides (two windows' spans differ by the window bases' difference
+    /// XOR their offsets', and the test is an equivalence); a stretch
+    /// stops, unseen past, at a window whose skeleton has no table under
+    /// the walk's mapping. `None` while the walk is live (a cold window, a
+    /// range edge), has no key test, or replays a skeleton recorded under
+    /// another mapping or none.
+    pub fn stretch(&mut self) -> Option<TableStretch> {
+        let keys = self.keys.take()?;
+        let st = self.stretch_under(&keys);
+        self.keys = Some(keys);
+        st
+    }
+
+    /// [`SpanProgram::stretch`] under `keys`.
+    fn stretch_under(&mut self, keys: &KeyTest) -> Option<TableStretch> {
+        let rep = self.replay.as_ref()?;
+        let a = rep.ix - 1;
+        let runs = rep.skel.runs(keys)?;
+        let r = runs.spans[a].at(self.cur_window);
+        let run = runs.run(a);
+        let mut st = TableStretch {
+            spans: run as u64,
+            len: r.len,
+            max_iters: runs.max_iters(a, run).max(1),
+            after: 0,
+            next: 0,
+        };
+        if a + run + 1 < runs.spans.len() {
+            (st.after, st.next) = runs.next_stretch(a + run + 1);
+            return Some(st);
+        }
+        let tail = |w: u64, spans: &[SkelSpan]| {
+            let last = spans[spans.len() - 1].at(w);
+            last.start_pa + (last.len - 1) * BLOCK_BYTES
+        };
+        let mut tail_pa = tail(self.cur_window, runs.spans);
+        for k in 0.. {
+            let Some(w) = self.peek(k) else { break };
+            let Some(runs) = self.chain[k].2.skel.runs(keys) else { break };
+            let first = runs.spans[0].at(w);
+            let head = AgenSpan {
+                iterations: self.agen.boundary_iters(tail_pa, first.start_pa),
+                ..first
+            };
+            self.key_tests += 1;
+            if !keys.same(&r, &head) {
+                (st.after, st.next) = runs.next_stretch(0);
+                break;
+            }
+            let run = runs.run(0);
+            st.spans += 1 + run as u64;
+            st.max_iters = st.max_iters.max(head.iterations).max(runs.max_iters(0, run));
+            if run + 1 < runs.spans.len() {
+                (st.after, st.next) = runs.next_stretch(run + 1);
+                break;
+            }
+            tail_pa = tail(w, runs.spans);
+        }
+        Some(st)
+    }
+
+    /// Skip the next `n` spans, which [`SpanProgram::stretch`] promised, by
+    /// index: the replay index moves past them — into the next window
+    /// through the window successor, as [`Iterator::next`] would cross —
+    /// and `visit` sees each skipped span. They count as replayed.
+    pub fn skip_spans(&mut self, mut n: u64, mut visit: impl FnMut(&AgenSpan)) {
+        while n > 0 {
+            let window = self.cur_window;
+            let rep = self.replay.as_mut().expect("a promised stretch replays");
+            let left = rep.skel.spans.len() - rep.ix;
+            if left == 0 {
+                self.replay = None;
+                let span = self.window_jump().expect("a promised next window replays");
+                visit(&span);
+                n -= 1;
+                continue;
+            }
+            let k = (n as usize).min(left);
+            let mut last = 0;
+            for s in &rep.skel.spans[rep.ix..rep.ix + k] {
+                let span = s.at(window);
+                visit(&span);
+                last = span.start_pa + (span.len - 1) * BLOCK_BYTES;
+            }
+            rep.ix += k;
+            n -= k as u64;
+            // Keep the live generator's successor base in sync, as `next`
+            // does for every replayed span.
+            self.agen.last_pa = last;
+            self.agen.cur = 0;
+            self.agen.span_end = 0;
+            self.replayed_spans += k as u64;
+        }
     }
 }
 
@@ -1150,18 +1552,18 @@ impl Iterator for SpanProgram {
     type Item = AgenSpan;
 
     fn next(&mut self) -> Option<AgenSpan> {
-        if let Some((skel, ix)) = &mut self.replay {
-            if let Some(&s) = skel.get(*ix) {
-                *ix += 1;
-                let pa = self.cur_window + s.off as u64 * BLOCK_BYTES;
-                let len = s.len as u64;
+        if let Some(rep) = &mut self.replay {
+            if let Some(s) = rep.skel.spans.get(rep.ix) {
+                rep.ix += 1;
+                let span = s.at(self.cur_window);
+                let (pa, len) = (span.start_pa, span.len);
                 // Keep the live generator's successor base in sync so the
                 // next boundary crossing scans from the true predecessor.
                 self.agen.last_pa = pa + (len - 1) * BLOCK_BYTES;
                 self.agen.cur = 0;
                 self.agen.span_end = 0;
                 self.replayed_spans += 1;
-                return Some(AgenSpan { start_pa: pa, len, iterations: s.iters });
+                return Some(span);
             }
             self.replay = None;
             // The replayed window is fully consumed: the next span starts
@@ -1193,34 +1595,22 @@ impl Iterator for SpanProgram {
                     let state = self.state_of(w);
                     if let Some(skel) = self.lookup(state) {
                         self.skeleton_hits += 1;
-                        debug_assert_eq!(w + skel[0].off as u64 * BLOCK_BYTES, span.start_pa);
-                        debug_assert_eq!(skel[0].len as u64, span.len);
-                        if skel.len() > 1 {
-                            self.replay = Some((skel, 1));
-                        } else {
-                            self.at_boundary = true;
-                        }
+                        debug_assert_eq!(
+                            w + skel.spans[0].off as u64 * BLOCK_BYTES,
+                            span.start_pa
+                        );
+                        debug_assert_eq!(skel.spans[0].len as u64, span.len);
+                        self.replay = Some(Replay::new(skel));
                     } else {
                         self.skeleton_misses += 1;
                         // The walk enters a fully-in-range window at its
                         // first satisfying address, so recording from here
                         // captures the whole skeleton.
-                        self.recording = Some((
-                            state,
-                            vec![SkelSpan {
-                                off: ((span.start_pa - w) / BLOCK_BYTES) as u32,
-                                len: span.len as u32,
-                                iters: span.iterations,
-                            }],
-                        ));
+                        self.recording = Some((state, vec![SkelSpan::new(w, &span)]));
                     }
                 }
             } else if let Some((_, spans)) = &mut self.recording {
-                spans.push(SkelSpan {
-                    off: ((span.start_pa - w) / BLOCK_BYTES) as u32,
-                    len: span.len as u32,
-                    iters: span.iterations,
-                });
+                spans.push(SkelSpan::new(w, &span));
             }
         }
         Some(span)
@@ -1551,6 +1941,46 @@ mod tests {
                 StepStoneAgen::new(cs, 0, 1 << 17).span_program().collect();
             assert_eq!(live, prog, "parities {parity_bits:#b}");
         }
+    }
+
+    #[test]
+    fn stretch_tables_answer_only_the_recording_mapping() {
+        // A skeleton answers stretch queries only under the mapping of the
+        // walk that recorded it: a walk under another mapping, or one
+        // replaying skeletons a keyless walk recorded, gets `None` (and
+        // looks ahead span by span) while the spans stay exact.
+        let skylake = KeyTest::new(&mapping_by_id(MappingId::Skylake), None);
+        let haswell = KeyTest::new(&mapping_by_id(MappingId::Haswell), None);
+        // (answered, replayed) boundaries of a walk over `cs`.
+        let walk = |cs: &[ParityConstraint], keys: Option<&KeyTest>| {
+            let end = 1 << 17;
+            let mut p = StepStoneAgen::new(cs.to_vec(), 0, end).span_program();
+            if let Some(keys) = keys {
+                p = p.with_keys(keys.clone());
+            }
+            let (mut spans, mut answered) = (Vec::new(), 0);
+            while let Some(span) = p.next() {
+                spans.push(span);
+                answered += p.stretch().is_some() as u64;
+            }
+            assert_eq!(spans, spans_of(cs, 0, end));
+            (answered, p.replayed_spans)
+        };
+        // Two systems whose masks differ below the 2^11 window, so two
+        // skeleton stores (the store is keyed by those low bits).
+        let cs = |a: u32, b: u32| {
+            [(1u64 << a) | (1 << 14), (1u64 << b) | (1 << 12)]
+                .map(|mask| ParityConstraint { mask, parity: false })
+        };
+        // Recorded under Skylake: warm Skylake walks answer, Haswell not.
+        walk(&cs(6, 9), Some(&skylake));
+        let (answered, replayed) = walk(&cs(6, 9), Some(&skylake));
+        assert!(answered > 0 && replayed > 0, "{answered} of {replayed}");
+        assert_eq!(walk(&cs(6, 9), Some(&haswell)).0, 0);
+        // Recorded by a keyless walk: no keyed walk reads a table.
+        walk(&cs(7, 10), None);
+        let (answered, replayed) = walk(&cs(7, 10), Some(&skylake));
+        assert!(answered == 0 && replayed > 0, "{answered} of {replayed}");
     }
 
     #[test]

@@ -71,6 +71,12 @@
 //! }
 //! ```
 //!
+//! The paper-shape wall-clock figures `make bench-smoke` gates are
+//! medians of interleaved repeated runs, every run printed: each mode's
+//! `wall_ns` and `speedup_streaming_vs_seed` over 3 seed/streaming pairs
+//! (`streaming-serial` over the 5 serial runs of the parallel/serial
+//! pairs), and `speedup_parallel_vs_serial` over those 5 pairs.
+//!
 //! The `subpaper` section tracks the Table-I serving shapes (batch-scale
 //! GEMMs) where AGEN, not DRAM timing, dominates: `cold` is the first
 //! simulation of the shape (span-program cache empty), `warm` the second —
@@ -287,12 +293,36 @@ fn main() {
         w[0].sim_cycles == w[1].sim_cycles && w[0].blocks == w[1].blocks
     });
     assert!(cycle_exact, "execution modes disagree on simulated cycles/blocks");
-    let speedup = runs[2].wall_ns as f64 / runs[0].wall_ns as f64;
-    println!("  speedup streaming vs seed path: {speedup:.2}x (cycle-exact: {cycle_exact})");
-    let par_speedup = parallel_vs_serial(&sys, &serial_sys, &spec, &opts);
+    // The wall-clock figures are medians of interleaved repeated runs:
+    // single samples of one build spread widely on a shared host.
+    let seed = || {
+        let t0 = Instant::now();
+        simulate_pow2_gemm_seed(&serial_sys, &spec, &opts);
+        t0.elapsed().as_nanos() as f64
+    };
+    let pairs = interleaved("streaming-vs-seed", ["seed", "streaming"], 3, seed, || {
+        time(&sys, &spec, &opts)
+    });
+    let speedup = median(pairs.iter().map(|(seed, streaming)| seed / streaming));
+    runs[2].wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
+    runs[0].wall_ns = median(pairs.iter().map(|p| p.1)) as u128;
+    println!(
+        "  speedup streaming vs seed path: {speedup:.2}x, median of 3 pairs \
+         (cycle-exact: {cycle_exact})"
+    );
+    let pairs = interleaved(
+        "parallel-vs-serial",
+        ["serial", "parallel"],
+        5,
+        || time(&serial_sys, &spec, &opts),
+        || time(&sys, &spec, &opts),
+    );
+    let par_speedup = median(pairs.iter().map(|(serial, parallel)| serial / parallel));
+    runs[1].wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
     println!(
         "  speedup parallel vs serial engine: {par_speedup:.2}x, median of 5 pairs \
-         ({threads} threads)"
+         ({threads} threads); streaming-serial {:.1} ns/block, median of its 5 runs",
+        runs[1].wall_ns as f64 / runs[1].blocks as f64
     );
 
     let mut json = String::from("{\n  \"bench\": \"sim_hot_path\",\n");
@@ -531,41 +561,50 @@ fn main() {
     println!("  [saved BENCH_sim.json]");
 }
 
-/// `speedup_parallel_vs_serial`: the median, over 5 interleaved pairs, of
-/// the serial engine's wall time on `spec` over the sharded engine's. The
-/// order within a pair alternates, and every pair is printed: one sample
-/// on a shared 2-CPU host spreads from about 0.8× to 1.5×.
-fn parallel_vs_serial(
-    sys: &SystemConfig,
-    serial_sys: &SystemConfig,
-    spec: &GemmSpec,
-    opts: &SimOptions,
-) -> f64 {
-    let time = |s: &SystemConfig| {
-        let t0 = Instant::now();
-        simulate_gemm_opt(s, spec, opts, None);
-        t0.elapsed().as_nanos() as f64
-    };
-    let mut ratios: Vec<f64> = (0..5)
+/// Host nanoseconds of one simulation of `spec` under `sys`.
+fn time(sys: &SystemConfig, spec: &GemmSpec, opts: &SimOptions) -> f64 {
+    let t0 = Instant::now();
+    simulate_gemm_opt(sys, spec, opts, None);
+    t0.elapsed().as_nanos() as f64
+}
+
+/// `n` interleaved pairs of host times of `a` and `b` (named `names`),
+/// alternating which of the two runs first; every pair is printed with the
+/// ratio of `a`'s time over `b`'s.
+fn interleaved(
+    what: &str,
+    names: [&str; 2],
+    n: usize,
+    a: impl Fn() -> f64,
+    b: impl Fn() -> f64,
+) -> Vec<(f64, f64)> {
+    (0..n)
         .map(|i| {
-            let (serial, parallel) = if i % 2 == 0 {
-                let serial = time(serial_sys);
-                (serial, time(sys))
+            let (ta, tb) = if i % 2 == 0 {
+                let ta = a();
+                (ta, b())
             } else {
-                let parallel = time(sys);
-                (time(serial_sys), parallel)
+                let tb = b();
+                (a(), tb)
             };
             println!(
-                "  parallel-vs-serial pair {i}: serial {:.1} ms, parallel {:.1} ms, {:.2}x",
-                serial / 1e6,
-                parallel / 1e6,
-                serial / parallel
+                "  {what} pair {i}: {} {:.1} ms, {} {:.1} ms, {:.2}x",
+                names[0],
+                ta / 1e6,
+                names[1],
+                tb / 1e6,
+                ta / tb
             );
-            serial / parallel
+            (ta, tb)
         })
-        .collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
+        .collect()
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median(samples: impl Iterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = samples.collect();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
 }
 
 /// The committed analytic-tier speedup floor: the closed-form executor

@@ -150,6 +150,42 @@ pub fn run_counters() -> RunCounters {
     c
 }
 
+/// A kernel unit's promise checks (the A-walk stretch checks at span
+/// boundaries), by outcome. Host-side observability like
+/// [`UnitCursor::stretch_blocks`]: no simulated quantity depends on them.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CheckCounts {
+    /// The source promised no stretch (or none usable yet).
+    pub no_promise: u64,
+    /// Window entries of another key were still to issue.
+    pub foreign: u64,
+    /// The boundary opened a promise, so only its mark was recorded.
+    pub first_mark: u64,
+    /// A repeat or settle test failed.
+    pub failed: u64,
+    /// Everything held, but the SIMD pipeline left no room for a round.
+    pub no_room: u64,
+    /// The stretch jumped.
+    pub jumped: u64,
+}
+
+impl CheckCounts {
+    /// Checks of every outcome.
+    pub fn total(&self) -> u64 {
+        self.no_promise + self.foreign + self.first_mark + self.failed + self.no_room + self.jumped
+    }
+
+    /// Add `o`'s counts.
+    pub fn add(&mut self, o: &CheckCounts) {
+        self.no_promise += o.no_promise;
+        self.foreign += o.foreign;
+        self.first_mark += o.first_mark;
+        self.failed += o.failed;
+        self.no_room += o.no_room;
+        self.jumped += o.jumped;
+    }
+}
+
 /// One operation in a unit's program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
@@ -254,6 +290,13 @@ pub trait StepSource: Iterator<Item = Step> {
     fn cost_back(&self, _back: u64) -> Option<u32> {
         None
     }
+
+    /// Span key-equality tests the source has evaluated for its round
+    /// promises so far, stretch-table builds included (host-side
+    /// observability).
+    fn key_tests(&self) -> u64 {
+        0
+    }
 }
 
 impl<S: StepSource + ?Sized> StepSource for Box<S> {
@@ -276,6 +319,10 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
     fn cost_back(&self, back: u64) -> Option<u32> {
         (**self).cost_back(back)
     }
+
+    fn key_tests(&self) -> u64 {
+        (**self).key_tests()
+    }
 }
 
 /// What a periodic source promises at a round boundary: for a
@@ -294,6 +341,13 @@ pub struct RoundHint {
     /// The largest AGEN charge of any block of those rounds (every block
     /// but a span's first costs one iteration).
     pub max_iters: u32,
+    /// Pulls past those rounds before the source can promise again (0
+    /// when it cannot tell: ask at their end).
+    pub after: u64,
+    /// When the round right after those opens the next promise (of width
+    /// `after`): at least how many rounds after it that promise covers (0
+    /// otherwise).
+    pub next: u64,
 }
 
 /// The exact AGEN charges of rounds a source skipped
@@ -576,6 +630,11 @@ pub struct UnitCursor<'a> {
     recent: [Issued; RECENT],
     recent_at: usize,
     recent_len: usize,
+    /// Whether the ring records: only the multi-key jump reads it, so it
+    /// starts once a promise check of this phase sees a round of several
+    /// window keys (StepStone-DV), and single-key kernels (StepStone-BG)
+    /// and transfers never write it.
+    ring: bool,
     // Blocks issued in closed form, by mechanism (host-side observability:
     // none of these is a simulated quantity, and no run counter sees them).
     /// Periods of a transfer's verified periodic stream issued in closed
@@ -588,6 +647,8 @@ pub struct UnitCursor<'a> {
     pub stretch_blocks: u64,
     /// Blocks of admitted-run tails issued in the run stream.
     pub tail_blocks: u64,
+    /// The kernel's A-walk promise checks, by outcome.
+    pub checks: CheckCounts,
     /// Round-boundary snapshots the transfer jump took.
     pub snapshots: u64,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
@@ -714,10 +775,12 @@ impl<'a> UnitCursor<'a> {
             recent: [Issued { key: 0, seq: 0, cas: 0, coord: NO_COORD }; RECENT],
             recent_at: 0,
             recent_len: 0,
+            ring: false,
             jumped_periods: 0,
             jumped_blocks: 0,
             stretch_blocks: 0,
             tail_blocks: 0,
+            checks: CheckCounts::default(),
             snapshots: 0,
             run_stats: RunStats::default(),
             win_uniform: true,
@@ -769,6 +832,12 @@ impl<'a> UnitCursor<'a> {
         // Host-mediated transfers insert idle gaps between blocks.
         c.host_gap = inter_block_gap;
         c
+    }
+
+    /// Span key-equality tests the unit's source evaluated for its round
+    /// promises ([`StepSource::key_tests`]).
+    pub fn key_tests(&self) -> u64 {
+        self.steps.key_tests()
     }
 
     fn peek(&mut self) -> Option<Step> {
@@ -1130,12 +1199,14 @@ impl<'a> UnitCursor<'a> {
         round.all(|k| k == key).then_some(key)
     }
 
-    /// Record a kernel round boundary as the latest mark, and return the
-    /// mark before it if that one's promise covers this boundary: the run
+    /// Record the kernel round boundary `done` as the latest mark, every
+    /// round up to `end` repeating the run hints of the round after it, and
+    /// return the mark before it if that one covers this boundary: the run
     /// statistics grew alike over every round between them.
     fn mark_boundary(
         &mut self,
-        hint: &RoundHint,
+        done: u64,
+        end: u64,
         settled: bool,
         pipe: Option<(u64, u64)>,
     ) -> Option<Mark> {
@@ -1143,10 +1214,9 @@ impl<'a> UnitCursor<'a> {
         for (slot, e) in window.iter_mut().zip(&self.window) {
             *slot = e.key;
         }
-        let end = hint.done + hint.rounds;
-        let mark = Mark { done: hint.done, end, run: self.run_stats, settled, window, pipe };
+        let mark = Mark { done, end, run: self.run_stats, settled, window, pipe };
         let tr = self.period.as_mut().expect("periodic grant");
-        tr.mark.replace(mark).filter(|m| m.done < hint.done && hint.done <= m.end)
+        tr.mark.replace(mark).filter(|m| m.done < done && done <= m.end)
     }
 
     /// Whether nothing but the memory and the SIMD pipeline can decide this
@@ -1250,11 +1320,14 @@ impl<'a> UnitCursor<'a> {
     ///
     /// The unit then moves as [`UnitCursor::jump_rounds`] says. Run
     /// admission and fallback counts grow `P` times by what each span
-    /// added since an earlier boundary of the same promise (the mark):
-    /// every promised span repeats the run hints of the span before it, so
-    /// a stretch's first check only marks it. A window still holding
-    /// blocks of another key waits until they have issued; a round with
-    /// several keys ends the run instead.
+    /// added since an earlier mark whose rounds up to here all repeat the
+    /// run hints of the promised spans: a boundary of the same promise, or
+    /// the end of the stretch jumped just before, when the span right
+    /// after it opened this one ([`RoundHint::next`]; the jump marks it,
+    /// and waits until every entry of the old key has issued). Otherwise a
+    /// stretch's first check only marks it. A window still holding blocks
+    /// of another key waits until they have issued; a round with several
+    /// keys ends the run instead.
     fn stretch_due(
         &mut self,
         cur: &WinEntry,
@@ -1263,6 +1336,7 @@ impl<'a> UnitCursor<'a> {
         tp: &TimingParams,
     ) -> Due {
         if self.peeked.is_some() {
+            self.checks.no_promise += 1;
             self.round_wait = 1;
             return Due::Stream;
         }
@@ -1270,18 +1344,23 @@ impl<'a> UnitCursor<'a> {
             // The followers of an admitted run pull nothing from the
             // source, so they add to its wait.
             Err(wait) => {
+                self.checks.no_promise += 1;
                 self.round_wait = wait.saturating_add(self.run_left);
                 return Due::Stream;
             }
             // Ask again once the admitted run is in the window.
             Ok(_) if self.run_left > 0 => {
+                self.checks.no_promise += 1;
                 self.round_wait = self.run_left;
                 return Due::Stream;
             }
             Ok(hint) => hint,
         };
-        let Some(key) = self.round_key(hint.width) else { return Due::Outer };
-        let since = self.mark_boundary(&hint, false, None);
+        let Some(key) = self.round_key(hint.width) else {
+            self.checks.failed += 1;
+            return Due::Outer;
+        };
+        let since = self.mark_boundary(hint.done, hint.done + hint.rounds, false, None);
         // Issues until `cur` and every window entry carry the round's key
         // (the stretch's blocks are the window's newest), rounded up to the
         // next span boundary.
@@ -1290,23 +1369,55 @@ impl<'a> UnitCursor<'a> {
             None => (cur.key != key) as u64,
         };
         self.round_wait = foreign.div_ceil(hint.width).max(1) * hint.width;
-        let Some(marked) = since.filter(|_| foreign == 0) else { return Due::Stream };
+        let Some(marked) = since else {
+            self.checks.first_mark += 1;
+            return Due::Stream;
+        };
+        if foreign > 0 {
+            self.checks.foreign += 1;
+            return Due::Stream;
+        }
         let cas = bt.cas_at;
         let d = self.cadence(cas, step);
         let data = if cur.write { tp.t_cwl } else { tp.t_cl } + tp.t_bl;
         let room = if !self.settled(cas, d, hint.max_iters) {
-            0
+            None
         } else if d == step {
-            self.simd_room(cas, d, data)
+            Some(self.simd_room(cas, d, data))
         } else if self.simd_cadence(bt.data_end, d) {
-            u64::MAX
+            Some(u64::MAX)
         } else {
-            0
+            None
+        };
+        let Some(room) = room else {
+            self.checks.failed += 1;
+            return Due::Stream;
         };
         let rounds = hint.rounds.min(room / hint.width);
-        let backs = self.rebuilt_backs(rounds * hint.width, &[key]);
-        let Some(backs) = backs.filter(|_| rounds > 0) else { return Due::Stream };
-        Due::Jump(self.jump_rounds(cas, d, data, rounds, &hint, &marked, &backs), d)
+        if rounds == 0 {
+            self.checks.no_room += 1;
+            return Due::Stream;
+        }
+        let Some(backs) = self.rebuilt_backs(rounds * hint.width, &[key]) else {
+            self.checks.failed += 1;
+            return Due::Stream;
+        };
+        self.checks.jumped += 1;
+        let n = self.jump_rounds(cas, d, data, rounds, &hint, &marked, &backs);
+        if rounds == hint.rounds && hint.next > 0 {
+            // The round right after the stretch opens the next one, whose
+            // rounds all repeat its run hints, so this boundary marks it.
+            // It can first jump at the first of its boundaries by which
+            // every entry of this stretch has issued (the full window and
+            // `cur`, front first), if its promise reaches that far.
+            let done = hint.done + rounds;
+            let spans = (self.window_cap as u64 + 1).div_ceil(hint.after).max(1);
+            if spans <= 1 + hint.next {
+                self.mark_boundary(done, done + 1 + hint.next, false, None);
+                self.round_wait = spans * hint.after + 1;
+            }
+        }
+        Due::Jump(n, d)
     }
 
     /// The multi-key stretch jump (StepStone-DV): the promise check at a
@@ -1346,33 +1457,58 @@ impl<'a> UnitCursor<'a> {
     /// later. The unit moves as [`UnitCursor::jump_rounds`] says, and the
     /// memory takes the rounds' row hits in one closed-form commit
     /// ([`MemoryBackend::commit_round_hits`]). No snapshot is taken.
+    ///
+    /// A boundary whose window still holds entries of keys the span just
+    /// pulled does not carry records no mark: the next boundary cannot
+    /// jump, and the check waits for the one before the first that can
+    /// ([`UnitCursor::round_ring_wait`]).
     fn round_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
         if self.peeked.is_some() || self.run_left > 0 {
+            self.checks.no_promise += 1;
             return false;
         }
         let hint = match self.steps.round_hint(1) {
             Ok(hint) => hint,
             Err(wait) => {
+                self.checks.no_promise += 1;
                 self.round_wait = wait;
                 return false;
             }
         };
-        self.round_wait = hint.width;
+        if !self.ring {
+            // The ring starts with the first round of several keys: the
+            // window's newest entries are the round just pulled.
+            let mut round = self.window.iter().rev().take(hint.width as usize).map(|e| e.key);
+            let first = round.next();
+            self.ring = round.any(|k| Some(k) != first);
+        }
+        self.round_wait = self.round_ring_wait(hint.width);
+        if self.round_wait > hint.width {
+            // The next boundary cannot jump, so this one needs no mark.
+            self.checks.foreign += 1;
+            return false;
+        }
         let tp = ts.config().timing;
         let c = self.not_before;
         let settled = self.settled(c, tp.t_ccds, hint.max_iters);
         let slow = self.compute_cycles_per_block > tp.t_ccds;
         let pipe = if slow { self.pipe_cadence() } else { None };
-        let Some(marked) = self.mark_boundary(&hint, settled, pipe) else { return false };
+        let end = hint.done + hint.rounds;
+        let Some(marked) = self.mark_boundary(hint.done, end, settled, pipe) else {
+            self.checks.first_mark += 1;
+            return false;
+        };
         let w = hint.width as usize;
         if !(settled && marked.settled && marked.done + 1 == hint.done && 2 * w <= self.recent_len)
         {
+            self.checks.failed += 1;
             return false;
         }
         let issued = |p: usize| self.recent[(self.recent_at + RECENT - p) % RECENT];
         let d = c.wrapping_sub(issued(1).cas);
         let paced = (0..2 * w - 1).all(|p| issued(p).cas.wrapping_sub(issued(p + 1).cas) == d);
         if issued(0).cas != c || !paced || (0..w).any(|p| issued(p).key != issued(p + w).key) {
+            self.checks.failed += 1;
             return false;
         }
         // The round's keys: one direction, and one key per bank.
@@ -1382,6 +1518,7 @@ impl<'a> UnitCursor<'a> {
             let key = issued(p).key;
             if !keys[..k].contains(&key) {
                 if keys[..k].iter().any(|&o| o >> 33 == key >> 33 || (o ^ key) & 1 != 0) {
+                    self.checks.failed += 1;
                     return false;
                 }
                 keys[k] = key;
@@ -1390,7 +1527,12 @@ impl<'a> UnitCursor<'a> {
         }
         let now = self.period.as_ref().and_then(|tr| tr.mark.as_ref()).expect("just marked");
         let foreign = self.window.iter().any(|e| !keys[..k].contains(&e.key));
-        if k < 2 || foreign || now.window != marked.window {
+        if foreign {
+            self.checks.foreign += 1;
+            return false;
+        }
+        if k < 2 || now.window != marked.window {
+            self.checks.failed += 1;
             return false;
         }
         // The keys of the last span's pulls, by pulls back: each is still
@@ -1404,6 +1546,7 @@ impl<'a> UnitCursor<'a> {
             }
         }
         if pattern[..w].contains(&u64::MAX) {
+            self.checks.failed += 1;
             return false;
         }
         let one_group = keys[..k].iter().all(|&o| (o ^ keys[0]) & scope_mask(mapping) == 0);
@@ -1415,11 +1558,19 @@ impl<'a> UnitCursor<'a> {
         } else if d > floor && pipe.is_some_and(|(pd, _)| pd == d) && pipe == marked.pipe {
             u64::MAX
         } else {
-            0
+            self.checks.failed += 1;
+            return false;
         };
         let rounds = hint.rounds.min(room / hint.width);
-        let backs = self.rebuilt_backs(rounds * hint.width, &pattern[..w]);
-        let Some(backs) = backs.filter(|_| rounds > 0) else { return false };
+        if rounds == 0 {
+            self.checks.no_room += 1;
+            return false;
+        }
+        let Some(backs) = self.rebuilt_backs(rounds * hint.width, &pattern[..w]) else {
+            self.checks.failed += 1;
+            return false;
+        };
+        self.checks.jumped += 1;
         let mut round = [NO_COORD; 8];
         for p in 0..w {
             round[w - 1 - p] = issued(p).coord;
@@ -1428,6 +1579,25 @@ impl<'a> UnitCursor<'a> {
         let kind = if write { CasKind::Write } else { CasKind::Read };
         ts.commit_round_hits(&round[..w], kind, self.port, c, d, rounds);
         true
+    }
+
+    /// Issues from a span boundary of `width` pulls to the boundary before
+    /// the first at which the issue ring can show two repeating rounds of
+    /// the span's keys, where the multi-key check must next mark. Every
+    /// promised span repeats the keys of the span just pulled (the
+    /// window's newest `width` entries), so each older entry of another
+    /// key still has to issue, and the ring's last two rounds must all
+    /// issue after the last of them: with `f` such entries, not before
+    /// `f + 2·width` issues. With none, the next boundary.
+    fn round_ring_wait(&self, width: u64) -> u64 {
+        let w = (width as usize).min(self.window.len());
+        let older = self.window.iter().take(self.window.len() - w);
+        let round = || self.window.iter().skip(self.window.len() - w);
+        let f = older.filter(|e| !round().any(|r| r.key == e.key)).count() as u64;
+        if f == 0 {
+            return width;
+        }
+        ((f + 2 * width).div_ceil(width) - 1) * width
     }
 
     /// Account `rounds` promised rounds of `hint.width` pulls issued in
@@ -1511,9 +1681,12 @@ impl<'a> UnitCursor<'a> {
         self.run_stats = self.run_stats.extrapolated(&marked.run, rounds, hint.done - marked.done);
         self.stretch_blocks += n;
         self.recent_len = 0;
-        // The next promise is due right away (the mark stays at the
-        // boundary before the jump, whose promise covered it).
-        self.round_wait = 1;
+        // A promise jumped only in part is due again right away (the mark
+        // stays at the boundary before the jump, whose promise covered
+        // it); one used up is due where the source said the next may open.
+        // The wait counts from the next issue, so it includes the check
+        // that follows the jump at the same source position.
+        self.round_wait = if rounds == hint.rounds { hint.after + 1 } else { 1 };
         debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
         n
     }
@@ -1595,15 +1768,11 @@ impl<'a> UnitCursor<'a> {
             return;
         }
         // Pick the window entry whose data would start earliest (the PIM
-        // sequencer's FR-FCFS-like choice). `TimingState::probe` ignores the
-        // column, so entries sharing (bank, row, direction) and an effective
-        // not-before resolve to the same time — probe each distinct
-        // combination once (sequential walks collapse to a single probe).
-        // A window confined to one bank group and direction whose front is
-        // a row hit needs no probes at all: the front entry provably wins
-        // (see [`UnitCursor::window_scope_uniform`]).
+        // sequencer's FR-FCFS-like choice; see [`fr_fcfs_pick`]). A window
+        // confined to one bank group and direction whose front is a row
+        // hit needs no probes at all: the front entry provably wins (see
+        // [`UnitCursor::window_scope_uniform`]).
         let base_nb = self.not_before.max(self.launch_avail);
-        let mut best_ix = 0;
         debug_assert_eq!(
             self.win_uniform,
             self.window_scope_uniform(scope_mask(mapping)),
@@ -1612,34 +1781,7 @@ impl<'a> UnitCursor<'a> {
         let front_wins = self.fast
             && self.win_uniform
             && self.window.front().is_some_and(|e| ts.row_open(&e.coord));
-        if !front_wins {
-            let mut best_t = u64::MAX;
-            let mut cache: [(u64, u64, u64); 8] = [(0, 0, 0); 8];
-            let mut cache_len = 0usize;
-            for (i, e) in self.window.iter().enumerate() {
-                let nb = base_nb.max(e.gen_ready);
-                // `WinEntry::key` already encodes (bank, row, direction) —
-                // exactly the identity `TimingState::probe` depends on
-                // beyond the not-before time.
-                let cached = cache[..cache_len].iter().find(|&&(k, n, _)| k == e.key && n == nb);
-                let t = match cached {
-                    Some(&(_, _, t)) => t,
-                    None => {
-                        let kind = if e.write { CasKind::Write } else { CasKind::Read };
-                        let t = ts.probe(e.coord, kind, self.port, nb);
-                        if cache_len < cache.len() {
-                            cache[cache_len] = (e.key, nb, t);
-                            cache_len += 1;
-                        }
-                        t
-                    }
-                };
-                if t < best_t {
-                    best_t = t;
-                    best_ix = i;
-                }
-            }
-        }
+        let best_ix = if front_wins { 0 } else { fr_fcfs_pick(ts, &self.window, self.port, base_nb) };
         let e = self.take_entry(best_ix, scope_mask(mapping));
         let nb = self.issue_nb(e.gen_ready);
         let kind = if e.write { CasKind::Write } else { CasKind::Read };
@@ -1672,9 +1814,12 @@ impl<'a> UnitCursor<'a> {
     /// `e`: clock/category attribution, SIMD pipeline, launch gating, and
     /// the next block's earliest desire.
     fn finish_block(&mut self, e: &WinEntry, bt: stepstone_dram::BlockTiming) {
-        self.recent_at = (self.recent_at + 1) % RECENT;
-        self.recent[self.recent_at] = Issued { key: e.key, seq: e.seq, cas: bt.cas_at, coord: e.coord };
-        self.recent_len = (self.recent_len + 1).min(RECENT);
+        if self.ring {
+            self.recent_at = (self.recent_at + 1) % RECENT;
+            self.recent[self.recent_at] =
+                Issued { key: e.key, seq: e.seq, cas: bt.cas_at, coord: e.coord };
+            self.recent_len = (self.recent_len + 1).min(RECENT);
+        }
         if self.pending_kernel_start {
             self.pending_kernel_start = false;
             self.launch_req = bt.cas_at;
@@ -2092,6 +2237,43 @@ fn scope_mask(mapping: &XorMapping) -> u64 {
     (!0u64 << (33 + mapping.geometry().bank_bits())) | 1
 }
 
+/// The FR-FCFS choice of a window: the first entry whose data would
+/// start earliest, each probed at its not-before (`base_nb` or its AGEN
+/// stamp). `TimingState::probe` ignores the column, and for one (bank,
+/// row, direction) key it does not decrease as the not-before grows: a row
+/// hit's CAS, a PRE/ACT chain and a pending refresh's ACT all start no
+/// earlier. A later entry needs a strictly earlier time to win. So once a
+/// key is probed at some not-before, no later entry of that key with a not
+/// earlier one can win, and is skipped (window stamps are nondecreasing,
+/// so every key is probed once).
+fn fr_fcfs_pick<B: MemoryBackend>(
+    ts: &B,
+    window: &VecDeque<WinEntry>,
+    port: Port,
+    base_nb: u64,
+) -> usize {
+    let (mut best_ix, mut best_t) = (0, u64::MAX);
+    let mut probed = [(0u64, 0u64); 8];
+    let mut n = 0;
+    for (i, e) in window.iter().enumerate() {
+        let nb = base_nb.max(e.gen_ready);
+        if probed[..n].iter().any(|&(k, p)| k == e.key && p <= nb) {
+            continue;
+        }
+        let kind = if e.write { CasKind::Write } else { CasKind::Read };
+        let t = ts.probe(e.coord, kind, port, nb);
+        if n < probed.len() {
+            probed[n] = (e.key, nb);
+            n += 1;
+        }
+        if t < best_t {
+            best_t = t;
+            best_ix = i;
+        }
+    }
+    best_ix
+}
+
 /// Colocated CPU traffic as an engine participant.
 pub struct TrafficCursor<'a> {
     src: &'a mut dyn TrafficSource,
@@ -2248,6 +2430,7 @@ fn run_units<B: MemoryBackend>(
         u.round_wait = 0;
         u.count_own = false;
         u.recent_len = 0;
+        u.ring = false;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
         .iter_mut()
@@ -2409,6 +2592,70 @@ mod tests {
                 free = free.max(issue + data) + compute;
                 q.push_back(free);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // `fr_fcfs_pick`, which probes each key once, against the full
+        // scan it prunes (probe every entry, keep the first least time):
+        // over random windows of channel-0 blocks (few rows, so keys
+        // repeat; both directions; nondecreasing AGEN stamps) and random
+        // timing states left by earlier accesses, with refresh on and off,
+        // both choose the same entry.
+        #[test]
+        fn fr_fcfs_pick_matches_the_full_scan(
+            refresh in any::<bool>(),
+            seed in any::<u64>(),
+            len in 1usize..9,
+            prior in 0usize..16,
+        ) {
+            let mapping = mapping_by_id(MappingId::Skylake);
+            let cfg = DramConfig { refresh, ..DramConfig::default() };
+            let g = *mapping.geometry();
+            let mut state = seed;
+            let mut next = |below: u64| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 33) % below
+            };
+            let coord = |next: &mut dyn FnMut(u64) -> u64| DramCoord {
+                channel: 0,
+                rank: next(g.ranks_per_channel as u64) as u32,
+                bankgroup: next(g.bankgroups_per_rank as u64) as u32,
+                bank: next(2) as u32,
+                row: next(3) as u32,
+                col: 0,
+            };
+            let mut ts = TimingState::new(cfg);
+            let mut t = next(cfg.timing.t_refi);
+            for _ in 0..prior {
+                let kind = if next(4) == 0 { CasKind::Write } else { CasKind::Read };
+                let c = coord(&mut next);
+                t = ts.access(c, kind, Port::Channel, t).cas_at + next(40);
+            }
+            let mut window = VecDeque::new();
+            let mut stamp = t.saturating_sub(30);
+            for i in 0..len {
+                let c = coord(&mut next);
+                let write = next(4) == 0;
+                stamp += next(12);
+                let key = window_key(&mapping, &c, write);
+                let (cat, compute, seq) = (Phase::Gemm, true, i as u32);
+                window.push_back(WinEntry { coord: c, write, cat, compute, gen_ready: stamp, key, seq });
+            }
+            let base_nb = t + next(20);
+            let full = window
+                .iter()
+                .enumerate()
+                .map(|(i, e)| {
+                    let kind = if e.write { CasKind::Write } else { CasKind::Read };
+                    (ts.probe(e.coord, kind, Port::Channel, base_nb.max(e.gen_ready)), i)
+                })
+                .min()
+                .expect("a nonempty window")
+                .1;
+            prop_assert_eq!(fr_fcfs_pick(&ts, &window, Port::Channel, base_nb), full);
         }
     }
 

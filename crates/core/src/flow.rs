@@ -20,7 +20,7 @@ use crate::engine::{
 use std::collections::VecDeque;
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
-use stepstone_addr::agen::Spans;
+use stepstone_addr::agen::{KeyTest, Spans};
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
     AgenSpan, Geometry, GroupAnalysis, KeyRuns, MappingId, MatrixLayout, NaiveAgen, PageMap,
@@ -291,6 +291,9 @@ pub struct GemmContext {
     /// streams translate through it and clip their run promises at page
     /// boundaries.
     pub page_map: Option<PageMap>,
+    /// The span key-equality test of the mapping and the pages the kernel
+    /// streams see: the A-walks' stretch promises ([`WalkCursor::stretch`]).
+    pub(crate) keys: KeyTest,
 }
 
 impl GemmContext {
@@ -408,8 +411,8 @@ impl GemmContext {
             (runs, c)
         };
 
+        let page_map = sys.page_map();
         Self {
-            mapping,
             layout,
             ga,
             plan,
@@ -424,7 +427,12 @@ impl GemmContext {
             direct_scratchpad,
             b_key_runs,
             c_key_runs,
-            page_map: sys.page_map(),
+            keys: KeyTest::new(
+                &mapping,
+                page_map.as_ref().filter(|m| m.affects_stream()).map(PageMap::page_mask),
+            ),
+            mapping,
+            page_map,
         }
     }
 
@@ -504,7 +512,7 @@ impl GemmContext {
                     // corrector, no span-program cache.
                     SpanSource::Live(a.use_uncached_corrector().spans())
                 } else {
-                    SpanSource::Program(Box::new(a.span_program()))
+                    SpanSource::Program(Box::new(a.span_program().with_keys(self.keys.clone())))
                 };
                 WalkCursor::Spanned {
                     spans,
@@ -538,7 +546,8 @@ impl SpanSource {
     }
 }
 
-/// Spans a stretch promise looks ahead at most ([`WalkCursor::stretch`]).
+/// Spans a stretch promise looks ahead at most in a window walked live
+/// ([`WalkCursor::stretch`]).
 const STRETCH_LOOKAHEAD: usize = 128;
 
 /// Recent spans whose AGEN charges a walk remembers
@@ -567,6 +576,8 @@ pub struct SpanLog {
     recent_at: usize,
     /// Spans started so far, skipped ones included.
     started: u64,
+    /// Key-equality tests the lookahead evaluated.
+    tests: u64,
 }
 
 impl SpanLog {
@@ -588,11 +599,17 @@ impl SpanLog {
             }
             None => spans.next()?,
         };
+        self.started_span(&span);
+        Some(span)
+    }
+
+    /// Record `span` as started.
+    #[inline]
+    fn started_span(&mut self, span: &AgenSpan) {
         self.recent_at = (self.recent_at + 1) % RECENT_SPANS;
         // A zero-iteration head is still charged one iteration.
         self.recent[self.recent_at] = (span.len, span.iterations.max(1));
         self.started += 1;
-        Some(span)
     }
 }
 
@@ -605,8 +622,16 @@ pub(crate) struct Stretch {
     len: u64,
     /// At least the largest head charge among them.
     max_iters: u32,
-    /// Length of the first span after them, if the walk has one.
-    next_len: Option<u64>,
+    /// Blocks past them before another stretch may open: from the
+    /// skeleton tables, to the end of the next span that may open one (0
+    /// when that lies beyond the windows they know); from the lookahead,
+    /// the length of the span after them (1 when unknown).
+    after: u64,
+    /// When the tables know that the span right after them opens a
+    /// stretch: spans that repeat it (0 otherwise).
+    next: u64,
+    /// Whether the tables answered (`after` is then exact).
+    exact: bool,
 }
 
 /// Blocks from `cur` on (at most `remaining`) that share one window key
@@ -631,24 +656,6 @@ fn same_key_prefix(cur: u64, remaining: u64, col_pure_mask: u64) -> u64 {
     let b = impure.trailing_zeros();
     let boundary = ((cur >> b) + 1) << b;
     (boundary - cur) / BLOCK_BYTES
-}
-
-/// Whether span `s` repeats span `r`'s window keys block by block, with the
-/// same run hints: equal lengths and equal address bits below the top bit
-/// that varies inside `r` (so blocks at equal offsets differ by `r.start ^
-/// s.start` exactly), a difference that moves only the column (decode is
-/// XOR-linear), and — under paging — both spans in `r`'s page, where
-/// translation keeps key equality and no page walk is charged.
-fn same_keys(mapping: &XorMapping, page: Option<&PageMap>, r: &AgenSpan, s: &AgenSpan) -> bool {
-    let inside = r.start_pa ^ (r.start_pa + (r.len - 1) * BLOCK_BYTES);
-    let low = if inside == 0 { 0 } else { u64::MAX >> inside.leading_zeros() };
-    let diff = r.start_pa ^ s.start_pa;
-    if s.len != r.len || diff & low != 0 {
-        return false;
-    }
-    let c = mapping.decode(diff);
-    c.channel | c.rank | c.bankgroup | c.bank | c.row == 0
-        && page.is_none_or(|pm| (inside | diff) & !pm.page_mask() == 0)
 }
 
 /// A lazy (pa, AGEN iterations) cursor over one Algorithm-1 cell.
@@ -736,22 +743,45 @@ impl WalkCursor {
         }
     }
 
+    /// Key-equality tests evaluated for stretches so far.
+    fn key_tests(&self) -> u64 {
+        match self {
+            WalkCursor::Spanned { spans: SpanSource::Program(p), log, .. } => log.tests + p.key_tests,
+            WalkCursor::Spanned { log, .. } => log.tests,
+            WalkCursor::Naive(_) => 0,
+        }
+    }
+
     /// At a span boundary, count the upcoming spans that repeat the key
-    /// pattern of the span just completed (`same(last, next)`, an
-    /// equivalence), looking ahead at most 128 spans.
-    /// Looked-ahead spans are kept and yielded in order, so the walk's
-    /// output and its generator's work do not change; later boundaries of
-    /// the same stretch reuse the count and the span found to break it.
+    /// pattern of the span just completed (`keys.same(last, next)`, an
+    /// equivalence). Inside a replayed window the span program's skeleton
+    /// tables answer ([`SpanProgram::stretch`]). A window walked live
+    /// (cold, or at a range edge) looks ahead instead, at most 128 spans:
+    /// looked-ahead spans are kept and yielded in order, so the walk's
+    /// output and its generator's work do not change, and later boundaries
+    /// of the same stretch reuse the count and the span found to break it.
     /// `None` off a boundary.
-    pub(crate) fn stretch(
-        &mut self,
-        same: impl Fn(&AgenSpan, &AgenSpan) -> bool,
-    ) -> Option<Stretch> {
+    pub(crate) fn stretch(&mut self, keys: &KeyTest) -> Option<Stretch> {
         let r = self.last_span()?;
         let WalkCursor::Spanned { spans, log, .. } = self else { return None };
+        if let (true, SpanSource::Program(p)) = (log.ahead.is_empty(), &mut *spans) {
+            if let Some(t) = p.stretch() {
+                return Some(Stretch {
+                    spans: t.spans,
+                    len: t.len,
+                    max_iters: t.max_iters,
+                    after: t.after,
+                    next: t.next,
+                    exact: true,
+                });
+            }
+        }
         loop {
             if let Some(s) = log.ahead.get(log.ahead_same) {
-                if log.ahead_broken || !same(&r, s) {
+                if log.ahead_broken || {
+                    log.tests += 1;
+                    !keys.same(&r, s)
+                } {
                     log.ahead_broken = true;
                     break;
                 }
@@ -770,23 +800,41 @@ impl WalkCursor {
             spans: log.ahead_same as u64,
             len: r.len,
             max_iters: log.ahead_max.max(1),
-            next_len: log.ahead.get(log.ahead_same).map(|s| s.len),
+            after: log.ahead.get(log.ahead_same).map_or(1, |s| s.len),
+            next: 0,
+            exact: false,
         })
     }
 
     /// Skip `n` spans a [`WalkCursor::stretch`] counted, without yielding
-    /// them; returns their exact AGEN charges.
+    /// them; returns their exact AGEN charges. Spans the tables promised
+    /// are skipped by index ([`SpanProgram::skip_spans`]), looked-ahead ones are
+    /// popped.
     pub(crate) fn skip_spans(&mut self, n: u64, bubble_over: u64) -> Skipped {
         let mut out = Skipped::default();
         let WalkCursor::Spanned { spans, cur, remaining, first_iters, log } = self else {
             unreachable!("skip_spans on a naive walk")
         };
-        debug_assert!(*remaining == 0 && n as usize <= log.ahead_same, "skip past the stretch");
-        for _ in 0..n {
-            let span = log.next_span(spans).expect("a counted span");
+        debug_assert!(*remaining == 0, "skip off a span boundary");
+        let mut take = |span: &AgenSpan| {
             out.add(1, span.iterations.max(1), bubble_over);
             out.add(span.len - 1, 1, bubble_over);
             *cur = span.start_pa + span.len * BLOCK_BYTES;
+        };
+        match spans {
+            SpanSource::Program(p) if log.ahead.is_empty() => {
+                p.skip_spans(n, |span| {
+                    take(span);
+                    log.started_span(span);
+                });
+            }
+            _ => {
+                debug_assert!(n as usize <= log.ahead_same, "skip past the stretch");
+                for _ in 0..n {
+                    let span = log.next_span(spans).expect("a counted span");
+                    take(&span);
+                }
+            }
         }
         *first_iters = 0;
         out
@@ -892,8 +940,11 @@ pub struct KernelStream<'a> {
     /// A-walk spans of finished cells (round count of the stretch
     /// promise).
     spans_before: u64,
-    /// Consecutive stretch promises that fell short (they back off).
+    /// Consecutive lookahead promises (in windows walked live) that fell
+    /// short: they back off.
     misses: u32,
+    /// Key-equality tests of finished cells' walks.
+    tests_before: u64,
     /// Last emitted access address — debug builds verify every block a
     /// `take_run` skips against its (bank, row) key.
     #[cfg(debug_assertions)]
@@ -950,6 +1001,7 @@ impl<'a> KernelStream<'a> {
             page: ctx.page_map.clone().filter(|m| m.affects_stream()),
             spans_before: 0,
             misses: 0,
+            tests_before: 0,
             #[cfg(debug_assertions)]
             last_pa: 0,
         }
@@ -1053,6 +1105,7 @@ impl KernelStream<'_> {
                     let walk = self.walk.as_mut().expect("walk set on Gemm entry");
                     let Some((pa, iters)) = walk.next() else {
                         self.spans_before += walk.spans_started();
+                        self.tests_before += walk.key_tests();
                         self.walk = None;
                         self.cell_ix += 1;
                         self.fill = self.cell_fill();
@@ -1189,12 +1242,15 @@ impl StepSource for KernelStream<'_> {
     /// At an A-walk span boundary (not eCHO, whose rows each relaunch):
     /// the upcoming spans repeating the just-completed span's keys
     /// (same lengths, and address differences that move only the column),
-    /// found by looking ahead in the walk.
-    /// Short of `min_rounds`, the wait runs to the boundary after the
-    /// first span that breaks the pattern, doubled for every further
-    /// consecutive miss (capped at 64×): a walk whose keys change every
-    /// span asks rarely. Off the A-walk, the wait runs to the end of the
-    /// current fill.
+    /// read off the span program's skeleton tables, or found by looking
+    /// ahead in a window walked live (`WalkCursor::stretch`).
+    /// Short of `min_rounds`, the tables name the boundary where the next
+    /// stretch may open, and the promise says how far past its end that
+    /// is ([`RoundHint::after`]). The lookahead knows only the span that
+    /// breaks the pattern: its wait runs to the boundary after it, doubled
+    /// for every further consecutive miss (capped at 64×), so a live walk
+    /// whose keys change every span asks rarely. Off the A-walk, the wait
+    /// runs to the end of the current fill.
     fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
         if self.echo || self.stage == KernelStage::Done {
             return Err(u64::MAX);
@@ -1205,9 +1261,8 @@ impl StepSource for KernelStream<'_> {
         if self.stage != KernelStage::Gemm {
             return Err(self.fill.as_ref().map_or(1, |it| it.len() as u64 + 1));
         }
-        let (mapping, page) = (&self.ctx.mapping, self.page.as_ref());
         let Some(walk) = self.walk.as_mut() else { return Err(1) };
-        let found = walk.stretch(|r, s| same_keys(mapping, page, r, s));
+        let found = walk.stretch(&self.ctx.keys);
         let done = self.spans_before + walk.spans_started();
         let Some(st) = found else {
             return Err(match walk {
@@ -1217,9 +1272,14 @@ impl StepSource for KernelStream<'_> {
         };
         if st.spans >= min_rounds {
             self.misses = 0;
-            return Ok(RoundHint { done, width: st.len, rounds: st.spans, max_iters: st.max_iters });
+            let after = if st.exact { st.after } else { 0 };
+            let (width, rounds, max_iters, next) = (st.len, st.spans, st.max_iters, st.next);
+            return Ok(RoundHint { done, width, rounds, max_iters, after, next });
         }
-        let wait = (st.spans * st.len + st.next_len.unwrap_or(1)) << self.misses.min(6);
+        if st.exact {
+            return Err((st.spans * st.len + st.after).max(1));
+        }
+        let wait = (st.spans * st.len + st.after) << self.misses.min(6);
         self.misses += 1;
         Err(wait)
     }
@@ -1234,6 +1294,10 @@ impl StepSource for KernelStream<'_> {
             KernelStage::Gemm if self.queued.is_none() => self.walk.as_ref()?.cost_back(back),
             _ => None,
         }
+    }
+
+    fn key_tests(&self) -> u64 {
+        self.tests_before + self.walk.as_ref().map_or(0, WalkCursor::key_tests)
     }
 
     fn take_run(&mut self, n: u64) -> u64 {
@@ -1425,7 +1489,7 @@ impl StepSource for RegionInterleave<'_> {
             }
             rounds = rounds.min(p);
         }
-        Ok(RoundHint { done: self.round + 1, width, rounds, max_iters: 1 })
+        Ok(RoundHint { done: self.round + 1, width, rounds, max_iters: 1, after: 0, next: 0 })
     }
 
     fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
@@ -1534,6 +1598,10 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
             _ => 0,
         };
         Some(self.inner.cost_back(back)? + walk)
+    }
+
+    fn key_tests(&self) -> u64 {
+        self.inner.key_tests()
     }
 }
 
@@ -2319,5 +2387,161 @@ mod tests {
             }
         }
         assert!(contexts >= 10 * 2 * 3, "{contexts} contexts");
+    }
+
+    /// Walks two cells of a GEMM twice each, checking at every span
+    /// boundary the stretch the walk promises, and the AGEN charges of the
+    /// spans it then skips, against the span-by-span reference: the key
+    /// test spelled out on decoded coordinates down the cell's live spans,
+    /// and `Skipped` summed span by span.
+    /// Windows the first walk records replay from their stretch tables in
+    /// the second, while range edges and cold windows walk live and look
+    /// ahead. A promise never overstates the stretch; the tables stop short
+    /// of it only where they say they cannot see past (`after == 0`), and
+    /// the lookahead only at its cap; no stretch opens before the wait the
+    /// tables give; skipped charges and the blocks after a skip match the
+    /// reference exactly. Returns the spans the tables promised and the
+    /// skips that crossed into another window.
+    fn check_stretches(
+        s: &SystemConfig,
+        spec: GemmSpec,
+        level: PimLevel,
+        seed: u64,
+    ) -> (u64, u64) {
+        let ctx = GemmContext::build(s, &spec, &SimOptions::stepstone(level));
+        let pages = ctx.page_map.as_ref().filter(|m| m.affects_stream());
+        let keys = KeyTest::new(&ctx.mapping, pages.map(PageMap::page_mask));
+        let mut rng = seed | 1;
+        let mut draw = |below: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % below
+        };
+        let (mut promised, mut crossed) = (0, 0);
+        for &pim in ctx.active_pims.iter().take(2) {
+            let grp = (0..ctx.ga.n_groups()).find(|&g| ctx.ga.is_admissible(pim, g)).unwrap();
+            let reference: Vec<AgenSpan> = match ctx.walk_stream_impl(s.agen, pim, grp, 0, 0, true) {
+                WalkCursor::Spanned { spans: SpanSource::Live(live), .. } => live.collect(),
+                _ => unreachable!("the seed walk is live"),
+            };
+            // Span `s` repeats `r`'s keys: equal lengths, equal address
+            // bits below the top bit varying in `r`, a difference that
+            // decodes to the same (channel, rank, bank group, bank, row),
+            // and under paging both in `r`'s page.
+            let same = |r: &AgenSpan, s: &AgenSpan| {
+                let inside = r.start_pa ^ (r.start_pa + (r.len - 1) * BLOCK_BYTES);
+                let low = if inside == 0 { 0 } else { u64::MAX >> inside.leading_zeros() };
+                let diff = r.start_pa ^ s.start_pa;
+                let c = ctx.mapping.decode(diff);
+                let want = s.len == r.len
+                    && diff & low == 0
+                    && c.channel | c.rank | c.bankgroup | c.bank | c.row == 0
+                    && pages.is_none_or(|pm| (inside | diff) & !pm.page_mask() == 0);
+                assert_eq!(keys.same(r, s), want, "key test on {r:?}, {s:?}");
+                want
+            };
+            let repeats = |i: usize| {
+                let r = &reference[i];
+                reference[i + 1..].iter().take_while(|s| same(r, s)).count() as u64
+            };
+            let jumps = |w: &WalkCursor| match w {
+                WalkCursor::Spanned { spans: SpanSource::Program(p), .. } => p.window_jumps,
+                _ => 0,
+            };
+            for _ in 0..2 {
+                let mut w = ctx.walk_stream(s.agen, pim, grp, 0, 0);
+                let mut ix = 0;
+                loop {
+                    if ix > 0 {
+                        let st = w.stretch(&keys).expect("a span boundary");
+                        let full = repeats(ix - 1);
+                        assert!(st.spans <= full, "span {}: {} > {}", ix, st.spans, full);
+                        if st.spans < full {
+                            let capped = st.spans == STRETCH_LOOKAHEAD as u64;
+                            assert!(if st.exact { st.after == 0 } else { capped }, "span {}", ix);
+                        }
+                        if st.exact {
+                            promised += st.spans;
+                            let opener = ix + st.spans as usize;
+                            if st.next > 0 {
+                                assert_eq!(st.after, reference[opener].len, "span {}", ix);
+                                assert!(repeats(opener) >= st.next, "span {}", ix);
+                            }
+                            let (mut j, mut blocks) = (ix + st.spans as usize, 0);
+                            while j < reference.len() && blocks + reference[j].len < st.after {
+                                blocks += reference[j].len;
+                                assert_eq!(repeats(j), 0, "span {} opens before the wait", j);
+                                j += 1;
+                            }
+                        }
+                        let n = draw(st.spans + 1);
+                        if n > 0 {
+                            let before = jumps(&w);
+                            let got = w.skip_spans(n, 4);
+                            let mut want = Skipped::default();
+                            for sp in &reference[ix..ix + n as usize] {
+                                want.add(1, sp.iterations.max(1), 4);
+                                want.add(sp.len - 1, 1, 4);
+                            }
+                            assert_eq!(got, want, "skip {} at span {}", n, ix);
+                            crossed += (jumps(&w) > before) as u64;
+                            ix += n as usize;
+                            continue;
+                        }
+                    }
+                    let Some(span) = reference.get(ix) else {
+                        assert!(w.next().is_none(), "the walk ends with the reference");
+                        break;
+                    };
+                    for b in 0..span.len {
+                        let head = if b == 0 { span.iterations.max(1) } else { 1 };
+                        assert_eq!(w.next(), Some((span.start_pa + b * BLOCK_BYTES, head)));
+                    }
+                    ix += 1;
+                }
+            }
+        }
+        (promised, crossed)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        // Random shapes at StepStone-BG and -DV, on the DDR4 and HBM2
+        // mappings, unpaged and with 4 KiB and 64 KiB pages.
+        #[test]
+        fn stretches_match_the_span_by_span_reference(
+            dv in proptest::prelude::any::<bool>(),
+            hbm in proptest::prelude::any::<bool>(),
+            page in 0usize..3,
+            m_log in 7u32..10,
+            k_log in 9u32..13,
+            n_log in 0u32..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut s = sys();
+            if hbm {
+                s = s.with_dram(stepstone_dram::DramConfig::hbm2());
+            }
+            if let Some(bytes) = [None, Some(4096), Some(1 << 16)][page] {
+                s = s.with_paging(PagingConfig::fragmented(bytes, 3));
+            }
+            let level = if dv { PimLevel::Device } else { PimLevel::BankGroup };
+            let spec = GemmSpec::new(1 << m_log, 1 << k_log, 1 << n_log);
+            check_stretches(&s, spec, level, seed);
+        }
+    }
+
+    /// The reference check on a shape whose stretch tables carry promises
+    /// and skips across windows (128×512 N=1: 14 crossing skips at
+    /// StepStone-BG, 60 at -DV), at both levels.
+    #[test]
+    fn stretch_tables_promise_across_windows() {
+        for level in [PimLevel::BankGroup, PimLevel::Device] {
+            let spec = GemmSpec::new(128, 512, 1);
+            let (promised, crossed) = check_stretches(&sys(), spec, level, 7);
+            assert!(promised > 0 && crossed > 0, "{level:?} {spec}: {promised} {crossed}");
+        }
     }
 }

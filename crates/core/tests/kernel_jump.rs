@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 use stepstone_addr::{PagingConfig, PimLevel};
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase_auto, RunCounters, Step, StepSource, SubsetRemap,
-    TrafficCursor, UnitCursor, FB_TRACE,
+    reset_run_counters, run_counters, run_phase_auto, CheckCounts, RunCounters, Step, StepSource,
+    SubsetRemap, TrafficCursor, UnitCursor, FB_TRACE,
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, PagedSteps, Phase, SimOptions, SystemConfig};
@@ -302,13 +302,16 @@ fn single_key_stretches_jump_without_snapshots() {
 }
 
 /// The share of kernel blocks the 1024×4096 N=1 Table-I shape issues by
-/// a stretch jump, pinned as lower bounds (the counts are deterministic).
+/// a stretch jump, pinned as lower bounds (the counts are deterministic),
+/// and the promise checks per jump, pinned just above today's (4.04 at
+/// StepStone-DV, 1.12 at -BG; 5.50 and 3.01 while every check looked ahead
+/// span by span and asked again right after each jump).
 #[test]
 fn table1_shape_jump_shares() {
     let _serial = counter_lock();
     let spec = GemmSpec::new(1024, 4096, 1);
     let base = sys(None, false);
-    for (level, share) in [(PimLevel::Device, 0.85), (PimLevel::BankGroup, 0.80)] {
+    for (level, share, checks) in [(PimLevel::Device, 0.85, 4.5), (PimLevel::BankGroup, 0.80, 1.5)] {
         let opts = SimOptions::stepstone(level);
         let ctx = GemmContext::build(&base, &spec, &opts);
         let mut ts = TimingState::new(base.dram);
@@ -320,6 +323,10 @@ fn table1_shape_jump_shares() {
         let jumped = jumped.blocks();
         let got = jumped as f64 / ts.stats.accesses() as f64;
         assert!(got >= share, "{level:?}: jumped {jumped} of {} blocks", ts.stats.accesses());
+        let mut done = CheckCounts::default();
+        units.iter().for_each(|u| done.add(&u.checks));
+        let per_jump = done.total() as f64 / done.jumped as f64;
+        assert!(per_jump < checks, "{level:?}: {per_jump:.2} checks per jump ({done:?})");
     }
 }
 

@@ -7,7 +7,9 @@
 //! with their share of the phase's blocks: admitted-run tails, A-walk
 //! stretches (rounds of one or several window keys, jumped by arithmetic
 //! on the unit's own state), and verified periods (transfer rounds, with
-//! the snapshots their checks took).
+//! the snapshots their checks took). Kernel phases also report their
+//! promise checks by outcome and the span key-equality tests their sources
+//! evaluated for them.
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -19,13 +21,17 @@
 //! × N ∈ {1, 4, 8, 32} × {BG, DV}) instead: one row per (level, N) with the
 //! kernel blocks by closed-form mechanism, the snapshots taken, and each
 //! phase's host time summed over the slice's power-of-two parts, as the
-//! minimum of `R` passes (default 3). Contexts are built once, before
-//! timing; every pass runs the serial engine on fresh memory.
+//! minimum of `R` passes (default 3); then one row per (level, N) with the
+//! kernel's promise checks by outcome and key-equality tests (first pass,
+//! which records the span skeletons and builds their stretch tables).
+//! Contexts are built once, before timing; every pass runs the serial
+//! engine on fresh memory.
 
 use std::time::Instant;
 use stepstone_addr::PimLevel;
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase_auto, RunCounters, UnitCursor, FB_LABELS,
+    reset_run_counters, run_counters, run_phase_auto, CheckCounts, RunCounters, UnitCursor,
+    FB_LABELS,
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
@@ -81,6 +87,8 @@ struct PhaseOut {
     periods: u64,
     jumped: u64,
     snapshots: u64,
+    checks: CheckCounts,
+    key_tests: u64,
 }
 
 impl PhaseOut {
@@ -96,6 +104,11 @@ impl PhaseOut {
             periods: sum(|u| u.jumped_periods),
             jumped: sum(|u| u.jumped_blocks),
             snapshots: sum(|u| u.snapshots),
+            checks: units.iter().fold(CheckCounts::default(), |mut c, u| {
+                c.add(&u.checks);
+                c
+            }),
+            key_tests: sum(|u| u.key_tests()),
         }
     }
 
@@ -110,9 +123,11 @@ impl PhaseOut {
             (&mut self.periods, o.periods),
             (&mut self.jumped, o.jumped),
             (&mut self.snapshots, o.snapshots),
+            (&mut self.key_tests, o.key_tests),
         ] {
             *a += b;
         }
+        self.checks.add(&o.checks);
     }
 }
 
@@ -202,6 +217,25 @@ fn print_phase(label: &str, p: &PhaseOut) {
         share(p.jumped, p.blocks),
         p.snapshots,
     );
+    if p.checks.total() > 0 {
+        println!("        promise checks: {}; {} key tests", checks_line(&p.checks), p.key_tests);
+    }
+}
+
+/// Promise checks by outcome, and per jump.
+fn checks_line(c: &CheckCounts) -> String {
+    format!(
+        "{} (no promise {}, foreign {}, first mark {}, failed {}, no room {}, jumped {}; {:.2} per \
+         jump)",
+        c.total(),
+        c.no_promise,
+        c.foreign,
+        c.first_mark,
+        c.failed,
+        c.no_room,
+        c.jumped,
+        c.total() as f64 / c.jumped.max(1) as f64,
+    )
 }
 
 /// The Table-I profile: one row per (level, N) slice.
@@ -215,6 +249,7 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
         "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "periods",
         "snapshots", "loc ms", "kern ms", "red ms",
     );
+    let mut checks = Vec::new();
     for level in [PimLevel::BankGroup, PimLevel::Device] {
         let opts = SimOptions::stepstone(level);
         for n in [1, 4, 8, 32] {
@@ -257,6 +292,11 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                 best[1],
                 best[2],
             );
+            checks.push((level, n, k.checks, k.key_tests));
         }
+    }
+    println!("kernel promise checks (first pass)");
+    for (level, n, c, tests) in checks {
+        println!("{:<6} {:>3}  {}; {tests} key tests", level.tag(), n, checks_line(&c));
     }
 }
