@@ -61,16 +61,18 @@ ci: build test clippy doc matrix simbench bench-smoke
 # noise). That speedup is the median of 5 interleaved serial/parallel
 # pairs of the paper shape, each printed by bench_sim: single samples of
 # one unchanged build spread from 0.81x to 1.24x on a 2-CPU host, so the
-# threshold (0.9) is unchanged and only its sampling is. The other two
+# threshold (0.9) is unchanged and only its sampling is. The other
 # wall-clock gates are sampled the same way, thresholds unchanged:
 # speedup_streaming_vs_seed is the median of 3 interleaved seed/streaming
-# pairs, and the streaming-serial ns_per_block is the median of the 5
-# serial runs of the parallel/serial pairs (bench_sim prints every run;
+# pairs, the streaming-serial ns_per_block is the median of the 5
+# serial runs of the parallel/serial pairs, and the analytic tier's
+# speedup over exact divides the median of the 3 interleaved streaming
+# runs by the best of 3 analytic runs (bench_sim prints every run;
 # the JSON's runs[].wall_ns are those medians). Backend tiers
 # (PR 7): the exact tier's sim_cycles must stay bit-identical to the
 # committed value, the analytic tier's (deterministic)
 # cycles must exact-match and its wall-clock speedup over exact must meet
-# the committed floor, and the DRAM preset smoke must reproduce every
+# the committed floor (20x), and the DRAM preset smoke must reproduce every
 # preset's committed cycle count. Serving (PR 8): the 1000-request load
 # sweep's percentiles, knee index, and session-cache counters are
 # deterministic and gated exact-match; the serial and parallel sweeps must

@@ -24,8 +24,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, Scope, Snapshot, TimingParams,
-    TrafficSource,
+    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TimingParams, TrafficSource,
 };
 
 /// Fallback-cause indices for [`RunStats::fallback`] /
@@ -150,16 +149,18 @@ pub fn run_counters() -> RunCounters {
     c
 }
 
-/// A kernel unit's promise checks (the A-walk stretch checks at span
-/// boundaries), by outcome. Host-side observability like
-/// [`UnitCursor::stretch_blocks`]: no simulated quantity depends on them.
+/// A unit's promise checks (a kernel's A-walk stretch checks at span
+/// boundaries, a transfer's period checks at round boundaries), by
+/// outcome. Host-side observability like [`UnitCursor::stretch_blocks`]:
+/// no simulated quantity depends on them.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CheckCounts {
     /// The source promised no stretch (or none usable yet).
     pub no_promise: u64,
     /// Window entries of another key were still to issue.
     pub foreign: u64,
-    /// The boundary opened a promise, so only its mark was recorded.
+    /// The boundary opened a promise (no earlier boundary of it was
+    /// marked), so only its mark was recorded.
     pub first_mark: u64,
     /// A repeat or settle test failed.
     pub failed: u64,
@@ -408,33 +409,28 @@ struct WinEntry {
     seq: u32,
 }
 
-/// Round-boundary snapshots kept for the periodic jump: at most this many
-/// (so periods of up to this many rounds are detected).
-const PERIOD_HISTORY: usize = 4;
+/// The longest period a promise check looks for, in rounds. A kernel
+/// stretch repeats every round; a transfer's round-robin over its regions
+/// may take a few rounds to repeat its issues (three on the paper's DDR4
+/// channel, where eight regions share two ranks).
+const MAX_PERIOD_ROUNDS: u64 = 4;
 
-/// Snapshots are taken only at boundaries promising at least this many
-/// further rounds. A snapshot costs about one round of per-block work,
-/// and a stretch takes several to settle and verify (8 on the paper
-/// shape), so shorter stretches would not pay them back: DV regions
-/// switch keys every 2–4 blocks, and a 4 KiB page holds 16 blocks of a
-/// paper-shape region.
-const MIN_SNAPSHOT_ROUNDS: u64 = 32;
+/// A transfer checks for a period only at boundaries promising at least
+/// this many further rounds. Its first check of a key run can jump only
+/// once the issue ring holds two periods of it (6 rounds on the paper
+/// shape), so shorter promises would not pay the ring and the checks
+/// back: DV regions switch keys every 2–4 blocks, and a 4 KiB page holds
+/// 16 blocks of a paper-shape region.
+const MIN_TRANSFER_ROUNDS: u64 = 32;
 
-/// Issues a unit remembers ([`UnitCursor::recent`]): a multi-key round
-/// jump verifies the last two rounds of at most 8 issues each.
-const RECENT: usize = 16;
+/// Issues a unit remembers ([`UnitCursor::recent`]): a check compares
+/// the last two periods, so periods of up to 32 issues fit (one round of
+/// at most 8 kernel blocks, or up to [`MAX_PERIOD_ROUNDS`] transfer rounds
+/// of 8 regions).
+const RECENT: usize = 64;
 
 /// A placeholder for the issue ring's unused entries.
 const NO_COORD: DramCoord = DramCoord { channel: 0, rank: 0, bankgroup: 0, bank: 0, row: 0, col: 0 };
-
-/// How a unit field behaves under the periodic jump of a transfer.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Field {
-    /// A time: shifts with the stream.
-    Time,
-    /// Identity (window keys, lengths, flags): must repeat verbatim.
-    Id,
-}
 
 /// What a due round-promise check in the run stream decided
 /// ([`UnitCursor::stretch_due`]).
@@ -449,92 +445,43 @@ enum Due {
     Stream,
 }
 
-/// A unit's accumulators: each grows by the same amount every period of
-/// a verified periodic stream. (The AGEN charges are not among them: a
-/// jump takes those from the source, [`Skipped`].)
-#[derive(Debug, Default, Clone, Copy)]
-struct Counts {
-    scratch_accesses: u64,
-    simd_ops: u64,
-    launches: u64,
-    cat_cycles: [u64; 8],
-    run: RunStats,
-    /// The DRAM statistics of the unit's own blocks.
-    own: DramStats,
-}
-
-impl Counts {
-    fn of(u: &UnitCursor) -> Self {
-        Self {
-            scratch_accesses: u.scratch_accesses,
-            simd_ops: u.simd_ops,
-            launches: u.launches,
-            cat_cycles: u.cat_cycles,
-            run: u.run_stats,
-            own: u.own_stats,
-        }
-    }
-
-    /// Set `u`'s accumulators to `self + k·(self − a)`: `k` more periods
-    /// that each add what the period from `a` to `self` added.
-    fn extrapolate_into(&self, a: &Counts, k: u64, u: &mut UnitCursor) {
-        let ext = |b: u64, a: u64| b + k * (b - a);
-        let ext_all = |b: &mut [u64], a: &[u64]| {
-            b.iter_mut().zip(a).for_each(|(b, &a)| *b = ext(*b, a));
-        };
-        let mut own = self.own;
-        u.scratch_accesses = ext(self.scratch_accesses, a.scratch_accesses);
-        u.simd_ops = ext(self.simd_ops, a.simd_ops);
-        u.launches = ext(self.launches, a.launches);
-        u.cat_cycles = self.cat_cycles;
-        ext_all(&mut u.cat_cycles, &a.cat_cycles);
-        for (b, a) in [
-            (&mut own.reads, a.own.reads),
-            (&mut own.writes, a.own.writes),
-            (&mut own.acts, a.own.acts),
-            (&mut own.row_hits, a.own.row_hits),
-            (&mut own.row_misses, a.own.row_misses),
-            (&mut own.data_cycles, a.own.data_cycles),
-            (&mut own.refreshes, a.own.refreshes),
-        ] {
-            *b = ext(*b, a);
-        }
-        ext_all(&mut own.reads_by_port, &a.own.reads_by_port);
-        ext_all(&mut own.writes_by_port, &a.own.writes_by_port);
-        u.run_stats = self.run.extrapolated(&a.run, k, 1);
-        u.own_stats = own;
-    }
-}
-
-/// One round-boundary snapshot of a transfer on the periodic path.
-#[derive(Default)]
-struct RoundSnap {
-    /// [`RoundHint::done`] and [`RoundHint::width`] at the boundary.
-    round: u64,
-    width: u64,
-    /// Promised rounds ahead.
-    promise: u64,
-    /// The unit's not-before: nothing issues earlier from here on.
-    not_before: u64,
-    /// Unit times and identity fields (with the memory's dead gap).
-    unit: Snapshot,
-    counts: Counts,
-    /// The transfer's channel.
-    mem: Snapshot,
-}
-
 /// One issue a unit remembers: the entry's window key, pull index and
-/// coordinate, and its CAS time.
+/// coordinate, its CAS time, and whether it hit an open row.
 #[derive(Debug, Clone, Copy)]
 struct Issued {
     key: u64,
     seq: u32,
+    hit: bool,
     cas: u64,
     coord: DramCoord,
 }
 
-/// A kernel round boundary the promise check visited
-/// ([`UnitCursor::round_jump`], [`UnitCursor::stretch_due`]).
+/// A placeholder for the issue ring's unused entries.
+const NO_ISSUE: Issued = Issued { key: 0, seq: 0, hit: false, cas: 0, coord: NO_COORD };
+
+/// Where a transfer's issue state stood at a round boundary: each window
+/// entry's pulls back and AGEN stamp, oldest first (its keys are the
+/// mark's), then its AGEN clock, clock and not-before.
+#[derive(Clone, Copy, Default)]
+struct Stand {
+    window: [(u64, u64); 8],
+    len: usize,
+    times: [u64; 3],
+}
+
+impl Stand {
+    /// Whether `self` stands where `then` stood, `d` cycles later: the
+    /// same pulls back, every time `d` later.
+    fn is_shift_of(&self, then: &Stand, d: u64) -> bool {
+        let same = |a: &(u64, u64), b: &(u64, u64)| a.0 == b.0 && a.1.wrapping_sub(b.1) == d;
+        self.len == then.len
+            && self.window[..self.len].iter().zip(&then.window).all(|(a, b)| same(a, b))
+            && self.times.iter().zip(&then.times).all(|(a, b)| a.wrapping_sub(*b) == d)
+    }
+}
+
+/// A round boundary the promise check visited ([`UnitCursor::round_jump`],
+/// [`UnitCursor::stretch_due`]).
 #[derive(Clone, Copy)]
 struct Mark {
     /// [`RoundHint::done`] there, and the end of its promise.
@@ -553,16 +500,33 @@ struct Mark {
     pipe: Option<(u64, u64)>,
 }
 
-/// Per-phase state of the promise checks for one unit: a transfer's
-/// snapshot history, a kernel's last round boundary.
+/// Per-phase state of the promise checks for one unit: the last round
+/// boundaries checked, a ring of the latest (at `at`) and up to
+/// [`MAX_PERIOD_ROUNDS`] before it, with a transfer's issue state at each.
 #[derive(Default)]
 struct PeriodTracker {
-    /// Recent snapshots, oldest first.
-    history: VecDeque<RoundSnap>,
-    /// Recycled snapshot buffers.
-    spare: Vec<RoundSnap>,
-    /// The last kernel round boundary checked.
-    mark: Option<Mark>,
+    marks: [Option<Mark>; MAX_PERIOD_ROUNDS as usize + 1],
+    stands: [Stand; MAX_PERIOD_ROUNDS as usize + 1],
+    at: usize,
+    /// The period a jump commits: its issues' coordinates and CAS times.
+    period: Vec<(DramCoord, u64)>,
+}
+
+impl PeriodTracker {
+    /// The latest mark.
+    fn now(&self) -> Option<&Mark> {
+        self.marks[self.at].as_ref()
+    }
+
+    /// The mark `j` rounds before the latest and the issue state there,
+    /// if its promise covers the latest: every round between them repeats
+    /// its run hints.
+    fn before(&self, j: u64) -> Option<(&Mark, &Stand)> {
+        let now = self.now()?;
+        let i = self.marks.iter().position(|m| m.is_some_and(|m| m.done + j == now.done))?;
+        let then = self.marks[i].as_ref()?;
+        (now.done <= then.end).then(|| (then, &self.stands[i]))
+    }
 }
 
 /// Execution state of one unit.
@@ -616,25 +580,19 @@ pub struct UnitCursor<'a> {
     /// Issues (one pull each) left before the source's round promise is
     /// worth asking for again.
     round_wait: u64,
-    /// DRAM statistics of the unit's own blocks, counted while snapshots
-    /// are pending (`count_own`): the backend's are shared across channels
-    /// in the serial engine, so a period's increments are taken from these.
-    own_stats: DramStats,
-    count_own: bool,
-    /// The unit's latest issues, newest at `recent_at`; the newest
-    /// `recent_len` of them are this phase's, one by one, with nothing
-    /// issued in closed form since. A unit alone on its bank partition
-    /// and datapath is the only one to move them, so its own issues tell
-    /// what a row hit of its next round reads (see
-    /// [`UnitCursor::round_jump`]).
-    recent: [Issued; RECENT],
+    /// The unit's latest issues, a ring of [`RECENT`] newest at
+    /// `recent_at`; the newest `recent_len` of them are this phase's, one
+    /// by one, with nothing issued in closed form since. A unit alone on
+    /// its bank partition and datapath, or on its channel, is the only one
+    /// to move them, so its own issues tell what a row hit of its next
+    /// round reads (see [`UnitCursor::round_jump`]). Empty while it does
+    /// not record: only the round check reads it, so it starts once a
+    /// check of this phase sees a round of several window keys
+    /// (StepStone-DV) or a transfer's promise, and single-key kernels
+    /// (StepStone-BG) never write it.
+    recent: Vec<Issued>,
     recent_at: usize,
     recent_len: usize,
-    /// Whether the ring records: only the multi-key jump reads it, so it
-    /// starts once a promise check of this phase sees a round of several
-    /// window keys (StepStone-DV), and single-key kernels (StepStone-BG)
-    /// and transfers never write it.
-    ring: bool,
     // Blocks issued in closed form, by mechanism (host-side observability:
     // none of these is a simulated quantity, and no run counter sees them).
     /// Periods of a transfer's verified periodic stream issued in closed
@@ -647,10 +605,8 @@ pub struct UnitCursor<'a> {
     pub stretch_blocks: u64,
     /// Blocks of admitted-run tails issued in the run stream.
     pub tail_blocks: u64,
-    /// The kernel's A-walk promise checks, by outcome.
+    /// The unit's promise checks, by outcome.
     pub checks: CheckCounts,
-    /// Round-boundary snapshots the transfer jump took.
-    pub snapshots: u64,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
     pub run_stats: RunStats,
@@ -770,18 +726,14 @@ impl<'a> UnitCursor<'a> {
             period: None,
             pulls: 0,
             round_wait: 0,
-            own_stats: DramStats::default(),
-            count_own: false,
-            recent: [Issued { key: 0, seq: 0, cas: 0, coord: NO_COORD }; RECENT],
+            recent: Vec::new(),
             recent_at: 0,
             recent_len: 0,
-            ring: false,
             jumped_periods: 0,
             jumped_blocks: 0,
             stretch_blocks: 0,
             tail_blocks: 0,
             checks: CheckCounts::default(),
-            snapshots: 0,
             run_stats: RunStats::default(),
             win_uniform: true,
             window: VecDeque::with_capacity(8),
@@ -1199,9 +1151,9 @@ impl<'a> UnitCursor<'a> {
         round.all(|k| k == key).then_some(key)
     }
 
-    /// Record the kernel round boundary `done` as the latest mark, every
-    /// round up to `end` repeating the run hints of the round after it, and
-    /// return the mark before it if that one covers this boundary: the run
+    /// Record the round boundary `done` as the latest mark, every round up
+    /// to `end` repeating the run hints of the round after it, and return
+    /// the mark before it if that one covers this boundary: the run
     /// statistics grew alike over every round between them.
     fn mark_boundary(
         &mut self,
@@ -1214,9 +1166,12 @@ impl<'a> UnitCursor<'a> {
         for (slot, e) in window.iter_mut().zip(&self.window) {
             *slot = e.key;
         }
-        let mark = Mark { done, end, run: self.run_stats, settled, window, pipe };
+        let run = self.run_stats;
         let tr = self.period.as_mut().expect("periodic grant");
-        tr.mark.replace(mark).filter(|m| m.done < done && done <= m.end)
+        let before = tr.marks[tr.at].filter(|m| m.done < done && done <= m.end);
+        tr.at = (tr.at + 1) % tr.marks.len();
+        tr.marks[tr.at] = Some(Mark { done, end, run, settled, window, pipe });
+        before
     }
 
     /// Whether nothing but the memory and the SIMD pipeline can decide this
@@ -1404,6 +1359,7 @@ impl<'a> UnitCursor<'a> {
         };
         self.checks.jumped += 1;
         let n = self.jump_rounds(cas, d, data, rounds, &hint, &marked, &backs);
+        self.recent_len = 0;
         if rounds == hint.rounds && hint.next > 0 {
             // The round right after the stretch opens the next one, whose
             // rounds all repeat its run hints, so this boundary marks it.
@@ -1420,54 +1376,60 @@ impl<'a> UnitCursor<'a> {
         Due::Jump(n, d)
     }
 
-    /// The multi-key stretch jump (StepStone-DV): the promise check at a
-    /// span boundary outside the run stream, whose last CAS is the unit's
-    /// not-before `c`. Returns whether it jumped.
+    /// The promise check at a round boundary outside the run stream, for
+    /// a kernel's multi-key A-walk stretch (StepStone-DV) and a transfer's
+    /// round-robin rounds alike. Returns whether it jumped.
     ///
     /// A row hit reads its bank's next-CAS time, its datapath's CAS,
-    /// turnaround and bus stamps and the unit's own times, and writes its
-    /// bank's next-PRE time and those stamps; the unit is alone on its
-    /// banks and datapath. So when the unit's last round of `w` issues (a
-    /// span's worth, from [`UnitCursor::recent`]) hit `K ≥ 2` keys, one
-    /// direction and one bank per key, each CAS `d` after the previous,
-    /// and the round before it repeated them key by key at the same
-    /// cadence, everything a later row hit of the round's keys reads is a
-    /// function of those CAS times: the path's and bus's stamps are the
-    /// last CAS's, each bank group's CAS stamp is its key's last CAS, and
-    /// every stamp older than its key's last issue (its bank's next-CAS,
-    /// the other direction's turnarounds) bound that issue no later than
-    /// it issued, so it binds no later issue. The rows stay open: every
-    /// key's bank saw no other row since its last issue.
+    /// turnaround and bus stamps (on the channel port also the rank that
+    /// last drove the bus, for tRTRS) and the unit's own times, and writes
+    /// its bank's next-PRE time and those stamps. The unit is alone on its
+    /// banks and datapath (a kernel on the fast path) or on its channel (a
+    /// transfer). So when its last `n` issues, `j` rounds of `w` (from
+    /// [`UnitCursor::recent`]), repeat the `n` before them issue for issue
+    /// — the same window key, each CAS the same `D` later — in one
+    /// direction with one key per bank ([`UnitCursor::ring_period`]),
+    /// every stamp a later row hit of those keys reads is either the last
+    /// write of one of those issues (each bank group's and rank's last
+    /// CAS, the path's last CAS, bus end and bus rank) or older than its
+    /// key's last issue, which it bound no later than it issued, so it
+    /// binds no later issue. The rows stay open: each key's bank saw no
+    /// other row since the key's issue a period earlier, so every issue of
+    /// the last period hit, and every promised block hits. The memory such
+    /// a block reads is the memory a period earlier, `D` later.
     ///
-    /// Both boundaries, this one and the marked one a span earlier, must
-    /// be [`UnitCursor::settled`] at `g = tCCDS` (every CAS on a datapath
-    /// is that far past the one before it), and their full windows must
-    /// carry the same sequence of the round's keys. Then
-    /// the unit's state here is its state there shifted by `w·d`: the
-    /// window and the memory it reads are, the launch gate and the AGEN
-    /// decide nothing, and the SIMD pipeline either decides nothing or is
-    /// the same cadence of `d` at both ([`UnitCursor::pipe_cadence`]).
-    /// When `d` is the floor (`tCCDS`, or `cas_step()` for keys of one
-    /// bank group) no issue of the last round could have been delayed
-    /// by the pipeline, and [`UnitCursor::simd_room`] caps the stretch
-    /// where it would first bind. The per-block transition — the FR-FCFS
-    /// probe scan, `issue_nb`, the row hit, `finish_block`, one pull — is
-    /// max/plus and commutes with the shift, and the promised spans repeat
-    /// the pulls' keys, so every promised round repeats the last one `w·d`
-    /// later. The unit moves as [`UnitCursor::jump_rounds`] says, and the
-    /// memory takes the rounds' row hits in one closed-form commit
-    /// ([`MemoryBackend::commit_round_hits`]). No snapshot is taken.
+    /// If the unit's own state is too, the per-block transition — the
+    /// FR-FCFS probe scan, `issue_nb`, the row hit, `finish_block`, one
+    /// pull — is max/plus and commutes with the shift, and the promised
+    /// rounds repeat the pulls' keys, so every further period repeats the
+    /// last one `D` later:
     ///
-    /// A boundary whose window still holds entries of keys the span just
-    /// pulled does not carry records no mark: the next boundary cannot
-    /// jump, and the check waits for the one before the first that can
-    /// ([`UnitCursor::round_ring_wait`]).
+    /// * a transfer (no SIMD pipeline, launch gate or half-used run hint)
+    ///   checks at a boundary promising at least [`MIN_TRANSFER_ROUNDS`]
+    ///   rounds and looks for the shortest period `j ≤`
+    ///   [`MAX_PERIOD_ROUNDS`] at which the marked boundary `j` rounds
+    ///   earlier stood where it stands, `D` earlier: window keys, pulls
+    ///   back and AGEN stamps, AGEN clock, clock and not-before
+    ///   ([`Stand::is_shift_of`]), so a host gap shifts too. It jumps
+    ///   ⌊promise / j⌋ periods ([`UnitCursor::jump_periods`]);
+    /// * a kernel's round is one span (`j = 1`), whose issues must follow
+    ///   one cadence `d` (`D = w·d`), and the unit must be settled enough
+    ///   for any number of rounds to jump ([`UnitCursor::kernel_round`]).
+    ///
+    /// The memory takes the periods' row hits in one closed-form commit
+    /// ([`MemoryBackend::commit_round_hits`]) of the last period's issues,
+    /// each key at its last CAS plus the periods' shift. No snapshot of
+    /// the memory is taken.
+    #[inline(never)]
     fn round_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
         if self.peeked.is_some() || self.run_left > 0 {
             self.checks.no_promise += 1;
             return false;
         }
-        let hint = match self.steps.round_hint(1) {
+        // A kernel's one-round promise cannot jump: a stretch's first
+        // boundary only marks it.
+        let floor = if self.fast { 2 } else { MIN_TRANSFER_ROUNDS };
+        let hint = match self.steps.round_hint(floor) {
             Ok(hint) => hint,
             Err(wait) => {
                 self.checks.no_promise += 1;
@@ -1475,18 +1437,198 @@ impl<'a> UnitCursor<'a> {
                 return false;
             }
         };
-        if !self.ring {
-            // The ring starts with the first round of several keys: the
-            // window's newest entries are the round just pulled.
+        if self.recent.is_empty() {
+            // A transfer's ring starts with its first promise, a kernel's
+            // with its first round of several keys: the window's newest
+            // entries are the round just pulled.
             let mut round = self.window.iter().rev().take(hint.width as usize).map(|e| e.key);
             let first = round.next();
-            self.ring = round.any(|k| Some(k) != first);
+            if !self.fast || round.any(|k| Some(k) != first) {
+                self.recent = vec![NO_ISSUE; RECENT];
+            }
         }
+        let jumped = if self.fast {
+            self.kernel_round(ts, mapping, &hint)
+        } else {
+            self.transfer_periods(&hint)
+        };
+        let Some((n, shift, periods)) = jumped else { return false };
+        self.checks.jumped += 1;
+        let kind = if self.issued(0).key & 1 == 1 { CasKind::Write } else { CasKind::Read };
+        let (ring, at) = (&self.recent, self.recent_at);
+        let period = &mut self.period.as_mut().expect("periodic grant").period;
+        period.clear();
+        let issues = (0..n).rev().map(|p| ring[(at + RECENT - p) % RECENT]);
+        period.extend(issues.map(|i| (i.coord, i.cas)));
+        ts.commit_round_hits(period, kind, self.port, shift, periods);
+        self.recent_len = 0;
+        true
+    }
+
+    /// The issue `p` issues before the latest recorded one (0 = the
+    /// latest).
+    fn issued(&self, p: usize) -> Issued {
+        self.recent[(self.recent_at + RECENT - p) % RECENT]
+    }
+
+    /// The issue ring's period test: whether the newest `n` recorded
+    /// issues repeat the `n` before them issue for issue — the same window
+    /// key, each CAS the same `D` later — in one direction with one key per
+    /// bank. Returns `D`.
+    fn ring_period(&self, n: usize) -> Option<u64> {
+        if 2 * n > self.recent_len {
+            return None;
+        }
+        let key = |p: usize| self.issued(p).key;
+        let d = self.issued(0).cas.wrapping_sub(self.issued(n).cas);
+        let repeats = (0..n).all(|p| {
+            let (a, b) = (self.issued(p), self.issued(p + n));
+            a.key == b.key && a.cas.wrapping_sub(b.cas) == d
+        });
+        // Each issue's key against the newer ones back to its own newer
+        // issue, if any: every pair of distinct keys meets once.
+        let clash = |a: u64, b: u64| a >> 33 == b >> 33 || (a ^ b) & 1 != 0;
+        let one_per_bank = || {
+            (0..n).all(|p| {
+                let k = key(p);
+                (0..p).rev().map(key).take_while(|&o| o != k).all(|o| !clash(o, k))
+            })
+        };
+        if !repeats || !one_per_bank() {
+            return None;
+        }
+        debug_assert!(
+            (0..n).all(|p| self.issued(p).hit),
+            "unit '{}': a key's bank changed rows within a period",
+            self.label
+        );
+        Some(d)
+    }
+
+    /// The transfer half of [`UnitCursor::round_jump`]: mark the boundary,
+    /// find the shortest period the ring and the marks verify, and jump
+    /// ⌊promise / j⌋ of them. Returns the period's issues, its shift `D`
+    /// and the periods jumped.
+    fn transfer_periods(&mut self, hint: &RoundHint) -> Option<(usize, u64, u64)> {
+        self.round_wait = hint.width;
+        self.mark_boundary(hint.done, hint.done + hint.rounds, false, None);
+        // Nothing but the issue state the marks record can decide an issue:
+        // no SIMD pipeline, launch gate or half-used run hint.
+        let free = self.inflight.is_empty()
+            && !self.pending_kernel_start
+            && self.hint_left == 0
+            && self.window.iter().all(|e| !e.compute);
+        let mut stand = Stand {
+            len: self.window.len(),
+            times: [self.gen_clock, self.clock, self.not_before],
+            ..Stand::default()
+        };
+        for (slot, e) in stand.window.iter_mut().zip(&self.window) {
+            *slot = (self.back(e), e.gen_ready);
+        }
+        let tr = self.period.as_mut().expect("periodic grant");
+        tr.stands[tr.at] = stand;
+        let tr = self.period.as_ref().expect("periodic grant");
+        let now = tr.now().expect("just marked");
+        let (mut opened, mut found) = (true, None);
+        for j in 1..=MAX_PERIOD_ROUNDS {
+            let Some((then, stood)) = tr.before(j) else { continue };
+            opened = false;
+            if !free || self.launch_avail > stood.times[2] || now.window != then.window {
+                continue;
+            }
+            let Some(d) = self.ring_period(j as usize * hint.width as usize) else { continue };
+            if stand.is_shift_of(stood, d) {
+                found = Some((j, d, *then));
+                break;
+            }
+        }
+        let Some((j, d, then)) = found else {
+            if opened {
+                self.checks.first_mark += 1;
+            } else {
+                self.checks.failed += 1;
+            }
+            return None;
+        };
+        let k = hint.rounds / j;
+        self.jump_periods(j, d, k, hint, &then);
+        Some(((j * hint.width) as usize, d, k))
+    }
+
+    /// Account `k` periods of `j` promised rounds issued in closed form,
+    /// each repeating the last period `d` cycles later (see
+    /// [`UnitCursor::round_jump`]), with `marked` the mark `j` rounds
+    /// back: the source skips them; every window entry keeps its key and
+    /// pulls back; its AGEN stamp, the AGEN clock, not-before and the
+    /// clock move `k·d`, the clock's cycles going to the rounds'
+    /// category; scratchpad accesses grow per block, the AGEN sum, maximum
+    /// and bubbles come from the source ([`Skipped`]), and run admission
+    /// and fallback counts grow `k` times by what the period added.
+    fn jump_periods(&mut self, j: u64, d: u64, k: u64, hint: &RoundHint, marked: &Mark) {
+        let skipped = self.steps.skip_rounds(k * j, self.burst_window);
+        let n = skipped.blocks;
+        debug_assert_eq!(n, k * j * hint.width, "a promised period skips whole rounds");
+        let kd = k * d;
+        self.pulls += n;
+        for e in &mut self.window {
+            e.seq = e.seq.wrapping_add(n as u32);
+            e.gen_ready += kd;
+        }
+        self.gen_clock += kd;
+        self.not_before += kd;
+        let cat = self.window.front().expect("a full window").cat;
+        self.cat_cycles[cat.index()] += kd;
+        self.clock += kd;
+        // The clock is the latest data end.
+        self.end_time = self.end_time.max(self.clock);
+        self.scratch_accesses += n;
+        self.agen_iter_sum += skipped.iters;
+        self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
+        self.agen_bubbles += skipped.bubbles;
+        self.run_stats = self.run_stats.extrapolated(&marked.run, k * j, j);
+        self.jumped_periods += k;
+        self.jumped_blocks += n;
+        // Due again at once: the promise may go on past the periods.
+        self.round_wait = 1;
+        debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
+    }
+
+    /// The kernel half of [`UnitCursor::round_jump`] (StepStone-DV), at a
+    /// span boundary whose last CAS is the unit's not-before `c`. Returns
+    /// the round's issues, its shift `w·d` and the rounds jumped.
+    ///
+    /// The round is one span of `w` issues, and the last two must follow
+    /// one cadence `d`, hit `K ≥ 2` keys and carry the same keys in the
+    /// window as one span earlier. Both boundaries, this one and the
+    /// marked one a span earlier, must be [`UnitCursor::settled`] at
+    /// `g = tCCDS` (every CAS on a datapath is that far past the one
+    /// before it), so that neither the AGEN stamps, the launch gate nor a
+    /// host gap decide an issue. Then the unit's state here is its state
+    /// there shifted by `w·d`: the window and the memory it reads are, the
+    /// launch gate and the AGEN decide nothing, and the SIMD pipeline
+    /// either decides nothing or is the same cadence of `d` at both
+    /// ([`UnitCursor::pipe_cadence`]). When `d` is the floor (`tCCDS`, or
+    /// `cas_step()` for keys of one bank group) no issue of the last round
+    /// could have been delayed by the pipeline, and
+    /// [`UnitCursor::simd_room`] caps the stretch where it would first
+    /// bind. The unit moves as [`UnitCursor::jump_rounds`] says.
+    ///
+    /// A boundary whose window still holds entries of keys the span just
+    /// pulled does not carry records no mark: the next boundary cannot
+    /// jump, and the check waits for the one before the first that can
+    /// ([`UnitCursor::round_ring_wait`]).
+    fn kernel_round<B: MemoryBackend>(
+        &mut self,
+        ts: &B,
+        mapping: &XorMapping,
+        hint: &RoundHint,
+    ) -> Option<(usize, u64, u64)> {
         self.round_wait = self.round_ring_wait(hint.width);
         if self.round_wait > hint.width {
             // The next boundary cannot jump, so this one needs no mark.
             self.checks.foreign += 1;
-            return false;
+            return None;
         }
         let tp = ts.config().timing;
         let c = self.not_before;
@@ -1496,62 +1638,50 @@ impl<'a> UnitCursor<'a> {
         let end = hint.done + hint.rounds;
         let Some(marked) = self.mark_boundary(hint.done, end, settled, pipe) else {
             self.checks.first_mark += 1;
-            return false;
+            return None;
         };
         let w = hint.width as usize;
-        if !(settled && marked.settled && marked.done + 1 == hint.done && 2 * w <= self.recent_len)
-        {
+        let ring = settled && marked.settled && marked.done + 1 == hint.done;
+        if !ring || self.ring_period(w).is_none() {
             self.checks.failed += 1;
-            return false;
+            return None;
         }
-        let issued = |p: usize| self.recent[(self.recent_at + RECENT - p) % RECENT];
-        let d = c.wrapping_sub(issued(1).cas);
-        let paced = (0..2 * w - 1).all(|p| issued(p).cas.wrapping_sub(issued(p + 1).cas) == d);
-        if issued(0).cas != c || !paced || (0..w).any(|p| issued(p).key != issued(p + w).key) {
+        let d = c.wrapping_sub(self.issued(1).cas);
+        let gap = |p: usize| self.issued(p).cas.wrapping_sub(self.issued(p + 1).cas);
+        if self.issued(0).cas != c || (0..2 * w - 1).any(|p| gap(p) != d) {
             self.checks.failed += 1;
-            return false;
+            return None;
         }
-        // The round's keys: one direction, and one key per bank.
-        let mut keys = [0u64; 8];
-        let mut k = 0;
-        for p in 0..w {
-            let key = issued(p).key;
-            if !keys[..k].contains(&key) {
-                if keys[..k].iter().any(|&o| o >> 33 == key >> 33 || (o ^ key) & 1 != 0) {
-                    self.checks.failed += 1;
-                    return false;
-                }
-                keys[k] = key;
-                k += 1;
-            }
-        }
-        let now = self.period.as_ref().and_then(|tr| tr.mark.as_ref()).expect("just marked");
-        let foreign = self.window.iter().any(|e| !keys[..k].contains(&e.key));
-        if foreign {
+        // The round's keys: those of its issues.
+        let key = |p: usize| self.issued(p).key;
+        let k0 = key(0);
+        let now = self.period.as_ref().and_then(|tr| tr.now()).expect("just marked");
+        if self.window.iter().any(|e| (0..w).all(|p| key(p) != e.key)) {
             self.checks.foreign += 1;
-            return false;
+            return None;
         }
-        if k < 2 || now.window != marked.window {
+        if (0..w).all(|p| key(p) == k0) || now.window != marked.window {
             self.checks.failed += 1;
-            return false;
+            return None;
         }
         // The keys of the last span's pulls, by pulls back: each is still
         // in the window or issued in the last round.
         let mut pattern = [u64::MAX; 8];
         let held = self.window.iter().map(|e| (e.key, e.seq));
-        for (key, seq) in held.chain((0..w).map(|p| (issued(p).key, issued(p).seq))) {
+        let last = (0..w).map(|p| (key(p), self.issued(p).seq));
+        for (k, seq) in held.chain(last) {
             let back = (self.pulls as u32).wrapping_sub(seq).wrapping_sub(1) as usize;
             if back < w {
-                pattern[back] = key;
+                pattern[back] = k;
             }
         }
         if pattern[..w].contains(&u64::MAX) {
             self.checks.failed += 1;
-            return false;
+            return None;
         }
-        let one_group = keys[..k].iter().all(|&o| (o ^ keys[0]) & scope_mask(mapping) == 0);
+        let one_group = (0..w).all(|p| (key(p) ^ k0) & scope_mask(mapping) == 0);
         let floor = if one_group { ts.cas_step() } else { tp.t_ccds };
-        let write = keys[0] & 1 == 1;
+        let write = k0 & 1 == 1;
         let data = if write { tp.t_cwl } else { tp.t_cl } + tp.t_bl;
         let room = if d == floor {
             self.simd_room(c, d, data)
@@ -1559,26 +1689,19 @@ impl<'a> UnitCursor<'a> {
             u64::MAX
         } else {
             self.checks.failed += 1;
-            return false;
+            return None;
         };
         let rounds = hint.rounds.min(room / hint.width);
         if rounds == 0 {
             self.checks.no_room += 1;
-            return false;
+            return None;
         }
         let Some(backs) = self.rebuilt_backs(rounds * hint.width, &pattern[..w]) else {
             self.checks.failed += 1;
-            return false;
+            return None;
         };
-        self.checks.jumped += 1;
-        let mut round = [NO_COORD; 8];
-        for p in 0..w {
-            round[w - 1 - p] = issued(p).coord;
-        }
-        self.jump_rounds(c, d, data, rounds, &hint, &marked, &backs);
-        let kind = if write { CasKind::Write } else { CasKind::Read };
-        ts.commit_round_hits(&round[..w], kind, self.port, c, d, rounds);
-        true
+        self.jump_rounds(c, d, data, rounds, hint, &marked, &backs);
+        Some((w, w as u64 * d, rounds))
     }
 
     /// Issues from a span boundary of `width` pulls to the boundary before
@@ -1680,7 +1803,6 @@ impl<'a> UnitCursor<'a> {
         self.agen_bubbles += skipped.bubbles;
         self.run_stats = self.run_stats.extrapolated(&marked.run, rounds, hint.done - marked.done);
         self.stretch_blocks += n;
-        self.recent_len = 0;
         // A promise jumped only in part is due again right away (the mark
         // stays at the boundary before the jump, whose promise covered
         // it); one used up is due where the source said the next may open.
@@ -1786,9 +1908,6 @@ impl<'a> UnitCursor<'a> {
         let nb = self.issue_nb(e.gen_ready);
         let kind = if e.write { CasKind::Write } else { CasKind::Read };
         let bt = ts.access(e.coord, kind, self.port, nb);
-        if self.count_own {
-            self.own_stats.count_blocks(kind, self.port, &bt, 1);
-        }
         self.finish_block(&e, bt);
     }
 
@@ -1814,10 +1933,11 @@ impl<'a> UnitCursor<'a> {
     /// `e`: clock/category attribution, SIMD pipeline, launch gating, and
     /// the next block's earliest desire.
     fn finish_block(&mut self, e: &WinEntry, bt: stepstone_dram::BlockTiming) {
-        if self.ring {
+        if !self.recent.is_empty() {
             self.recent_at = (self.recent_at + 1) % RECENT;
+            let hit = bt.row_hit;
             self.recent[self.recent_at] =
-                Issued { key: e.key, seq: e.seq, cas: bt.cas_at, coord: e.coord };
+                Issued { key: e.key, seq: e.seq, hit, cas: bt.cas_at, coord: e.coord };
             self.recent_len = (self.recent_len + 1).min(RECENT);
         }
         if self.pending_kernel_start {
@@ -1895,7 +2015,7 @@ impl<'a> UnitCursor<'a> {
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
-        if self.period_due() && self.jump_due(ts, mapping) {
+        if self.jump_due(ts, mapping) {
             return;
         }
         self.advance_one(ts, bus, mapping);
@@ -1918,7 +2038,7 @@ impl<'a> UnitCursor<'a> {
             }
             // The previous issue's promise check (a unit leaving above
             // takes it at the top of its next turn).
-            if self.period_due() && self.jump_due(ts, mapping) {
+            if self.jump_due(ts, mapping) {
                 continue;
             }
             let e0 = self.take_entry(0, scope);
@@ -2012,184 +2132,21 @@ impl<'a> UnitCursor<'a> {
     }
 
     /// Count one issue against the wait for the source's next round
-    /// promise; true when the promise is due now.
+    /// promise, and check the promise when it is due
+    /// ([`UnitCursor::round_jump`]); returns whether it jumped.
     #[inline]
-    fn period_due(&mut self) -> bool {
+    fn jump_due<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
         if self.period.is_none() {
             return false;
         }
         self.round_wait = self.round_wait.saturating_sub(1);
-        self.round_wait == 0
+        self.round_wait == 0 && self.round_jump(ts, mapping)
     }
 
     /// Pulls since window entry `e` was pulled (0 = the latest pull).
     #[inline]
     fn back(&self, e: &WinEntry) -> u64 {
         (self.pulls as u32).wrapping_sub(e.seq).wrapping_sub(1) as u64
-    }
-
-    /// Visit every field the periodic jump of a transfer compares or
-    /// moves, in one fixed order: the unit's times, AGEN stamps and SIMD
-    /// completions, and its identity fields. Its accumulators are
-    /// [`Counts`].
-    fn visit_period_state(&mut self, f: &mut impl FnMut(Field, &mut u64)) {
-        use Field::{Id, Time};
-        for t in [
-            &mut self.not_before,
-            &mut self.simd_free,
-            &mut self.launch_avail,
-            &mut self.launch_req,
-            &mut self.clock,
-            &mut self.end_time,
-            &mut self.gen_clock,
-        ] {
-            f(Time, t);
-        }
-        for v in self.inflight.iter_mut() {
-            f(Time, v);
-        }
-        for e in &mut self.window {
-            f(Time, &mut e.gen_ready);
-            for mut v in [e.key, (e.cat.index() as u64) << 1 | e.compute as u64] {
-                f(Id, &mut v);
-            }
-        }
-        for mut v in [
-            self.window.len() as u64,
-            self.inflight.len() as u64,
-            self.hint_left,
-            self.hint_key,
-            self.run_left,
-            self.win_synth as u64,
-            self.win_uniform as u64,
-            self.pending_kernel_start as u64,
-        ] {
-            f(Id, &mut v);
-        }
-    }
-
-    /// A due promise check outside the run stream: a kernel unit's
-    /// multi-key stretch jump ([`UnitCursor::round_jump`]), or a transfer's
-    /// periodic jump ([`UnitCursor::try_period_jump`]); returns whether it
-    /// jumped.
-    fn jump_due<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
-        if self.fast {
-            self.round_jump(ts, mapping)
-        } else {
-            self.try_period_jump(ts)
-        }
-    }
-
-    /// The periodic jump of a transfer stream alone on its channel.
-    ///
-    /// Called before a per-block issue under the scheduler's grant (a
-    /// transfer alone on its channel; no colocated traffic, refresh, or
-    /// trace) whenever the source's round promise is due; returns whether
-    /// it jumped.
-    ///
-    /// At a round boundary of a source promising [`RoundHint::rounds`]
-    /// more rounds on unchanged window keys, each block's transition — the
-    /// FR-FCFS probe scan, `issue_nb`, the DRAM access, `finish_block` —
-    /// is a max/plus map over the unit's state and its channel's memory
-    /// state, and such a map commutes with shifting every time by one
-    /// constant. So if the state at this boundary equals the state `j`
-    /// rounds earlier moved by `D` cycles — every changed time advanced by
-    /// exactly `D`, every unchanged one too old to bind any later command,
-    /// identity fields (window keys, open rows, bus rank) equal — then
-    /// every further `j` promised rounds advance it by `D` again, and the
-    /// accumulators by the same amounts. Those periods are issued in
-    /// closed form: the source skips them, times move `k·D`, and counters
-    /// (statistics of the unit's own blocks included) move `k` periods'
-    /// worth. This is [`UnitCursor::jump_len`]'s one-block argument over
-    /// `j` rounds; the period is verified against snapshots of the unit
-    /// and its channel ([`Scope::Channel`]), never assumed.
-    #[cold]
-    #[inline(never)]
-    fn try_period_jump<B: MemoryBackend>(&mut self, ts: &mut B) -> bool {
-        if self.peeked.is_some() || self.run_left > 0 {
-            return false;
-        }
-        let hint = match self.steps.round_hint(MIN_SNAPSHOT_ROUNDS) {
-            Ok(hint) => hint,
-            Err(wait) => {
-                self.round_wait = wait;
-                return false;
-            }
-        };
-        let mut tr = self.period.take().expect("periodic grant");
-        let mut b = tr.spare.pop().unwrap_or_default();
-        b.round = hint.done;
-        b.width = hint.width;
-        b.promise = hint.rounds;
-        b.not_before = self.not_before;
-        b.unit.times.clear();
-        b.unit.ids.clear();
-        b.counts = Counts::of(self);
-        let scope = Scope::Channel(self.channel);
-        ts.snapshot(scope, &mut b.mem);
-        self.snapshots += 1;
-        b.unit.dead_gap = b.mem.dead_gap;
-        let unit = &mut b.unit;
-        self.visit_period_state(&mut |kind, v| match kind {
-            Field::Time => unit.times.push(*v),
-            Field::Id => unit.ids.push(*v),
-        });
-        let matched = tr.history.iter().rposition(|a| {
-            let j = b.round.wrapping_sub(a.round);
-            let d = b.not_before.wrapping_sub(a.not_before);
-            j > 0
-                && a.width == b.width
-                && a.promise >= j
-                && b.promise >= 2 * j
-                && b.not_before > a.not_before
-                && b.unit.is_shift_of(&a.unit, d, a.not_before)
-                && b.mem.is_shift_of(&a.mem, d, a.not_before)
-        });
-        let jumped = matched.is_some();
-        // After a jump, ask again at once; otherwise at the next boundary.
-        // Own statistics only matter between snapshots.
-        self.round_wait = if jumped { 0 } else { hint.width };
-        self.count_own = !jumped;
-        if let Some(ix) = matched {
-            let a = &tr.history[ix];
-            let j = b.round - a.round;
-            let k = b.promise / j;
-            let skipped = self.steps.skip_rounds(k * j, self.burst_window);
-            // Window entries keep their distance back from the source.
-            self.pulls += skipped.blocks;
-            for e in &mut self.window {
-                e.seq = e.seq.wrapping_add(skipped.blocks as u32);
-            }
-            let own0 = self.own_stats;
-            b.counts.extrapolate_into(&a.counts, k, self);
-            let mut ti = 0;
-            self.visit_period_state(&mut |kind, v| {
-                if kind == Field::Time {
-                    *v += k * (*v - a.unit.times[ti]);
-                    ti += 1;
-                }
-            });
-            debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
-            self.agen_iter_sum += skipped.iters;
-            self.agen_iter_max = self.agen_iter_max.max(skipped.max_iters);
-            self.agen_bubbles += skipped.bubbles;
-            ts.extrapolate(scope, &a.mem, k, b.not_before - a.not_before);
-            let added = self.own_stats.delta(&own0);
-            debug_assert_eq!(added.accesses(), skipped.blocks, "own statistics cover the jump");
-            ts.stats_mut().merge(&added);
-            self.jumped_periods += k;
-            self.jumped_blocks += added.accesses();
-            self.recent_len = 0;
-            tr.spare.extend(tr.history.drain(..));
-            tr.spare.push(b);
-        } else {
-            if tr.history.len() == PERIOD_HISTORY {
-                tr.spare.extend(tr.history.pop_front());
-            }
-            tr.history.push_back(b);
-        }
-        self.period = Some(tr);
-        jumped
     }
 
     /// Close out attribution after the program is exhausted: the SIMD
@@ -2412,25 +2369,24 @@ fn run_units<B: MemoryBackend>(
     } else {
         FB_OTHER
     } as u8;
-    // The promise checks (see `UnitCursor::jump_due`) need memory state no
-    // one else moves, and no traffic, refresh, or trace: a transfer
-    // extrapolates its whole channel, so it needs the channel to itself; a
-    // kernel on the fast path reads its own issues for the memory state of
-    // its banks and datapath, which no other unit touches, unless a subset
-    // remap folds address parities into its keys. SIMD-bound kernels take
-    // the stretch jumps too.
+    // The promise checks (see `UnitCursor::round_jump`) read the unit's
+    // own issues for the memory state its next rounds read, so that state
+    // must be moved by no one else: no traffic, refresh, or trace, and a
+    // kernel on the fast path alone on its banks and datapath, any other
+    // unit (a transfer) alone on its channel. A subset remap folds address
+    // parities into the keys, so the source's promise would not name the
+    // keys issued. SIMD-bound kernels take the stretch jumps too.
     let quiet = traffic.is_none() && !ts.config().refresh && !ts.trace_enabled();
     let channels: Vec<u32> = units.iter().map(|u| u.channel).collect();
     for u in units.iter_mut() {
         u.fast = fast;
         u.fallback_cause = cause;
         let alone = channels.iter().filter(|&&c| c == u.channel).count() == 1;
-        let granted = if fast { u.subset.is_none() } else { quiet && alone };
+        let granted = u.subset.is_none() && (fast || quiet && alone);
         u.period = granted.then(Box::default);
         u.round_wait = 0;
-        u.count_own = false;
+        u.recent.clear();
         u.recent_len = 0;
-        u.ring = false;
     }
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
         .iter_mut()

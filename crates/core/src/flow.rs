@@ -1468,11 +1468,11 @@ impl StepSource for RegionInterleave<'_> {
         }
         let active = |its: &[RegionIter]| its.iter().filter(|it| it.len() > 0).count() as u64;
         let rest = active(&self.regions[self.rix..]);
-        if rest > 0 || !self.yielded_this_round {
+        let width = active(&self.regions);
+        if rest > 0 || !self.yielded_this_round || width == 0 {
             // Mid-round: ask again at the boundary. Nothing left: never.
             return Err(if rest > 0 { rest } else { u64::MAX });
         }
-        let width = active(&self.regions);
         let mut rounds = u64::MAX;
         for (r, it) in self.regions.iter().enumerate() {
             let left = it.len() as u64;

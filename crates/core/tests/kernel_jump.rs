@@ -1,8 +1,8 @@
 //! Differential suite of the kernel A-walk jumps.
 //!
 //! An exclusive kernel unit on the fast path issues stretches of its
-//! A-walk in closed form, by arithmetic on its own state and without
-//! snapshots (`UnitCursor::stretch_blocks`): single-key stretches
+//! A-walk in closed form, by arithmetic on its own state
+//! (`UnitCursor::stretch_blocks`): single-key stretches
 //! (StepStone-BG) in the run stream, and multi-key stretches
 //! (StepStone-DV) once its last two rounds of issues repeat. Two
 //! references check both:
@@ -136,13 +136,12 @@ fn kernel_units<'a>(
 }
 
 /// What the kernel units of a run issued in closed form: blocks of
-/// A-walk stretches and of verified periods, and the snapshots the period
-/// checks took (kernels take neither of the last two).
+/// A-walk stretches and of verified transfer periods (kernels take none
+/// of the latter).
 #[derive(Debug, Default, Clone, Copy)]
 struct Jumped {
     stretch: u64,
     period: u64,
-    snapshots: u64,
 }
 
 impl Jumped {
@@ -150,7 +149,6 @@ impl Jumped {
         for u in units {
             self.stretch += u.stretch_blocks;
             self.period += u.jumped_blocks;
-            self.snapshots += u.snapshots;
         }
     }
 
@@ -159,9 +157,9 @@ impl Jumped {
         self.stretch + self.period
     }
 
-    /// Whether kernel stretches jumped, with no snapshot and no period.
-    fn arithmetic_only(&self) -> bool {
-        self.stretch > 0 && (self.period, self.snapshots) == (0, 0)
+    /// Whether kernel stretches jumped, and no transfer period.
+    fn stretches_only(&self) -> bool {
+        self.stretch > 0 && self.period == 0
     }
 }
 
@@ -230,8 +228,7 @@ fn sys(page: Option<u64>, parallel: bool) -> SystemConfig {
 /// or one row (BG) for 64 blocks per bank, like the 1024×4096 Table-I
 /// shape. Unpaged, under 4 KiB and 64 KiB fragmented paging, serial and
 /// sharded, the jumps must match both references; they must fire unpaged
-/// and with 64 KiB pages (promises clipped at page ends), without a
-/// snapshot.
+/// and with 64 KiB pages (promises clipped at page ends).
 #[test]
 fn stretches_jump_and_match_both_references() {
     let _serial = counter_lock();
@@ -247,9 +244,9 @@ fn stretches_jump_and_match_both_references() {
     for (level, page, parallel) in arms {
         let jumped = check(&sys(page, parallel), spec, level, 0);
         let what = format!("{level:?} page {page:?} parallel={parallel}");
-        assert_eq!((jumped.period, jumped.snapshots), (0, 0), "{what}: snapshots");
+        assert_eq!(jumped.period, 0, "{what}: kernels take no transfer period");
         if page != Some(4096) {
-            assert!(jumped.arithmetic_only(), "{what}: no jump");
+            assert!(jumped.stretches_only(), "{what}: no jump");
         }
     }
 }
@@ -261,7 +258,7 @@ fn stretches_jump_and_match_both_references() {
 /// pipeline cannot bind and once it is one cadence of the SIMD time
 /// (unpaged and with 64 KiB pages: a 4 KiB page holds too little of its
 /// stretches). Serial and sharded, over two phases, the multi-key jump
-/// must match both references and fire with no snapshot.
+/// must match both references and fire.
 #[test]
 fn multi_key_stretches_jump_without_snapshots() {
     let _serial = counter_lock();
@@ -274,19 +271,19 @@ fn multi_key_stretches_jump_without_snapshots() {
             for parallel in [false, true] {
                 let jumped = check(&sys(page, parallel), spec, PimLevel::Device, 0);
                 let what = format!("{spec} page {page:?} parallel={parallel}");
-                assert!(jumped.arithmetic_only(), "{what}: {jumped:?}");
+                assert!(jumped.stretches_only(), "{what}: {jumped:?}");
             }
         }
     }
 }
 
 /// StepStone-BG walks hold one window key per stretch: 32 blocks on the
-/// K ≤ 2048 Table-I shapes (1024×1024 N=4), where a snapshot would not
-/// pay back, and at N = 32 a SIMD unit slower than the CAS cadence, whose
+/// K ≤ 2048 Table-I shapes (1024×1024 N=4), and at N = 32 a SIMD unit
+/// slower than the CAS cadence, whose
 /// stretches run until its oldest completion binds and then at the SIMD
 /// cadence. Unpaged, under 4 KiB and 64 KiB fragmented paging, serial and
 /// sharded, over two phases, the single-key jump must match both
-/// references and fire, and no round may take a snapshot.
+/// references and fire.
 #[test]
 fn single_key_stretches_jump_without_snapshots() {
     let _serial = counter_lock();
@@ -295,7 +292,7 @@ fn single_key_stretches_jump_without_snapshots() {
             for parallel in [false, true] {
                 let jumped = check(&sys(page, parallel), spec, PimLevel::BankGroup, 0);
                 let what = format!("{spec} page {page:?} parallel={parallel}");
-                assert!(jumped.arithmetic_only(), "{what}: {jumped:?}");
+                assert!(jumped.stretches_only(), "{what}: {jumped:?}");
             }
         }
     }

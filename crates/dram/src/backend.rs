@@ -9,8 +9,11 @@
 //! over stateful memory models to be wrong by construction: the answer
 //! changes as soon as any other access commits. Every method here either
 //! commits state (`access`, `access_run_stream`, `commit_round_hits`,
-//! `adopt_channel`, `extrapolate`) or is an explicitly non-committing
-//! estimate used only for FR-FCFS front selection (`probe`).
+//! `adopt_channel`) or is an explicitly non-committing estimate used only
+//! for FR-FCFS front selection (`probe`). No method exports the model's
+//! internal state: a closed-form commit is verified by the engine from
+//! the unit's own issues (what it asked the model to do and when the
+//! model did it), never by reading the model's fields back.
 //!
 //! The one implementor is [`TimingState`], the exact Table-II model. The
 //! analytic tier ([`BackendKind::Analytic`]) is not a second model behind
@@ -126,71 +129,18 @@ pub trait MemoryBackend: Clone + Send + Sync {
     /// independently). Statistics are not adopted.
     fn adopt_channel(&mut self, other: &Self, ch: u32);
 
-    /// Commit `rounds` repetitions of a round of row hits on open rows in
-    /// closed form, the `m`-th block's CAS `m·d` after `cas` (see
-    /// [`TimingState::commit_round_hits`]).
+    /// Commit `periods` repetitions of a period of row hits on open rows
+    /// in closed form: every block of `period` (coordinates with their CAS
+    /// times, in issue order) again, `shift` cycles after its counterpart
+    /// one period earlier (see [`TimingState::commit_round_hits`]).
     fn commit_round_hits(
         &mut self,
-        round: &[DramCoord],
+        period: &[(DramCoord, u64)],
         kind: CasKind,
         port: Port,
-        cas: u64,
-        d: u64,
-        rounds: u64,
+        shift: u64,
+        periods: u64,
     );
-
-    /// Copy the timing state `scope` covers into `out` (see [`Snapshot`]),
-    /// excluding statistics and refresh deadlines.
-    fn snapshot(&self, scope: Scope, out: &mut Snapshot);
-
-    /// Extrapolate the state `scope` covers by `k` further periods of `d`
-    /// cycles: every time field that differs from `earlier` (a snapshot of
-    /// the same scope one period ago, see [`Snapshot::is_shift_of`])
-    /// advances by `k·d`; every other field stays. Statistics are not
-    /// touched.
-    fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64);
-}
-
-/// The part of the timing state a [`Snapshot`] covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scope {
-    /// Every bank, rank and datapath of one channel: all a stream that is
-    /// alone on the channel reads and writes.
-    Channel(u32),
-}
-
-/// Timing state, split by how a uniform time shift acts on it: `times`
-/// holds every time-valued field (absolute cycles, or the `t + 1` stamps
-/// of last commands) and moves with the shift; `ids` holds the fields a
-/// shift must leave alone (open rows, the rank that last drove the bus,
-/// history lengths). The field order is fixed by the backend and the
-/// [`Scope`], so two snapshots of one scope compare elementwise.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Snapshot {
-    pub times: Vec<u64>,
-    pub ids: Vec<u64>,
-    /// A time field `v` with `v + dead_gap ≤ t` can no longer bind any
-    /// command issued at or after `t`: the largest Table-II gap any field
-    /// is compared with, plus one for the stamp encoding.
-    pub dead_gap: u64,
-}
-
-impl Snapshot {
-    /// Whether `self` is `earlier` moved by exactly `d` cycles: identity
-    /// fields equal, every changed time field advanced by exactly `d`, and
-    /// every unchanged one dead at `floor` (the earliest time anything is
-    /// issued from `earlier` on).
-    pub fn is_shift_of(&self, earlier: &Snapshot, d: u64, floor: u64) -> bool {
-        self.ids == earlier.ids
-            && self.times.len() == earlier.times.len()
-            && self.times.iter().zip(&earlier.times).all(|(&b, &a)| {
-                if b == a {
-                    a.saturating_add(self.dead_gap) <= floor
-                } else {
-                    b.wrapping_sub(a) == d
-                }
-            })
-    }
 }
 
 impl MemoryBackend for TimingState {
@@ -257,22 +207,13 @@ impl MemoryBackend for TimingState {
 
     fn commit_round_hits(
         &mut self,
-        round: &[DramCoord],
+        period: &[(DramCoord, u64)],
         kind: CasKind,
         port: Port,
-        cas: u64,
-        d: u64,
-        rounds: u64,
+        shift: u64,
+        periods: u64,
     ) {
-        TimingState::commit_round_hits(self, round, kind, port, cas, d, rounds)
-    }
-
-    fn snapshot(&self, scope: Scope, out: &mut Snapshot) {
-        TimingState::snapshot(self, scope, out)
-    }
-
-    fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64) {
-        TimingState::extrapolate(self, scope, earlier, k, d)
+        TimingState::commit_round_hits(self, period, kind, port, shift, periods)
     }
 }
 

@@ -28,7 +28,7 @@ pub mod timing;
 pub mod traffic;
 
 pub use audit::{CmdKind, CmdRecord, CommandTrace};
-pub use backend::{BackendKind, MemoryBackend, Scope, Snapshot};
+pub use backend::{BackendKind, MemoryBackend};
 pub use cmdbus::CommandBus;
 pub use config::{DramConfig, TimingParams};
 pub use memory::SparseMem;

@@ -18,7 +18,6 @@
 //!   the paper exploits (§III-E).
 
 use crate::audit::{CmdKind, CmdRecord, CommandTrace};
-use crate::backend::{Scope, Snapshot};
 use crate::config::DramConfig;
 use stepstone_addr::{DramCoord, Geometry};
 
@@ -85,7 +84,7 @@ pub enum RunReply {
     End,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct BankState {
     open_row: Option<u32>,
     next_act: u64,
@@ -111,7 +110,7 @@ fn after(s: Stamp, gap: u64) -> u64 {
     }
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RankState {
     /// Times of up to the last four ACTs (tFAW window).
     act_window: Vec<u64>,
@@ -123,7 +122,7 @@ struct RankState {
 }
 
 /// Per-path CAS bookkeeping.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct PathState {
     /// Last CAS stamp per bank group in this path's scope (tCCDL).
     last_cas_by_bg: Vec<Stamp>,
@@ -179,31 +178,6 @@ impl DramStats {
     /// not the rank- or bank-group-internal bursts of PIM kernels.
     pub fn channel_accesses(&self) -> u64 {
         self.reads_by_port[Port::Channel.index()] + self.writes_by_port[Port::Channel.index()]
-    }
-
-    /// Add what `n` committed refresh-free block accesses contribute when
-    /// each has timing like `bt` (the last block of a closed-form run
-    /// stands for its predecessors): the counters a caller keeps for its
-    /// own blocks when the backend's statistics are shared with other
-    /// callers.
-    pub fn count_blocks(&mut self, kind: CasKind, port: Port, bt: &BlockTiming, n: u64) {
-        match kind {
-            CasKind::Read => {
-                self.reads += n;
-                self.reads_by_port[port.index()] += n;
-            }
-            CasKind::Write => {
-                self.writes += n;
-                self.writes_by_port[port.index()] += n;
-            }
-        }
-        self.acts += n * bt.acts as u64;
-        if bt.row_hit {
-            self.row_hits += n;
-        } else {
-            self.row_misses += n;
-        }
-        self.data_cycles += n * (bt.data_end - bt.data_start);
     }
 
     /// Counters accumulated since an earlier snapshot `base` of the same
@@ -341,86 +315,6 @@ impl TimingState {
             nch + ch * ranks..nch + (ch + 1) * ranks,
             nch + nrk + ch * bgs..nch + nrk + (ch + 1) * bgs,
         ]
-    }
-
-    /// Snapshot the timing state `scope` covers (see [`Snapshot`]): every
-    /// bank, rank and datapath of the channel. Refresh deadlines are left
-    /// out: the engine only compares snapshots with refresh disabled, where
-    /// nothing reads or writes them. `update_times` visits the time fields
-    /// in the same order.
-    pub fn snapshot(&self, scope: Scope, out: &mut Snapshot) {
-        let tp = &self.cfg.timing;
-        out.times.clear();
-        out.ids.clear();
-        let gaps = [
-            tp.t_ccds, tp.t_ccdl, tp.t_rtrs, tp.wtr(false), tp.wtr(true), tp.rtw(), tp.t_bl,
-            tp.t_cl, tp.t_cwl, tp.t_rcd, tp.t_rp, tp.t_ras, tp.t_rc, tp.t_rtp, tp.t_wr, tp.t_rrds,
-            tp.t_rrdl, tp.t_faw,
-        ];
-        out.dead_gap = 1 + gaps.into_iter().max().unwrap_or(0);
-        let Scope::Channel(ch) = scope;
-        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
-        for b in &self.banks[banks] {
-            out.ids.push(b.open_row.map_or(0, |r| r as u64 + 1));
-            out.times.extend([b.next_act, b.next_cas, b.next_pre]);
-        }
-        for r in &self.ranks[ranks] {
-            out.ids.push(r.act_window.len() as u64);
-            out.times.extend(&r.act_window);
-            out.times.extend(&r.last_act_by_bg);
-            out.times.push(r.last_act);
-        }
-        for p in [p_ch, p_rk, p_bg].into_iter().flat_map(|r| &self.paths[r]) {
-            out.ids.extend([p.bus_last_rank as u64, p.bus_used as u64]);
-            out.times.extend(&p.last_cas_by_bg);
-            out.times.extend(&p.last_wr_by_bg);
-            out.times.extend(&p.last_rd_by_rank);
-            out.times.extend(&p.last_wr_by_rank);
-            out.times.extend([p.last_cas, p.bus_free]);
-        }
-    }
-
-    /// Replace each time field `scope` covers by `f` of it, in
-    /// [`TimingState::snapshot`] order.
-    fn update_times(&mut self, scope: Scope, mut f: impl FnMut(u64) -> u64) {
-        let Scope::Channel(ch) = scope;
-        let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);
-        let mut upd = |t: &mut u64| *t = f(*t);
-        for b in &mut self.banks[banks] {
-            [&mut b.next_act, &mut b.next_cas, &mut b.next_pre].into_iter().for_each(&mut upd);
-        }
-        for r in &mut self.ranks[ranks] {
-            r.act_window.iter_mut().for_each(&mut upd);
-            r.last_act_by_bg.iter_mut().for_each(&mut upd);
-            upd(&mut r.last_act);
-        }
-        for range in [p_ch, p_rk, p_bg] {
-            for p in &mut self.paths[range] {
-                let stamps = [&mut p.last_cas_by_bg, &mut p.last_wr_by_bg];
-                stamps.into_iter().flatten().for_each(&mut upd);
-                let stamps = [&mut p.last_rd_by_rank, &mut p.last_wr_by_rank];
-                stamps.into_iter().flatten().for_each(&mut upd);
-                upd(&mut p.last_cas);
-                upd(&mut p.bus_free);
-            }
-        }
-    }
-
-    /// Advance the state `scope` covers by `k` further periods of `d`
-    /// cycles of a verified periodic stream: each time field that differs
-    /// from `earlier` (the same scope one period ago) moves on by `k·d`;
-    /// everything else, statistics included, stays.
-    pub fn extrapolate(&mut self, scope: Scope, earlier: &Snapshot, k: u64, d: u64) {
-        let mut then = earlier.times.iter();
-        self.update_times(scope, |t| {
-            let e = *then.next().expect("the snapshot covers every time field");
-            if t != e {
-                t + k * d
-            } else {
-                t
-            }
-        });
-        debug_assert!(then.next().is_none(), "extrapolating across a scope change");
     }
 
     fn record(&mut self, time: u64, kind: CmdKind, coord: DramCoord, port: Port) {
@@ -891,39 +785,39 @@ impl TimingState {
         self.stats.data_cycles += count * tp.t_bl;
     }
 
-    /// Commit `rounds` repetitions of a round of row hits in closed form:
-    /// the `m`-th block (from 1) goes to `round[(m − 1) mod len]`, the same
-    /// bank and row open as every block of its key (bank and row), with its
-    /// CAS exactly `m·d` after `cas`. The caller promises what
-    /// [`RunReply::Jump`] promises for one key: the rows are open, no
-    /// refresh or trace interleaves, and every block issues at its time.
+    /// Commit `periods` repetitions of a period of row hits in closed
+    /// form: `period` lists one period's blocks in issue order with their
+    /// CAS times, and each repetition issues every block again, on the
+    /// same bank and open row, `shift` cycles after its counterpart one
+    /// period earlier. The caller promises what [`RunReply::Jump`] promises
+    /// for one key: the rows are open, no refresh or trace interleaves,
+    /// and every block issues at its time.
     ///
     /// Every field a row hit writes is monotone in its CAS time, so the
-    /// state after the blocks is `commit_run` of each key's
-    /// blocks at its last CAS, committed in CAS order (the latest wins the
-    /// path's and bus's stamps), and the statistics grow per block.
+    /// state after the blocks is `commit_run` of each key's blocks (bank
+    /// and row) at its last CAS of the last period, committed in CAS order
+    /// (the latest wins the path's and bus's stamps), and the statistics
+    /// grow per block.
     pub fn commit_round_hits(
         &mut self,
-        round: &[DramCoord],
+        period: &[(DramCoord, u64)],
         kind: CasKind,
         port: Port,
-        cas: u64,
-        d: u64,
-        rounds: u64,
+        shift: u64,
+        periods: u64,
     ) {
         debug_assert!(self.trace.is_none() && !self.cfg.refresh, "closed-form row hits");
+        debug_assert!(period.windows(2).all(|w| w[0].1 < w[1].1), "a period in issue order");
         let g = *self.geom();
         let key = |c: &DramCoord| (c.bank_index(&g), c.row);
-        let n = rounds * round.len() as u64;
-        for (i, c) in round.iter().enumerate() {
-            // Each key commits once, at its last place in the round.
-            if round[i + 1..].iter().any(|o| key(o) == key(c)) {
+        for (i, (c, cas)) in period.iter().enumerate() {
+            // Each key commits once, at its last place in the period.
+            if period[i + 1..].iter().any(|(o, _)| key(o) == key(c)) {
                 continue;
             }
             debug_assert_eq!(self.banks[c.bank_index(&g)].open_row, Some(c.row), "row hits");
-            let per_round = round.iter().filter(|o| key(o) == key(c)).count() as u64;
-            let last = cas + (n - (round.len() - 1 - i) as u64) * d;
-            self.commit_run(c, kind, port, rounds * per_round, last);
+            let per_period = period.iter().filter(|(o, _)| key(o) == key(c)).count() as u64;
+            self.commit_run(c, kind, port, periods * per_period, cas + periods * shift);
         }
     }
 }
@@ -1111,55 +1005,69 @@ mod tests {
         assert!(!bt.row_hit, "refresh closed the row");
     }
 
-    /// A round-robin row-hit stream over four bank groups repeats its
-    /// channel state one round later, shifted by the round's CAS span;
-    /// extrapolating that shift lands exactly where simulating the rounds
-    /// does, and the other channel is left alone.
-    #[test]
-    fn channel_extrapolation_matches_simulated_rounds() {
-        let mut ts = TimingState::new(DramConfig::default());
-        let (mut col, mut nb) = (0, 0);
-        let mut round = |ts: &mut TimingState| {
-            for bg in 0..4 {
-                let c = coord(0, 0, bg, 0, 3, col);
-                nb = ts.access(c, CasKind::Write, Port::Channel, nb).cas_at;
-            }
-            col += 1;
-            nb
-        };
-        let mut l0 = 0;
-        for _ in 0..20 {
-            l0 = round(&mut ts);
-        }
-        let other = ts.access(coord(1, 0, 0, 0, 0, 0), CasKind::Read, Port::Channel, 0);
-        let (mut a, mut b) = (Snapshot::default(), Snapshot::default());
-        ts.snapshot(Scope::Channel(0), &mut a);
-        let before = ts.stats;
-        let d = round(&mut ts) - l0;
-        ts.snapshot(Scope::Channel(0), &mut b);
-        assert_eq!(d, 4 * ts.cfg.timing.t_ccds, "steady tCCDS cadence across bank groups");
-        assert!(b.is_shift_of(&a, d, l0));
-        assert!(!b.is_shift_of(&a, d + 1, l0), "every changed field moves by exactly d");
-        assert!(!b.is_shift_of(&a, d, a.dead_gap), "unchanged fields must be dead");
-        let mut jumped = ts.clone();
-        jumped.extrapolate(Scope::Channel(0), &a, 5, d);
-        for _ in 0..5 {
-            round(&mut ts);
-        }
-        let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
-        ts.snapshot(Scope::Channel(0), &mut want);
-        jumped.snapshot(Scope::Channel(0), &mut got);
-        assert_eq!(got, want);
-        assert_eq!(jumped.stats.writes, before.writes + 4, "statistics are not extrapolated");
-        let again = jumped.access(coord(1, 0, 0, 0, 0, 1), CasKind::Read, Port::Channel, 0);
-        assert_eq!(again.cas_at, other.cas_at + ts.cfg.timing.t_ccdl, "channel 1 untouched");
+    /// The whole timing state: banks, ranks, paths and statistics.
+    fn state(ts: &TimingState) -> (&[BankState], &[RankState], &[PathState], DramStats) {
+        (&ts.banks, &ts.ranks, &ts.paths, ts.stats)
     }
 
-    /// A rank-internal row-hit stream alternating two bank groups at tCCDS
-    /// (a StepStone-DV A-walk): committing further rounds in closed form
+    /// Issue `blocks` per block, each no earlier than the previous CAS (a
+    /// DMA engine's pacing), and return their CAS times.
+    fn issue(ts: &mut TimingState, blocks: &[DramCoord], kind: CasKind, port: Port) -> Vec<u64> {
+        let mut nb = 0;
+        let mut cas = Vec::new();
+        for (m, c) in blocks.iter().enumerate() {
+            nb = ts.access(DramCoord { col: m as u32 % 128, ..*c }, kind, port, nb).cas_at;
+            cas.push(nb);
+        }
+        cas
+    }
+
+    /// Committing `periods` further periods of `period`'s row hits in
+    /// closed form, shifted `shift` each from its last issue at `cas`,
     /// lands on the state, statistics and next timings of per-block
-    /// `access` calls, with a round holding each key once or twice, and
-    /// leaves the rest of the channel alone.
+    /// `access` calls; the other bank of `untouched` keeps its row.
+    fn commit_matches_per_block(
+        ts: &mut TimingState,
+        period: &[(DramCoord, u64)],
+        kind: CasKind,
+        port: Port,
+        shift: u64,
+        periods: u64,
+    ) {
+        let before = ts.stats;
+        let mut jumped = ts.clone();
+        jumped.commit_round_hits(period, kind, port, shift, periods);
+        let blocks: Vec<DramCoord> =
+            (0..periods).flat_map(|_| period.iter().map(|p| p.0)).collect();
+        let mut nb = period.last().expect("a period").1;
+        for (m, c) in blocks.iter().enumerate() {
+            let bt = ts.access(DramCoord { col: m as u32 % 128, ..*c }, kind, port, nb);
+            let (q, i) = (m as u64 / period.len() as u64, m % period.len());
+            let want = period[i].1 + (q + 1) * shift;
+            assert_eq!((bt.cas_at, bt.row_hit), (want, true), "{port:?} {kind:?} block {m}");
+            nb = bt.cas_at;
+        }
+        assert!(state(&jumped) == state(ts), "{port:?} {kind:?}: {} per period", period.len());
+        assert_eq!(ts.stats.delta(&before).row_hits, blocks.len() as u64);
+        for c in period.iter().map(|p| p.0) {
+            for k in [CasKind::Read, CasKind::Write] {
+                let next = |t: &TimingState| t.clone().access(c, k, port, 0);
+                assert_eq!(next(&jumped), next(ts), "the next {k:?} to {c:?}");
+            }
+        }
+    }
+
+    /// Committing further periods of row hits in closed form lands on the
+    /// state, statistics and next timings of per-block `access` calls:
+    ///
+    /// * a rank-internal stream alternating two bank groups at tCCDS (a
+    ///   StepStone-DV A-walk), with a round holding each key once or
+    ///   twice, leaving the rest of the channel alone;
+    /// * a channel-port stream over four keys on two ranks (a DMA engine's
+    ///   round-robin) whose period of `j ≤ 4` rounds visits the keys in a
+    ///   different rotation each round, so its rank switches, and the
+    ///   tRTRS gaps they cost, make the CAS offsets irregular; reads and
+    ///   writes.
     #[test]
     fn round_hits_commit_like_per_block_accesses() {
         let port = Port::RankInternal;
@@ -1167,35 +1075,44 @@ mod tests {
         let mut ts = TimingState::new(DramConfig::default());
         // The host opens another bank of the rank over the channel.
         let other = ts.access(coord(0, 1, 2, 3, 4, 0), CasKind::Read, Port::Channel, 0);
-        let mut nb = 0;
-        for i in 0..16 {
-            nb = ts.access(keys[i % 2], CasKind::Read, port, nb).cas_at;
-        }
+        let mut nb = *issue(&mut ts, &[keys, keys, keys, keys, keys, keys, keys, keys].concat(),
+            CasKind::Read, port).last().expect("warm-up");
         let t_ccds = ts.cfg.timing.t_ccds;
         for (round, rounds) in [(keys.to_vec(), 7), ([keys, keys].concat(), 3)] {
-            let (cas, before) = (nb, ts.stats);
-            let mut jumped = ts.clone();
-            jumped.commit_round_hits(&round, CasKind::Read, port, cas, t_ccds, rounds);
-            for m in 1..=rounds * round.len() as u64 {
-                let c = round[(m - 1) as usize % round.len()];
-                let bt = ts.access(DramCoord { col: m as u32, ..c }, CasKind::Read, port, 0);
-                assert_eq!((bt.cas_at, bt.row_hit), (cas + m * t_ccds, true), "block {m}");
-                nb = bt.cas_at;
-            }
-            let (mut want, mut got) = (Snapshot::default(), Snapshot::default());
-            ts.snapshot(Scope::Channel(0), &mut want);
-            jumped.snapshot(Scope::Channel(0), &mut got);
-            assert_eq!(got, want, "{} keys per round", round.len());
-            assert_eq!(jumped.stats, ts.stats);
-            assert_eq!(ts.stats.delta(&before).row_hits, rounds * round.len() as u64);
-            for c in [keys[0], keys[1], coord(0, 1, 2, 3, 4, 1)] {
-                let p = if c.bank == 3 { Port::Channel } else { port };
-                let next = |t: &TimingState| t.clone().access(c, CasKind::Write, p, 0);
-                assert_eq!(next(&jumped), next(&ts), "the next write to {c:?}");
-            }
+            let len = round.len() as u64;
+            let period: Vec<(DramCoord, u64)> =
+                round.iter().enumerate().map(|(i, &c)| (c, nb - (len - 1 - i as u64) * t_ccds)).collect();
+            commit_matches_per_block(&mut ts, &period, CasKind::Read, port, len * t_ccds, rounds);
+            nb += rounds * len * t_ccds;
         }
         let again = ts.access(coord(0, 1, 2, 3, 4, 1), CasKind::Read, Port::Channel, 0);
         assert!(again.row_hit && again.cas_at >= other.cas_at, "the other bank kept its row");
+
+        let keys = [
+            coord(0, 0, 0, 0, 5, 0),
+            coord(0, 0, 1, 0, 7, 0),
+            coord(0, 1, 0, 0, 6, 0),
+            coord(0, 1, 2, 1, 8, 0),
+        ];
+        for kind in [CasKind::Read, CasKind::Write] {
+            for j in 1..=4 {
+                let period: Vec<DramCoord> =
+                    (0..j).flat_map(|r| (0..4).map(move |i| keys[(i + r) % 4])).collect();
+                let mut ts = TimingState::new(DramConfig::default());
+                let cas = issue(&mut ts, &period.repeat(6), kind, Port::Channel);
+                let (older, last) = cas[cas.len() - 2 * period.len()..].split_at(period.len());
+                let shift = last[0] - older[0];
+                assert!(
+                    older.iter().zip(last).all(|(a, b)| b - a == shift),
+                    "{kind:?} j={j}: the stream settles into periods"
+                );
+                let gaps: Vec<u64> = last.windows(2).map(|w| w[1] - w[0]).collect();
+                assert!(gaps.iter().any(|&g| g != gaps[0]), "{kind:?} j={j}: irregular {gaps:?}");
+                let period: Vec<(DramCoord, u64)> =
+                    period.iter().copied().zip(last.iter().copied()).collect();
+                commit_matches_per_block(&mut ts, &period, kind, Port::Channel, shift, 5);
+            }
+        }
     }
 
     #[test]

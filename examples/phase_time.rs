@@ -6,10 +6,10 @@
 //! other), and the blocks the units issued in closed form, by mechanism,
 //! with their share of the phase's blocks: admitted-run tails, A-walk
 //! stretches (rounds of one or several window keys, jumped by arithmetic
-//! on the unit's own state), and verified periods (transfer rounds, with
-//! the snapshots their checks took). Kernel phases also report their
-//! promise checks by outcome and the span key-equality tests their sources
-//! evaluated for them.
+//! on the unit's own state), and verified periods (transfer rounds, jumped
+//! by the same arithmetic on the transfer's own issues). Each phase also
+//! reports its promise checks by outcome, and kernel phases the span
+//! key-equality tests their sources evaluated for them.
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -19,11 +19,12 @@
 //!
 //! `--table1 [--passes=R]` profiles the 80 Table-I GEMMs (10 weight shapes
 //! × N ∈ {1, 4, 8, 32} × {BG, DV}) instead: one row per (level, N) with the
-//! kernel blocks by closed-form mechanism, the snapshots taken, and each
-//! phase's host time summed over the slice's power-of-two parts, as the
-//! minimum of `R` passes (default 3); then one row per (level, N) with the
-//! kernel's promise checks by outcome and key-equality tests (first pass,
-//! which records the span skeletons and builds their stretch tables).
+//! kernel blocks by closed-form mechanism, the localization and reduction
+//! blocks with the share issued in verified periods, and each phase's host
+//! time summed over the slice's power-of-two parts, as the minimum of `R`
+//! passes (default 3); then one row per (level, N) with the kernel's
+//! promise checks by outcome and key-equality tests (first pass, which
+//! records the span skeletons and builds their stretch tables).
 //! Contexts are built once, before timing; every pass runs the serial
 //! engine on fresh memory.
 
@@ -86,7 +87,6 @@ struct PhaseOut {
     stretch: u64,
     periods: u64,
     jumped: u64,
-    snapshots: u64,
     checks: CheckCounts,
     key_tests: u64,
 }
@@ -103,7 +103,6 @@ impl PhaseOut {
             stretch: sum(|u| u.stretch_blocks),
             periods: sum(|u| u.jumped_periods),
             jumped: sum(|u| u.jumped_blocks),
-            snapshots: sum(|u| u.snapshots),
             checks: units.iter().fold(CheckCounts::default(), |mut c, u| {
                 c.add(&u.checks);
                 c
@@ -122,7 +121,6 @@ impl PhaseOut {
             (&mut self.stretch, o.stretch),
             (&mut self.periods, o.periods),
             (&mut self.jumped, o.jumped),
-            (&mut self.snapshots, o.snapshots),
             (&mut self.key_tests, o.key_tests),
         ] {
             *a += b;
@@ -207,7 +205,7 @@ fn print_phase(label: &str, p: &PhaseOut) {
     );
     println!(
         "        closed form: run tails {} blocks ({:.1}%), A-walk stretches {} ({:.1}%), \
-         verified periods {} covering {} ({:.1}%); {} snapshots",
+         verified periods {} covering {} ({:.1}%)",
         p.tail,
         share(p.tail, p.blocks),
         p.stretch,
@@ -215,7 +213,6 @@ fn print_phase(label: &str, p: &PhaseOut) {
         p.periods,
         p.jumped,
         share(p.jumped, p.blocks),
-        p.snapshots,
     );
     if p.checks.total() > 0 {
         println!("        promise checks: {}; {} key tests", checks_line(&p.checks), p.key_tests);
@@ -245,9 +242,9 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
          passes"
     );
     println!(
-        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8} {:>8}",
-        "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "periods",
-        "snapshots", "loc ms", "kern ms", "red ms",
+        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8}",
+        "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "loc", "jumped",
+        "red", "jumped", "loc ms", "kern ms", "red ms",
     );
     let mut checks = Vec::new();
     for level in [PimLevel::BankGroup, PimLevel::Device] {
@@ -274,10 +271,11 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                     total = sum;
                 }
             }
-            let k = &total[1];
+            let [loc, k, red] = &total;
             let closed = |b: u64| format!("{:.1}%", share(b, k.blocks));
+            let jumped = |p: &PhaseOut| format!("{:.1}%", share(p.jumped, p.blocks));
             println!(
-                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>8} {:>9} {:>8.1} {:>8.1} {:>8.1}",
+                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8.1} {:>8.1} {:>8.1}",
                 level.tag(),
                 n,
                 parts.len(),
@@ -286,8 +284,10 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                 closed(k.stretch),
                 format!("{:.1}%", share(k.stretch, k.awalk)),
                 closed(k.tail),
-                closed(k.jumped),
-                k.snapshots,
+                loc.blocks,
+                jumped(loc),
+                red.blocks,
+                jumped(red),
                 best[0],
                 best[1],
                 best[2],

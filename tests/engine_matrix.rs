@@ -19,13 +19,13 @@
 //! * a PIM-subset remap — withholds run hints, so the fast path runs
 //!   without admission;
 //! * a transfer cursor alone on its channel with a long round promise —
-//!   the periodic jump of the localization and reduction streams, which
-//!   trace and refresh turn off;
+//!   the periodic jump of the localization and reduction streams once the
+//!   cursor's last two periods of issues repeat, which trace and refresh
+//!   turn off;
 //! * exclusive kernel units over long A-walk stretches — the multi-key
 //!   (StepStone-DV) stretches jumped once the unit's last two rounds of
 //!   issues repeat, and the single-key (StepStone-BG) stretches issued in
-//!   the run stream, both without snapshots, which trace and refresh turn
-//!   off too.
+//!   the run stream, which trace and refresh turn off too.
 //!
 //! Every arm must produce a `LatencyReport` identical to the frozen seed
 //! engine, which replays fully materialized programs. The run counters
@@ -395,8 +395,7 @@ fn matrix_covers_subset_and_echo_program_shapes() {
 /// One composed pass of `ctx` — localization, the kernels, reduction —
 /// on fresh memory: the phase ends, the DRAM statistics, and what each
 /// phase issued in closed form (transfer periods, kernel blocks of
-/// verified periods; kernel blocks of A-walk stretches, and the kernels'
-/// snapshots).
+/// verified transfer periods; kernel blocks of A-walk stretches).
 struct Composed {
     loc_end: u64,
     kernel_end: u64,
@@ -404,7 +403,6 @@ struct Composed {
     stats: DramStats,
     jumped: [u64; 3],
     stretched: u64,
-    kernel_snapshots: u64,
 }
 
 fn composed_pass(
@@ -453,9 +451,8 @@ fn composed_pass(
         red.iter().map(|u| u.jumped_periods).sum(),
     ];
     let stretched = units.iter().map(|u| u.stretch_blocks).sum();
-    let kernel_snapshots = units.iter().map(|u| u.snapshots).sum();
     let stats = *ts.stats();
-    Composed { loc_end, kernel_end, red_end, stats, jumped, stretched, kernel_snapshots }
+    Composed { loc_end, kernel_end, red_end, stats, jumped, stretched }
 }
 
 /// Arms of the jump tests: (parallel, trace, refresh).
@@ -503,8 +500,8 @@ fn matrix_transfer_jump_matches_frozen_seed() {
 
 /// The multi-key stretch jump in a composed StepStone-DV pass: the A-walk
 /// of a 256×4096 N=1 GEMM holds each row pair for 64 blocks per bank, so
-/// the exclusive kernel units issue most of it in closed form, without a
-/// snapshot, on the serial and sharded engines, and not under trace or
+/// the exclusive kernel units issue most of it in closed form as A-walk
+/// stretches, on the serial and sharded engines, and not under trace or
 /// refresh; every refresh-free arm must match the frozen seed's phase
 /// ends, total and DRAM counters.
 #[test]
@@ -518,8 +515,7 @@ fn matrix_kernel_jump_matches_frozen_seed() {
     for (parallel, trace, refresh) in JUMP_ARMS {
         let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
         let what = format!("{spec} DV parallel={parallel} trace={trace} refresh={refresh}");
-        let snapshots = (pass.jumped[1], pass.kernel_snapshots);
-        assert_eq!(snapshots, (0, 0), "{what}: the kernels take no snapshot period");
+        assert_eq!(pass.jumped[1], 0, "{what}: the kernels take no transfer period");
         if refresh {
             assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
             assert_eq!(pass.stretched, 0, "{what}: refresh turns the kernel jump off");
@@ -549,7 +545,7 @@ fn matrix_kernel_jump_matches_frozen_seed() {
 /// of a 256×1024 N=4 GEMM holds each row for 32 blocks (16 two-block
 /// spans, like the K ≤ 2048 Table-I shapes), so the exclusive kernel units
 /// issue most of it in closed form in the run stream on the serial and
-/// sharded engines, without a snapshot period, and not under trace or
+/// sharded engines, with no transfer period, and not under trace or
 /// refresh; every refresh-free arm must match the frozen seed's phase
 /// ends, total and DRAM counters.
 #[test]
@@ -563,7 +559,7 @@ fn matrix_bg_stretch_jump_matches_frozen_seed() {
     for (parallel, trace, refresh) in JUMP_ARMS {
         let pass = composed_pass(&ctx, &base, &opts, parallel, trace, refresh);
         let what = format!("{spec} BG parallel={parallel} trace={trace} refresh={refresh}");
-        assert_eq!(pass.jumped[1], 0, "{what}: single-key rounds take no snapshot period");
+        assert_eq!(pass.jumped[1], 0, "{what}: single-key rounds take no transfer period");
         if refresh {
             assert!(pass.stats.refreshes > 0, "{what}: REFs issued");
             assert_eq!(pass.stretched, 0, "{what}: refresh turns the stretch jump off");
