@@ -34,6 +34,7 @@
 use crate::geometry::BLOCK_BYTES;
 use crate::gf2::Gf2System;
 use crate::mapping::XorMapping;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -658,6 +659,15 @@ impl StepStoneAgen {
         true
     }
 
+    /// Continue the walk after `span`, yielded from a skeleton: the next
+    /// successor scan starts from its last block.
+    #[inline]
+    fn resume_after(&mut self, span: &AgenSpan) {
+        self.last_pa = span.start_pa + (span.len - 1) * BLOCK_BYTES;
+        self.cur = 0;
+        self.span_end = 0;
+    }
+
     /// The next span of the live walk: the rest of the current guaranteed
     /// run, or the next run once that one is consumed. [`Spans`] yields
     /// these directly, and [`SpanProgram`] falls back to them.
@@ -748,7 +758,7 @@ impl SkelSpan {
 /// mapping of the walk that recorded it (`key`, [`KeyTest::id`];
 /// `u32::MAX` when that walk had none). Page sizes clip the table at query
 /// time ([`Runs::run`]); a walk under another mapping reads no table from
-/// it ([`Skeleton::runs`]) and looks ahead span by span instead.
+/// it ([`Skeleton::runs`]), so its stretch queries answer nothing there.
 #[derive(Debug)]
 struct Skeleton {
     spans: Vec<SkelSpan>,
@@ -772,15 +782,13 @@ impl Skeleton {
 /// mapping and the page size: it holds for every window that replays the
 /// skeleton. One test per adjacent pair builds it (the test is an
 /// equivalence, so repeats chain).
-fn stretch_runs(spans: &[SkelSpan], keys: &KeyTest, tests: &mut u64) -> Vec<u16> {
-    let mut runs = vec![0u16; spans.len()];
+fn stretch_runs(spans: &mut [SkelSpan], keys: &KeyTest, tests: &mut u64) {
     for i in (0..spans.len().saturating_sub(1)).rev() {
         *tests += 1;
         if keys.same_unpaged(&spans[i].at(0), &spans[i + 1].at(0)) {
-            runs[i] = runs[i + 1] + 1;
+            spans[i].run = spans[i + 1].run + 1;
         }
     }
-    runs
 }
 
 /// The span key-equality test of one mapping and page size, interned: walks
@@ -934,8 +942,10 @@ pub fn span_cache_resident_spans() -> usize {
 pub struct AgenCounters {
     /// Spans produced by the live generator (cold windows, range edges).
     pub live_spans: u64,
-    /// Spans replayed from cached skeletons (incl. window-first spans
-    /// synthesized by the window successor).
+    /// Spans yielded from skeletons (incl. window-first spans synthesized
+    /// by the window successor). A cold window's spans after its first are
+    /// produced live to record it on entry and then yielded from its
+    /// skeleton, so they count here too.
     pub replayed_spans: u64,
     /// Window boundaries crossed arithmetically via the gate-row window
     /// successor (no corrector scan).
@@ -944,7 +954,7 @@ pub struct AgenCounters {
     pub boundary_successors: u64,
     /// Skeleton-cache lookups that hit (window replayed).
     pub skeleton_hits: u64,
-    /// Skeleton-cache lookups that missed (window walked live/recorded).
+    /// Skeleton-cache lookups that missed (window recorded on entry).
     pub skeleton_misses: u64,
 }
 
@@ -1011,13 +1021,17 @@ pub fn reset_agen_counters() {
 /// recomputes exactly that one successor live per window and replays the
 /// rest of the skeleton arithmetically.
 ///
-/// Skeletons are recorded from fully-in-range windows the live walk enters
-/// at their first satisfying address, stored in a process-wide cache keyed
-/// like [`crate::region::RegionPlan`]'s offset tables (bounded; see
-/// `SPAN_PROGRAM_*` caps), and shared across units, phases, and repeated
-/// layers. Degenerate systems — no constraints, more than 20 constraints,
-/// windows no larger than a single contiguous run, or ranges without one
-/// full window — simply keep the live walk.
+/// A skeleton is recorded when the live walk enters a fully-in-range window
+/// whose state has none: the walk enters at the window's first satisfying
+/// address, generates the rest of the window at once, and replays it from
+/// the skeleton's second span, so a cold window answers stretch queries as
+/// a warm one does. Skeletons live in a process-wide cache keyed like
+/// [`crate::region::RegionPlan`]'s offset tables (bounded; see
+/// `SPAN_PROGRAM_*` caps; a skeleton past them still replays its own
+/// window) and are shared across units, phases, and repeated layers.
+/// Degenerate systems — no constraints, more than 20 constraints, windows
+/// no larger than a single contiguous run, or ranges without one full
+/// window — simply keep the live walk.
 pub struct SpanProgram {
     agen: StepStoneAgen,
     /// Replay machinery active (range and system are eligible).
@@ -1037,7 +1051,6 @@ pub struct SpanProgram {
     /// Window of the most recently emitted span (`u64::MAX` before any).
     cur_window: u64,
     replay: Option<Replay>,
-    recording: Option<(u32, Vec<SkelSpan>)>,
     /// Windows after `chain_from` that stretch queries found the window
     /// successor will replay, nearest first: (window, nonempty-run end,
     /// replay state). `chain_end`: the window after the last of them will
@@ -1065,7 +1078,7 @@ pub struct SpanProgram {
     pub boundary_successors: u64,
     /// Skeleton-cache hits (windows replayed instead of walked).
     pub skeleton_hits: u64,
-    /// Skeleton-cache misses (windows walked live and recorded).
+    /// Skeleton-cache misses (windows recorded on entry).
     pub skeleton_misses: u64,
     /// The key test of the walk's stretch queries, which also builds the
     /// stretch tables of the windows it records (see [`Skeleton`]).
@@ -1226,7 +1239,6 @@ impl SpanProgram {
             shared_in_cache,
             cur_window: u64::MAX,
             replay: None,
-            recording: None,
             chain: VecDeque::new(),
             chain_from: u64::MAX,
             chain_end: false,
@@ -1300,38 +1312,51 @@ impl SpanProgram {
         w >= self.start && w + self.window_bytes <= self.agen.end
     }
 
-    /// The walk has moved past the window being recorded (or ended), so the
-    /// recorded skeleton is complete: publish it.
-    fn flush_recording(&mut self) {
-        let Some((state, spans)) = self.recording.take() else { return };
-        let mut by_state = self.shared.by_state.lock().expect("skeleton map poisoned");
-        if by_state.contains_key(&state) {
-            // Another walk recorded the same state concurrently (the
-            // skeletons are identical by construction).
-            return;
+    /// The replay window's size in bytes (`None` when replay is off).
+    pub fn window_bytes(&self) -> Option<u64> {
+        self.enabled.then_some(self.window_bytes)
+    }
+
+    /// Record window `w` of residual state `state`, which the walk just
+    /// entered at its first satisfying address with span `first`: generate
+    /// the rest of the window live, build the stretch table under the
+    /// walk's key test, publish the skeleton unless the state is already
+    /// recorded or the span budget is spent, and resume the live generator
+    /// after `first`, so the window replays from the skeleton's second
+    /// span.
+    fn record(&mut self, w: u64, state: u32, first: &AgenSpan) -> Arc<Skeleton> {
+        let end = w + self.window_bytes;
+        let mut spans = vec![SkelSpan::new(w, first)];
+        while let Some(span) = self.agen.next_span().filter(|s| s.start_pa < end) {
+            spans.push(SkelSpan::new(w, &span));
         }
-        // Only cache-resident stores count against the global span budget;
-        // a private (key-cap-overflow) store dies with the walk.
-        if self.shared_in_cache {
-            let cache = span_program_cache();
-            if cache.cached_spans.fetch_add(spans.len(), Ordering::Relaxed) + spans.len()
-                > SPAN_PROGRAM_SPAN_CAP
-            {
-                cache.cached_spans.fetch_sub(spans.len(), Ordering::Relaxed);
-                return;
-            }
-        }
-        // The walk's key test builds the skeleton's stretch table.
-        let mut spans = spans;
+        self.live_spans += spans.len() as u64 - 1;
+        self.agen.resume_after(first);
         let key = match &self.keys {
             Some(keys) => {
-                let runs = stretch_runs(&spans, keys, &mut self.key_tests);
-                spans.iter_mut().zip(runs).for_each(|(s, run)| s.run = run);
+                stretch_runs(&mut spans, keys, &mut self.key_tests);
                 keys.id()
             }
             None => u32::MAX,
         };
-        by_state.insert(state, Arc::new(Skeleton { spans, key }));
+        let skel = Arc::new(Skeleton { spans, key });
+        let n = skel.spans.len();
+        let mut by_state = self.shared.by_state.lock().expect("skeleton map poisoned");
+        // Another walk may have recorded the same state meanwhile (the
+        // spans are identical by construction). Only cache-resident stores
+        // count against the global span budget; a private (key-cap
+        // overflow) store dies with the walk.
+        if let Entry::Vacant(slot) = by_state.entry(state) {
+            let cache = span_program_cache();
+            let over = self.shared_in_cache
+                && cache.cached_spans.fetch_add(n, Ordering::Relaxed) + n > SPAN_PROGRAM_SPAN_CAP;
+            if over {
+                cache.cached_spans.fetch_sub(n, Ordering::Relaxed);
+            } else {
+                slot.insert(Arc::clone(&skel));
+            }
+        }
+        skel
     }
 
     fn lookup(&self, state: u32) -> Option<Arc<Skeleton>> {
@@ -1455,9 +1480,10 @@ impl SpanProgram {
     /// decides (two windows' spans differ by the window bases' difference
     /// XOR their offsets', and the test is an equivalence); a stretch
     /// stops, unseen past, at a window whose skeleton has no table under
-    /// the walk's mapping. `None` while the walk is live (a cold window, a
-    /// range edge), has no key test, or replays a skeleton recorded under
-    /// another mapping or none.
+    /// the walk's mapping. `None` while the walk is live (a range edge or
+    /// a degenerate system), has no key test, or replays a skeleton
+    /// recorded under another mapping or none. A cold window answers from
+    /// the table it records on entry.
     pub fn stretch(&mut self) -> Option<TableStretch> {
         let keys = self.keys.take()?;
         let st = self.stretch_under(&keys);
@@ -1530,19 +1556,13 @@ impl SpanProgram {
                 continue;
             }
             let k = (n as usize).min(left);
-            let mut last = 0;
-            for s in &rep.skel.spans[rep.ix..rep.ix + k] {
-                let span = s.at(window);
-                visit(&span);
-                last = span.start_pa + (span.len - 1) * BLOCK_BYTES;
-            }
-            rep.ix += k;
-            n -= k as u64;
+            let spans = &rep.skel.spans[rep.ix..rep.ix + k];
+            spans.iter().for_each(|s| visit(&s.at(window)));
             // Keep the live generator's successor base in sync, as `next`
             // does for every replayed span.
-            self.agen.last_pa = last;
-            self.agen.cur = 0;
-            self.agen.span_end = 0;
+            self.agen.resume_after(&spans[k - 1].at(window));
+            rep.ix += k;
+            n -= k as u64;
             self.replayed_spans += k as u64;
         }
     }
@@ -1556,12 +1576,9 @@ impl Iterator for SpanProgram {
             if let Some(s) = rep.skel.spans.get(rep.ix) {
                 rep.ix += 1;
                 let span = s.at(self.cur_window);
-                let (pa, len) = (span.start_pa, span.len);
                 // Keep the live generator's successor base in sync so the
                 // next boundary crossing scans from the true predecessor.
-                self.agen.last_pa = pa + (len - 1) * BLOCK_BYTES;
-                self.agen.cur = 0;
-                self.agen.span_end = 0;
+                self.agen.resume_after(&span);
                 self.replayed_spans += 1;
                 return Some(span);
             }
@@ -1573,44 +1590,36 @@ impl Iterator for SpanProgram {
         }
         if self.at_boundary {
             self.at_boundary = false;
-            debug_assert!(self.recording.is_none(), "boundary implies no open recording");
             if let Some(span) = self.window_jump() {
                 return Some(span);
             }
         }
-        let Some(span) = self.agen.next_span() else {
-            // The walk ran off the end of the range: whatever window was
-            // being recorded has no further spans, so it is complete.
-            self.flush_recording();
-            return None;
-        };
+        let span = self.agen.next_span()?;
         self.live_spans += 1;
         if self.enabled {
             let w = span.start_pa & !(self.window_bytes - 1);
             if w != self.cur_window {
                 self.boundary_successors += 1;
-                self.flush_recording();
                 self.cur_window = w;
+                // The walk enters a fully-in-range window at its first
+                // satisfying address: replay the window's skeleton from its
+                // second span, recording it first if it is cold.
                 if self.window_in_range(w) {
                     let state = self.state_of(w);
-                    if let Some(skel) = self.lookup(state) {
-                        self.skeleton_hits += 1;
-                        debug_assert_eq!(
-                            w + skel.spans[0].off as u64 * BLOCK_BYTES,
-                            span.start_pa
-                        );
-                        debug_assert_eq!(skel.spans[0].len as u64, span.len);
-                        self.replay = Some(Replay::new(skel));
-                    } else {
-                        self.skeleton_misses += 1;
-                        // The walk enters a fully-in-range window at its
-                        // first satisfying address, so recording from here
-                        // captures the whole skeleton.
-                        self.recording = Some((state, vec![SkelSpan::new(w, &span)]));
-                    }
+                    let skel = match self.lookup(state) {
+                        Some(skel) => {
+                            self.skeleton_hits += 1;
+                            skel
+                        }
+                        None => {
+                            self.skeleton_misses += 1;
+                            self.record(w, state, &span)
+                        }
+                    };
+                    debug_assert_eq!(skel.spans[0].at(w).start_pa, span.start_pa);
+                    debug_assert_eq!(skel.spans[0].len as u64, span.len);
+                    self.replay = Some(Replay::new(skel));
                 }
-            } else if let Some((_, spans)) = &mut self.recording {
-                spans.push(SkelSpan::new(w, &span));
             }
         }
         Some(span)
@@ -1947,8 +1956,8 @@ mod tests {
     fn stretch_tables_answer_only_the_recording_mapping() {
         // A skeleton answers stretch queries only under the mapping of the
         // walk that recorded it: a walk under another mapping, or one
-        // replaying skeletons a keyless walk recorded, gets `None` (and
-        // looks ahead span by span) while the spans stay exact.
+        // replaying skeletons a keyless walk recorded, gets `None` (it
+        // promises nothing there) while the spans stay exact.
         let skylake = KeyTest::new(&mapping_by_id(MappingId::Skylake), None);
         let haswell = KeyTest::new(&mapping_by_id(MappingId::Haswell), None);
         // (answered, replayed) boundaries of a walk over `cs`.

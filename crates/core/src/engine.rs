@@ -27,9 +27,8 @@ use stepstone_dram::{
     CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TimingParams, TrafficSource,
 };
 
-/// Fallback-cause indices for [`RunStats::fallback`] /
-/// [`RunCounters::fallback`]: why a block was not covered by an admitted
-/// hinted run.
+/// Fallback-cause indices for [`RunCounters::fallback`]: why a block was
+/// not covered by an admitted hinted run.
 pub const FB_REFRESH: usize = 0;
 pub const FB_ROW: usize = 1;
 pub const FB_TRACE: usize = 2;
@@ -39,11 +38,20 @@ pub const FB_OTHER: usize = 4;
 /// Labels matching the `FB_*` indices (reporting convenience).
 pub const FB_LABELS: [&str; 5] = ["refresh", "row", "trace", "traffic", "other"];
 
-/// Per-unit run-granularity statistics, flushed into the process-wide
-/// [`run_counters`] once per phase (order-independent sums, so serial and
-/// per-channel-parallel engines report identical totals).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RunStats {
+static G_RUNS: AtomicU64 = AtomicU64::new(0);
+static G_RUN_BLOCKS: AtomicU64 = AtomicU64::new(0);
+static G_HIST: [AtomicU64; 16] = [const { AtomicU64::new(0) }; 16];
+static G_FALLBACK: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
+
+/// Run-granularity counters: a unit's own ([`UnitCursor::run_stats`],
+/// flushed into the process-wide totals once per phase) and the
+/// process-wide snapshot ([`run_counters`]). The totals are
+/// order-independent sums, so serial and per-channel-parallel engines
+/// report identical ones, and they are deterministic for a fixed workload
+/// and engine configuration: admission decisions depend only on per-unit
+/// state.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RunCounters {
     /// Hinted runs admitted as single scheduling objects.
     pub runs: u64,
     /// Blocks covered by admitted runs (anchors included).
@@ -55,52 +63,6 @@ pub struct RunStats {
     /// kept them out (`FB_*` indices). A periodic jump keeps the per-block
     /// accounting of the blocks it issues in closed form, so they count
     /// here (or as runs) exactly as if issued one by one.
-    pub fallback: [u64; 5],
-}
-
-impl RunStats {
-    #[inline]
-    fn record_run(&mut self, len: u64) {
-        self.runs += 1;
-        self.run_blocks += len;
-        self.hist[(63 - len.leading_zeros() as usize).min(15)] += 1;
-    }
-
-    /// `self + k·(self − a)/j`: `k` more stretches of the stream that each
-    /// add what each of the `j` from `a` to `self` added.
-    fn extrapolated(&self, a: &RunStats, k: u64, j: u64) -> RunStats {
-        let ext = |b: &mut u64, a: u64| {
-            let grew = *b - a;
-            if grew > 0 {
-                debug_assert_eq!(grew % j, 0, "{j} stretches that grew alike");
-                *b += k * grew / j;
-            }
-        };
-        let mut out = *self;
-        ext(&mut out.runs, a.runs);
-        ext(&mut out.run_blocks, a.run_blocks);
-        out.hist.iter_mut().zip(a.hist).for_each(|(b, a)| ext(b, a));
-        out.fallback.iter_mut().zip(a.fallback).for_each(|(b, a)| ext(b, a));
-        out
-    }
-}
-
-static G_RUNS: AtomicU64 = AtomicU64::new(0);
-static G_RUN_BLOCKS: AtomicU64 = AtomicU64::new(0);
-static G_HIST: [AtomicU64; 16] = [const { AtomicU64::new(0) }; 16];
-static G_FALLBACK: [AtomicU64; 5] = [const { AtomicU64::new(0) }; 5];
-
-/// Process-wide snapshot of the run-granularity counters (see
-/// [`RunStats`] for field semantics). Deterministic for a fixed workload
-/// and engine configuration: admission decisions depend only on per-unit
-/// state, and the totals are commutative sums.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct RunCounters {
-    pub runs: u64,
-    pub run_blocks: u64,
-    pub hist: [u64; 16],
-    /// Blocks not covered by an admitted hinted run, by the cause that
-    /// kept them out (`FB_*` indices).
     pub fallback: [u64; 5],
 }
 
@@ -117,6 +79,31 @@ impl RunCounters {
     /// Blocks not covered by an admitted run, across all causes.
     pub fn fallback_blocks(&self) -> u64 {
         self.fallback.iter().sum()
+    }
+
+    #[inline]
+    fn record_run(&mut self, len: u64) {
+        self.runs += 1;
+        self.run_blocks += len;
+        self.hist[(63 - len.leading_zeros() as usize).min(15)] += 1;
+    }
+
+    /// `self + k·(self − a)/j`: `k` more stretches of the stream that each
+    /// add what each of the `j` from `a` to `self` added.
+    fn extrapolated(&self, a: &RunCounters, k: u64, j: u64) -> RunCounters {
+        let ext = |b: &mut u64, a: u64| {
+            let grew = *b - a;
+            if grew > 0 {
+                debug_assert_eq!(grew % j, 0, "{j} stretches that grew alike");
+                *b += k * grew / j;
+            }
+        };
+        let mut out = *self;
+        ext(&mut out.runs, a.runs);
+        ext(&mut out.run_blocks, a.run_blocks);
+        out.hist.iter_mut().zip(a.hist).for_each(|(b, a)| ext(b, a));
+        out.fallback.iter_mut().zip(a.fallback).for_each(|(b, a)| ext(b, a));
+        out
     }
 }
 
@@ -254,10 +241,9 @@ impl SubsetRemap {
 /// skipped entries from the anchor, so a source honoring the contract is
 /// cycle-exact with the per-block path by construction.
 ///
-/// `round_hint`, `skip_rounds` and `cost_back` describe
-/// periodic sources — the DMA engine's region interleave (a round is one
-/// block per region) and the kernel A-walk (a round is one AGEN span): see
-/// [`RoundHint`].
+/// `round_hint` and `skip_rounds` describe periodic sources — the DMA
+/// engine's region interleave (a round is one block per region) and the
+/// kernel A-walk (a round is one AGEN span): see [`RoundHint`].
 pub trait StepSource: Iterator<Item = Step> {
     fn run_hint(&self) -> u64 {
         1
@@ -284,14 +270,6 @@ pub trait StepSource: Iterator<Item = Step> {
         unreachable!("skip_rounds on a source without round promises")
     }
 
-    /// AGEN iterations charged to the block pulled `back` pulls before the
-    /// current position (0 = the latest), when the source still knows:
-    /// at a round boundary, for blocks of recent rounds as long as the
-    /// round just completed.
-    fn cost_back(&self, _back: u64) -> Option<u32> {
-        None
-    }
-
     /// Span key-equality tests the source has evaluated for its round
     /// promises so far, stretch-table builds included (host-side
     /// observability).
@@ -315,10 +293,6 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
 
     fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
         (**self).skip_rounds(n, bubble_over)
-    }
-
-    fn cost_back(&self, back: u64) -> Option<u32> {
-        (**self).cost_back(back)
     }
 
     fn key_tests(&self) -> u64 {
@@ -362,9 +336,23 @@ pub struct Skipped {
     pub max_iters: u32,
     /// Blocks charged more than the caller's bubble threshold.
     pub bubbles: u64,
+    /// The charges of the first blocks of the last rounds skipped by
+    /// [`Skipped::round`] (A-walk spans), newest first: at most 8, enough
+    /// for every pull a full reorder window can hold after a jump
+    /// (`UnitCursor::rebuilt_backs`).
+    pub heads: [u32; 8],
 }
 
 impl Skipped {
+    /// Account one round of `width` blocks: its first charged `head`
+    /// iterations, every other one iteration.
+    pub fn round(&mut self, width: u64, head: u32, bubble_over: u64) {
+        self.add(1, head, bubble_over);
+        self.add(width - 1, 1, bubble_over);
+        self.heads.copy_within(..7, 1);
+        self.heads[0] = head;
+    }
+
     /// Account `n` blocks charged `iters` iterations each.
     pub fn add(&mut self, n: u64, iters: u32, bubble_over: u64) {
         self.blocks += n;
@@ -488,7 +476,7 @@ struct Mark {
     done: u64,
     end: u64,
     /// The run statistics there: every round up to `end` grows them alike.
-    run: RunStats,
+    run: RunCounters,
     /// Whether the unit had settled there, so that neither the AGEN, the
     /// launch gate nor a host gap could decide the next round's issues
     /// ([`UnitCursor::settled`], at the multi-key bound `tCCDS`).
@@ -609,7 +597,7 @@ pub struct UnitCursor<'a> {
     pub checks: CheckCounts,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
-    pub run_stats: RunStats,
+    pub run_stats: RunCounters,
     /// All current window entries share (channel, rank, bank group,
     /// direction) — maintained incrementally on push/pop; always equal to
     /// [`UnitCursor::window_scope_uniform`] over the live window.
@@ -734,7 +722,7 @@ impl<'a> UnitCursor<'a> {
             stretch_blocks: 0,
             tail_blocks: 0,
             checks: CheckCounts::default(),
-            run_stats: RunStats::default(),
+            run_stats: RunCounters::default(),
             win_uniform: true,
             window: VecDeque::with_capacity(8),
             window_cap: (pipeline_depth / 2).clamp(1, 8),
@@ -1736,10 +1724,10 @@ impl<'a> UnitCursor<'a> {
     ///   category cycles and the end time run to the last one;
     /// * every window entry keeps its key. One pulled within the jump
     ///   followed the issue that many issues before the last, so it is
-    ///   stamped with that CAS plus the charge the source reports (more
-    ///   than one iteration only for a span's first block); an older one
-    ///   is the entry of its key pulled that many pulls later. The AGEN
-    ///   clock is the newest stamp;
+    ///   stamped with that CAS plus its charge: one iteration, or for a
+    ///   span's first block the head charge the source reports
+    ///   ([`Skipped::heads`]); an older one is the entry of its key pulled
+    ///   that many pulls later. The AGEN clock is the newest stamp;
     /// * the SIMD completions follow [`UnitCursor::simd_done`], and the
     ///   pipeline keeps its newest `depth`;
     /// * SIMD ops and scratchpad accesses grow per block; AGEN sum, maximum
@@ -1772,8 +1760,7 @@ impl<'a> UnitCursor<'a> {
             let stamp = match back.checked_sub(n) {
                 Some(b) => held[..w].iter().find(|h| (h.0, h.1) == (key, b)).expect("held").2,
                 None if back % hint.width + 1 == hint.width => {
-                    let charge = self.steps.cost_back(back).expect("a skipped span's charges");
-                    last - back * d + charge as u64
+                    last - back * d + skipped.heads[(back / hint.width) as usize] as u64
                 }
                 None => last - back * d + 1,
             };
@@ -2485,6 +2472,9 @@ pub fn run_phase_auto<B: MemoryBackend>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{transfer_cursors, GemmContext, KernelStream};
+    use crate::{GemmSpec, SimOptions, SystemConfig};
+    use stepstone_addr::PimLevel;
     use stepstone_dram::TimingState;
     use stepstone_addr::{mapping_by_id, MappingId};
     use proptest::prelude::*;
@@ -2613,6 +2603,124 @@ mod tests {
                 .1;
             prop_assert_eq!(fr_fcfs_pick(&ts, &window, Port::Channel, base_nb), full);
         }
+    }
+
+    /// Forwards a source's round promises but none of its run hints, so no
+    /// admitted run puts synthesized followers, whose stale stamps the run
+    /// stream masks by design, in the window.
+    struct RoundsOnly<S>(S);
+
+    impl<S: Iterator<Item = Step>> Iterator for RoundsOnly<S> {
+        type Item = Step;
+
+        fn next(&mut self) -> Option<Step> {
+            self.0.next()
+        }
+    }
+
+    impl<S: StepSource> StepSource for RoundsOnly<S> {
+        fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+            self.0.round_hint(min_rounds)
+        }
+
+        fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+            self.0.skip_rounds(n, bubble_over)
+        }
+    }
+
+    /// Where a unit's next issues stand: each window entry's key, pulls
+    /// back and AGEN stamp; its AGEN clock, not-before, clock and SIMD
+    /// horizon; its in-flight SIMD completions.
+    type UnitStand = (Vec<[u64; 3]>, [u64; 4], Vec<u64>);
+
+    fn stand(u: &UnitCursor) -> UnitStand {
+        let window = u.window.iter().map(|e| [e.key, u.back(e), e.gen_ready]).collect();
+        let times = [u.gen_clock, u.not_before, u.clock, u.simd_free];
+        (window, times, u.inflight.iter().copied().collect())
+    }
+
+    fn issued(u: &UnitCursor) -> u64 {
+        u.pulls - u.window.len() as u64
+    }
+
+    /// Steps `jumping`, granted the promise checks, one `advance_batch` at
+    /// a time, and after each call steps `reference`, the same stream with
+    /// no grant, one block (or launch) at a time to the same issues and
+    /// launches: both must then stand alike. Returns the blocks `jumping`
+    /// issued in closed form.
+    fn stands_alike(sys: &SystemConfig, mut jumping: UnitCursor, mut reference: UnitCursor) -> u64 {
+        let mapping = &sys.mapping();
+        jumping.period = Some(Box::default());
+        let (mut ts, mut bus) = crate::flow::fresh_memory(sys);
+        let (mut ts_ref, mut bus_ref) = crate::flow::fresh_memory(sys);
+        while jumping.desired(mapping).is_some() {
+            jumping.advance_batch(&mut ts, &mut bus, mapping);
+            jumping.desired(mapping);
+            while issued(&reference) < issued(&jumping) || reference.launches < jumping.launches {
+                assert!(reference.desired(mapping).is_some(), "the reference ended early");
+                reference.advance_one(&mut ts_ref, &mut bus_ref, mapping);
+            }
+            reference.desired(mapping);
+            assert_eq!(stand(&jumping), stand(&reference), "after {} issues", issued(&jumping));
+        }
+        jumping.stretch_blocks + jumping.jumped_blocks
+    }
+
+    /// The first active PIM's kernel unit over `steps`, on the span fast
+    /// path.
+    fn kernel_unit<'a>(
+        sys: &SystemConfig,
+        ctx: &GemmContext,
+        opts: &SimOptions,
+        steps: impl StepSource + Send + 'a,
+    ) -> UnitCursor<'a> {
+        let lc = &opts.level_cfg;
+        let mut u = UnitCursor::from_source(
+            "pim",
+            ctx.pim_channel(ctx.active_pims[0]),
+            lc.port(),
+            steps,
+            0,
+            lc.compute_cycles_per_block(ctx.n),
+            lc.simd_ops_per_block(ctx.n),
+            lc.pipeline_depth as usize,
+            sys.launch.slots_for(opts.granularity),
+            sys.launch.launch_latency,
+            sys.dram.timing.t_bl,
+            None,
+        );
+        u.exclusive = true;
+        u.fast = true;
+        u
+    }
+
+    /// Every jump leaves the unit where per-block issues would: the window
+    /// it rebuilds (keys, pulls back, AGEN stamps, span heads charged
+    /// their AGEN iterations), the AGEN clock, not-before, clock and SIMD
+    /// pipeline, checked after every `advance_batch` call against a unit
+    /// issuing the same stream block by block. The A-walk stretches of a
+    /// StepStone-BG and a StepStone-DV kernel (256×4096 N=1, span heads of
+    /// several iterations), of a StepStone-BG kernel whose SIMD pipeline
+    /// caps them (256×1024 N=32), and the verified periods of a 512×512×32
+    /// StepStone-BG localization all jump.
+    #[test]
+    fn jumps_leave_the_unit_where_per_block_issues_would() {
+        let sys = SystemConfig::default();
+        let (bg, dv) = (PimLevel::BankGroup, PimLevel::Device);
+        for (level, k, n) in [(bg, 4096, 1), (dv, 4096, 1), (bg, 1024, 32)] {
+            let opts = SimOptions::stepstone(level);
+            let ctx = GemmContext::build(&sys, &GemmSpec::new(256, k, n), &opts);
+            let stream = || KernelStream::new(&ctx, &sys, &opts, 0);
+            let jumping = kernel_unit(&sys, &ctx, &opts, RoundsOnly(stream()));
+            let reference = kernel_unit(&sys, &ctx, &opts, PlainSteps(stream()));
+            let jumped = stands_alike(&sys, jumping, reference);
+            assert!(jumped > 0, "{level:?} N={n}: no stretch jumped");
+        }
+        let opts = SimOptions::stepstone(PimLevel::BankGroup);
+        let ctx = GemmContext::build(&sys, &GemmSpec::new(512, 512, 32), &opts);
+        let gap = sys.localization.inter_block_gap();
+        let dma = || transfer_cursors(&ctx, &ctx.b_regions, true, Phase::Localization, 0, gap);
+        assert!(stands_alike(&sys, dma().swap_remove(0), dma().swap_remove(0)) > 0, "no period");
     }
 
     #[test]

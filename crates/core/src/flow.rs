@@ -17,10 +17,9 @@ use crate::config::{AgenMode, SystemConfig};
 use crate::engine::{
     run_phase_auto, RoundHint, Skipped, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
 };
-use std::collections::VecDeque;
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
-use stepstone_addr::agen::{KeyTest, Spans};
+use stepstone_addr::agen::{KeyTest, Spans, TableStretch};
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
     AgenSpan, Geometry, GroupAnalysis, KeyRuns, MappingId, MatrixLayout, NaiveAgen, PageMap,
@@ -514,13 +513,7 @@ impl GemmContext {
                 } else {
                     SpanSource::Program(Box::new(a.span_program().with_keys(self.keys.clone())))
                 };
-                WalkCursor::Spanned {
-                    spans,
-                    cur: 0,
-                    remaining: 0,
-                    first_iters: 0,
-                    log: Box::default(),
-                }
+                WalkCursor::Spanned { spans, cur: 0, remaining: 0, first_iters: 0, started: 0 }
             }
         }
     }
@@ -544,94 +537,6 @@ impl SpanSource {
             SpanSource::Live(s) => s.next(),
         }
     }
-}
-
-/// Spans a stretch promise looks ahead at most in a window walked live
-/// ([`WalkCursor::stretch`]).
-const STRETCH_LOOKAHEAD: usize = 128;
-
-/// Recent spans whose AGEN charges a walk remembers
-/// ([`WalkCursor::cost_back`]).
-const RECENT_SPANS: usize = 8;
-
-/// What a [`WalkCursor`] keeps for stretch promises: the spans a promise
-/// looked ahead at, and the lengths and head charges of the latest spans.
-#[derive(Debug, Default)]
-pub struct SpanLog {
-    /// Spans pulled from the generator but not started, oldest first.
-    ahead: VecDeque<AgenSpan>,
-    /// How many of `ahead` (from the front) repeat the key pattern of the
-    /// latest started span.
-    ahead_same: usize,
-    /// Whether the span after those is known not to repeat it: the
-    /// pattern is an equivalence, so the answer holds until that span is
-    /// started.
-    ahead_broken: bool,
-    /// The largest head charge among spans counted into `ahead_same` since
-    /// it was last zero (a bound on the charges of those still ahead).
-    ahead_max: u32,
-    /// `(len, head charge)` of the latest started spans; a ring whose
-    /// newest entry is at `recent_at`.
-    recent: [(u64, u32); RECENT_SPANS],
-    recent_at: usize,
-    /// Spans started so far, skipped ones included.
-    started: u64,
-    /// Key-equality tests the lookahead evaluated.
-    tests: u64,
-}
-
-impl SpanLog {
-    /// The next span to start: a looked-ahead one first.
-    #[inline]
-    fn next_span(&mut self, spans: &mut SpanSource) -> Option<AgenSpan> {
-        let span = match self.ahead.pop_front() {
-            Some(s) => {
-                // It repeated the previous pattern, so the rest of the
-                // known run repeats its own; or it starts a new one.
-                if self.ahead_same == 0 {
-                    self.ahead_broken = false;
-                }
-                self.ahead_same = self.ahead_same.saturating_sub(1);
-                if self.ahead_same == 0 {
-                    self.ahead_max = 0;
-                }
-                s
-            }
-            None => spans.next()?,
-        };
-        self.started_span(&span);
-        Some(span)
-    }
-
-    /// Record `span` as started.
-    #[inline]
-    fn started_span(&mut self, span: &AgenSpan) {
-        self.recent_at = (self.recent_at + 1) % RECENT_SPANS;
-        // A zero-iteration head is still charged one iteration.
-        self.recent[self.recent_at] = (span.len, span.iterations.max(1));
-        self.started += 1;
-    }
-}
-
-/// What [`WalkCursor::stretch`] found at a span boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Stretch {
-    /// Upcoming spans repeating the latest span's key pattern.
-    spans: u64,
-    /// Their length in blocks (the latest span's).
-    len: u64,
-    /// At least the largest head charge among them.
-    max_iters: u32,
-    /// Blocks past them before another stretch may open: from the
-    /// skeleton tables, to the end of the next span that may open one (0
-    /// when that lies beyond the windows they know); from the lookahead,
-    /// the length of the span after them (1 when unknown).
-    after: u64,
-    /// When the tables know that the span right after them opens a
-    /// stretch: spans that repeat it (0 otherwise).
-    next: u64,
-    /// Whether the tables answered (`after` is then exact).
-    exact: bool,
 }
 
 /// Blocks from `cur` on (at most `remaining`) that share one window key
@@ -666,8 +571,8 @@ fn same_key_prefix(cur: u64, remaining: u64, col_pure_mask: u64) -> u64 {
 /// most once per run instead of once per block.
 pub enum WalkCursor {
     Naive(NaiveAgen),
-    /// `log` is boxed: it would otherwise dominate the enum's size.
-    Spanned { spans: SpanSource, cur: u64, remaining: u64, first_iters: u32, log: Box<SpanLog> },
+    /// `started`: spans started so far, skipped ones included.
+    Spanned { spans: SpanSource, cur: u64, remaining: u64, first_iters: u32, started: u64 },
 }
 
 impl WalkCursor {
@@ -676,9 +581,10 @@ impl WalkCursor {
     pub fn next(&mut self) -> Option<(u64, u32)> {
         match self {
             WalkCursor::Naive(a) => a.next().map(|s| (s.pa, s.iterations)),
-            WalkCursor::Spanned { spans, cur, remaining, first_iters, log } => {
+            WalkCursor::Spanned { spans, cur, remaining, first_iters, started } => {
                 if *remaining == 0 {
-                    let span = log.next_span(spans)?;
+                    let span = spans.next()?;
+                    *started += 1;
                     *cur = span.start_pa;
                     *remaining = span.len;
                     *first_iters = span.iterations;
@@ -723,22 +629,10 @@ impl WalkCursor {
         }
     }
 
-    /// The span just completed, when the cursor sits at a span boundary
-    /// after at least one span.
-    fn last_span(&self) -> Option<AgenSpan> {
-        match self {
-            WalkCursor::Spanned { cur, remaining: 0, log, .. } if log.started > 0 => {
-                let (len, iterations) = log.recent[log.recent_at];
-                Some(AgenSpan { start_pa: *cur - len * BLOCK_BYTES, len, iterations })
-            }
-            _ => None,
-        }
-    }
-
     /// Spans started so far (0 for the naive walk).
     fn spans_started(&self) -> u64 {
         match self {
-            WalkCursor::Spanned { log, .. } => log.started,
+            WalkCursor::Spanned { started, .. } => *started,
             WalkCursor::Naive(_) => 0,
         }
     }
@@ -746,118 +640,37 @@ impl WalkCursor {
     /// Key-equality tests evaluated for stretches so far.
     fn key_tests(&self) -> u64 {
         match self {
-            WalkCursor::Spanned { spans: SpanSource::Program(p), log, .. } => log.tests + p.key_tests,
-            WalkCursor::Spanned { log, .. } => log.tests,
-            WalkCursor::Naive(_) => 0,
+            WalkCursor::Spanned { spans: SpanSource::Program(p), .. } => p.key_tests,
+            _ => 0,
         }
     }
 
-    /// At a span boundary, count the upcoming spans that repeat the key
-    /// pattern of the span just completed (`keys.same(last, next)`, an
-    /// equivalence). Inside a replayed window the span program's skeleton
-    /// tables answer ([`SpanProgram::stretch`]). A window walked live
-    /// (cold, or at a range edge) looks ahead instead, at most 128 spans:
-    /// looked-ahead spans are kept and yielded in order, so the walk's
-    /// output and its generator's work do not change, and later boundaries
-    /// of the same stretch reuse the count and the span found to break it.
-    /// `None` off a boundary.
-    pub(crate) fn stretch(&mut self, keys: &KeyTest) -> Option<Stretch> {
-        let r = self.last_span()?;
-        let WalkCursor::Spanned { spans, log, .. } = self else { return None };
-        if let (true, SpanSource::Program(p)) = (log.ahead.is_empty(), &mut *spans) {
-            if let Some(t) = p.stretch() {
-                return Some(Stretch {
-                    spans: t.spans,
-                    len: t.len,
-                    max_iters: t.max_iters,
-                    after: t.after,
-                    next: t.next,
-                    exact: true,
-                });
-            }
+    /// At a span boundary, the upcoming spans that repeat the key pattern
+    /// of the span just completed, read off the span program's skeleton
+    /// tables ([`SpanProgram::stretch`]; a cold window records its table on
+    /// entry). `None` off a boundary and wherever the walk has no table to
+    /// read: a range-edge window, a degenerate or keyless walk, a skeleton
+    /// recorded under another mapping, the live seed walk.
+    pub(crate) fn stretch(&mut self) -> Option<TableStretch> {
+        match self {
+            WalkCursor::Spanned { spans: SpanSource::Program(p), remaining: 0, .. } => p.stretch(),
+            _ => None,
         }
-        loop {
-            if let Some(s) = log.ahead.get(log.ahead_same) {
-                if log.ahead_broken || {
-                    log.tests += 1;
-                    !keys.same(&r, s)
-                } {
-                    log.ahead_broken = true;
-                    break;
-                }
-                log.ahead_same += 1;
-                log.ahead_max = log.ahead_max.max(s.iterations.max(1));
-            } else if log.ahead.len() < STRETCH_LOOKAHEAD {
-                match spans.next() {
-                    Some(s) => log.ahead.push_back(s),
-                    None => break,
-                }
-            } else {
-                break;
-            }
-        }
-        Some(Stretch {
-            spans: log.ahead_same as u64,
-            len: r.len,
-            max_iters: log.ahead_max.max(1),
-            after: log.ahead.get(log.ahead_same).map_or(1, |s| s.len),
-            next: 0,
-            exact: false,
-        })
     }
 
-    /// Skip `n` spans a [`WalkCursor::stretch`] counted, without yielding
-    /// them; returns their exact AGEN charges. Spans the tables promised
-    /// are skipped by index ([`SpanProgram::skip_spans`]), looked-ahead ones are
-    /// popped.
+    /// Skip `n` spans a [`WalkCursor::stretch`] promised, by index
+    /// ([`SpanProgram::skip_spans`]), without yielding them; returns their
+    /// exact AGEN charges.
     pub(crate) fn skip_spans(&mut self, n: u64, bubble_over: u64) -> Skipped {
-        let mut out = Skipped::default();
-        let WalkCursor::Spanned { spans, cur, remaining, first_iters, log } = self else {
-            unreachable!("skip_spans on a naive walk")
+        let WalkCursor::Spanned { spans: SpanSource::Program(p), remaining, started, .. } = self
+        else {
+            unreachable!("skip_spans off a span program")
         };
         debug_assert!(*remaining == 0, "skip off a span boundary");
-        let mut take = |span: &AgenSpan| {
-            out.add(1, span.iterations.max(1), bubble_over);
-            out.add(span.len - 1, 1, bubble_over);
-            *cur = span.start_pa + span.len * BLOCK_BYTES;
-        };
-        match spans {
-            SpanSource::Program(p) if log.ahead.is_empty() => {
-                p.skip_spans(n, |span| {
-                    take(span);
-                    log.started_span(span);
-                });
-            }
-            _ => {
-                debug_assert!(n as usize <= log.ahead_same, "skip past the stretch");
-                for _ in 0..n {
-                    let span = log.next_span(spans).expect("a counted span");
-                    take(&span);
-                }
-            }
-        }
-        *first_iters = 0;
+        let mut out = Skipped::default();
+        p.skip_spans(n, |span| out.round(span.len, span.iterations.max(1), bubble_over));
+        *started += n;
         out
-    }
-
-    /// AGEN charge of the block `back` blocks before the cursor (0 = the
-    /// latest), at a span boundary, while the recent spans back to it all
-    /// have the latest span's length.
-    pub(crate) fn cost_back(&self, back: u64) -> Option<u32> {
-        let WalkCursor::Spanned { remaining: 0, log, .. } = self else { return None };
-        let newest = log.recent[log.recent_at].0;
-        let mut back = back;
-        for i in 0..(log.started as usize).min(RECENT_SPANS) {
-            let (len, head) = log.recent[(log.recent_at + RECENT_SPANS - i) % RECENT_SPANS];
-            if len != newest {
-                return None;
-            }
-            if back < len {
-                return Some(if back == len - 1 { head } else { 1 });
-            }
-            back -= len;
-        }
-        None
     }
 
     /// Skip up to `n` blocks of the current span without yielding them
@@ -940,9 +753,6 @@ pub struct KernelStream<'a> {
     /// A-walk spans of finished cells (round count of the stretch
     /// promise).
     spans_before: u64,
-    /// Consecutive lookahead promises (in windows walked live) that fell
-    /// short: they back off.
-    misses: u32,
     /// Key-equality tests of finished cells' walks.
     tests_before: u64,
     /// Last emitted access address — debug builds verify every block a
@@ -1000,7 +810,6 @@ impl<'a> KernelStream<'a> {
             col_pure: ctx.mapping.column_pure_mask(),
             page: ctx.page_map.clone().filter(|m| m.affects_stream()),
             spans_before: 0,
-            misses: 0,
             tests_before: 0,
             #[cfg(debug_assertions)]
             last_pa: 0,
@@ -1242,15 +1051,12 @@ impl StepSource for KernelStream<'_> {
     /// At an A-walk span boundary (not eCHO, whose rows each relaunch):
     /// the upcoming spans repeating the just-completed span's keys
     /// (same lengths, and address differences that move only the column),
-    /// read off the span program's skeleton tables, or found by looking
-    /// ahead in a window walked live (`WalkCursor::stretch`).
+    /// read off the span program's skeleton tables (`WalkCursor::stretch`).
     /// Short of `min_rounds`, the tables name the boundary where the next
     /// stretch may open, and the promise says how far past its end that
-    /// is ([`RoundHint::after`]). The lookahead knows only the span that
-    /// breaks the pattern: its wait runs to the boundary after it, doubled
-    /// for every further consecutive miss (capped at 64×), so a live walk
-    /// whose keys change every span asks rarely. Off the A-walk, the wait
-    /// runs to the end of the current fill.
+    /// is ([`RoundHint::after`]). A walk with no table to read promises
+    /// nothing and is asked again at the next span boundary. Off the
+    /// A-walk, the wait runs to the end of the current fill.
     fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
         if self.echo || self.stage == KernelStage::Done {
             return Err(u64::MAX);
@@ -1262,38 +1068,28 @@ impl StepSource for KernelStream<'_> {
             return Err(self.fill.as_ref().map_or(1, |it| it.len() as u64 + 1));
         }
         let Some(walk) = self.walk.as_mut() else { return Err(1) };
-        let found = walk.stretch(&self.ctx.keys);
-        let done = self.spans_before + walk.spans_started();
-        let Some(st) = found else {
+        let Some(st) = walk.stretch() else {
             return Err(match walk {
                 WalkCursor::Spanned { remaining, .. } => (*remaining).max(1),
                 WalkCursor::Naive(_) => u64::MAX,
             });
         };
-        if st.spans >= min_rounds {
-            self.misses = 0;
-            let after = if st.exact { st.after } else { 0 };
-            let (width, rounds, max_iters, next) = (st.len, st.spans, st.max_iters, st.next);
-            return Ok(RoundHint { done, width, rounds, max_iters, after, next });
-        }
-        if st.exact {
+        if st.spans < min_rounds {
             return Err((st.spans * st.len + st.after).max(1));
         }
-        let wait = (st.spans * st.len + st.after) << self.misses.min(6);
-        self.misses += 1;
-        Err(wait)
+        Ok(RoundHint {
+            done: self.spans_before + walk.spans_started(),
+            width: st.len,
+            rounds: st.spans,
+            max_iters: st.max_iters,
+            after: st.after,
+            next: st.next,
+        })
     }
 
     fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
         let walk = self.walk.as_mut().expect("a promise implies an A-walk");
         walk.skip_spans(n, bubble_over)
-    }
-
-    fn cost_back(&self, back: u64) -> Option<u32> {
-        match self.stage {
-            KernelStage::Gemm if self.queued.is_none() => self.walk.as_ref()?.cost_back(back),
-            _ => None,
-        }
     }
 
     fn key_tests(&self) -> u64 {
@@ -1524,15 +1320,11 @@ pub struct PagedSteps<S> {
     cur_vpn: Option<u64>,
     /// Physical base of `cur_vpn`'s frame.
     frame: u64,
-    /// Blocks taken from `inner` (pulled or skipped), and the index of the
-    /// first block in the current page (the one charged the PTW).
-    taken: u64,
-    entered: u64,
 }
 
 impl<S> PagedSteps<S> {
     pub fn new(inner: S, map: PageMap, charge_ptw: bool) -> Self {
-        Self { inner, map, charge_ptw, cur_vpn: None, frame: 0, taken: 0, entered: 0 }
+        Self { inner, map, charge_ptw, cur_vpn: None, frame: 0 }
     }
 }
 
@@ -1552,9 +1344,7 @@ impl<S: Iterator<Item = Step>> Iterator for PagedSteps<S> {
                     }
                     self.cur_vpn = Some(vpn);
                     self.frame = self.map.translate(pa) & !self.map.page_mask();
-                    self.entered = self.taken;
                 }
-                self.taken += 1;
                 let pa = self.frame | (pa & self.map.page_mask());
                 Step::Access { pa, write, cat, agen_iters, compute }
             }
@@ -1571,33 +1361,17 @@ impl<S: StepSource> StepSource for PagedSteps<S> {
     // Skipped blocks were promised by a page-clipped hint, so they share
     // the anchor's page: `cur_vpn` is already theirs.
     fn take_run(&mut self, n: u64) -> u64 {
-        let k = self.inner.take_run(n);
-        self.taken += k;
-        k
+        self.inner.take_run(n)
     }
 
     // Round promises are page-clipped too: skipped rounds never leave the
-    // pages of the round just pulled.
+    // pages of the round just pulled, so none of them pays a page walk.
     fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
         self.inner.round_hint(min_rounds)
     }
 
     fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
-        let out = self.inner.skip_rounds(n, bubble_over);
-        self.taken += out.blocks;
-        out
-    }
-
-    // The block that entered the current page also paid the page walk;
-    // blocks before it are not tracked.
-    fn cost_back(&self, back: u64) -> Option<u32> {
-        let ix = self.taken.checked_sub(back + 1)?;
-        let walk = match self.charge_ptw {
-            true if ix < self.entered => return None,
-            true if ix == self.entered => self.map.ptw_cycles(),
-            _ => 0,
-        };
-        Some(self.inner.cost_back(back)? + walk)
+        self.inner.skip_rounds(n, bubble_over)
     }
 
     fn key_tests(&self) -> u64 {
@@ -2394,14 +2168,18 @@ mod tests {
     /// spans it then skips, against the span-by-span reference: the key
     /// test spelled out on decoded coordinates down the cell's live spans,
     /// and `Skipped` summed span by span.
-    /// Windows the first walk records replay from their stretch tables in
-    /// the second, while range edges and cold windows walk live and look
-    /// ahead. A promise never overstates the stretch; the tables stop short
-    /// of it only where they say they cannot see past (`after == 0`), and
-    /// the lookahead only at its cap; no stretch opens before the wait the
-    /// tables give; skipped charges and the blocks after a skip match the
-    /// reference exactly. Returns the spans the tables promised and the
-    /// skips that crossed into another window.
+    /// Every boundary after a span of a window that lies fully in the
+    /// walked range answers from its stretch table, on the first walk (a
+    /// cold window records its table on entry) as on the second; a
+    /// range-edge window's boundaries answer nothing (a window whose state
+    /// a walk under another key test, or none, recorded first would answer
+    /// nothing either; no other walk in this suite shares these states). A
+    /// promise never overstates the stretch, and stops short of it only
+    /// where the tables say they cannot see past (`after == 0`); no stretch
+    /// opens before the wait the tables give; skipped charges, the head
+    /// charges of the last spans skipped, and the blocks after a skip match
+    /// the reference exactly. Returns the spans the tables promised and the skips that
+    /// crossed into another window.
     fn check_stretches(
         s: &SystemConfig,
         spec: GemmSpec,
@@ -2445,47 +2223,57 @@ mod tests {
                 let r = &reference[i];
                 reference[i + 1..].iter().take_while(|s| same(r, s)).count() as u64
             };
-            let jumps = |w: &WalkCursor| match w {
-                WalkCursor::Spanned { spans: SpanSource::Program(p), .. } => p.window_jumps,
-                _ => 0,
+            let program = |w: &WalkCursor| match w {
+                WalkCursor::Spanned { spans: SpanSource::Program(p), .. } => {
+                    (p.window_jumps, p.window_bytes())
+                }
+                _ => unreachable!("the production walk replays"),
+            };
+            // Whether span `r`'s window lies fully in the walked range.
+            let in_range = |r: &AgenSpan, window: Option<u64>| {
+                window.is_some_and(|wb| {
+                    let base = r.start_pa & !(wb - 1);
+                    base >= ctx.layout.base && base + wb <= ctx.layout.end()
+                })
             };
             for _ in 0..2 {
                 let mut w = ctx.walk_stream(s.agen, pim, grp, 0, 0);
+                let window = program(&w).1;
                 let mut ix = 0;
                 loop {
+                    let answer = (ix > 0).then(|| w.stretch()).flatten();
                     if ix > 0 {
-                        let st = w.stretch(&keys).expect("a span boundary");
+                        let tabled = in_range(&reference[ix - 1], window);
+                        assert_eq!(answer.is_some(), tabled, "span {}", ix);
+                    }
+                    if let Some(st) = answer {
                         let full = repeats(ix - 1);
                         assert!(st.spans <= full, "span {}: {} > {}", ix, st.spans, full);
                         if st.spans < full {
-                            let capped = st.spans == STRETCH_LOOKAHEAD as u64;
-                            assert!(if st.exact { st.after == 0 } else { capped }, "span {}", ix);
+                            assert_eq!(st.after, 0, "span {}", ix);
                         }
-                        if st.exact {
-                            promised += st.spans;
-                            let opener = ix + st.spans as usize;
-                            if st.next > 0 {
-                                assert_eq!(st.after, reference[opener].len, "span {}", ix);
-                                assert!(repeats(opener) >= st.next, "span {}", ix);
-                            }
-                            let (mut j, mut blocks) = (ix + st.spans as usize, 0);
-                            while j < reference.len() && blocks + reference[j].len < st.after {
-                                blocks += reference[j].len;
-                                assert_eq!(repeats(j), 0, "span {} opens before the wait", j);
-                                j += 1;
-                            }
+                        promised += st.spans;
+                        let opener = ix + st.spans as usize;
+                        if st.next > 0 {
+                            assert_eq!(st.after, reference[opener].len, "span {}", ix);
+                            assert!(repeats(opener) >= st.next, "span {}", ix);
+                        }
+                        let (mut j, mut blocks) = (ix + st.spans as usize, 0);
+                        while j < reference.len() && blocks + reference[j].len < st.after {
+                            blocks += reference[j].len;
+                            assert_eq!(repeats(j), 0, "span {} opens before the wait", j);
+                            j += 1;
                         }
                         let n = draw(st.spans + 1);
                         if n > 0 {
-                            let before = jumps(&w);
+                            let before = program(&w).0;
                             let got = w.skip_spans(n, 4);
                             let mut want = Skipped::default();
                             for sp in &reference[ix..ix + n as usize] {
-                                want.add(1, sp.iterations.max(1), 4);
-                                want.add(sp.len - 1, 1, 4);
+                                want.round(sp.len, sp.iterations.max(1), 4);
                             }
                             assert_eq!(got, want, "skip {} at span {}", n, ix);
-                            crossed += (jumps(&w) > before) as u64;
+                            crossed += (program(&w).0 > before) as u64;
                             ix += n as usize;
                             continue;
                         }

@@ -22,9 +22,11 @@
 //! kernel blocks by closed-form mechanism, the localization and reduction
 //! blocks with the share issued in verified periods, and each phase's host
 //! time summed over the slice's power-of-two parts, as the minimum of `R`
-//! passes (default 3); then one row per (level, N) with the kernel's
-//! promise checks by outcome and key-equality tests (first pass, which
-//! records the span skeletons and builds their stretch tables).
+//! passes (default 3). The kernel's stretch and tail shares are printed for
+//! the first pass, which records the span skeletons and builds their
+//! stretch tables, and for the last, which replays them; the other columns
+//! are the first pass's. Then one row per (level, N) and pass (first, last)
+//! with the kernel's promise checks by outcome and key-equality tests.
 //! Contexts are built once, before timing; every pass runs the serial
 //! engine on fresh memory.
 
@@ -239,12 +241,13 @@ fn checks_line(c: &CheckCounts) -> String {
 fn table1_slices(sys: &SystemConfig, passes: usize) {
     println!(
         "80 Table-I GEMMs, power-of-two parts, serial engine; host ms are the minimum of {passes} \
-         passes"
+         passes; 'last' columns are the last pass's kernel shares"
     );
     println!(
-        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} {:>8} {:>8}",
-        "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "loc", "jumped",
-        "red", "jumped", "loc ms", "kern ms", "red ms",
+        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} \
+         {:>8} {:>8}",
+        "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "last str",
+        "last tl", "loc", "jumped", "red", "jumped", "loc ms", "kern ms", "red ms",
     );
     let mut checks = Vec::new();
     for level in [PimLevel::BankGroup, PimLevel::Device] {
@@ -257,7 +260,7 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
             let ctxs: Vec<GemmContext> =
                 parts.iter().map(|p| GemmContext::build(sys, p, &opts)).collect();
             let mut best = [f64::INFINITY; 3];
-            let mut total = [PhaseOut::default(); 3];
+            let (mut first, mut last) = ([PhaseOut::default(); 3], [PhaseOut::default(); 3]);
             for pass in 0..passes {
                 let mut sum = [PhaseOut::default(); 3];
                 for ctx in &ctxs {
@@ -268,22 +271,26 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                     *b = b.min(s.ms);
                 }
                 if pass == 0 {
-                    total = sum;
+                    first = sum;
                 }
+                last = sum;
             }
-            let [loc, k, red] = &total;
-            let closed = |b: u64| format!("{:.1}%", share(b, k.blocks));
+            let [loc, k, red] = &first;
+            let closed = |k: &PhaseOut, b: u64| format!("{:.1}%", share(b, k.blocks));
             let jumped = |p: &PhaseOut| format!("{:.1}%", share(p.jumped, p.blocks));
             println!(
-                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8.1} {:>8.1} {:>8.1}",
+                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>9} \
+                 {:>8} {:>8.1} {:>8.1} {:>8.1}",
                 level.tag(),
                 n,
                 parts.len(),
                 k.blocks,
                 k.awalk,
-                closed(k.stretch),
+                closed(k, k.stretch),
                 format!("{:.1}%", share(k.stretch, k.awalk)),
-                closed(k.tail),
+                closed(k, k.tail),
+                closed(&last[1], last[1].stretch),
+                closed(&last[1], last[1].tail),
                 loc.blocks,
                 jumped(loc),
                 red.blocks,
@@ -292,11 +299,14 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                 best[1],
                 best[2],
             );
-            checks.push((level, n, k.checks, k.key_tests));
+            checks.push((level, n, [first[1], last[1]]));
         }
     }
-    println!("kernel promise checks (first pass)");
-    for (level, n, c, tests) in checks {
-        println!("{:<6} {:>3}  {}; {tests} key tests", level.tag(), n, checks_line(&c));
+    println!("kernel promise checks");
+    for (level, n, ks) in checks {
+        for (pass, k) in ["first", "last"].iter().zip(ks) {
+            let line = checks_line(&k.checks);
+            println!("{:<6} {:>3} {pass:<5}  {line}; {} key tests", level.tag(), n, k.key_tests);
+        }
     }
 }
