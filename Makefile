@@ -17,7 +17,9 @@ doc:
 
 # The engine equivalence matrix (the observable scheduling arms — serial,
 # parallel, traced, refresh, subset, the periodic transfer and kernel jumps
-# — x {backend, reduce-via, paging} vs the frozen seed), the transfer-jump
+# — x {backend, reduce-via, paging} vs the frozen seed), the admitted-run
+# differential suite (hinted runs and run tails vs the per-block engine,
+# and the run-tail share of a StepStone-BG kernel), the transfer-jump
 # differential suite (channel-private localization/reduction phases vs a
 # traced reference), the kernel-jump differential suite (exclusive kernel
 # phases vs a promise-free and a traced reference), the window-successor
@@ -28,6 +30,7 @@ doc:
 # the debug_assert slowdown on the larger shapes.
 matrix:
 	cargo test --release -p stepstone --test engine_matrix -q
+	cargo test --release -p stepstone-core --test run_granular -q
 	cargo test --release -p stepstone-core --test transfer_jump -q
 	cargo test --release -p stepstone-core --test kernel_jump -q
 	cargo test --release -p stepstone-addr --test window_successor -q

@@ -298,17 +298,23 @@ mod tests {
     #[test]
     fn analytic_tracks_exact_within_error_band() {
         // The committed cross-validation: the closed-form tier lands
-        // within a bounded ratio of the exact model on small shapes.
+        // within a per-level band of the exact model on small shapes. It
+        // reads StepStone-BG at 0.86–0.93 of exact and StepStone-DV at
+        // 1.25–1.38 (table in docs/perf.md); each band leaves at least
+        // 0.05 of margin on either side.
         let exact = SystemConfig::default();
         let fast = SystemConfig::default().with_backend(BackendKind::Analytic);
-        for (m, k, n) in [(1024, 4096, 1), (1024, 4096, 16), (512, 2048, 4)] {
-            let e = run(&exact, m, k, n, PimLevel::BankGroup).total as f64;
-            let a = run(&fast, m, k, n, PimLevel::BankGroup).total as f64;
-            let ratio = a / e;
-            assert!(
-                (0.5..2.0).contains(&ratio),
-                "{m}x{k} n={n}: analytic/exact = {ratio:.3} (a={a} e={e})"
-            );
+        let bands = [(PimLevel::BankGroup, 0.80..1.00), (PimLevel::Device, 1.15..1.50)];
+        for (level, band) in bands {
+            for (m, k, n) in [(1024, 4096, 1), (1024, 4096, 16), (512, 2048, 4)] {
+                let e = run(&exact, m, k, n, level).total as f64;
+                let a = run(&fast, m, k, n, level).total as f64;
+                let ratio = a / e;
+                assert!(
+                    band.contains(&ratio),
+                    "{level:?} {m}x{k} n={n}: analytic/exact = {ratio:.3} (a={a} e={e})"
+                );
+            }
         }
     }
 

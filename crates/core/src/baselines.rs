@@ -21,7 +21,7 @@ use crate::flow::{chain_pow2, fresh_memory, GemmContext, SimOptions};
 use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::{PimLevel, RegionPlan, StepStoneAgen};
-use stepstone_dram::{CommandBus, MemoryBackend, TrafficSource};
+use stepstone_dram::{CommandBus, TimingState, TrafficSource};
 #[cfg(test)]
 use stepstone_dram::Port;
 use stepstone_pim::{KernelGranularity, LocalizationMode, PimLevelConfig};
@@ -49,8 +49,8 @@ pub fn simulate_pei(
     })
 }
 
-fn simulate_pei_engine<B: MemoryBackend>(
-    ts: &mut B,
+fn simulate_pei_engine(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     sys: &SystemConfig,
     opts: &SimOptions,
@@ -158,8 +158,8 @@ pub fn simulate_ncho(
     })
 }
 
-fn simulate_ncho_engine<B: MemoryBackend>(
-    ts: &mut B,
+fn simulate_ncho_engine(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     sys: &SystemConfig,
     spec: &GemmSpec,

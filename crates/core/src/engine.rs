@@ -8,9 +8,8 @@
 //! backend stay approximately time-ordered while PIM units with disjoint
 //! bank partitions proceed concurrently.
 //!
-//! The engine core is generic over [`MemoryBackend`], whose one
-//! implementor is the exact [`TimingState`](stepstone_dram::TimingState)
-//! Table-II model; everything monomorphizes to its inherent calls.
+//! The engine drives the one DRAM model, the exact Table-II
+//! [`TimingState`].
 //!
 //! The per-unit model implements the paper's pipeline semantics (§III-A,
 //! §V-C): a 20-deep execution pipeline hides DRAM and AGEN latency; the
@@ -24,7 +23,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, MemoryBackend, Port, RunReply, TimingParams, TrafficSource,
+    CasKind, CommandBus, DramStats, Port, RunReply, TimingParams, TimingState, TrafficSource,
 };
 
 /// Fallback-cause indices for [`RunCounters::fallback`]: why a block was
@@ -1405,11 +1404,11 @@ impl<'a> UnitCursor<'a> {
     ///   for any number of rounds to jump ([`UnitCursor::kernel_round`]).
     ///
     /// The memory takes the periods' row hits in one closed-form commit
-    /// ([`MemoryBackend::commit_round_hits`]) of the last period's issues,
+    /// ([`TimingState::commit_round_hits`]) of the last period's issues,
     /// each key at its last CAS plus the periods' shift. No snapshot of
     /// the memory is taken.
     #[inline(never)]
-    fn round_jump<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
+    fn round_jump(&mut self, ts: &mut TimingState, mapping: &XorMapping) -> bool {
         if self.peeked.is_some() || self.run_left > 0 {
             self.checks.no_promise += 1;
             return false;
@@ -1606,9 +1605,9 @@ impl<'a> UnitCursor<'a> {
     /// pulled does not carry records no mark: the next boundary cannot
     /// jump, and the check waits for the one before the first that can
     /// ([`UnitCursor::round_ring_wait`]).
-    fn kernel_round<B: MemoryBackend>(
+    fn kernel_round(
         &mut self,
-        ts: &B,
+        ts: &TimingState,
         mapping: &XorMapping,
         hint: &RoundHint,
     ) -> Option<(usize, u64, u64)> {
@@ -1844,9 +1843,9 @@ impl<'a> UnitCursor<'a> {
     /// [`UnitCursor::window_scope_uniform`]; additionally requires the
     /// front to be a row *hit* — a row-conflict front can legitimately lose
     /// to a later entry whose bank precharges earlier).
-    fn advance_one<B: MemoryBackend>(
+    fn advance_one(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
@@ -1979,7 +1978,7 @@ impl<'a> UnitCursor<'a> {
     /// steady row-hit run may stream arbitrarily far ahead of other units'
     /// scheduler turns: the FR-FCFS selection is provably the front entry
     /// (see `UnitCursor::window_scope_uniform`), the closed-form CAS
-    /// cadence of [`MemoryBackend::access_run_stream`] is exact, and same-row
+    /// cadence of [`TimingState::access_run_stream`] is exact, and same-row
     /// CAS commands read and write only the unit's own bank and datapath
     /// stamps — so commits from other (lagging) units cannot change them,
     /// and batch-issuing the whole run commutes with the per-block
@@ -1996,9 +1995,10 @@ impl<'a> UnitCursor<'a> {
     /// `UnitCursor::stretch_due`); any other round ends the run, and the
     /// batch loop checks it (see `UnitCursor::jump_due`). Every issue is
     /// followed by one pull, so the wait counts issues.
-    pub fn advance_batch<B: MemoryBackend>(
+    #[inline]
+    pub fn advance_batch(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
@@ -2122,7 +2122,7 @@ impl<'a> UnitCursor<'a> {
     /// promise, and check the promise when it is due
     /// ([`UnitCursor::round_jump`]); returns whether it jumped.
     #[inline]
-    fn jump_due<B: MemoryBackend>(&mut self, ts: &mut B, mapping: &XorMapping) -> bool {
+    fn jump_due(&mut self, ts: &mut TimingState, mapping: &XorMapping) -> bool {
         if self.period.is_none() {
             return false;
         }
@@ -2190,8 +2190,8 @@ fn scope_mask(mapping: &XorMapping) -> u64 {
 /// key is probed at some not-before, no later entry of that key with a not
 /// earlier one can win, and is skipped (window stamps are nondecreasing,
 /// so every key is probed once).
-fn fr_fcfs_pick<B: MemoryBackend>(
-    ts: &B,
+fn fr_fcfs_pick(
+    ts: &TimingState,
     window: &VecDeque<WinEntry>,
     port: Port,
     base_nb: u64,
@@ -2260,9 +2260,9 @@ impl<'a> TrafficCursor<'a> {
         Some(self.arrival)
     }
 
-    fn advance<B: MemoryBackend>(
+    fn advance(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
     ) {
@@ -2280,9 +2280,10 @@ impl<'a> TrafficCursor<'a> {
     /// Serve every tenant request arriving at or before `t` — the serving
     /// loop's idle-gap catch-up between back-to-back PIM passes, when no
     /// phase engine is running to interleave the cursor.
-    pub fn drain_until<B: MemoryBackend>(
+    #[inline]
+    pub fn drain_until(
         &mut self,
-        ts: &mut B,
+        ts: &mut TimingState,
         bus: &mut CommandBus,
         mapping: &XorMapping,
         t: u64,
@@ -2307,8 +2308,9 @@ impl<'a> TrafficCursor<'a> {
 /// [`UnitCursor::exclusive`].
 /// Otherwise every block goes through the exact per-block FR-FCFS probe
 /// scan. Both paths produce identical results.
-pub fn run_phase<B: MemoryBackend>(
-    ts: &mut B,
+#[inline]
+pub fn run_phase(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [UnitCursor],
@@ -2319,8 +2321,8 @@ pub fn run_phase<B: MemoryBackend>(
 }
 
 /// The serial phase engine over a pre-selected set of units.
-fn run_units<B: MemoryBackend>(
-    ts: &mut B,
+fn run_units(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [&mut UnitCursor],
@@ -2424,8 +2426,12 @@ fn run_units<B: MemoryBackend>(
 /// `TrafficCursor` may roam across channels), when command tracing is
 /// active (the trace must stay time-ordered), or when fewer than two
 /// channel groups exist.
-pub fn run_phase_auto<B: MemoryBackend>(
-    ts: &mut B,
+// `#[inline]` here and on the other engine entry points: each calling crate
+// compiles its own copy of the engine loop. With one shared copy, LLVM
+// inlined the per-block helpers differently and simbench ran 3–6% slower.
+#[inline]
+pub fn run_phase_auto(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     mapping: &XorMapping,
     units: &mut [UnitCursor],
@@ -2449,11 +2455,11 @@ pub fn run_phase_auto<B: MemoryBackend>(
         }
     }
     use rayon::prelude::*;
-    let results: Vec<(u32, B, CommandBus, u64)> = groups
+    let results: Vec<(u32, TimingState, CommandBus, u64)> = groups
         .into_par_iter()
         .map(|(ch, mut group)| {
             let mut lts = ts.clone();
-            *lts.stats_mut() = DramStats::default();
+            lts.stats = DramStats::default();
             let mut lbus = bus.clone();
             let end = run_units(&mut lts, &mut lbus, mapping, &mut group, None);
             (ch, lts, lbus, end)
@@ -2462,7 +2468,7 @@ pub fn run_phase_auto<B: MemoryBackend>(
     let mut end = 0;
     for (ch, lts, lbus, group_end) in &results {
         ts.adopt_channel(lts, *ch);
-        ts.stats_mut().merge(lts.stats());
+        ts.stats.merge(&lts.stats);
         bus.adopt_channel(lbus, *ch as usize);
         end = end.max(*group_end);
     }
@@ -2475,7 +2481,6 @@ mod tests {
     use crate::flow::{transfer_cursors, GemmContext, KernelStream};
     use crate::{GemmSpec, SimOptions, SystemConfig};
     use stepstone_addr::PimLevel;
-    use stepstone_dram::TimingState;
     use stepstone_addr::{mapping_by_id, MappingId};
     use proptest::prelude::*;
     use stepstone_dram::{DramConfig, TrafficReq};
@@ -2721,6 +2726,108 @@ mod tests {
         let gap = sys.localization.inter_block_gap();
         let dma = || transfer_cursors(&ctx, &ctx.b_regions, true, Phase::Localization, 0, gap);
         assert!(stands_alike(&sys, dma().swap_remove(0), dma().swap_remove(0)) > 0, "no period");
+    }
+
+    /// A transfer-shaped round source on channel 0: rounds of one block of
+    /// each of two row-hit keys in different bank groups, after a lead
+    /// that opens both rows and, when `stale`, pulls a block of the first
+    /// key's bank on another row. FR-FCFS leaves that row conflict behind
+    /// in the two-entry window while the row hits go on.
+    struct TwoKeyRounds {
+        steps: Vec<Step>,
+        pos: usize,
+        /// Pulls before the first round.
+        lead: usize,
+    }
+
+    impl TwoKeyRounds {
+        const ROUNDS: u32 = 100;
+
+        fn new(mapping: &XorMapping, stale: bool) -> Self {
+            let at = |bankgroup, row, col| {
+                let c = DramCoord { channel: 0, rank: 0, bankgroup, bank: 0, row, col };
+                let (pa, cat) = (mapping.encode(c), Phase::Localization);
+                Step::Access { pa, write: false, cat, agen_iters: 1, compute: false }
+            };
+            let last = mapping.geometry().blocks_per_row - 1;
+            let mut steps = vec![at(0, 1, last), at(1, 1, last)];
+            if stale {
+                steps.push(at(0, 2, 0));
+            }
+            let lead = steps.len();
+            steps.extend((0..Self::ROUNDS).flat_map(|col| [at(0, 1, col), at(1, 1, col)]));
+            Self { steps, pos: 0, lead }
+        }
+    }
+
+    impl Iterator for TwoKeyRounds {
+        type Item = Step;
+
+        fn next(&mut self) -> Option<Step> {
+            let s = self.steps.get(self.pos).copied();
+            self.pos += 1;
+            s
+        }
+    }
+
+    impl StepSource for TwoKeyRounds {
+        fn round_hint(&mut self, min_rounds: u64) -> Result<RoundHint, u64> {
+            let first = self.lead + 2;
+            if self.pos < first {
+                return Err((first - self.pos) as u64);
+            }
+            let pulled = (self.pos - self.lead) as u64;
+            if pulled % 2 == 1 {
+                return Err(1);
+            }
+            let rounds = (self.steps.len() - self.pos) as u64 / 2;
+            if rounds < min_rounds {
+                return Err(u64::MAX);
+            }
+            Ok(RoundHint { done: pulled / 2, width: 2, rounds, max_iters: 1, after: 0, next: 0 })
+        }
+
+        fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> Skipped {
+            self.pos += 2 * n as usize;
+            let mut s = Skipped::default();
+            s.add(2 * n, 1, bubble_over);
+            s
+        }
+    }
+
+    /// A transfer jumps only where its window stands as it stood a period
+    /// earlier, not merely where its last two periods of issues repeat.
+    /// Without the stale row conflict, the two-key rounds jump and leave
+    /// the unit where per-block issues would. With it, the last two rounds
+    /// of issues repeat and the window holds the same keys as a round
+    /// earlier, but the stale entry is two pulls further back each round
+    /// while its AGEN stamp stays put. A jump would keep the one and shift
+    /// the other, so it must not fire.
+    #[test]
+    fn transfer_jump_waits_for_the_window_to_stand() {
+        let sys = SystemConfig::default();
+        let mapping = &sys.mapping();
+        let unit = |stale| {
+            let src = TwoKeyRounds::new(mapping, stale);
+            UnitCursor::transfer_source("dma", 0, Port::Channel, src, 0, 0)
+        };
+        assert!(stands_alike(&sys, unit(false), unit(false)) > 0, "no period jumped");
+        let mut u = unit(true);
+        u.period = Some(Box::default());
+        let (mut ts, mut bus) = crate::flow::fresh_memory(&sys);
+        let mut repeats = 0;
+        while u.desired(mapping).is_some() {
+            let failed = u.checks.failed;
+            assert!(!u.jump_due(&mut ts, mapping), "jumped on a window that does not stand");
+            let tr = u.period.as_deref().expect("granted");
+            let keys = |m: Option<&Mark>| m.map(|m| m.window);
+            let same_keys = keys(tr.before(1).map(|(then, _)| then)) == keys(tr.now());
+            if u.checks.failed > failed && same_keys {
+                repeats += u.ring_period(2).is_some() as u64;
+            }
+            u.advance_one(&mut ts, &mut bus, mapping);
+        }
+        assert!(repeats > 0, "no boundary repeated its issues and keys");
     }
 
     #[test]

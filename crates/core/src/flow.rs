@@ -26,7 +26,7 @@ use stepstone_addr::{
     PagingConfig, PimLevel, RegionIter, RegionPlan, SpanProgram, StepStoneAgen, XorMapping,
     BLOCK_BYTES, BLOCK_SHIFT,
 };
-use stepstone_dram::{BackendKind, CommandBus, MemoryBackend, Port, TimingState, TrafficSource};
+use stepstone_dram::{BackendKind, CommandBus, Port, TimingState, TrafficSource};
 use stepstone_fabric::{FabricState, FabricStats, ReduceVia};
 use stepstone_pim::{
     BufferPlan, KernelGranularity, LocalizationMode, PimLevelConfig, TransferPlan,
@@ -1490,8 +1490,9 @@ pub fn simulate_pow2_gemm_ctx(
 /// Kernel attribution takes the critical-path (max) PIM per category
 /// within a round and sums across rounds ([`LatencyReport::chain`]
 /// semantics).
-pub fn simulate_pow2_gemm_resident<B: MemoryBackend>(
-    ts: &mut B,
+#[inline]
+pub fn simulate_pow2_gemm_resident(
+    ts: &mut TimingState,
     bus: &mut CommandBus,
     sys: &SystemConfig,
     opts: &SimOptions,

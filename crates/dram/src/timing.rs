@@ -203,6 +203,17 @@ impl DramStats {
 }
 
 /// The shared timing state of the whole DRAM system.
+///
+/// The engine drives it **execute-and-stall**, never latency-query: it asks
+/// the model to *perform* each access or closed-form commit and learns when
+/// the data moved. The DRAMsim3-integration postmortems that seeded this
+/// design (SNIPPETS.md) found latency-query interfaces over stateful memory
+/// models wrong by construction: the answer changes as soon as any other
+/// access commits. Every timing call either commits state (`access`,
+/// `access_run_stream`, `commit_round_hits`, `adopt_channel`) or is the
+/// non-committing estimate FR-FCFS front selection uses (`probe`), and a
+/// closed-form commit is verified by the engine from the unit's own issues,
+/// never by reading the model's timing state back.
 #[derive(Debug, Clone)]
 pub struct TimingState {
     cfg: DramConfig,
@@ -258,6 +269,11 @@ impl TimingState {
         &self.cfg
     }
 
+    /// Aggregate statistics committed so far.
+    pub fn stats(&self) -> &DramStats {
+        &self.stats
+    }
+
     /// Start recording all issued commands for auditing.
     pub fn enable_trace(&mut self) {
         self.trace = Some(CommandTrace::default());
@@ -287,7 +303,7 @@ impl TimingState {
     /// clone of `self` advanced independently). Channels share no timing
     /// state — banks, ranks, and all three path kinds are channel-major —
     /// so per-channel simulation followed by adoption is exact. Statistics
-    /// are *not* adopted; merge [`TimingState::stats`] separately.
+    /// are *not* adopted; merge [`TimingState::stats()`] separately.
     pub fn adopt_channel(&mut self, other: &TimingState, ch: u32) {
         assert_eq!(self.cfg.geom, other.cfg.geom, "adopt_channel requires identical geometry");
         let [banks, ranks, p_ch, p_rk, p_bg] = self.channel_ranges(ch);

@@ -38,7 +38,7 @@ use stepstone_core::engine::{
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
-use stepstone_dram::{CommandBus, DramConfig, MemoryBackend, TimingState};
+use stepstone_dram::{CommandBus, DramConfig, TimingState};
 
 fn main() {
     let mut dims: Vec<usize> = Vec::new();

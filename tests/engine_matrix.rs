@@ -42,7 +42,7 @@ use stepstone_core::{
     GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig,
     TopologyKind,
 };
-use stepstone_dram::{BackendKind, CommandBus, DramConfig, DramStats, MemoryBackend, TimingState};
+use stepstone_dram::{BackendKind, CommandBus, DramConfig, DramStats, TimingState};
 use stepstone_workloads::SyntheticTraffic;
 
 fn assert_reports_equal(a: &LatencyReport, b: &LatencyReport, what: &str) {
