@@ -1,131 +1,57 @@
 //! End-to-end simulator hot-path benchmark: the streaming engine (with and
 //! without per-channel parallel sharding) vs the seed's
-//! materialize-then-replay path, on a paper-scale GEMM.
+//! materialize-then-replay path, on a paper-scale GEMM, followed by the
+//! sections that pin the rest of the simulator's output (sub-paper shape,
+//! backend tiers and DRAM presets, serving, fabric, paging).
 //!
-//! Emits `BENCH_sim.json` (in the working directory) so the perf
-//! trajectory of the simulation hot path is tracked from PR to PR:
+//! Writes `BENCH_sim.json` in the working directory; the README's "Reading
+//! `BENCH_sim.json`" says what each section means. The paper-shape
+//! wall-clock figures are medians of interleaved repeated runs, every run
+//! printed: each mode's `wall_ns` and `speedup_streaming_vs_seed` over 3
+//! seed/streaming pairs (`streaming-serial` over the 5 serial runs of the
+//! parallel/serial pairs), and `speedup_parallel_vs_serial` over those 5
+//! pairs. The deterministic span-program and run-granularity counters are
+//! recorded for the paper-scale streaming-serial run (`agen_counters`,
+//! `run_counters`) and the sub-paper warm run (`subpaper`), and the serial
+//! and parallel engines must agree on them.
 //!
-//! ```json
-//! {
-//!   "bench": "sim_hot_path",
-//!   "config": {"m":…, "k":…, "n":…, "level":"BG", "pims":…, "threads":…},
-//!   "runs": [{"mode":…, "wall_ns":…, "blocks":…, "ns_per_block":…,
-//!             "sim_cycles":…, "peak_resident_steps":…}, …],
-//!   "region_addrs": {"materialized":…, "resident":…, "drop":…},
-//!   "speedup_streaming_vs_seed": …,
-//!   "speedup_parallel_vs_serial": …,
-//!   "subpaper": {"m":…, "k":…, "n":…, "cold_ns_per_block":…,
-//!                "warm_ns_per_block":…, "seed_ns_per_block":…,
-//!                "speedup_warm_vs_seed":…, "agen_ns_per_span":…,
-//!                "cache_resident_spans":…,
-//!                "span_cache_hits":…, "span_cache_misses":…,
-//!                "boundary_successors":…, "window_jumps":…,
-//!                "run_counters": {…}, "cycle_exact": true},
-//!   "agen_counters": {"live_spans":…, "replayed_spans":…,
-//!                     "window_jumps":…, "boundary_successors":…,
-//!                     "skeleton_hits":…, "skeleton_misses":…},
-//!   "run_counters": {"runs":…, "run_blocks":…, "mean_run_len":…,
-//!                    "hist": […], "fallback": {"refresh":…, "row":…,
-//!                    "trace":…, "traffic":…, "other":…}},
-//!   "backends": {"exact": {"wall_ns":…, "sim_cycles":…},
-//!                "analytic": {"wall_ns":…, "sim_cycles":…,
-//!                             "cycles_ratio_vs_exact":…, "speedup_vs_exact":…},
-//!                "speedup_floor": 20.0,
-//!                "presets": [{"name":…, "sim_cycles":…, "clock_hz":…,
-//!                             "seconds":…}, …]},
-//!   "serving": {"requests": 1000, "mix": {…}, "queue_cap":…,
-//!               "max_batch_requests":…, "cost_table_entries":…,
-//!               "sweep": [{"mean_gap_cycles":…, "p50":…, "p95":…, "p99":…,
-//!                          "served":…, "rejected":…, "batches":…,
-//!                          "pim_batches":…, "mean_queue_depth":…,
-//!                          "channel_utilization":…,
-//!                          "internal_data_cycles":…}, …],
-//!               "knee_index":…, "knee_factor": 3.0,
-//!               "serial_equals_parallel": true,
-//!               "warm_vs_cold": {"requests":…, "warm_wall_ns":…,
-//!                                "cold_wall_ns":…, "speedup":…,
-//!                                "speedup_floor": 1.2, "cycle_exact": true,
-//!                                "session_contexts":…, "session_hits":…,
-//!                                "session_misses":…}},
-//!   "fabric": {"nodes":…, "link_bytes_per_cycle":…, "link_latency":…,
-//!              "host_dma": {"total_cycles":…, "reduce_cycles":…},
-//!              "topologies": [{"topology": "ring", "total_cycles":…,
-//!                              "reduce_cycles":…, "fabric_cycles":…,
-//!                              "bytes_injected":…, "peak_link_gbps":…,
-//!                              "links": [{"src":…, "dst":…, "bytes":…,
-//!                                         "busy_cycles":…, "messages":…,
-//!                                         "peak_demand_bytes":…,
-//!                                         "gbps":…}, …]}, …],
-//!              "dram_identical": true},
-//!   "paging": {"baseline_sim_cycles":…,
-//!              "identity": {"page_bytes": 4096, "sim_cycles":…,
-//!                           "bit_identical": true},
-//!              "arms": [{"page_bytes":…, "wall_ns":…, "sim_cycles":…,
-//!                        "ns_per_block":…, "cycles_vs_baseline":…,
-//!                        "run_counters": {…},
-//!                        "sampled": {"blocks":…, "runs":…,
-//!                                    "mean_run_len":…, "page_splits":…,
-//!                                    "locality_vs_native":…}}, …],
-//!              "native_sampled_mean_run_len":…},
-//!   "cycle_exact": true
-//! }
-//! ```
-//!
-//! The paper-shape wall-clock figures `make bench-smoke` gates are
-//! medians of interleaved repeated runs, every run printed: each mode's
-//! `wall_ns` and `speedup_streaming_vs_seed` over 3 seed/streaming pairs
-//! (`streaming-serial` over the 5 serial runs of the parallel/serial
-//! pairs), and `speedup_parallel_vs_serial` over those 5 pairs.
-//!
-//! The `subpaper` section tracks the Table-I serving shapes (batch-scale
-//! GEMMs) where AGEN, not DRAM timing, dominates: `cold` is the first
-//! simulation of the shape (span-program cache empty), `warm` the second —
-//! the steady state of repeated layers — and `agen_ns_per_span` times the
-//! production span generator alone across every Algorithm-1 cell
-//! (best-of-N to damp host noise; regression-gated by `make bench-smoke`).
-//! Span-program *counters* (deterministic, unlike wall time) are recorded
-//! twice: `agen_counters` for the paper-scale streaming-serial run and the
-//! `subpaper` hit/miss/boundary fields for the warm span-generation pass —
-//! `make bench-smoke` gates the paper-scale `boundary_successors` count so
-//! a window-successor or skeleton-cache regression cannot hide in host
-//! noise. Run-granularity counters (PR 6) are recorded the same way:
-//! `run_counters` holds the paper-scale streaming-serial admission stats
-//! (runs, blocks-per-run histogram, per-block fallback splits by cause),
-//! the `subpaper` section its warm-run equivalent — both deterministic,
-//! both checked for serial/parallel agreement here and exact-match gated
-//! by `make bench-smoke`.
+//! `bench_sim --check <fresh> <committed>` holds a fresh file to the gate
+//! table in `stepstone_bench::gates` and prints one line per failing row;
+//! it exits 1 on a failure and 2 when a file cannot be read as JSON.
 //!
 //! Usage: `bench_sim [--quick] [M K N]`. `--quick` (or
 //! `STEPSTONE_SCALE=quick`) runs a reduced shape for smoke tests.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::time::Instant;
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{PimLevel, StepStoneAgen};
+use stepstone_bench::gates;
 use stepstone_bench::seed_replay::simulate_pow2_gemm_seed;
+use stepstone_bench::Json;
 use stepstone_core::engine::{reset_run_counters, run_counters, RunCounters, FB_LABELS};
 use stepstone_core::flow::KernelStream;
 use stepstone_core::{
-    simulate_gemm_opt, FabricConfig, FabricStats, GemmContext, GemmSpec,
-    LatencyReport, Phase, ReduceVia, SimOptions, SystemConfig, TopologyKind,
+    simulate_gemm_opt, FabricConfig, GemmContext, GemmSpec, LatencyReport, Phase, ReduceVia,
+    SimOptions, SystemConfig, TopologyKind,
 };
 use stepstone_dram::{BackendKind, DramConfig};
 use stepstone_serving::{
     build_cost_table, find_knee, run_serving, sweep_loads, ColdCoster, ServingConfig,
-    ServingReport, SessionCoster,
+    SessionCoster,
 };
 use stepstone_workloads::{OpenLoopArrivals, RequestMix};
 
-struct Run {
-    mode: &'static str,
-    wall_ns: u128,
-    sim_cycles: u64,
-    blocks: u64,
-    peak_resident_steps: u64,
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(i) = args.iter().position(|a| a == "--check") {
+        let [fresh, committed] = &args[i + 1..] else {
+            eprintln!("usage: bench_sim --check <fresh.json> <committed.json>");
+            std::process::exit(2);
+        };
+        std::process::exit(check(fresh, committed));
+    }
     let quick = args.iter().any(|a| a == "--quick")
         || std::env::var("STEPSTONE_SCALE").as_deref() == Ok("quick");
     let dims: Vec<usize> = args.iter().filter_map(|a| a.parse().ok()).collect();
@@ -181,7 +107,6 @@ fn main() {
         "  region addresses: {region_addrs_materialized} materialized -> \
          {region_addrs_resident} resident words ({region_drop:.0}x drop)"
     );
-    let mut runs = Vec::new();
     type SimFn = Box<dyn Fn() -> LatencyReport>;
     let cases: Vec<(&'static str, u64, SimFn)> = vec![
         (
@@ -217,9 +142,10 @@ fn main() {
     // serial run's stats go into the JSON.
     let mut rc_paper = RunCounters::default();
     let mut rc_parallel = RunCounters::default();
-    // The streaming run's full report doubles as the host-DMA reference for
-    // the fabric comparison (same shape, same engine, default reduce path).
-    let mut host_report: Option<LatencyReport> = None;
+    // Each mode's report; the streaming run's doubles as the host-DMA
+    // reference for the fabric comparison (same shape, same engine, default
+    // reduce path).
+    let mut reports = Vec::new();
     for (label, resident, sim) in cases {
         stepstone_addr::agen::reset_agen_counters();
         reset_run_counters();
@@ -233,7 +159,6 @@ fn main() {
             rc_paper = rc;
         } else if label == "streaming" {
             rc_parallel = rc;
-            host_report = Some(report.clone());
         }
         let blocks = report.dram.accesses();
         println!(
@@ -260,34 +185,29 @@ fn main() {
                 fallback_summary(&rc),
             );
         }
-        runs.push(Run {
-            mode: label,
-            wall_ns,
-            sim_cycles: report.total,
-            blocks,
-            peak_resident_steps: resident,
-        });
+        reports.push((label, resident, report));
     }
 
     assert_eq!(
         rc_paper, rc_parallel,
         "run-granularity counters disagree between serial and parallel engines"
     );
+    let exact_cycles = reports[0].2.total;
 
     // ---- sub-paper-scale serving shape (Table-I batch GEMMs) ----
     let sp = subpaper_section(&sys, &serial_sys);
 
-    // ---- continuous serving (PR 8): load sweep + warm-vs-cold sessions ----
+    // ---- continuous serving: load sweep + warm-vs-cold sessions ----
     let sv = serving_section(&sys);
 
-    // ---- inter-device fabric (PR 9): PIM-to-PIM reduce, line vs ring ----
-    let fb = fabric_section(&sys, &spec, &opts, host_report.as_ref().expect("streaming run"));
+    // ---- inter-device fabric: PIM-to-PIM reduce, line vs ring ----
+    let fb = fabric_section(&sys, &spec, &opts, &reports[0].2);
 
-    // ---- VA->PA paging (PR 10): locality preserved per page size ----
-    let pg = paging_section(&sys, &serial_sys, &spec, &opts, runs[0].sim_cycles, &rc_paper);
+    // ---- VA->PA paging: locality preserved per page size ----
+    let pg = paging_section(&sys, &serial_sys, &spec, &opts, exact_cycles, &rc_paper);
 
-    let cycle_exact = runs.windows(2).all(|w| {
-        w[0].sim_cycles == w[1].sim_cycles && w[0].blocks == w[1].blocks
+    let cycle_exact = reports.windows(2).all(|w| {
+        w[0].2.total == w[1].2.total && w[0].2.dram.accesses() == w[1].2.dram.accesses()
     });
     assert!(cycle_exact, "execution modes disagree on simulated cycles/blocks");
     // The wall-clock figures are medians of interleaved repeated runs:
@@ -301,8 +221,8 @@ fn main() {
         time(&sys, &spec, &opts)
     });
     let speedup = median(pairs.iter().map(|(seed, streaming)| seed / streaming));
-    runs[2].wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
-    runs[0].wall_ns = median(pairs.iter().map(|p| p.1)) as u128;
+    let seed_wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
+    let streaming_wall_ns = median(pairs.iter().map(|p| p.1)) as u128;
     println!(
         "  speedup streaming vs seed path: {speedup:.2}x, median of 3 pairs \
          (cycle-exact: {cycle_exact})"
@@ -315,251 +235,97 @@ fn main() {
         || time(&sys, &spec, &opts),
     );
     let par_speedup = median(pairs.iter().map(|(serial, parallel)| serial / parallel));
-    runs[1].wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
+    let serial_wall_ns = median(pairs.iter().map(|p| p.0)) as u128;
     println!(
         "  speedup parallel vs serial engine: {par_speedup:.2}x, median of 5 pairs \
          ({threads} threads); streaming-serial {:.1} ns/block, median of its 5 runs",
-        runs[1].wall_ns as f64 / runs[1].blocks as f64
+        serial_wall_ns as f64 / reports[1].2.dram.accesses() as f64
     );
 
-    // ---- backend tiers (PR 7): analytic fast model + device presets ----
+    // ---- backend tiers: analytic fast model + device presets ----
     // Against the streaming median of the interleaved pairs above.
-    let bk = backends_section(&sys, &spec, &opts, runs[0].wall_ns, runs[0].sim_cycles);
+    let bk = backends_section(&sys, &spec, &opts, streaming_wall_ns, exact_cycles);
 
-    let mut json = String::from("{\n  \"bench\": \"sim_hot_path\",\n");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"m\": {m}, \"k\": {k}, \"n\": {n}, \"level\": \"{}\", \
-         \"pims\": {units}, \"threads\": {threads}}},",
-        level.tag()
-    );
-    json.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"mode\": \"{}\", \"wall_ns\": {}, \"sim_cycles\": {}, \"blocks\": {}, \
-             \"ns_per_block\": {:.2}, \"peak_resident_steps\": {}}}",
-            r.mode,
-            r.wall_ns,
-            r.sim_cycles,
-            r.blocks,
-            r.wall_ns as f64 / r.blocks as f64,
-            r.peak_resident_steps,
-        );
-        json.push_str(if i + 1 < runs.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"region_addrs\": {{\"materialized\": {region_addrs_materialized}, \
-         \"resident\": {region_addrs_resident}, \"drop\": {region_drop:.1}}},"
-    );
-    let _ = writeln!(json, "  \"speedup_streaming_vs_seed\": {speedup:.3},");
-    let _ = writeln!(json, "  \"speedup_parallel_vs_serial\": {par_speedup:.3},");
-    let _ = writeln!(
-        json,
-        "  \"subpaper\": {{\"m\": {}, \"k\": {}, \"n\": {}, \"level\": \"BG\", \
-         \"cold_ns_per_block\": {:.2}, \"warm_ns_per_block\": {:.2}, \
-         \"seed_ns_per_block\": {:.2}, \"speedup_warm_vs_seed\": {:.3}, \
-         \"agen_ns_per_span\": {:.2}, \"cache_resident_spans\": {}, \
-         \"span_cache_hits\": {}, \"span_cache_misses\": {}, \
-         \"boundary_successors\": {}, \"window_jumps\": {}, \
-         \"run_counters\": {}, \"cycle_exact\": {}}},",
-        sp.m,
-        sp.k,
-        sp.n,
-        sp.cold_ns_per_block,
-        sp.warm_ns_per_block,
-        sp.seed_ns_per_block,
-        sp.seed_ns_per_block / sp.warm_ns_per_block,
-        sp.agen_ns_per_span,
-        sp.cache_resident_spans,
-        sp.agen.skeleton_hits,
-        sp.agen.skeleton_misses,
-        sp.agen.boundary_successors,
-        sp.agen.window_jumps,
-        run_counters_json(&sp.run_counters),
-        sp.cycle_exact,
-    );
-    let _ = writeln!(
-        json,
-        "  \"agen_counters\": {{\"live_spans\": {}, \"replayed_spans\": {}, \
-         \"window_jumps\": {}, \"boundary_successors\": {}, \
-         \"skeleton_hits\": {}, \"skeleton_misses\": {}}},",
-        agen_paper.live_spans,
-        agen_paper.replayed_spans,
-        agen_paper.window_jumps,
-        agen_paper.boundary_successors,
-        agen_paper.skeleton_hits,
-        agen_paper.skeleton_misses,
-    );
-    let _ = writeln!(json, "  \"run_counters\": {},", run_counters_json(&rc_paper));
-    json.push_str("  \"backends\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"exact\": {{\"wall_ns\": {}, \"sim_cycles\": {}}},",
-        runs[0].wall_ns, runs[0].sim_cycles,
-    );
-    let _ = writeln!(
-        json,
-        "    \"analytic\": {{\"wall_ns\": {}, \"sim_cycles\": {}, \
-         \"cycles_ratio_vs_exact\": {:.4}, \"speedup_vs_exact\": {:.1}}},",
-        bk.analytic_wall_ns, bk.analytic_cycles, bk.cycles_ratio, bk.speedup,
-    );
-    let _ = writeln!(json, "    \"speedup_floor\": {:.1},", ANALYTIC_SPEEDUP_FLOOR);
-    json.push_str("    \"presets\": [\n");
-    for (i, p) in bk.presets.iter().enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"name\": \"{}\", \"sim_cycles\": {}, \"clock_hz\": {}, \
-             \"seconds\": {:.6}}}",
-            p.name, p.sim_cycles, p.clock_hz, p.seconds,
-        );
-        json.push_str(if i + 1 < bk.presets.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ]\n  },\n");
-    json.push_str("  \"serving\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"requests\": {}, \"mix\": {{\"dlrm\": {:.2}, \"bert\": {:.2}, \"gpt2\": {:.2}}},",
-        sv.requests, sv.mix.dlrm, sv.mix.bert, sv.mix.gpt2,
-    );
-    let _ = writeln!(
-        json,
-        "    \"queue_cap\": {}, \"max_batch_requests\": {}, \"cost_table_entries\": {},",
-        sv.cfg.queue_cap, sv.cfg.max_batch_requests, sv.table_entries,
-    );
-    json.push_str("    \"sweep\": [\n");
-    for (i, (r, gap)) in sv.sweep.iter().zip(sv.gaps).enumerate() {
-        let _ = write!(
-            json,
-            "      {{\"mean_gap_cycles\": {gap:.0}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-             \"served\": {}, \"rejected\": {}, \"batches\": {}, \"pim_batches\": {}, \
-             \"mean_queue_depth\": {:.3}, \"channel_utilization\": {:.4}, \
-             \"internal_data_cycles\": {}}}",
-            r.p50,
-            r.p95,
-            r.p99,
-            r.served,
-            r.rejected,
-            r.batches,
-            r.pim_batches,
-            r.mean_queue_depth,
-            r.channel_utilization,
-            r.internal_data_cycles,
-        );
-        json.push_str(if i + 1 < sv.sweep.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"knee_index\": {}, \"knee_factor\": 3.0, \"serial_equals_parallel\": {},",
-        sv.knee, sv.serial_equals_parallel,
-    );
-    let _ = writeln!(
-        json,
-        "    \"warm_vs_cold\": {{\"requests\": {}, \"warm_wall_ns\": {}, \"cold_wall_ns\": {}, \
-         \"speedup\": {:.2}, \"speedup_floor\": {SERVING_WARM_SPEEDUP_FLOOR:.1}, \
-         \"cycle_exact\": true, \"session_contexts\": {}, \"session_hits\": {}, \
-         \"session_misses\": {}}}",
-        sv.diff_requests,
-        sv.warm_wall_ns,
-        sv.cold_wall_ns,
-        sv.warm_speedup,
-        sv.session_contexts,
-        sv.session_hits,
-        sv.session_misses,
-    );
-    json.push_str("  },\n");
-    json.push_str("  \"fabric\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"nodes\": {}, \"link_bytes_per_cycle\": {}, \"link_latency\": {},",
-        fb.nodes, fb.link_bytes_per_cycle, fb.link_latency,
-    );
-    let _ = writeln!(
-        json,
-        "    \"host_dma\": {{\"total_cycles\": {}, \"reduce_cycles\": {}}},",
-        fb.host_total, fb.host_reduce,
-    );
-    json.push_str("    \"topologies\": [\n");
-    for (i, t) in fb.topos.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"topology\": \"{}\", \"total_cycles\": {}, \"reduce_cycles\": {}, \
-             \"fabric_cycles\": {}, \"bytes_injected\": {}, \"peak_link_gbps\": {:.3},",
-            t.stats.topology,
-            t.total_cycles,
-            t.reduce_cycles,
-            t.stats.reduce_fabric_cycles,
-            t.stats.bytes_injected,
-            t.peak_link_gbps,
-        );
-        json.push_str("       \"links\": [\n");
-        for (j, l) in t.stats.links.iter().enumerate() {
-            let _ = write!(
-                json,
-                "        {{\"src\": {}, \"dst\": {}, \"bytes\": {}, \"busy_cycles\": {}, \
-                 \"messages\": {}, \"peak_demand_bytes\": {}, \"gbps\": {:.3}}}",
-                l.src,
-                l.dst,
-                l.bytes,
-                l.busy_cycles,
-                l.messages,
-                l.peak_demand_bytes,
-                l.gbps_active(fb.clock_hz),
-            );
-            json.push_str(if j + 1 < t.stats.links.len() { ",\n" } else { "\n" });
-        }
-        json.push_str("       ]}");
-        json.push_str(if i + 1 < fb.topos.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    json.push_str("    \"dram_identical\": true\n");
-    json.push_str("  },\n");
-    json.push_str("  \"paging\": {\n");
-    let _ = writeln!(
-        json,
-        "    \"baseline_sim_cycles\": {}, \"identity\": {{\"page_bytes\": 4096, \
-         \"sim_cycles\": {}, \"bit_identical\": {}}},",
-        runs[0].sim_cycles, pg.identity_sim_cycles, pg.identity_bit_identical,
-    );
-    json.push_str("    \"arms\": [\n");
-    for (i, a) in pg.arms.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "      {{\"page_bytes\": {}, \"wall_ns\": {}, \"sim_cycles\": {}, \
-             \"ns_per_block\": {:.2}, \"cycles_vs_baseline\": {:.4}, \
-             \"run_counters\": {},",
-            a.page_bytes,
-            a.wall_ns,
-            a.sim_cycles,
-            a.wall_ns as f64 / a.blocks as f64,
-            a.sim_cycles as f64 / runs[0].sim_cycles as f64,
-            run_counters_json(&a.run_counters),
-        );
-        let _ = write!(
-            json,
-            "       \"sampled\": {{\"blocks\": {}, \"runs\": {}, \"mean_run_len\": {:.2}, \
-             \"page_splits\": {}, \"locality_vs_native\": {:.4}}}}}",
-            a.sampled.blocks,
-            a.sampled.runs,
-            a.sampled.mean_run_len(),
-            a.sampled.page_splits,
-            a.sampled.mean_run_len() / pg.native_mean_run_len,
-        );
-        json.push_str(if i + 1 < pg.arms.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("    ],\n");
-    let _ = writeln!(
-        json,
-        "    \"native_sampled_mean_run_len\": {:.2}\n  }},",
-        pg.native_mean_run_len
-    );
-    let _ = writeln!(json, "  \"cycle_exact\": {cycle_exact}");
-    json.push_str("}\n");
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
+    let walls = [streaming_wall_ns, serial_wall_ns, seed_wall_ns];
+    let runs = reports.iter().zip(walls).map(|((mode, resident, r), wall_ns)| {
+        let blocks = r.dram.accesses();
+        Json::obj([
+            ("mode", (*mode).into()),
+            ("wall_ns", wall_ns.into()),
+            ("sim_cycles", r.total.into()),
+            ("blocks", blocks.into()),
+            ("ns_per_block", Json::fixed(wall_ns as f64 / blocks as f64, 2)),
+            ("peak_resident_steps", (*resident).into()),
+        ])
+    });
+    let doc = Json::obj([
+        ("bench", "sim_hot_path".into()),
+        (
+            "config",
+            Json::obj([
+                ("m", m.into()),
+                ("k", k.into()),
+                ("n", n.into()),
+                ("level", level.tag().into()),
+                ("pims", units.into()),
+                ("threads", threads.into()),
+            ]),
+        ),
+        ("runs", Json::arr(runs)),
+        (
+            "region_addrs",
+            Json::obj([
+                ("materialized", region_addrs_materialized.into()),
+                ("resident", region_addrs_resident.into()),
+                ("drop", Json::fixed(region_drop, 1)),
+            ]),
+        ),
+        ("speedup_streaming_vs_seed", Json::fixed(speedup, 3)),
+        ("speedup_parallel_vs_serial", Json::fixed(par_speedup, 3)),
+        ("subpaper", sp),
+        (
+            "agen_counters",
+            Json::obj([
+                ("live_spans", agen_paper.live_spans.into()),
+                ("replayed_spans", agen_paper.replayed_spans.into()),
+                ("window_jumps", agen_paper.window_jumps.into()),
+                ("boundary_successors", agen_paper.boundary_successors.into()),
+                ("skeleton_hits", agen_paper.skeleton_hits.into()),
+                ("skeleton_misses", agen_paper.skeleton_misses.into()),
+            ]),
+        ),
+        ("run_counters", runs_json(&rc_paper)),
+        ("backends", bk),
+        ("serving", sv),
+        ("fabric", fb),
+        ("paging", pg),
+        ("cycle_exact", cycle_exact.into()),
+    ]);
+    std::fs::write("BENCH_sim.json", format!("{doc}\n")).expect("write BENCH_sim.json");
     println!("  [saved BENCH_sim.json]");
+}
+
+/// `--check`: every failing row of the gate table, one line each; the exit
+/// code is 0 when all hold, 1 on a failure, 2 when a file cannot be read
+/// as JSON.
+fn check(fresh: &str, committed: &str) -> i32 {
+    match gates::check_files(Path::new(fresh), Path::new(committed)) {
+        Err(e) => {
+            eprintln!("bench_sim --check: {e}");
+            2
+        }
+        Ok(failures) if failures.is_empty() => {
+            println!("bench_sim --check: {fresh} meets all {} gates", gates::GATES.len());
+            0
+        }
+        Ok(failures) => {
+            for f in &failures {
+                println!("FAIL {f}");
+            }
+            println!("bench_sim --check: {} failures in {fresh}", failures.len());
+            1
+        }
+    }
 }
 
 /// Host nanoseconds of one simulation of `spec` under `sys`.
@@ -608,49 +374,24 @@ fn median(samples: impl Iterator<Item = f64>) -> f64 {
     v[v.len() / 2]
 }
 
-/// The committed analytic-tier speedup floor: the closed-form executor
-/// must stay at least this much faster than the exact streaming engine on
-/// the paper-scale shape (`make bench-smoke` gates it).
-const ANALYTIC_SPEEDUP_FLOOR: f64 = 20.0;
+/// The saturation knee of the serving sweep: the first load whose p99
+/// exceeds this many times the unloaded p99.
+const KNEE_FACTOR: f64 = 3.0;
 
-/// Warm-session wall-clock floor: a serving run priced by the persistent
-/// session executor must beat the same run priced by per-batch cold-start
-/// executors by at least this factor (`make bench-smoke` gates it; the
-/// measured ratio is far higher, the floor only guards the architecture).
-const SERVING_WARM_SPEEDUP_FLOOR: f64 = 1.2;
-
-struct ServingSection {
-    requests: u64,
-    mix: RequestMix,
-    cfg: ServingConfig,
-    table_entries: usize,
-    gaps: &'static [f64],
-    sweep: Vec<ServingReport>,
-    knee: usize,
-    serial_equals_parallel: bool,
-    diff_requests: u64,
-    warm_wall_ns: u128,
-    cold_wall_ns: u128,
-    warm_speedup: f64,
-    session_contexts: usize,
-    session_hits: u64,
-    session_misses: u64,
-}
-
-/// The continuous-serving benchmark (PR 8), on the analytic backend so the
+/// The continuous-serving benchmark, on the analytic backend so the
 /// 1000-request sweep fits the smoke budget. Two halves:
 ///
 /// * A five-point offered-load sweep over the recommendation-heavy
 ///   DLRM/BERT/GPT2 mix, spanning unloaded to past-saturation. Everything
 ///   but wall-clock is deterministic (seeded arrivals, table-priced
-///   batches), so the smoke gate exact-matches the percentiles, and the
-///   serial and `rayon::scope`-parallel sweeps must agree bit-for-bit.
+///   batches), and the serial and `rayon::scope`-parallel sweeps must agree
+///   bit-for-bit.
 /// * The warm-vs-cold architecture differential: the same small trace
 ///   priced by one persistent session executor vs a fresh executor per
 ///   batch (the pre-refactor cold-start pipeline). Cycle-identical by
 ///   construction — asserted — so the wall-clock ratio isolates the cost
 ///   of rebuilding contexts/span programs/KeyRuns per request.
-fn serving_section(sys: &SystemConfig) -> ServingSection {
+fn serving_section(sys: &SystemConfig) -> Json {
     let asys = sys.clone().with_backend(BackendKind::Analytic);
     let cfg = ServingConfig::for_system(&asys);
     let mix = RequestMix::recommendation_heavy();
@@ -664,7 +405,7 @@ fn serving_section(sys: &SystemConfig) -> ServingSection {
     let sweep = sweep_loads(&table, &cfg, 5, mix, requests, GAPS, true);
     let serial_equals_parallel = serial == sweep;
     assert!(serial_equals_parallel, "parallel sweep diverged from serial");
-    let knee = find_knee(&sweep, 3.0);
+    let knee = find_knee(&sweep, KNEE_FACTOR);
     println!(
         "  serving: {} pass costs in {table_ms:.0} ms; {requests}-request sweep, \
          knee at gap {:.0}",
@@ -692,53 +433,67 @@ fn serving_section(sys: &SystemConfig) -> ServingSection {
     assert_eq!(warm, cold, "session layer changed serving cycles");
     let session = warm_coster.executor().session();
     let warm_speedup = cold_wall_ns as f64 / warm_wall_ns.max(1) as f64;
+    let warm_floor = gates::floor("serving.warm_vs_cold.speedup");
     println!(
         "  serving warm vs cold: {:.1} ms vs {:.1} ms ({warm_speedup:.1}x, floor \
-         {SERVING_WARM_SPEEDUP_FLOOR:.1}x; {} contexts, {} hits / {} misses)",
+         {warm_floor:.1}x; {} contexts, {} hits / {} misses)",
         warm_wall_ns as f64 / 1e6,
         cold_wall_ns as f64 / 1e6,
         session.len(),
         session.hits(),
         session.misses(),
     );
-    ServingSection {
-        requests,
-        mix,
-        cfg,
-        table_entries: table.len(),
-        gaps: GAPS,
-        sweep,
-        knee,
-        serial_equals_parallel,
-        diff_requests,
-        warm_wall_ns,
-        cold_wall_ns,
-        warm_speedup,
-        session_contexts: session.len(),
-        session_hits: session.hits(),
-        session_misses: session.misses(),
-    }
+    let rows = sweep.iter().zip(GAPS).map(|(r, &gap)| {
+        Json::obj([
+            ("mean_gap_cycles", Json::fixed(gap, 0)),
+            ("p50", r.p50.into()),
+            ("p95", r.p95.into()),
+            ("p99", r.p99.into()),
+            ("served", r.served.into()),
+            ("rejected", r.rejected.into()),
+            ("batches", r.batches.into()),
+            ("pim_batches", r.pim_batches.into()),
+            ("mean_queue_depth", Json::fixed(r.mean_queue_depth, 3)),
+            ("channel_utilization", Json::fixed(r.channel_utilization, 4)),
+            ("internal_data_cycles", r.internal_data_cycles.into()),
+        ])
+    });
+    Json::obj([
+        ("requests", requests.into()),
+        (
+            "mix",
+            Json::obj([
+                ("dlrm", Json::fixed(mix.dlrm, 2)),
+                ("bert", Json::fixed(mix.bert, 2)),
+                ("gpt2", Json::fixed(mix.gpt2, 2)),
+            ]),
+        ),
+        ("queue_cap", cfg.queue_cap.into()),
+        ("max_batch_requests", cfg.max_batch_requests.into()),
+        ("cost_table_entries", table.len().into()),
+        ("sweep", Json::arr(rows)),
+        ("knee_index", knee.into()),
+        ("knee_factor", Json::fixed(KNEE_FACTOR, 1)),
+        ("serial_equals_parallel", serial_equals_parallel.into()),
+        (
+            "warm_vs_cold",
+            Json::obj([
+                ("requests", diff_requests.into()),
+                ("warm_wall_ns", warm_wall_ns.into()),
+                ("cold_wall_ns", cold_wall_ns.into()),
+                ("speedup", Json::fixed(warm_speedup, 2)),
+                ("speedup_floor", Json::fixed(warm_floor, 1)),
+                ("cycle_exact", true.into()),
+                ("session_contexts", session.len().into()),
+                ("session_hits", session.hits().into()),
+                ("session_misses", session.misses().into()),
+            ]),
+        ),
+    ])
 }
 
-struct FabricTopoRun {
-    total_cycles: u64,
-    reduce_cycles: u64,
-    peak_link_gbps: f64,
-    stats: FabricStats,
-}
-
-struct FabricSection {
-    nodes: usize,
-    link_bytes_per_cycle: u64,
-    link_latency: u64,
-    clock_hz: u64,
-    host_total: u64,
-    host_reduce: u64,
-    topos: Vec<FabricTopoRun>,
-}
-
-/// The inter-device fabric comparison (PR 9): the paper-scale GEMM on the
-/// exact tier with `ReduceVia::Fabric` over a ring and a line of the four
+/// The inter-device fabric comparison: the paper-scale GEMM on the exact
+/// tier with `ReduceVia::Fabric` over a ring and a line of the four
 /// DIMM-granular nodes, against the already-measured host-DMA streaming
 /// run. The fabric path reuses the identical Phase-3 drain through the
 /// memory backend and only *adds* PIM-to-PIM transit, so the DRAM command
@@ -746,16 +501,16 @@ struct FabricSection {
 /// host run bit for bit — asserted here, so `BENCH_sim.json` can never
 /// record a fabric section that silently perturbed the default path.
 /// Everything emitted (cycle counts, per-link byte/peak-demand stats, the
-/// active-span GB/s figure) is deterministic and exact-match gated by
-/// `make bench-smoke`.
+/// active-span GB/s figure) is deterministic.
 fn fabric_section(
     sys: &SystemConfig,
     spec: &GemmSpec,
     opts: &SimOptions,
     host: &LatencyReport,
-) -> FabricSection {
+) -> Json {
     let cfg = FabricConfig::default();
     let host_reduce = host.phase(Phase::Reduction);
+    let mut nodes = Vec::new();
     let mut topos = Vec::new();
     for kind in [TopologyKind::Ring, TopologyKind::Line] {
         let fsys =
@@ -783,50 +538,49 @@ fn fabric_section(
             stats.reduce_fabric_cycles,
             stats.nodes,
         );
-        topos.push(FabricTopoRun {
-            total_cycles: r.total,
-            reduce_cycles: r.phase(Phase::Reduction),
-            peak_link_gbps: peak,
-            stats,
+        let links = stats.links.iter().map(|l| {
+            Json::obj([
+                ("src", l.src.into()),
+                ("dst", l.dst.into()),
+                ("bytes", l.bytes.into()),
+                ("busy_cycles", l.busy_cycles.into()),
+                ("messages", l.messages.into()),
+                ("peak_demand_bytes", l.peak_demand_bytes.into()),
+                ("gbps", Json::fixed(l.gbps_active(host.clock_hz), 3)),
+            ])
         });
+        topos.push(Json::obj([
+            ("topology", stats.topology.as_str().into()),
+            ("total_cycles", r.total.into()),
+            ("reduce_cycles", r.phase(Phase::Reduction).into()),
+            ("fabric_cycles", stats.reduce_fabric_cycles.into()),
+            ("bytes_injected", stats.bytes_injected.into()),
+            ("peak_link_gbps", Json::fixed(peak, 3)),
+            ("links", Json::arr(links)),
+        ]));
+        nodes.push(stats.nodes);
     }
-    FabricSection {
-        nodes: topos[0].stats.nodes,
-        link_bytes_per_cycle: cfg.link_bytes_per_cycle,
-        link_latency: cfg.link_latency,
-        clock_hz: host.clock_hz,
-        host_total: host.total,
-        host_reduce,
-        topos,
-    }
+    Json::obj([
+        ("nodes", nodes[0].into()),
+        ("link_bytes_per_cycle", cfg.link_bytes_per_cycle.into()),
+        ("link_latency", cfg.link_latency.into()),
+        (
+            "host_dma",
+            Json::obj([("total_cycles", host.total.into()), ("reduce_cycles", host_reduce.into())]),
+        ),
+        ("topologies", Json::arr(topos)),
+        ("dram_identical", true.into()),
+    ])
 }
 
-struct PagingArm {
-    page_bytes: u64,
-    wall_ns: u128,
-    sim_cycles: u64,
-    blocks: u64,
-    run_counters: RunCounters,
-    /// Locality sampled on a representative fill plan: same-key run length
-    /// under this page map vs the native (unpaged) key stream.
-    sampled: stepstone_addr::PagedRunStats,
-}
-
-struct PagingSection {
-    identity_sim_cycles: u64,
-    identity_bit_identical: bool,
-    native_mean_run_len: f64,
-    arms: Vec<PagingArm>,
-}
-
-/// The VA->PA paging sweep (PR 10): how much block-grouping locality each
-/// page size preserves on the paper shape. The identity arm must stay
-/// bit-identical to the contiguous baseline (asserted here *and* gated in
-/// `make bench-smoke`); the fragmented arms measure the real cost of a
-/// permuted frame allocation — per-run cycle counts, run-granularity
-/// counters (page-clipped hints shorten admitted runs), and a sampled
-/// same-key run-length ratio against the native stream. All cycle counts
-/// and counters are deterministic (serial engine) and exact-match gated.
+/// The VA->PA paging sweep: how much block-grouping locality each page
+/// size preserves on the paper shape. The identity arm must stay
+/// bit-identical to the contiguous baseline (asserted here); the
+/// fragmented arms measure the real cost of a permuted frame allocation —
+/// per-run cycle counts, run-granularity counters (page-clipped hints
+/// shorten admitted runs), and a sampled same-key run-length ratio against
+/// the native stream. All cycle counts and counters are deterministic
+/// (serial engine).
 fn paging_section(
     sys: &SystemConfig,
     serial_sys: &SystemConfig,
@@ -834,7 +588,7 @@ fn paging_section(
     opts: &SimOptions,
     baseline_cycles: u64,
     baseline_rc: &RunCounters,
-) -> PagingSection {
+) -> Json {
     use stepstone_addr::{paged_run_stats, PageMap, PagingConfig};
     let isys = serial_sys.clone().with_paging(PagingConfig::identity(4096));
     let ir = simulate_gemm_opt(&isys, spec, opts, None);
@@ -867,6 +621,8 @@ fn paging_section(
         let wall_ns = t0.elapsed().as_nanos();
         let rc = run_counters();
         let map = PageMap::for_mapping(cfg, &mapping);
+        // Locality sampled on the fill plan: same-key run length under this
+        // page map vs the native (unpaged) key stream.
         let sampled = paged_run_stats(&map, plan, &mapping, sample);
         let blocks = r.dram.accesses();
         println!(
@@ -882,36 +638,38 @@ fn paging_section(
             sampled.mean_run_len() / native_mean,
             sampled.page_splits,
         );
-        arms.push(PagingArm {
-            page_bytes,
-            wall_ns,
-            sim_cycles: r.total,
-            blocks,
-            run_counters: rc,
-            sampled,
-        });
+        arms.push(Json::obj([
+            ("page_bytes", page_bytes.into()),
+            ("wall_ns", wall_ns.into()),
+            ("sim_cycles", r.total.into()),
+            ("ns_per_block", Json::fixed(wall_ns as f64 / blocks as f64, 2)),
+            ("cycles_vs_baseline", Json::fixed(r.total as f64 / baseline_cycles as f64, 4)),
+            ("run_counters", runs_json(&rc)),
+            (
+                "sampled",
+                Json::obj([
+                    ("blocks", sampled.blocks.into()),
+                    ("runs", sampled.runs.into()),
+                    ("mean_run_len", Json::fixed(sampled.mean_run_len(), 2)),
+                    ("page_splits", sampled.page_splits.into()),
+                    ("locality_vs_native", Json::fixed(sampled.mean_run_len() / native_mean, 4)),
+                ]),
+            ),
+        ]));
     }
-    PagingSection {
-        identity_sim_cycles: ir.total,
-        identity_bit_identical: identical,
-        native_mean_run_len: native_mean,
-        arms,
-    }
-}
-
-struct PresetSmoke {
-    name: &'static str,
-    sim_cycles: u64,
-    clock_hz: u64,
-    seconds: f64,
-}
-
-struct BackendsSection {
-    analytic_wall_ns: u128,
-    analytic_cycles: u64,
-    cycles_ratio: f64,
-    speedup: f64,
-    presets: Vec<PresetSmoke>,
+    Json::obj([
+        ("baseline_sim_cycles", baseline_cycles.into()),
+        (
+            "identity",
+            Json::obj([
+                ("page_bytes", 4096u64.into()),
+                ("sim_cycles", ir.total.into()),
+                ("bit_identical", identical.into()),
+            ]),
+        ),
+        ("arms", Json::arr(arms)),
+        ("native_sampled_mean_run_len", Json::fixed(native_mean, 2)),
+    ])
 }
 
 /// Time the analytic tier on the paper-scale shape against the already
@@ -919,14 +677,14 @@ struct BackendsSection {
 /// streaming runs), then smoke every DRAM preset on the exact
 /// tier at a small shape (different geometry → generic mapping fallback;
 /// the point is "completes and yields sane wall-clock seconds", the cycle
-/// values are recorded for drift tracking, not gated across presets).
+/// values are recorded for drift tracking, not compared across presets).
 fn backends_section(
     sys: &SystemConfig,
     spec: &GemmSpec,
     opts: &SimOptions,
     exact_wall_ns: u128,
     exact_cycles: u64,
-) -> BackendsSection {
+) -> Json {
     let asys = sys.clone().with_backend(BackendKind::Analytic);
     let mut analytic_wall_ns = u128::MAX;
     let mut analytic_cycles = 0u64;
@@ -942,36 +700,49 @@ fn backends_section(
     }
     let speedup = exact_wall_ns as f64 / analytic_wall_ns.max(1) as f64;
     let cycles_ratio = analytic_cycles as f64 / exact_cycles as f64;
+    let floor = gates::floor("backends.analytic.speedup_vs_exact");
     println!(
         "  analytic tier: {:>8.2} ms  ({analytic_cycles} sim cycles, {:.2}x of exact, \
-         {speedup:.0}x faster than the streaming median {:.1} ms; floor \
-         {ANALYTIC_SPEEDUP_FLOOR:.0}x)",
+         {speedup:.0}x faster than the streaming median {:.1} ms; floor {floor:.0}x)",
         analytic_wall_ns as f64 / 1e6,
         cycles_ratio,
         exact_wall_ns as f64 / 1e6,
     );
 
     let smoke = GemmSpec::new(512, 2048, 8);
-    let presets = DramConfig::PRESET_NAMES
-        .iter()
-        .map(|&name| {
-            let psys = sys.clone().with_dram(DramConfig::by_name(name).expect("preset"));
-            let r = simulate_gemm_opt(&psys, &smoke, opts, None);
-            println!(
-                "  preset {name:<7} {:>10} sim cycles @ {:>4} MHz = {:.3} ms simulated",
-                r.total,
-                psys.dram.clock_hz / 1_000_000,
-                r.seconds() * 1e3,
-            );
-            PresetSmoke {
-                name,
-                sim_cycles: r.total,
-                clock_hz: psys.dram.clock_hz,
-                seconds: r.seconds(),
-            }
-        })
-        .collect();
-    BackendsSection { analytic_wall_ns, analytic_cycles, cycles_ratio, speedup, presets }
+    let presets = DramConfig::PRESET_NAMES.iter().map(|&name| {
+        let psys = sys.clone().with_dram(DramConfig::by_name(name).expect("preset"));
+        let r = simulate_gemm_opt(&psys, &smoke, opts, None);
+        println!(
+            "  preset {name:<7} {:>10} sim cycles @ {:>4} MHz = {:.3} ms simulated",
+            r.total,
+            psys.dram.clock_hz / 1_000_000,
+            r.seconds() * 1e3,
+        );
+        Json::obj([
+            ("name", name.into()),
+            ("sim_cycles", r.total.into()),
+            ("clock_hz", psys.dram.clock_hz.into()),
+            ("seconds", Json::fixed(r.seconds(), 6)),
+        ])
+    });
+    Json::obj([
+        (
+            "exact",
+            Json::obj([("wall_ns", exact_wall_ns.into()), ("sim_cycles", exact_cycles.into())]),
+        ),
+        (
+            "analytic",
+            Json::obj([
+                ("wall_ns", analytic_wall_ns.into()),
+                ("sim_cycles", analytic_cycles.into()),
+                ("cycles_ratio_vs_exact", Json::fixed(cycles_ratio, 4)),
+                ("speedup_vs_exact", Json::fixed(speedup, 1)),
+            ]),
+        ),
+        ("speedup_floor", Json::fixed(floor, 1)),
+        ("presets", Json::arr(presets)),
+    ])
 }
 
 /// Human-readable fallback split, nonzero causes only.
@@ -988,53 +759,25 @@ fn fallback_summary(c: &RunCounters) -> String {
     s
 }
 
-/// The run-granularity counters as a JSON object (deterministic; gated
-/// exact-match by `make bench-smoke`).
-fn run_counters_json(c: &RunCounters) -> String {
-    let hist: Vec<String> = c.hist.iter().map(|h| h.to_string()).collect();
-    let fallback: Vec<String> = FB_LABELS
-        .iter()
-        .enumerate()
-        .map(|(i, label)| format!("\"{label}\": {}", c.fallback[i]))
-        .collect();
-    format!(
-        "{{\"runs\": {}, \"run_blocks\": {}, \"mean_run_len\": {:.2}, \"hist\": [{}], \
-         \"fallback\": {{{}}}}}",
-        c.runs,
-        c.run_blocks,
-        c.mean_run_len(),
-        hist.join(", "),
-        fallback.join(", "),
-    )
-}
-
-struct SubPaper {
-    m: usize,
-    k: usize,
-    n: usize,
-    cold_ns_per_block: f64,
-    warm_ns_per_block: f64,
-    seed_ns_per_block: f64,
-    agen_ns_per_span: f64,
-    /// Skeleton spans resident in the global span-program cache after the
-    /// runs (bounded by its caps; the replay working set).
-    cache_resident_spans: usize,
-    /// Span-program counters of the final (fully warm) span-generation
-    /// pass: cache hits/misses and how window boundaries were crossed.
-    /// Deterministic (serial loop), so the smoke gate can tell a cache or
-    /// window-successor regression from host noise.
-    agen: stepstone_addr::agen::AgenCounters,
-    /// Run-granularity counters of the warm streaming run (deterministic,
-    /// exact-match gated like the agen counters).
-    run_counters: RunCounters,
-    cycle_exact: bool,
+/// The run-granularity counters as a JSON object.
+fn runs_json(c: &RunCounters) -> Json {
+    Json::obj([
+        ("runs", c.runs.into()),
+        ("run_blocks", c.run_blocks.into()),
+        ("mean_run_len", Json::fixed(c.mean_run_len(), 2)),
+        ("hist", Json::arr(c.hist.iter().map(|&h| h.into()))),
+        ("fallback", Json::obj(FB_LABELS.iter().zip(c.fallback).map(|(&l, n)| (l, n.into())))),
+    ])
 }
 
 /// Measure the sub-paper serving shape: cold and warm streaming runs (the
 /// span-program cache persists across simulations, so "warm" is the
 /// steady state of repeated Table-I layers), the frozen seed replay for a
-/// cycle cross-check, and the production span generator alone.
-fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
+/// cycle cross-check, and the production span generator alone. The
+/// span-program counters of the last, fully warm span-generation pass
+/// (cache hits and misses, how window boundaries were crossed) and the
+/// warm run's run-granularity counters are deterministic (serial loop).
+fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> Json {
     let (m, k, n) = (512, 512, 32);
     let spec = GemmSpec::new(m, k, n);
     let opts = SimOptions::stepstone(PimLevel::BankGroup);
@@ -1096,6 +839,8 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
         best_ns_per_span = best_ns_per_span.min(ns);
         agen = stepstone_addr::agen::agen_counters();
     }
+    // Skeleton spans resident in the global span-program cache after the
+    // runs (bounded by its caps; the replay working set).
     let cache_resident_spans = stepstone_addr::agen::span_cache_resident_spans();
     println!(
         "  sub-paper {m}x{k} N={n}: cold {:.1} / warm {:.1} / seed {:.1} ns/block, \
@@ -1117,17 +862,23 @@ fn subpaper_section(sys: &SystemConfig, serial_sys: &SystemConfig) -> SubPaper {
         rc.mean_run_len(),
         fallback_summary(&rc),
     );
-    SubPaper {
-        m,
-        k,
-        n,
-        cold_ns_per_block: cold_ns / blocks,
-        warm_ns_per_block: warm_ns / blocks,
-        seed_ns_per_block: seed_ns / blocks,
-        agen_ns_per_span: best_ns_per_span,
-        cache_resident_spans,
-        agen,
-        run_counters: rc,
-        cycle_exact,
-    }
+    let (cold, warm, seed) = (cold_ns / blocks, warm_ns / blocks, seed_ns / blocks);
+    Json::obj([
+        ("m", m.into()),
+        ("k", k.into()),
+        ("n", n.into()),
+        ("level", "BG".into()),
+        ("cold_ns_per_block", Json::fixed(cold, 2)),
+        ("warm_ns_per_block", Json::fixed(warm, 2)),
+        ("seed_ns_per_block", Json::fixed(seed, 2)),
+        ("speedup_warm_vs_seed", Json::fixed(seed / warm, 3)),
+        ("agen_ns_per_span", Json::fixed(best_ns_per_span, 2)),
+        ("cache_resident_spans", cache_resident_spans.into()),
+        ("span_cache_hits", agen.skeleton_hits.into()),
+        ("span_cache_misses", agen.skeleton_misses.into()),
+        ("boundary_successors", agen.boundary_successors.into()),
+        ("window_jumps", agen.window_jumps.into()),
+        ("run_counters", runs_json(&rc)),
+        ("cycle_exact", cycle_exact.into()),
+    ])
 }

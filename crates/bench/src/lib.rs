@@ -7,7 +7,8 @@
 //! sweeps.
 
 pub mod figures;
+pub mod gates;
 pub mod output;
 pub mod seed_replay;
 
-pub use output::{FigureResult, Scale, Table};
+pub use output::{FigureResult, Json, Scale, Table};

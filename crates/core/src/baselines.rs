@@ -22,8 +22,6 @@ use crate::gemm::GemmSpec;
 use crate::report::{ActivityCounts, LatencyReport, Phase};
 use stepstone_addr::{PimLevel, RegionPlan, StepStoneAgen};
 use stepstone_dram::{CommandBus, TimingState, TrafficSource};
-#[cfg(test)]
-use stepstone_dram::Port;
 use stepstone_pim::{KernelGranularity, LocalizationMode, PimLevelConfig};
 
 const HOST_COPY_GAP: u64 = 4;
@@ -289,6 +287,7 @@ fn simulate_ncho_engine(
 mod tests {
     use super::*;
     use crate::flow::simulate_gemm;
+    use stepstone_dram::Port;
 
     #[test]
     fn ncho_pays_for_missing_batch_locality() {
