@@ -22,7 +22,9 @@ doc:
 # and the run-tail share of a StepStone-BG kernel), the transfer-jump
 # differential suite (channel-private localization/reduction phases vs a
 # traced reference), the kernel-jump differential suite (exclusive kernel
-# phases vs a promise-free and a traced reference), the window-successor
+# phases vs a promise-free and a traced reference), the cell-group jump
+# differential suite (rank-wide group jumps vs a group-free and a traced
+# reference), the nCHO/PEI traced-reference suite, the window-successor
 # differential suite, and the
 # fabric conformance proptests (conservation, per-link FIFO, ring==line
 # degeneracy, input-order invariance, reduce determinism), release-mode —
@@ -33,6 +35,8 @@ matrix:
 	cargo test --release -p stepstone-core --test run_granular -q
 	cargo test --release -p stepstone-core --test transfer_jump -q
 	cargo test --release -p stepstone-core --test kernel_jump -q
+	cargo test --release -p stepstone-core --test group_jump -q
+	cargo test --release -p stepstone-core --test baseline_reference -q
 	cargo test --release -p stepstone-addr --test window_successor -q
 	cargo test --release -p stepstone-fabric -q
 

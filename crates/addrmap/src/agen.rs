@@ -1090,6 +1090,7 @@ pub struct SpanProgram {
 
 /// The replayed window: its skeleton and the index of the next span to
 /// yield.
+#[derive(Clone)]
 struct Replay {
     skel: Arc<Skeleton>,
     ix: usize,
@@ -1154,6 +1155,30 @@ impl Runs<'_> {
                 return (blocks, self.run(from) as u64);
             }
             j += 1;
+        }
+    }
+}
+
+/// A copy of the walk at its current position, for a caller that reads
+/// ahead of it: the copy's span counters start at zero, so each span adds
+/// to the process-wide counters once, whichever copy yields it.
+impl Clone for SpanProgram {
+    fn clone(&self) -> Self {
+        Self {
+            agen: self.agen.clone(),
+            hi_masks: self.hi_masks.clone(),
+            shared: self.shared.clone(),
+            replay: self.replay.clone(),
+            chain: self.chain.clone(),
+            wtables: self.wtables.clone(),
+            keys: self.keys.clone(),
+            live_spans: 0,
+            replayed_spans: 0,
+            window_jumps: 0,
+            boundary_successors: 0,
+            skeleton_hits: 0,
+            skeleton_misses: 0,
+            ..*self
         }
     }
 }

@@ -19,12 +19,17 @@
 //! bubbles.
 
 use crate::report::Phase;
+use group::{Ranks, GAP};
+pub use group::{Chunk, GroupChecks};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, Port, RunReply, TimingParams, TimingState, TrafficSource,
+    CasKind, CommandBus, DramStats, Port, RunReply, TimingParams, TimingState,
+    TrafficSource,
 };
+
+mod group;
 
 /// Fallback-cause indices for [`RunCounters::fallback`]: why a block was
 /// not covered by an admitted hinted run.
@@ -275,6 +280,48 @@ pub trait StepSource: Iterator<Item = Step> {
     fn key_tests(&self) -> u64 {
         0
     }
+
+    /// The group check point the source has passed last: a kernel stream's
+    /// cells repeat in groups, and point `g` of a row part (row part in the
+    /// high 32 bits) is where group `g − 1`'s last cell starts. `None`
+    /// between groups (fills of `C`, launches) and for sources without
+    /// group structure.
+    fn group_point(&self) -> Option<u64> {
+        None
+    }
+
+    /// Keep a copy of the source at its current position, for
+    /// [`StepSource::group_past`].
+    fn group_mark(&mut self) {}
+
+    /// Push the chunks of the `pulls` pulls after the marked position
+    /// (see [`StepSource::group_ahead`], `hint_left` as it was there), the
+    /// mark used up; returns whether it read them all.
+    fn group_past(&mut self, _m: &XorMapping, _hint_left: u64, _pulls: u64, _out: &mut Vec<Chunk>) -> bool {
+        false
+    }
+
+    /// Read ahead from the current position without moving: push the
+    /// chunks the engine's fast path would pull (each hinted pull with the
+    /// run it admits, `hint_left` pulls of the current hint first, see
+    /// [`Chunk`]; positions from 0) up to where the groups end, and keep a
+    /// copy of the source every `group` pulls. Returns whether it kept
+    /// one.
+    fn group_ahead(
+        &mut self,
+        _mapping: &XorMapping,
+        _group: u64,
+        _hint_left: u64,
+        _out: &mut Vec<Chunk>,
+    ) -> bool {
+        false
+    }
+
+    /// Become the copy kept `groups` groups ahead by the last
+    /// [`StepSource::group_ahead`].
+    fn group_skip(&mut self, _groups: u64) {
+        unreachable!("group_skip on a source without groups")
+    }
 }
 
 impl<S: StepSource + ?Sized> StepSource for Box<S> {
@@ -296,6 +343,26 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
 
     fn key_tests(&self) -> u64 {
         (**self).key_tests()
+    }
+
+    fn group_point(&self) -> Option<u64> {
+        (**self).group_point()
+    }
+
+    fn group_mark(&mut self) {
+        (**self).group_mark()
+    }
+
+    fn group_past(&mut self, m: &XorMapping, hint: u64, pulls: u64, out: &mut Vec<Chunk>) -> bool {
+        (**self).group_past(m, hint, pulls, out)
+    }
+
+    fn group_ahead(&mut self, m: &XorMapping, group: u64, hint: u64, out: &mut Vec<Chunk>) -> bool {
+        (**self).group_ahead(m, group, hint, out)
+    }
+
+    fn group_skip(&mut self, groups: u64) {
+        (**self).group_skip(groups)
     }
 }
 
@@ -594,6 +661,13 @@ pub struct UnitCursor<'a> {
     pub tail_blocks: u64,
     /// The unit's promise checks, by outcome.
     pub checks: CheckCounts,
+    /// Blocks issued in cell-group jumps of the unit's rank.
+    pub group_blocks: u64,
+    /// The group checks of the rank this unit leads, by outcome.
+    pub group_checks: GroupChecks,
+    /// The unit's last pulls as chunks (the last [`group::GROUP_LOOKBACK`]
+    /// of them), while its rank takes group checks.
+    record: Option<VecDeque<Chunk>>,
     /// Run-granularity statistics, flushed to [`run_counters`] at phase
     /// end.
     pub run_stats: RunCounters,
@@ -721,6 +795,9 @@ impl<'a> UnitCursor<'a> {
             stretch_blocks: 0,
             tail_blocks: 0,
             checks: CheckCounts::default(),
+            group_blocks: 0,
+            group_checks: GroupChecks::default(),
+            record: None,
             run_stats: RunCounters::default(),
             win_uniform: true,
             window: VecDeque::with_capacity(8),
@@ -876,8 +953,10 @@ impl<'a> UnitCursor<'a> {
                     // same-key blocks lets the source skip them wholesale;
                     // this entry anchors the synthesized followers.
                     let mut admitted = false;
+                    let mut len = 1;
                     if run_first && self.fast && self.hint_left > 0 {
                         let skipped = self.steps.take_run(self.hint_left);
+                        len += skipped;
                         if skipped > 0 {
                             debug_assert!(skipped <= self.hint_left, "over-skip");
                             self.hint_left -= skipped;
@@ -906,6 +985,10 @@ impl<'a> UnitCursor<'a> {
                             FB_OTHER
                         };
                         self.run_stats.fallback[cause] += 1;
+                    }
+                    if self.record.is_some() {
+                        let pos = self.pulls - len;
+                        self.record_chunk(Chunk::new(pos, len, key, agen_iters, cat, compute));
                     }
                 }
                 _ => {
@@ -1556,6 +1639,7 @@ impl<'a> UnitCursor<'a> {
         let skipped = self.steps.skip_rounds(k * j, self.burst_window);
         let n = skipped.blocks;
         debug_assert_eq!(n, k * j * hint.width, "a promised period skips whole rounds");
+        self.record_gap(n);
         let kd = k * d;
         self.pulls += n;
         for e in &mut self.window {
@@ -1747,6 +1831,7 @@ impl<'a> UnitCursor<'a> {
         let n = rounds * hint.width;
         let skipped = self.steps.skip_rounds(rounds, self.burst_window);
         debug_assert_eq!(skipped.blocks, n, "a promised stretch skips whole spans");
+        self.record_gap(n);
         let last = cas + n * d;
         let w = self.window.len();
         let mut held = [(0, 0, 0); 8];
@@ -1797,6 +1882,23 @@ impl<'a> UnitCursor<'a> {
         self.round_wait = if rounds == hint.rounds { hint.after + 1 } else { 1 };
         debug_assert!(self.window_ordered(), "unit '{}': window stamps out of order", self.label);
         n
+    }
+
+    /// Record `n` pulls skipped in closed form as a gap (see [`GAP`]).
+    fn record_gap(&mut self, n: u64) {
+        if self.record.is_some() {
+            self.record_chunk(Chunk::new(self.pulls, n, GAP, 0, Phase::Gemm, true));
+        }
+    }
+
+    /// Record chunk `c`, forgetting chunks past the lookback.
+    fn record_chunk(&mut self, c: Chunk) {
+        let rec = self.record.as_mut().expect("recording");
+        let keep = c.end().saturating_sub(group::GROUP_LOOKBACK);
+        while rec.front().is_some_and(|f| f.pos < keep) {
+            rec.pop_front();
+        }
+        rec.push_back(c);
     }
 
     /// Charge the AGEN for a pull costing `iters`: it starts once the AGEN
@@ -2170,7 +2272,7 @@ impl<'a> UnitCursor<'a> {
 
 /// A window entry's same-run identity: (bank index, row, direction).
 #[inline]
-fn window_key(mapping: &XorMapping, c: &DramCoord, write: bool) -> u64 {
+pub(crate) fn window_key(mapping: &XorMapping, c: &DramCoord, write: bool) -> u64 {
     (c.bank_index(mapping.geometry()) as u64) << 33 | (c.row as u64) << 1 | write as u64
 }
 
@@ -2377,6 +2479,10 @@ fn run_units(
         u.recent.clear();
         u.recent_len = 0;
     }
+    // Cell-group jumps (see `group::RankGroup::check`) ride the promise
+    // checks' kernel grant, on datapaths inside a rank.
+    let grouped = fast && units.iter().all(|u| u.subset.is_none() && u.port != Port::Channel);
+    let mut ranks = Ranks::new(units.len(), grouped);
     let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
         .iter_mut()
         .enumerate()
@@ -2388,6 +2494,14 @@ fn run_units(
             while tc.peek_time().is_some_and(|tt| tt <= t) {
                 tc.advance(ts, bus, mapping);
             }
+        }
+        if ranks.turn(i, ts, units, mapping) {
+            heap = units
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(j, u)| u.desired(mapping).map(|t| Reverse((t, j))))
+                .collect();
+            continue;
         }
         units[i].advance_batch(ts, bus, mapping);
         if let Some(nt) = units[i].desired(mapping) {

@@ -15,7 +15,8 @@
 
 use crate::config::{AgenMode, SystemConfig};
 use crate::engine::{
-    run_phase_auto, RoundHint, Skipped, Step, StepSource, SubsetRemap, TrafficCursor, UnitCursor,
+    run_phase_auto, window_key, Chunk, RoundHint, Skipped, Step, StepSource, SubsetRemap,
+    TrafficCursor, UnitCursor,
 };
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
@@ -522,6 +523,7 @@ impl GemmContext {
 /// The span generator behind a [`WalkCursor`]: the cached periodic
 /// [`SpanProgram`] on the production path, the plain live generator for the
 /// frozen seed baseline.
+#[derive(Clone)]
 pub enum SpanSource {
     /// Boxed: the span program carries window-successor state and counters,
     /// and would otherwise dominate the `WalkCursor` enum's size.
@@ -569,6 +571,7 @@ fn same_key_prefix(cur: u64, remaining: u64, col_pure_mask: u64) -> u64 {
 /// replayed from the periodic span-program cache on the production path —
 /// and unrolls them with a span counter, so the GF(2) corrector runs at
 /// most once per run instead of once per block.
+#[derive(Clone)]
 pub enum WalkCursor {
     Naive(NaiveAgen),
     /// `started`: spans started so far, skipped ones included.
@@ -722,16 +725,24 @@ enum KernelStage {
 /// streaming replacement for the seed's materialized `Vec<Step>`. Yields
 /// exactly the sequence [`build_kernel_program_seed`] builds, but on
 /// demand: the only per-block state is the AGEN walk cursor.
+///
+/// Its cells repeat in groups ([`StepSource::group_point`]): the stream
+/// names how many cells a group holds, reads ahead of itself from any
+/// position in copies of itself ([`StepSource::group_ahead`]), and skips
+/// whole groups by becoming one of those copies
+/// ([`StepSource::group_skip`]).
+#[derive(Clone)]
 pub struct KernelStream<'a> {
     ctx: &'a GemmContext,
     agen: AgenMode,
     pim: u32,
     pix: usize,
     echo: bool,
-    /// Per-rpart prefix offsets into the PIM's C region (len = rparts + 1).
-    c_offsets: Vec<u64>,
+    /// Per-rpart prefix offsets into the PIM's C region (len = rparts + 1);
+    /// shared by the stream's copies, as are the cells.
+    c_offsets: std::sync::Arc<[u64]>,
     /// Admissible (group, cpart, b_offset, b_len) cells in visit order.
-    cells: Vec<(usize, u32, u64, u64)>,
+    cells: std::sync::Arc<[(usize, u32, u64, u64)]>,
     rpart: u32,
     stage: KernelStage,
     /// Lazy cursor over the current fill/drain region slice.
@@ -755,6 +766,14 @@ pub struct KernelStream<'a> {
     spans_before: u64,
     /// Key-equality tests of finished cells' walks.
     tests_before: u64,
+    /// Cells per group (0: no group structure), named on first use.
+    group_cells: std::cell::OnceCell<u64>,
+    /// Copies of the stream read ahead by [`StepSource::group_ahead`], one
+    /// per whole group, nearest first.
+    forks: Vec<KernelStream<'a>>,
+    /// A copy of the stream at the rank's last group check point
+    /// ([`StepSource::group_mark`]).
+    mark: Option<Box<KernelStream<'a>>>,
     /// Last emitted access address — debug builds verify every block a
     /// `take_run` skips against its (bank, row) key.
     #[cfg(debug_assertions)]
@@ -797,8 +816,8 @@ impl<'a> KernelStream<'a> {
             pim,
             pix,
             echo: opts.granularity == KernelGranularity::PerDotProduct,
-            c_offsets,
-            cells,
+            c_offsets: c_offsets.into(),
+            cells: cells.into(),
             rpart: 0,
             stage: KernelStage::Launch,
             fill: None,
@@ -811,10 +830,98 @@ impl<'a> KernelStream<'a> {
             page: ctx.page_map.clone().filter(|m| m.affects_stream()),
             spans_before: 0,
             tests_before: 0,
+            group_cells: std::cell::OnceCell::new(),
+            forks: Vec::new(),
+            mark: None,
             #[cfg(debug_assertions)]
             last_pa: 0,
         }
     }
+
+    /// The cells per group: the shortest power-of-two period `p` at which
+    /// every cell's `B` slice has the length and the (bank, run length)
+    /// sequence of the slice `p` cells earlier, with at least three groups
+    /// per row part; 0 when there is none (or no fills). A group is only
+    /// the candidate period of the engine's check, which verifies every
+    /// block it jumps.
+    fn group_cells(&self) -> u64 {
+        *self.group_cells.get_or_init(|| {
+            let (ctx, n) = (self.ctx, self.cells.len());
+            let Some(kr) = ctx.b_key_runs[self.pix].as_ref().filter(|_| !ctx.direct_scratchpad)
+            else {
+                return 0;
+            };
+            let plan = &ctx.b_regions[self.pix];
+            let g = ctx.mapping.geometry();
+            let shape = |&(_, _, off, len): &(usize, u32, u64, u64)| {
+                let mut runs = Vec::new();
+                let mut m = off;
+                while m < off + len {
+                    let run = kr.run_len_from(m).min(off + len - m);
+                    runs.push((ctx.mapping.decode(plan.get(m)).bank_index(g), run));
+                    m += run;
+                }
+                runs
+            };
+            let shapes: Vec<_> = self.cells.iter().map(shape).collect();
+            let mut p = 1;
+            while 3 * p <= n {
+                if (p..n).all(|c| shapes[c] == shapes[c - p]) {
+                    return p as u64;
+                }
+                p *= 2;
+            }
+            0
+        })
+    }
+
+    /// Pull up to `limit` blocks as the engine's fast path takes them
+    /// (each hinted pull with the run it admits, `hint_left` pulls of the
+    /// current hint first), while the groups last, pushing one [`Chunk`]
+    /// per pull (positions from 0) and a copy of the stream every `group`
+    /// pulls. Returns the blocks pulled.
+    fn read_chunks(
+        &mut self,
+        mapping: &XorMapping,
+        mut hint_left: u64,
+        limit: u64,
+        group: u64,
+        forks: &mut Vec<Self>,
+        out: &mut Vec<Chunk>,
+    ) -> u64 {
+        let mut pos = 0;
+        while pos < limit && matches!(self.stage, KernelStage::FillB | KernelStage::Gemm) {
+            let first = hint_left == 0;
+            if first {
+                hint_left = self.run_hint().max(1);
+            }
+            let Some(Step::Access { pa, write, cat, agen_iters, compute }) = self.next() else {
+                break;
+            };
+            if cat == Phase::DrainC {
+                break;
+            }
+            hint_left -= 1;
+            let mut len = 1;
+            if first && hint_left > 0 {
+                let skipped = self.take_run(hint_left);
+                hint_left -= skipped;
+                len += skipped;
+            }
+            let key = window_key(mapping, &mapping.decode(pa), write);
+            out.push(Chunk::new(pos, len, key, agen_iters, cat, compute));
+            pos += len;
+            let fork = group.saturating_mul(forks.len() as u64 + 1);
+            if pos > fork {
+                break;
+            }
+            if pos == fork {
+                forks.push(self.clone());
+            }
+        }
+        pos
+    }
+
 
     /// Seed-faithful variant: same step sequence, but the AGEN rebuilds its
     /// GF(2) system per candidate position as the seed did.
@@ -1094,6 +1201,50 @@ impl StepSource for KernelStream<'_> {
 
     fn key_tests(&self) -> u64 {
         self.tests_before + self.walk.as_ref().map_or(0, WalkCursor::key_tests)
+    }
+
+    /// Group `g` of a row part ends where its last cell's `B` fill starts
+    /// (cell `p·g − 1`): from there on the stream has passed point `g`.
+    /// Checks happen only between a Launch and the DrainC, never under
+    /// eCHO's per-row launches or a paging layer.
+    fn group_point(&self) -> Option<u64> {
+        let cells = matches!(self.stage, KernelStage::FillB | KernelStage::Gemm);
+        if !cells || self.echo || self.page.is_some() || self.queued.is_some() {
+            return None;
+        }
+        let p = self.group_cells();
+        (p > 0).then(|| ((self.rpart as u64) << 32) | ((self.cell_ix as u64 + 1) / p))
+    }
+
+    fn group_mark(&mut self) {
+        self.forks.clear();
+        self.mark = None;
+        self.mark = Some(Box::new(self.clone()));
+    }
+
+    fn group_past(&mut self, mapping: &XorMapping, hint_left: u64, pulls: u64, out: &mut Vec<Chunk>) -> bool {
+        let Some(mut probe) = self.mark.take() else { return false };
+        probe.read_chunks(mapping, hint_left, pulls, u64::MAX, &mut Vec::new(), out) == pulls
+    }
+
+    fn group_ahead(
+        &mut self,
+        mapping: &XorMapping,
+        group: u64,
+        hint_left: u64,
+        out: &mut Vec<Chunk>,
+    ) -> bool {
+        self.forks.clear();
+        let mut probe = self.clone();
+        let mut forks = Vec::new();
+        probe.read_chunks(mapping, hint_left, u64::MAX, group, &mut forks, out);
+        self.forks = forks;
+        !self.forks.is_empty()
+    }
+
+    fn group_skip(&mut self, groups: u64) {
+        let forks = std::mem::take(&mut self.forks);
+        *self = forks.into_iter().nth(groups as usize - 1).expect("a group read ahead");
     }
 
     fn take_run(&mut self, n: u64) -> u64 {

@@ -31,7 +31,7 @@ pub use backend::BackendKind;
 pub use cmdbus::CommandBus;
 pub use config::{DramConfig, TimingParams};
 pub use memory::SparseMem;
-pub use timing::{BlockTiming, CasKind, DramStats, Port, RunReply, TimingState};
+pub use timing::{BlockTiming, CasKind, DramStats, Port, RankCopy, RunReply, TimingState};
 pub use traffic::{TrafficReq, TrafficSource};
 
 // The benchmark harness still imports this name (`simbench/src/compose.rs`,

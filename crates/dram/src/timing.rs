@@ -119,6 +119,8 @@ struct RankState {
     last_act: Stamp,
     /// Next refresh deadline (when refresh is enabled).
     next_ref: u64,
+    /// ACTs issued so far (one per row miss while refresh is off).
+    acts: u64,
 }
 
 /// Per-path CAS bookkeeping.
@@ -202,6 +204,30 @@ impl DramStats {
     }
 }
 
+/// A copy of one rank's timing state: its banks, its ACT window and the
+/// datapaths inside it (rank-internal and bank-group-internal), taken by
+/// [`TimingState::rank_copy`] for a later [`TimingState::shift_rank`].
+#[derive(Debug, Clone, Default)]
+pub struct RankCopy {
+    /// Channel and rank.
+    at: (u32, u32),
+    banks: Vec<BankState>,
+    rank: RankState,
+    paths: Vec<PathState>,
+}
+
+impl RankCopy {
+    /// ACTs the rank had issued when copied.
+    pub fn acts(&self) -> u64 {
+        self.rank.acts
+    }
+
+    /// The open row of the rank's `b`-th bank (bank-group major).
+    pub fn open_row(&self, b: usize) -> Option<u32> {
+        self.banks[b].open_row
+    }
+}
+
 /// The shared timing state of the whole DRAM system.
 ///
 /// The engine drives it **execute-and-stall**, never latency-query: it asks
@@ -210,10 +236,11 @@ impl DramStats {
 /// design (SNIPPETS.md) found latency-query interfaces over stateful memory
 /// models wrong by construction: the answer changes as soon as any other
 /// access commits. Every timing call either commits state (`access`,
-/// `access_run_stream`, `commit_round_hits`, `adopt_channel`) or is the
-/// non-committing estimate FR-FCFS front selection uses (`probe`), and a
-/// closed-form commit is verified by the engine from the unit's own issues,
-/// never by reading the model's timing state back.
+/// `access_run_stream`, `commit_round_hits`, `adopt_channel`,
+/// `shift_rank`) or is the non-committing estimate FR-FCFS front
+/// selection uses (`probe`). A unit's closed-form commit is verified from
+/// the unit's own issues; a rank's group jump compares the rank's state
+/// with a copy of it one period earlier (`rank_copy`, `shift_rank`).
 #[derive(Debug, Clone)]
 pub struct TimingState {
     cfg: DramConfig,
@@ -333,6 +360,122 @@ impl TimingState {
         ]
     }
 
+    /// Rank `rk` of channel `ch`: its bank range, its index, and the
+    /// indices of its rank-internal path and bank-group-internal paths.
+    fn rank_parts(&self, ch: u32, rk: u32) -> (std::ops::Range<usize>, usize, Vec<usize>) {
+        let g = self.cfg.geom;
+        let [banks, ranks, _, p_rk, p_bg] = self.channel_ranges(ch);
+        let (rk, bgs) = (rk as usize, g.bankgroups_per_rank as usize);
+        let per_rank = bgs * g.banks_per_bankgroup as usize;
+        let bank0 = banks.start + rk * per_rank;
+        let paths = [p_rk.start + rk].into_iter().chain(p_bg.start + rk * bgs..p_bg.start + (rk + 1) * bgs);
+        (bank0..bank0 + per_rank, ranks.start + rk, paths.collect())
+    }
+
+    /// Copy rank `rk` of channel `ch` (see [`RankCopy`]).
+    pub fn rank_copy(&self, ch: u32, rk: u32) -> RankCopy {
+        let (banks, rank, paths) = self.rank_parts(ch, rk);
+        RankCopy {
+            at: (ch, rk),
+            banks: self.banks[banks].to_vec(),
+            rank: self.ranks[rank].clone(),
+            paths: paths.iter().map(|&p| self.paths[p].clone()).collect(),
+        }
+    }
+
+    /// The rank-scoped compare-and-shift of a periodic jump. Checks that
+    /// the rank copied in `then` stands where it stood then, `d > 0` cycles
+    /// earlier: every time it keeps (a bank's next ACT, CAS and PRE, the
+    /// last four ACTs and the last ACT per bank group, each path's CAS,
+    /// turnaround and bus stamps) is either `then`'s plus `d`, or
+    /// `then`'s unchanged and so old that it binds nothing at or after
+    /// `dead` (every later event of the rank's units is at least that
+    /// late). Open rows, bus owners and the refresh deadline are left to
+    /// the caller, which renames the rows. If it holds and `k > 0`, every
+    /// time that moved moves `k·d` further and each bank opens the row
+    /// `rows` names for it (bank-group major): the state `k` periods on.
+    pub fn shift_rank(
+        &mut self,
+        then: &RankCopy,
+        d: u64,
+        dead: u64,
+        k: u64,
+        rows: &[Option<u32>],
+    ) -> bool {
+        let tp = self.cfg.timing;
+        let reach = [tp.t_faw, tp.t_rc, tp.t_rrdl, tp.t_rrds, tp.t_ccdl, tp.t_ccds, tp.rtw()]
+            .into_iter()
+            .chain([tp.wtr(true), tp.wtr(false), tp.t_cwl + tp.t_bl + tp.t_wr])
+            .max()
+            .unwrap_or(0);
+        // A time `t` (stamps hold `t + 1`; 0 is never) moved by `d`, or
+        // kept and dead.
+        let ok = |now: u64, was: u64| now == was + d || now == was && was + reach <= dead;
+        let stamp_ok = |now: Stamp, was: Stamp| now == was && was == 0 || ok(now, was);
+        let (banks, rix, paths) = self.rank_parts(then.at.0, then.at.1);
+        let rank = &self.ranks[rix];
+        let window = |w: &[u64]| w[w.len().saturating_sub(4)..].to_vec();
+        let (wn, wt) = (window(&rank.act_window), window(&then.rank.act_window));
+        let verified = self.banks[banks.clone()].iter().zip(&then.banks).all(|(n, t)| {
+            ok(n.next_act, t.next_act) && ok(n.next_cas, t.next_cas) && ok(n.next_pre, t.next_pre)
+        }) && wn.len() == wt.len()
+            && wn.iter().zip(&wt).all(|(&n, &t)| ok(n, t))
+            && stamp_ok(rank.last_act, then.rank.last_act)
+            && rank.last_act_by_bg.iter().zip(&then.rank.last_act_by_bg).all(|(&n, &t)| stamp_ok(n, t))
+            && paths.iter().map(|&p| &self.paths[p]).zip(&then.paths).all(|(n, t)| {
+                let stamps = |p: &PathState| {
+                    let v = [&p.last_cas_by_bg, &p.last_wr_by_bg, &p.last_rd_by_rank, &p.last_wr_by_rank];
+                    v.into_iter().flatten().copied().chain([p.last_cas]).collect::<Vec<_>>()
+                };
+                n.bus_used == t.bus_used
+                    && n.bus_last_rank == t.bus_last_rank
+                    && (!n.bus_used || ok(n.bus_free, t.bus_free))
+                    && stamps(n).iter().zip(stamps(t)).all(|(&a, b)| stamp_ok(a, b))
+            });
+        if !verified || k == 0 {
+            return verified;
+        }
+        let kd = k * d;
+        let mv = |now: &mut u64, was: u64| {
+            if *now != was {
+                *now += kd;
+            }
+        };
+        for ((n, t), row) in self.banks[banks].iter_mut().zip(&then.banks).zip(rows) {
+            mv(&mut n.next_act, t.next_act);
+            mv(&mut n.next_cas, t.next_cas);
+            mv(&mut n.next_pre, t.next_pre);
+            n.open_row = *row;
+        }
+        let rank = &mut self.ranks[rix];
+        let at = rank.act_window.len() - wn.len();
+        for (n, t) in rank.act_window[at..].iter_mut().zip(&wt) {
+            mv(n, *t);
+        }
+        mv(&mut rank.last_act, then.rank.last_act);
+        for (n, t) in rank.last_act_by_bg.iter_mut().zip(&then.rank.last_act_by_bg) {
+            mv(n, *t);
+        }
+        rank.acts += k * (rank.acts - then.rank.acts);
+        for (&p, t) in paths.iter().zip(&then.paths) {
+            let n = &mut self.paths[p];
+            if n.bus_used {
+                mv(&mut n.bus_free, t.bus_free);
+            }
+            mv(&mut n.last_cas, t.last_cas);
+            let pairs = [
+                (&mut n.last_cas_by_bg, &t.last_cas_by_bg),
+                (&mut n.last_wr_by_bg, &t.last_wr_by_bg),
+                (&mut n.last_rd_by_rank, &t.last_rd_by_rank),
+                (&mut n.last_wr_by_rank, &t.last_wr_by_rank),
+            ];
+            for (nv, tv) in pairs {
+                nv.iter_mut().zip(tv).for_each(|(a, b)| mv(a, *b));
+            }
+        }
+        true
+    }
+
     fn record(&mut self, time: u64, kind: CmdKind, coord: DramCoord, port: Port) {
         if let Some(t) = &mut self.trace {
             t.push(CmdRecord { time, kind, coord, port });
@@ -401,6 +544,7 @@ impl TimingState {
         if rank.act_window.len() > 8 {
             rank.act_window.drain(..4);
         }
+        rank.acts += 1;
         self.stats.acts += 1;
     }
 

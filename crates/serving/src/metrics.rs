@@ -72,13 +72,16 @@ pub struct ServingReport {
 
 impl ServingReport {
     /// Fold completion records (any order) into the summary metrics.
-    /// `depth_time` is the time integral of queue depth over the run;
+    /// `last_arrival` is the trace's last offered arrival, served or
+    /// rejected: the span the offered rate divides by. `depth_time` is the
+    /// time integral of queue depth over the run;
     /// `channel_data_cycles` and `internal_data_cycles` split the served
     /// batches' burst cycles by whether they crossed the channel bus.
     #[allow(clippy::too_many_arguments)]
     pub fn fold(
         mut records: Vec<RequestRecord>,
         rejected: u64,
+        last_arrival: u64,
         depth_time: u128,
         max_queue_depth: u64,
         channel_data_cycles: u64,
@@ -94,12 +97,11 @@ impl ServingReport {
         let first = records.iter().map(|r| r.arrival).min().unwrap_or(0);
         let last = records.iter().map(|r| r.done).max().unwrap_or(0);
         let makespan = last.saturating_sub(first);
-        let offered_span = records.iter().map(|r| r.arrival).max().unwrap_or(0);
         Self {
-            offered_per_mcycle: if offered_span == 0 {
+            offered_per_mcycle: if last_arrival == 0 {
                 0.0
             } else {
-                (served + rejected) as f64 * 1e6 / offered_span as f64
+                (served + rejected) as f64 * 1e6 / last_arrival as f64
             },
             served,
             rejected,
@@ -163,6 +165,7 @@ mod tests {
         let r = ServingReport::fold(
             vec![rec(0, 0, 0, 10), rec(1, 5, 10, 30), rec(2, 20, 30, 40)],
             1,
+            20,
             40,
             2,
             80,
@@ -180,5 +183,24 @@ mod tests {
         assert!((r.channel_utilization - 0.5).abs() < 1e-9);
         assert_eq!(r.internal_data_cycles, 300);
         assert_eq!(r.cpu_batches, 1);
+    }
+
+    /// The offered rate spans the trace's offered arrivals, rejected ones
+    /// included: two served requests by cycle 10 and two rejected at
+    /// cycles 30 and 40 offer 4 requests over 40 cycles, not over 10.
+    #[test]
+    fn offered_rate_counts_rejected_final_arrivals() {
+        let rec = |id, arrival, done| RequestRecord {
+            id,
+            kind: RequestKind::Dlrm,
+            samples: 1,
+            arrival,
+            start: arrival,
+            done,
+            pim: true,
+        };
+        let r = ServingReport::fold(vec![rec(0, 0, 5), rec(1, 10, 15)], 2, 40, 0, 1, 0, 0, 1, 1, 1);
+        assert_eq!(r.served + r.rejected, 4);
+        assert!((r.offered_per_mcycle - 4.0 * 1e6 / 40.0).abs() < 1e-9);
     }
 }

@@ -175,6 +175,7 @@ pub fn run_serving(
     ServingReport::fold(
         records,
         rejected,
+        requests.last().map_or(0, |r| r.arrival),
         depth_time,
         max_depth,
         channel_data_cycles,

@@ -9,7 +9,9 @@
 //! on the unit's own state), and verified periods (transfer rounds, jumped
 //! by the same arithmetic on the transfer's own issues). Each phase also
 //! reports its promise checks by outcome, and kernel phases the span
-//! key-equality tests their sources evaluated for them.
+//! key-equality tests their sources evaluated for them, the blocks issued
+//! in cell-group jumps (a rank's units jumping whole groups of cells
+//! together) with their share, and the group checks by outcome.
 //!
 //! Usage: `cargo run --release --example phase_time [M K N] \
 //!         [--preset=ddr4|ddr5|lpddr5|hbm2]`
@@ -25,7 +27,8 @@
 //! passes (default 3). The kernel's stretch and tail shares are printed for
 //! the first pass, which records the span skeletons and builds their
 //! stretch tables, and for the last, which replays them; the other columns
-//! are the first pass's. Then one row per (level, N) and pass (first, last)
+//! are the first pass's, the kernel's share in cell-group jumps among
+//! them. Then one row per (level, N) and pass (first, last)
 //! with the kernel's promise checks by outcome and key-equality tests.
 //! Contexts are built once, before timing; every pass runs the serial
 //! engine on fresh memory.
@@ -33,8 +36,8 @@
 use std::time::Instant;
 use stepstone_addr::PimLevel;
 use stepstone_core::engine::{
-    reset_run_counters, run_counters, run_phase_auto, CheckCounts, RunCounters, UnitCursor,
-    FB_LABELS,
+    reset_run_counters, run_counters, run_phase_auto, CheckCounts, GroupChecks, RunCounters,
+    UnitCursor, FB_LABELS,
 };
 use stepstone_core::flow::{transfer_cursors, GemmContext, KernelStream};
 use stepstone_core::{GemmSpec, Phase, SimOptions, SystemConfig};
@@ -91,6 +94,9 @@ struct PhaseOut {
     jumped: u64,
     checks: CheckCounts,
     key_tests: u64,
+    /// Blocks issued in cell-group jumps, and the group checks.
+    grouped: u64,
+    groups: GroupChecks,
 }
 
 impl PhaseOut {
@@ -110,6 +116,13 @@ impl PhaseOut {
                 c
             }),
             key_tests: sum(|u| u.key_tests()),
+            grouped: sum(|u| u.group_blocks),
+            groups: units.iter().fold(GroupChecks::default(), |mut c, u| {
+                let g = &u.group_checks;
+                (c.no_promise, c.differs, c.jumped) =
+                    (c.no_promise + g.no_promise, c.differs + g.differs, c.jumped + g.jumped);
+                c
+            }),
         }
     }
 
@@ -124,6 +137,10 @@ impl PhaseOut {
             (&mut self.periods, o.periods),
             (&mut self.jumped, o.jumped),
             (&mut self.key_tests, o.key_tests),
+            (&mut self.grouped, o.grouped),
+            (&mut self.groups.no_promise, o.groups.no_promise),
+            (&mut self.groups.differs, o.groups.differs),
+            (&mut self.groups.jumped, o.groups.jumped),
         ] {
             *a += b;
         }
@@ -219,6 +236,18 @@ fn print_phase(label: &str, p: &PhaseOut) {
     if p.checks.total() > 0 {
         println!("        promise checks: {}; {} key tests", checks_line(&p.checks), p.key_tests);
     }
+    let g = &p.groups;
+    if g.no_promise + g.differs + g.jumped > 0 {
+        println!(
+            "        cell-group jumps: {} blocks ({:.1}%); group checks: no promise {}, state \
+             differs {}, jumped {}",
+            p.grouped,
+            share(p.grouped, p.blocks),
+            g.no_promise,
+            g.differs,
+            g.jumped,
+        );
+    }
 }
 
 /// Promise checks by outcome, and per jump.
@@ -244,10 +273,10 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
          passes; 'last' columns are the last pass's kernel shares"
     );
     println!(
-        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>9} {:>8} {:>8} \
-         {:>8} {:>8}",
+        "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} \
+         {:>8} {:>8} {:>8}",
         "level", "N", "parts", "kernel", "A-walk", "stretch", "of walk", "tails", "last str",
-        "last tl", "loc", "jumped", "red", "jumped", "loc ms", "kern ms", "red ms",
+        "last tl", "groups", "loc", "jumped", "red", "jumped", "loc ms", "kern ms", "red ms",
     );
     let mut checks = Vec::new();
     for level in [PimLevel::BankGroup, PimLevel::Device] {
@@ -279,8 +308,8 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
             let closed = |k: &PhaseOut, b: u64| format!("{:.1}%", share(b, k.blocks));
             let jumped = |p: &PhaseOut| format!("{:.1}%", share(p.jumped, p.blocks));
             println!(
-                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>9} {:>8} {:>9} \
-                 {:>8} {:>8.1} {:>8.1} {:>8.1}",
+                "{:<6} {:>3} {:>5} {:>10} {:>10} {:>9} {:>8} {:>8} {:>9} {:>8} {:>8} {:>9} {:>8} \
+                 {:>9} {:>8} {:>8.1} {:>8.1} {:>8.1}",
                 level.tag(),
                 n,
                 parts.len(),
@@ -291,6 +320,7 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
                 closed(k, k.tail),
                 closed(&last[1], last[1].stretch),
                 closed(&last[1], last[1].tail),
+                closed(k, k.grouped),
                 loc.blocks,
                 jumped(loc),
                 red.blocks,
