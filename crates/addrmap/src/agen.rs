@@ -986,6 +986,31 @@ pub fn agen_counters() -> AgenCounters {
     }
 }
 
+impl AgenCounters {
+    /// Add `o`'s counts to these.
+    pub fn add(&mut self, o: &AgenCounters) {
+        self.live_spans += o.live_spans;
+        self.replayed_spans += o.replayed_spans;
+        self.window_jumps += o.window_jumps;
+        self.boundary_successors += o.boundary_successors;
+        self.skeleton_hits += o.skeleton_hits;
+        self.skeleton_misses += o.skeleton_misses;
+    }
+}
+
+/// Add `a` to the process-wide AGEN counters: what a walk's copy that read
+/// ahead yielded, once the walk takes the copy's place (see
+/// [`SpanProgram::take_counters`]).
+pub fn add_agen_counters(a: &AgenCounters) {
+    let c = global_agen_counters();
+    c.live_spans.fetch_add(a.live_spans, Ordering::Relaxed);
+    c.replayed_spans.fetch_add(a.replayed_spans, Ordering::Relaxed);
+    c.window_jumps.fetch_add(a.window_jumps, Ordering::Relaxed);
+    c.boundary_successors.fetch_add(a.boundary_successors, Ordering::Relaxed);
+    c.skeleton_hits.fetch_add(a.skeleton_hits, Ordering::Relaxed);
+    c.skeleton_misses.fetch_add(a.skeleton_misses, Ordering::Relaxed);
+}
+
 /// Zero the process-wide AGEN counters (bench/test hook).
 pub fn reset_agen_counters() {
     let c = global_agen_counters();
@@ -1160,8 +1185,10 @@ impl Runs<'_> {
 }
 
 /// A copy of the walk at its current position, for a caller that reads
-/// ahead of it: the copy's span counters start at zero, so each span adds
-/// to the process-wide counters once, whichever copy yields it.
+/// ahead of it: the copy's span counters start at zero, and a copy whose
+/// spans the walk will yield again hands its counts on or drops them
+/// ([`SpanProgram::take_counters`]), so each span adds to the process-wide
+/// counters once.
 impl Clone for SpanProgram {
     fn clone(&self) -> Self {
         Self {
@@ -1185,17 +1212,24 @@ impl Clone for SpanProgram {
 
 impl Drop for SpanProgram {
     fn drop(&mut self) {
-        let c = global_agen_counters();
-        c.live_spans.fetch_add(self.live_spans, Ordering::Relaxed);
-        c.replayed_spans.fetch_add(self.replayed_spans, Ordering::Relaxed);
-        c.window_jumps.fetch_add(self.window_jumps, Ordering::Relaxed);
-        c.boundary_successors.fetch_add(self.boundary_successors, Ordering::Relaxed);
-        c.skeleton_hits.fetch_add(self.skeleton_hits, Ordering::Relaxed);
-        c.skeleton_misses.fetch_add(self.skeleton_misses, Ordering::Relaxed);
+        add_agen_counters(&self.take_counters());
     }
 }
 
 impl SpanProgram {
+    /// The walk's span counters, which start over at zero: what it adds
+    /// to the process-wide counters on drop is only what it yields after.
+    pub fn take_counters(&mut self) -> AgenCounters {
+        AgenCounters {
+            live_spans: std::mem::take(&mut self.live_spans),
+            replayed_spans: std::mem::take(&mut self.replayed_spans),
+            window_jumps: std::mem::take(&mut self.window_jumps),
+            boundary_successors: std::mem::take(&mut self.boundary_successors),
+            skeleton_hits: std::mem::take(&mut self.skeleton_hits),
+            skeleton_misses: std::mem::take(&mut self.skeleton_misses),
+        }
+    }
+
     fn new(agen: StepStoneAgen) -> Self {
         let start = agen.last_pa;
         let sbits = &agen.tables.sbits;

@@ -19,14 +19,14 @@
 //! bubbles.
 
 use crate::report::Phase;
-use group::{Ranks, GAP};
 pub use group::{Chunk, GroupChecks};
-use std::collections::VecDeque;
+use group::{Ranks, GAP};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use stepstone_addr::{DramCoord, XorMapping};
 use stepstone_dram::{
-    CasKind, CommandBus, DramStats, Port, RunReply, TimingParams, TimingState,
-    TrafficSource,
+    CasKind, CommandBus, DramStats, Port, RunReply, TimingParams, TimingState, TrafficSource,
 };
 
 mod group;
@@ -281,6 +281,12 @@ pub trait StepSource: Iterator<Item = Step> {
         0
     }
 
+    /// Whether the source's cells repeat in groups: only then does it name
+    /// group points.
+    fn names_groups(&self) -> bool {
+        false
+    }
+
     /// The group check point the source has passed last: a kernel stream's
     /// cells repeat in groups, and point `g` of a row part (row part in the
     /// high 32 bits) is where group `g − 1`'s last cell starts. `None`
@@ -297,7 +303,13 @@ pub trait StepSource: Iterator<Item = Step> {
     /// Push the chunks of the `pulls` pulls after the marked position
     /// (see [`StepSource::group_ahead`], `hint_left` as it was there), the
     /// mark used up; returns whether it read them all.
-    fn group_past(&mut self, _m: &XorMapping, _hint_left: u64, _pulls: u64, _out: &mut Vec<Chunk>) -> bool {
+    fn group_past(
+        &mut self,
+        _m: &XorMapping,
+        _hint_left: u64,
+        _pulls: u64,
+        _out: &mut Vec<Chunk>,
+    ) -> bool {
         false
     }
 
@@ -343,6 +355,10 @@ impl<S: StepSource + ?Sized> StepSource for Box<S> {
 
     fn key_tests(&self) -> u64 {
         (**self).key_tests()
+    }
+
+    fn names_groups(&self) -> bool {
+        (**self).names_groups()
     }
 
     fn group_point(&self) -> Option<u64> {
@@ -953,10 +969,8 @@ impl<'a> UnitCursor<'a> {
                     // same-key blocks lets the source skip them wholesale;
                     // this entry anchors the synthesized followers.
                     let mut admitted = false;
-                    let mut len = 1;
                     if run_first && self.fast && self.hint_left > 0 {
                         let skipped = self.steps.take_run(self.hint_left);
-                        len += skipped;
                         if skipped > 0 {
                             debug_assert!(skipped <= self.hint_left, "over-skip");
                             self.hint_left -= skipped;
@@ -987,8 +1001,8 @@ impl<'a> UnitCursor<'a> {
                         self.run_stats.fallback[cause] += 1;
                     }
                     if self.record.is_some() {
-                        let pos = self.pulls - len;
-                        self.record_chunk(Chunk::new(pos, len, key, agen_iters, cat, compute));
+                        let len = if admitted { 1 + self.run_left } else { 1 };
+                        self.record_chunk(self.pulls - len, len, key, agen_iters, cat, compute);
                     }
                 }
                 _ => {
@@ -1887,12 +1901,23 @@ impl<'a> UnitCursor<'a> {
     /// Record `n` pulls skipped in closed form as a gap (see [`GAP`]).
     fn record_gap(&mut self, n: u64) {
         if self.record.is_some() {
-            self.record_chunk(Chunk::new(self.pulls, n, GAP, 0, Phase::Gemm, true));
+            self.record_chunk(self.pulls, n, GAP, 0, Phase::Gemm, true);
         }
     }
 
-    /// Record chunk `c`, forgetting chunks past the lookback.
-    fn record_chunk(&mut self, c: Chunk) {
+    /// Record a chunk ([`Chunk::new`]), forgetting chunks past the
+    /// lookback. Out of line: phases without group checks record nothing.
+    #[inline(never)]
+    fn record_chunk(
+        &mut self,
+        pos: u64,
+        len: u64,
+        key: u64,
+        iters: u32,
+        cat: Phase,
+        compute: bool,
+    ) {
+        let c = Chunk::new(pos, len, key, iters, cat, compute);
         let rec = self.record.as_mut().expect("recording");
         let keep = c.end().saturating_sub(group::GROUP_LOOKBACK);
         while rec.front().is_some_and(|f| f.pos < keep) {
@@ -2422,6 +2447,17 @@ pub fn run_phase(
     run_units(ts, bus, mapping, &mut refs, traffic)
 }
 
+/// The scheduler's heap: each unit with work left, by its desired time
+/// and index. Out of line, as a cell-group jump rebuilds it.
+#[cold]
+fn turn_heap(
+    units: &mut [&mut UnitCursor],
+    mapping: &XorMapping,
+) -> BinaryHeap<Reverse<(u64, usize)>> {
+    let heap = units.iter_mut().enumerate();
+    heap.filter_map(|(i, u)| u.desired(mapping).map(|t| Reverse((t, i)))).collect()
+}
+
 /// The serial phase engine over a pre-selected set of units.
 fn run_units(
     ts: &mut TimingState,
@@ -2430,8 +2466,6 @@ fn run_units(
     units: &mut [&mut UnitCursor],
     mut traffic: Option<&mut TrafficCursor>,
 ) -> u64 {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     // The span fast path needs every actor's bank/path state to move only
     // at its own turn: no colocated traffic, no refresh, no global-time
     // trace, and every unit on a private bank partition. Exclusivity is
@@ -2480,14 +2514,14 @@ fn run_units(
         u.recent_len = 0;
     }
     // Cell-group jumps (see `group::RankGroup::check`) ride the promise
-    // checks' kernel grant, on datapaths inside a rank.
-    let grouped = fast && units.iter().all(|u| u.subset.is_none() && u.port != Port::Channel);
-    let mut ranks = Ranks::new(units.len(), grouped);
-    let mut heap: BinaryHeap<Reverse<(u64, usize)>> = units
-        .iter_mut()
-        .enumerate()
-        .filter_map(|(i, u)| u.desired(mapping).map(|t| Reverse((t, i))))
-        .collect();
+    // checks' kernel grant, on datapaths inside a rank, for streams whose
+    // cells repeat in groups; other phases take no group bookkeeping.
+    let grouped = fast
+        && units
+            .iter()
+            .all(|u| u.subset.is_none() && u.port != Port::Channel && u.steps.names_groups());
+    let mut ranks = grouped.then(|| Ranks::new(units.len()));
+    let mut heap = turn_heap(units, mapping);
     while let Some(Reverse((t, i))) = heap.pop() {
         // Let CPU traffic that wants the bus earlier go first.
         if let Some(tc) = traffic.as_deref_mut() {
@@ -2495,12 +2529,8 @@ fn run_units(
                 tc.advance(ts, bus, mapping);
             }
         }
-        if ranks.turn(i, ts, units, mapping) {
-            heap = units
-                .iter_mut()
-                .enumerate()
-                .filter_map(|(j, u)| u.desired(mapping).map(|t| Reverse((t, j))))
-                .collect();
+        if ranks.as_mut().is_some_and(|r| r.turn(i, ts, units, mapping)) {
+            heap = turn_heap(units, mapping);
             continue;
         }
         units[i].advance_batch(ts, bus, mapping);

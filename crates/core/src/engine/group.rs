@@ -3,8 +3,8 @@
 //! [`RankGroup::check`]).
 
 use super::{RunCounters, UnitCursor};
-use std::collections::VecDeque;
 use crate::report::Phase;
+use std::collections::VecDeque;
 use stepstone_addr::XorMapping;
 use stepstone_dram::{DramStats, RankCopy, TimingState};
 
@@ -107,7 +107,11 @@ impl UnitStand {
         ]);
         UnitStand {
             pulls: u.pulls,
-            window: u.window.iter().map(|e| (u.back(e), e.gen_ready, e.key, e.cat, e.compute)).collect(),
+            window: u
+                .window
+                .iter()
+                .map(|e| (u.back(e), e.gen_ready, e.key, e.cat, e.compute))
+                .collect(),
             hint: [u.hint_left, u.run_left, u.win_synth as u64],
             anchor: u.run_anchor.filter(|_| u.run_left > 0).map(|a| u.back(&a)),
             times: [u.gen_clock, u.not_before, u.clock, u.simd_free, u.end_time],
@@ -126,7 +130,10 @@ impl UnitStand {
     /// (`dead`), nothing launched between.
     fn is_shift_of(&self, then: &UnitStand, d: u64, dead: u64) -> bool {
         let same_entry = |a: &(u64, u64, u64, Phase, bool), b: &(u64, u64, u64, Phase, bool)| {
-            a.0 == b.0 && a.1 == b.1 + d && a.2 >> 33 == b.2 >> 33 && a.2 & 1 == b.2 & 1
+            a.0 == b.0
+                && a.1 == b.1 + d
+                && a.2 >> 33 == b.2 >> 33
+                && a.2 & 1 == b.2 & 1
                 && (a.3, a.4) == (b.3, b.4)
         };
         self.steady
@@ -180,12 +187,13 @@ pub(super) struct Ranks {
 }
 
 impl Ranks {
-    pub(super) fn new(units: usize, granted: bool) -> Self {
-        Ranks { groups: Vec::new(), of: vec![None; units], unranked: if granted { units } else { 0 } }
+    pub(super) fn new(units: usize) -> Self {
+        Ranks { groups: Vec::new(), of: vec![None; units], unranked: units }
     }
 
     /// Unit `i`'s turn: rank it if its window shows its rank, and take its
     /// rank's check if it leads it. Returns whether the rank jumped.
+    #[inline(never)]
     pub(super) fn turn(
         &mut self,
         i: usize,
@@ -208,7 +216,13 @@ impl Ranks {
         }
         match self.of[i] {
             Some(r) if self.unranked == 0 && self.groups[r].units[0] == i => {
-                self.groups[r].check(ts, units, mapping)
+                let g = &mut self.groups[r];
+                match units[i].steps.group_point() {
+                    Some(p) if g.then.as_ref().is_none_or(|t| t.point != p) => {
+                        g.check(ts, units, mapping, p)
+                    }
+                    _ => false,
+                }
             }
             _ => false,
         }
@@ -232,7 +246,10 @@ impl RankGroup {
             let latest = row.and_then(|r| {
                 let pulled = self.units.iter().enumerate().filter_map(|(m, &i)| {
                     let rec = units[i].record.as_ref()?;
-                    let c = rec.iter().rev().find(|c| c.key >> 33 == bank0 + b && key_row(c.key) == r)?;
+                    let c = rec
+                        .iter()
+                        .rev()
+                        .find(|c| c.key >> 33 == bank0 + b && key_row(c.key) == r)?;
                     Some((m, c.pos))
                 });
                 pulled.max_by_key(|&(_, pos)| pos)
@@ -243,9 +260,10 @@ impl RankGroup {
         RankStand { point, units, dram, open }
     }
 
-    /// The check at the leader's turn: when its stream has passed a new
-    /// check point, stand the rank there and, if the rank stood at the
-    /// point before, try the jump. Returns whether the rank jumped.
+    /// The check at the leader's turn, its stream having passed a new check
+    /// point: stand the rank there and, if the rank stood at the point
+    /// before, try the jump. Returns whether the rank jumped. Kept out of
+    /// line: the scheduler loop stays as small as without groups.
     ///
     /// The rank jumps `k` groups when:
     ///
@@ -273,17 +291,15 @@ impl RankGroup {
     /// each of the `k` groups repeats the last one `D` cycles later with
     /// the rows the pulls name, and the rank jumps to where it stands
     /// after them ([`RankGroup::jump`]).
+    #[inline(never)]
     fn check(
         &mut self,
         ts: &mut TimingState,
         units: &mut [&mut UnitCursor],
         mapping: &XorMapping,
+        point: u64,
     ) -> bool {
         let lead = self.units[0];
-        let Some(point) = units[lead].steps.group_point() else { return false };
-        if self.then.as_ref().is_some_and(|t| t.point == point) {
-            return false;
-        }
         let mut counts = units[lead].group_checks;
         let then = self.then.take().filter(|t| t.point + 1 == point);
         for &i in &self.units {
@@ -331,7 +347,8 @@ impl RankGroup {
             && now.units.iter().zip(&then.units).all(|(n, t)| n.is_shift_of(t, d, dead));
         let opens = now.open.iter().zip(&then.open).all(|(n, t)| match (n.1, t.1) {
             (Some((m, p)), Some((tm, tp))) => {
-                m == tm && now.units[m].pulls - p == then.units[m].pulls - tp
+                m == tm
+                    && now.units[m].pulls - p == then.units[m].pulls - tp
                     && then.units[m].pulls - tp <= GROUP_LOOKBACK / 2
             }
             (None, None) => n.0 == t.0,
@@ -359,7 +376,9 @@ impl RankGroup {
             // are the check's largest.
             chunks.reserve_exact(8 * (chunks.len() - seen));
             chunks[seen..].iter_mut().for_each(|c| c.pos += t.pulls);
-            writes.push(chunks[seen..].iter().filter(|c| c.key & 1 == 1).map(|c| c.len as u64).sum::<u64>());
+            writes.push(
+                chunks[seen..].iter().filter(|c| c.key & 1 == 1).map(|c| c.len as u64).sum::<u64>(),
+            );
             let seen = chunks.len();
             if !u.steps.group_ahead(mapping, g, u.hint_left, &mut chunks) {
                 return None;
@@ -450,7 +469,13 @@ impl RankGroup {
                 a.seq = a.seq.wrapping_add((k * g) as u32);
             }
             u.pulls += k * g;
-            for x in [&mut u.gen_clock, &mut u.not_before, &mut u.clock, &mut u.simd_free, &mut u.end_time] {
+            for x in [
+                &mut u.gen_clock,
+                &mut u.not_before,
+                &mut u.clock,
+                &mut u.simd_free,
+                &mut u.end_time,
+            ] {
                 *x += kd;
             }
             u.inflight.iter_mut().for_each(|x| *x += kd);
@@ -471,7 +496,8 @@ impl RankGroup {
                 u.period = Some(Box::default());
             }
             let keep = u.pulls.saturating_sub(GROUP_LOOKBACK);
-            u.record = Some(rec.iter().filter(|c| c.pos >= keep && c.pos < u.pulls).copied().collect());
+            u.record =
+                Some(rec.iter().filter(|c| c.pos >= keep && c.pos < u.pulls).copied().collect());
             debug_assert!(u.window_ordered(), "unit '{}': window stamps out of order", u.label);
         }
         let acts = ts.rank_copy(self.channel, self.rank).acts() - then.dram.acts();
@@ -518,4 +544,227 @@ fn repeated_groups(c: &[Chunk], from: u64, now: u64, g: u64) -> u64 {
         }
     }
     (end - now) / g
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{StepSource, FB_OTHER};
+    use super::*;
+    use crate::flow::{fresh_memory, GemmContext, KernelStream};
+    use crate::{GemmSpec, SimOptions, SystemConfig};
+    use stepstone_addr::PimLevel;
+    use stepstone_dram::{DramConfig, TimingParams};
+
+    /// A kernel stream that names its group points but reads no group
+    /// ahead: its rank checks and never jumps.
+    struct PointsOnly<S>(S);
+
+    impl<S: Iterator<Item = super::super::Step>> Iterator for PointsOnly<S> {
+        type Item = super::super::Step;
+
+        fn next(&mut self) -> Option<Self::Item> {
+            self.0.next()
+        }
+    }
+
+    impl<S: StepSource> StepSource for PointsOnly<S> {
+        fn run_hint(&self) -> u64 {
+            self.0.run_hint()
+        }
+
+        fn take_run(&mut self, n: u64) -> u64 {
+            self.0.take_run(n)
+        }
+
+        fn round_hint(&mut self, min_rounds: u64) -> Result<super::super::RoundHint, u64> {
+            self.0.round_hint(min_rounds)
+        }
+
+        fn skip_rounds(&mut self, n: u64, bubble_over: u64) -> super::super::Skipped {
+            self.0.skip_rounds(n, bubble_over)
+        }
+
+        fn group_point(&self) -> Option<u64> {
+            self.0.group_point()
+        }
+    }
+
+    /// A coordinate but its column, which no timing reads (a jump renames
+    /// rows only).
+    type Coord = [u32; 5];
+
+    fn coord(c: &stepstone_addr::DramCoord) -> Coord {
+        [c.channel, c.rank, c.bankgroup, c.bank, c.row]
+    }
+
+    /// Everything simulated a unit holds: pulls, window entries (key, pull
+    /// index, AGEN stamp, coordinate, direction, category, compute), run
+    /// hint, admitted run and its anchor, times, SIMD pipeline, launch
+    /// state and the sums a group adds.
+    type Unit = (
+        u64,
+        Vec<(u64, u32, u64, Coord, bool, Phase, bool)>,
+        [u64; 4],
+        Option<(u64, u32, Coord)>,
+        [u64; 7],
+        Vec<u64>,
+        [u64; 8],
+        [u64; 5],
+        u32,
+        RunCounters,
+    );
+
+    fn unit(u: &UnitCursor) -> Unit {
+        let hint_key = if u.hint_left > 0 { u.hint_key } else { 0 };
+        (
+            u.pulls,
+            u.window
+                .iter()
+                .map(|e| (e.key, e.seq, e.gen_ready, coord(&e.coord), e.write, e.cat, e.compute))
+                .collect(),
+            [u.hint_left, hint_key, u.run_left, u.win_synth as u64],
+            u.run_anchor.filter(|_| u.run_left > 0).map(|a| (a.key, a.seq, coord(&a.coord))),
+            [
+                u.gen_clock,
+                u.not_before,
+                u.clock,
+                u.simd_free,
+                u.end_time,
+                u.launch_avail,
+                u.launch_req,
+            ],
+            u.inflight.iter().copied().collect(),
+            u.cat_cycles,
+            [u.simd_ops, u.scratch_accesses, u.agen_iter_sum, u.agen_bubbles, u.launches],
+            u.agen_iter_max,
+            u.run_stats,
+        )
+    }
+
+    /// Where a rank stands at a turn of its first unit: its units and its
+    /// timing state.
+    type Stand = (Vec<Unit>, RankCopy);
+
+    /// A turn of a rank's first unit: the unit and its stream's group point.
+    type Turn = (usize, u64);
+
+    /// Runs the kernel phase as `run_units` runs it on the fast path, and
+    /// at each turn of a rank's first unit whose stream has passed a new
+    /// group point records where the rank stands, keyed by the unit and
+    /// the point — after the jump when the rank jumps there. Returns the
+    /// stands and the landings of the jumps.
+    fn stands(
+        sys: &SystemConfig,
+        ctx: &GemmContext,
+        opts: &SimOptions,
+        jump: bool,
+    ) -> (Vec<(Turn, Stand)>, Vec<Turn>) {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mapping = &ctx.mapping;
+        let lc = &opts.level_cfg;
+        let mut cursors: Vec<UnitCursor> = (0..ctx.active_pims.len())
+            .map(|pix| {
+                let s = KernelStream::new(ctx, sys, opts, pix);
+                let steps: Box<dyn StepSource + Send> =
+                    if jump { Box::new(s) } else { Box::new(PointsOnly(s)) };
+                let mut u = UnitCursor::from_source(
+                    "pim",
+                    ctx.pim_channel(ctx.active_pims[pix]),
+                    lc.port(),
+                    steps,
+                    0,
+                    lc.compute_cycles_per_block(ctx.n),
+                    lc.simd_ops_per_block(ctx.n),
+                    lc.pipeline_depth as usize,
+                    sys.launch.slots_for(opts.granularity),
+                    sys.launch.launch_latency,
+                    sys.dram.timing.t_bl,
+                    None,
+                );
+                u.exclusive = true;
+                u.fast = true;
+                u.fallback_cause = FB_OTHER as u8;
+                u.period = Some(Box::default());
+                u
+            })
+            .collect();
+        let units: &mut Vec<&mut UnitCursor> = &mut cursors.iter_mut().collect();
+        let (mut ts, mut bus) = fresh_memory(sys);
+        let mut ranks = Ranks::new(units.len());
+        let mut seen = vec![None; units.len()];
+        let (mut out, mut landings) = (Vec::new(), Vec::new());
+        let stand = |ranks: &Ranks, ts: &TimingState, units: &[&mut UnitCursor], i: usize| {
+            let g = &ranks.groups[ranks.of[i]?];
+            (ranks.unranked == 0 && g.units[0] == i).then(|| {
+                let rank = g.units.iter().map(|&j| unit(units[j])).collect();
+                (rank, ts.rank_copy(g.channel, g.rank))
+            })
+        };
+        let desired = |units: &mut Vec<&mut UnitCursor>| -> BinaryHeap<Reverse<(u64, usize)>> {
+            units
+                .iter_mut()
+                .enumerate()
+                .filter_map(|(j, u)| u.desired(mapping).map(|t| Reverse((t, j))))
+                .collect()
+        };
+        let mut heap = desired(units);
+        while let Some(Reverse((_, i))) = heap.pop() {
+            if let Some(p) = units[i].steps.group_point().filter(|&p| seen[i] != Some(p)) {
+                if let Some(s) = stand(&ranks, &ts, units, i) {
+                    seen[i] = Some(p);
+                    out.push(((i, p), s));
+                }
+            }
+            if ranks.turn(i, &mut ts, units, mapping) {
+                heap = desired(units);
+                let point = units[i].steps.group_point().expect("a jump lands inside the groups");
+                seen[i] = Some(point);
+                landings.push((i, point));
+                out.push(((i, point), stand(&ranks, &ts, units, i).expect("a leader")));
+                continue;
+            }
+            units[i].advance_batch(&mut ts, &mut bus, mapping);
+            if let Some(t) = units[i].desired(mapping) {
+                heap.push(Reverse((t, i)));
+            }
+        }
+        (out, landings)
+    }
+
+    /// Each jump leaves every unit of the rank, and the rank's timing
+    /// state, where the run whose checks never jump stands at the same
+    /// turn: at the rank's first unit's first turn past the landing point.
+    /// Window keys, rows and pull indices, the run hint and anchor, every
+    /// time, the SIMD pipeline and the sums are compared, and so are the
+    /// rank's banks, ACT window and datapaths. One shape's four-times
+    /// longer tFAW makes the shared ACT window decide ACTs inside the
+    /// jumped groups.
+    #[test]
+    fn jumps_leave_the_rank_where_per_block_issues_would() {
+        let d = DramConfig::default();
+        let faw =
+            DramConfig { timing: TimingParams { t_faw: 4 * d.timing.t_faw, ..d.timing }, ..d };
+        for dram in [d, faw] {
+            let sys = SystemConfig { parallel: false, ..SystemConfig::default() }.with_dram(dram);
+            let opts = SimOptions::stepstone(PimLevel::BankGroup);
+            let ctx = GemmContext::build(&sys, &GemmSpec::new(1024, 2048, 128), &opts);
+            let (jumped, landings) = stands(&sys, &ctx, &opts, true);
+            let (reference, none) = stands(&sys, &ctx, &opts, false);
+            assert!(!landings.is_empty(), "tFAW {}: no rank jumped", dram.timing.t_faw);
+            assert!(none.is_empty(), "the reference jumped");
+            let at = |key| reference.iter().find(|(k, _)| *k == key).map(|(_, s)| s);
+            for (key, s) in &jumped {
+                let landed = if landings.contains(key) { "after a jump" } else { "before" };
+                assert_eq!(
+                    Some(s),
+                    at(*key),
+                    "tFAW {}: unit {} point {:#x} {landed}",
+                    dram.timing.t_faw,
+                    key.0,
+                    key.1
+                );
+            }
+        }
+    }
 }

@@ -20,7 +20,7 @@ use crate::engine::{
 };
 use crate::gemm::GemmSpec;
 use crate::report::{LatencyReport, Phase};
-use stepstone_addr::agen::{KeyTest, Spans, TableStretch};
+use stepstone_addr::agen::{add_agen_counters, AgenCounters, KeyTest, Spans, TableStretch};
 use stepstone_addr::groups::partition_constraints;
 use stepstone_addr::{
     AgenSpan, Geometry, GroupAnalysis, KeyRuns, MappingId, MatrixLayout, NaiveAgen, PageMap,
@@ -648,6 +648,15 @@ impl WalkCursor {
         }
     }
 
+    /// The span program's AGEN counters, taken
+    /// ([`SpanProgram::take_counters`]; zero for other walks).
+    fn take_counters(&mut self) -> AgenCounters {
+        match self {
+            WalkCursor::Spanned { spans: SpanSource::Program(p), .. } => p.take_counters(),
+            _ => AgenCounters::default(),
+        }
+    }
+
     /// At a span boundary, the upcoming spans that repeat the key pattern
     /// of the span just completed, read off the span program's skeleton
     /// tables ([`SpanProgram::stretch`]; a cold window records its table on
@@ -740,9 +749,9 @@ pub struct KernelStream<'a> {
     echo: bool,
     /// Per-rpart prefix offsets into the PIM's C region (len = rparts + 1);
     /// shared by the stream's copies, as are the cells.
-    c_offsets: std::sync::Arc<[u64]>,
+    c_offsets: std::sync::Arc<Vec<u64>>,
     /// Admissible (group, cpart, b_offset, b_len) cells in visit order.
-    cells: std::sync::Arc<[(usize, u32, u64, u64)]>,
+    cells: std::sync::Arc<Vec<(usize, u32, u64, u64)>>,
     rpart: u32,
     stage: KernelStage,
     /// Lazy cursor over the current fill/drain region slice.
@@ -774,6 +783,11 @@ pub struct KernelStream<'a> {
     /// A copy of the stream at the rank's last group check point
     /// ([`StepSource::group_mark`]).
     mark: Option<Box<KernelStream<'a>>>,
+    /// On a copy that reads ahead: the AGEN counts of the spans it yielded
+    /// since it started or last forked, which reach the process-wide
+    /// counters only if the stream becomes a fork
+    /// ([`StepSource::group_skip`]); `None` on the stream itself.
+    ahead_counts: Option<AgenCounters>,
     /// Last emitted access address — debug builds verify every block a
     /// `take_run` skips against its (bank, row) key.
     #[cfg(debug_assertions)]
@@ -816,8 +830,8 @@ impl<'a> KernelStream<'a> {
             pim,
             pix,
             echo: opts.granularity == KernelGranularity::PerDotProduct,
-            c_offsets: c_offsets.into(),
-            cells: cells.into(),
+            c_offsets: std::sync::Arc::new(c_offsets),
+            cells: std::sync::Arc::new(cells),
             rpart: 0,
             stage: KernelStage::Launch,
             fill: None,
@@ -833,6 +847,7 @@ impl<'a> KernelStream<'a> {
             group_cells: std::cell::OnceCell::new(),
             forks: Vec::new(),
             mark: None,
+            ahead_counts: None,
             #[cfg(debug_assertions)]
             last_pa: 0,
         }
@@ -863,10 +878,20 @@ impl<'a> KernelStream<'a> {
                 }
                 runs
             };
-            let shapes: Vec<_> = self.cells.iter().map(shape).collect();
+            // Shapes on demand: a stream whose cells do not repeat is
+            // told from a few of them.
+            let mut shapes = vec![None; n];
             let mut p = 1;
             while 3 * p <= n {
-                if (p..n).all(|c| shapes[c] == shapes[c - p]) {
+                let same = |c: usize| {
+                    for x in [c, c - p] {
+                        if shapes[x].is_none() {
+                            shapes[x] = Some(shape(&self.cells[x]));
+                        }
+                    }
+                    shapes[c] == shapes[c - p]
+                };
+                if (p..n).all(same) {
                     return p as u64;
                 }
                 p *= 2;
@@ -916,12 +941,29 @@ impl<'a> KernelStream<'a> {
                 break;
             }
             if pos == fork {
-                forks.push(self.clone());
+                let mut f = self.clone();
+                f.ahead_counts = Some(self.take_ahead_counts());
+                forks.push(f);
             }
         }
         pos
     }
 
+    /// A copy of the stream that reads ahead of it: the spans it yields
+    /// count only through the forks the stream becomes.
+    fn reader(&self) -> Self {
+        Self { ahead_counts: Some(AgenCounters::default()), ..self.clone() }
+    }
+
+    /// A reading copy's AGEN counts since it started or last forked, which
+    /// start over.
+    fn take_ahead_counts(&mut self) -> AgenCounters {
+        let mut c = self.ahead_counts.replace(AgenCounters::default()).expect("a reading copy");
+        if let Some(w) = self.walk.as_mut() {
+            c.add(&w.take_counters());
+        }
+        c
+    }
 
     /// Seed-faithful variant: same step sequence, but the AGEN rebuilds its
     /// GF(2) system per candidate position as the seed did.
@@ -1022,6 +1064,9 @@ impl KernelStream<'_> {
                     let Some((pa, iters)) = walk.next() else {
                         self.spans_before += walk.spans_started();
                         self.tests_before += walk.key_tests();
+                        if let Some(c) = self.ahead_counts.as_mut() {
+                            c.add(&walk.take_counters());
+                        }
                         self.walk = None;
                         self.cell_ix += 1;
                         self.fill = self.cell_fill();
@@ -1203,28 +1248,41 @@ impl StepSource for KernelStream<'_> {
         self.tests_before + self.walk.as_ref().map_or(0, WalkCursor::key_tests)
     }
 
+    /// Never under eCHO's per-row launches or a paging layer.
+    fn names_groups(&self) -> bool {
+        !self.echo && self.page.is_none() && self.group_cells() > 0
+    }
+
     /// Group `g` of a row part ends where its last cell's `B` fill starts
     /// (cell `p·g − 1`): from there on the stream has passed point `g`.
-    /// Checks happen only between a Launch and the DrainC, never under
-    /// eCHO's per-row launches or a paging layer.
+    /// Checks happen only between a Launch and the DrainC.
     fn group_point(&self) -> Option<u64> {
         let cells = matches!(self.stage, KernelStage::FillB | KernelStage::Gemm);
-        if !cells || self.echo || self.page.is_some() || self.queued.is_some() {
+        if !cells || self.queued.is_some() || !self.names_groups() {
             return None;
         }
-        let p = self.group_cells();
-        (p > 0).then(|| ((self.rpart as u64) << 32) | ((self.cell_ix as u64 + 1) / p))
+        Some(((self.rpart as u64) << 32) | ((self.cell_ix as u64 + 1) / self.group_cells()))
     }
 
     fn group_mark(&mut self) {
         self.forks.clear();
         self.mark = None;
-        self.mark = Some(Box::new(self.clone()));
+        self.mark = Some(Box::new(self.reader()));
     }
 
-    fn group_past(&mut self, mapping: &XorMapping, hint_left: u64, pulls: u64, out: &mut Vec<Chunk>) -> bool {
+    /// The stream yielded the marked group's spans already: the copy's
+    /// counts are dropped.
+    fn group_past(
+        &mut self,
+        mapping: &XorMapping,
+        hint_left: u64,
+        pulls: u64,
+        out: &mut Vec<Chunk>,
+    ) -> bool {
         let Some(mut probe) = self.mark.take() else { return false };
-        probe.read_chunks(mapping, hint_left, pulls, u64::MAX, &mut Vec::new(), out) == pulls
+        let read = probe.read_chunks(mapping, hint_left, pulls, u64::MAX, &mut Vec::new(), out);
+        probe.take_ahead_counts();
+        read == pulls
     }
 
     fn group_ahead(
@@ -1235,16 +1293,25 @@ impl StepSource for KernelStream<'_> {
         out: &mut Vec<Chunk>,
     ) -> bool {
         self.forks.clear();
-        let mut probe = self.clone();
+        let mut probe = self.reader();
         let mut forks = Vec::new();
         probe.read_chunks(mapping, hint_left, u64::MAX, group, &mut forks, out);
+        probe.take_ahead_counts();
         self.forks = forks;
         !self.forks.is_empty()
     }
 
+    /// Each fork holds the AGEN counts of the group before it: the spans
+    /// of the groups skipped count here, once.
     fn group_skip(&mut self, groups: u64) {
-        let forks = std::mem::take(&mut self.forks);
-        *self = forks.into_iter().nth(groups as usize - 1).expect("a group read ahead");
+        let mut counts = AgenCounters::default();
+        let mut landing = None;
+        for mut f in std::mem::take(&mut self.forks).into_iter().take(groups as usize) {
+            counts.add(&f.ahead_counts.take().expect("a fork counts its group"));
+            landing = Some(f);
+        }
+        add_agen_counters(&counts);
+        *self = landing.expect("a group read ahead");
     }
 
     fn take_run(&mut self, n: u64) -> u64 {

@@ -10,7 +10,8 @@ use stepstone_addr::PimLevel;
 use stepstone_core::{simulate_ncho, simulate_pei, GemmSpec, LatencyReport, SystemConfig};
 use stepstone_dram::TrafficSource;
 
-type Baseline = fn(&SystemConfig, &GemmSpec, PimLevel, Option<&mut dyn TrafficSource>) -> LatencyReport;
+type Baseline =
+    fn(&SystemConfig, &GemmSpec, PimLevel, Option<&mut dyn TrafficSource>) -> LatencyReport;
 
 #[test]
 fn baselines_match_their_traced_runs() {

@@ -18,6 +18,7 @@
 //! shape runs with a four-times longer tFAW, so that the rank's shared ACT
 //! window decides ACTs inside the jumped groups.
 
+use stepstone_addr::agen::{agen_counters, reset_agen_counters};
 use stepstone_addr::PimLevel;
 use stepstone_core::engine::{
     reset_run_counters, run_counters, run_phase_auto, RunCounters, Step, StepSource, UnitCursor,
@@ -26,7 +27,8 @@ use stepstone_core::flow::{GemmContext, KernelStream};
 use stepstone_core::{simulate_gemm_opt, GemmSpec, SimOptions, SystemConfig};
 use stepstone_dram::{CommandBus, DramConfig, DramStats, TimingParams, TimingState};
 
-/// The run counters are process-global: tests reading them serialize.
+/// The run and AGEN counters are process-global: tests reading them
+/// serialize.
 fn counter_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -100,7 +102,12 @@ struct PhaseOut {
 
 /// Run the kernel phase, then an identical phase from its end; returns
 /// both and the blocks issued in group jumps.
-fn run_twice(sys: &SystemConfig, ctx: &GemmContext, opts: &SimOptions, mode: Mode) -> ([PhaseOut; 2], u64) {
+fn run_twice(
+    sys: &SystemConfig,
+    ctx: &GemmContext,
+    opts: &SimOptions,
+    mode: Mode,
+) -> ([PhaseOut; 2], u64) {
     let mut ts = TimingState::new(sys.dram);
     if mode == Mode::Traced {
         ts.enable_trace();
@@ -193,6 +200,27 @@ fn group_jumps_match_both_references() {
     assert!(faw[0].end > base[0].end, "tFAW does not bind the kernel");
 }
 
+/// A jump reads each unit's stream ahead in copies of it, which yield the
+/// spans of the groups it skips, and re-reads the last group: each span
+/// still counts once in the process-wide AGEN counters, as in the
+/// group-free run (both over the warm skeleton cache).
+#[test]
+fn group_jumps_count_each_span_once() {
+    let _serial = counter_lock();
+    let (sys, ctx, opts) = bg(1024, 2048, 128, DramConfig::default());
+    run_twice(&sys, &ctx, &opts, Mode::NoGroups);
+    let counted = |mode| {
+        reset_agen_counters();
+        let (_, grouped) = run_twice(&sys, &ctx, &opts, mode);
+        (agen_counters(), grouped)
+    };
+    let (plain, _) = counted(Mode::NoGroups);
+    let (jump, grouped) = counted(Mode::Jump);
+    assert!(grouped > 0, "no group jumped");
+    assert!(plain.replayed_spans > 0, "no span counted");
+    assert_eq!(jump, plain, "AGEN counters of the jumping run vs the group-free run");
+}
+
 /// Every `LatencyReport` field of a whole pass, serial and sharded,
 /// equals the traced pass's.
 #[test]
@@ -219,6 +247,10 @@ fn group_jumps_carry_most_of_a_bg_kernel() {
         let ([first, _], grouped) = run_twice(&sys, &ctx, &opts, Mode::Jump);
         let blocks = 2 * first.stats.accesses();
         let share = grouped as f64 / blocks as f64;
-        assert!(share >= 0.40, "parallel {parallel}: {:.1}% of blocks in group jumps", 100.0 * share);
+        assert!(
+            share >= 0.40,
+            "parallel {parallel}: {:.1}% of blocks in group jumps",
+            100.0 * share
+        );
     }
 }

@@ -216,6 +216,18 @@ pub struct RankCopy {
     paths: Vec<PathState>,
 }
 
+/// Copies are equal when every timing reads the same from them: the ACT
+/// window's entries before its last four, which no ACT reads, aside.
+impl PartialEq for RankCopy {
+    fn eq(&self, o: &Self) -> bool {
+        let faw = |c: &RankCopy| {
+            let w = &c.rank.act_window;
+            RankState { act_window: w[w.len().saturating_sub(4)..].to_vec(), ..c.rank.clone() }
+        };
+        (self.at, &self.banks, &self.paths) == (o.at, &o.banks, &o.paths) && faw(self) == faw(o)
+    }
+}
+
 impl RankCopy {
     /// ACTs the rank had issued when copied.
     pub fn acts(&self) -> u64 {
@@ -368,7 +380,8 @@ impl TimingState {
         let (rk, bgs) = (rk as usize, g.bankgroups_per_rank as usize);
         let per_rank = bgs * g.banks_per_bankgroup as usize;
         let bank0 = banks.start + rk * per_rank;
-        let paths = [p_rk.start + rk].into_iter().chain(p_bg.start + rk * bgs..p_bg.start + (rk + 1) * bgs);
+        let paths =
+            [p_rk.start + rk].into_iter().chain(p_bg.start + rk * bgs..p_bg.start + (rk + 1) * bgs);
         (bank0..bank0 + per_rank, ranks.start + rk, paths.collect())
     }
 
@@ -421,10 +434,19 @@ impl TimingState {
         }) && wn.len() == wt.len()
             && wn.iter().zip(&wt).all(|(&n, &t)| ok(n, t))
             && stamp_ok(rank.last_act, then.rank.last_act)
-            && rank.last_act_by_bg.iter().zip(&then.rank.last_act_by_bg).all(|(&n, &t)| stamp_ok(n, t))
+            && rank
+                .last_act_by_bg
+                .iter()
+                .zip(&then.rank.last_act_by_bg)
+                .all(|(&n, &t)| stamp_ok(n, t))
             && paths.iter().map(|&p| &self.paths[p]).zip(&then.paths).all(|(n, t)| {
                 let stamps = |p: &PathState| {
-                    let v = [&p.last_cas_by_bg, &p.last_wr_by_bg, &p.last_rd_by_rank, &p.last_wr_by_rank];
+                    let v = [
+                        &p.last_cas_by_bg,
+                        &p.last_wr_by_bg,
+                        &p.last_rd_by_rank,
+                        &p.last_wr_by_rank,
+                    ];
                     v.into_iter().flatten().copied().chain([p.last_cas]).collect::<Vec<_>>()
                 };
                 n.bus_used == t.bus_used
@@ -1311,5 +1333,40 @@ mod tests {
         assert_eq!(after.delta(&before), DramStats::default());
         // And the normal direction still subtracts exactly.
         assert_eq!(before.delta(&after).reads, 99);
+    }
+
+    /// `shift_rank` accepts a rank whose every time moved one period on,
+    /// rejects one where a single access came late, and its move `k`
+    /// periods on lands where issuing those periods does. A period is a
+    /// row miss and a hit in bank 0 of each bank group of rank 0, on a new
+    /// row each period.
+    #[test]
+    fn shift_rank_checks_and_moves_one_rank() {
+        let cfg = DramConfig { refresh: false, ..DramConfig::default() };
+        let (d, per_bg) = (4000, cfg.geom.banks_per_bankgroup as usize);
+        // Periods 0..n, the last one's bank-group-3 access `late` cycles
+        // late; returns the state and the rank's copy before the last one.
+        let run = |n: u64, late: u64| {
+            let mut ts = TimingState::new(cfg);
+            let mut then = ts.rank_copy(0, 0);
+            for p in 0..n {
+                then = ts.rank_copy(0, 0);
+                for bg in 0..4 {
+                    let nb = p * d + 40 * bg as u64 + if p + 1 == n && bg == 3 { late } else { 0 };
+                    for (col, kind) in [(0, CasKind::Read), (1, CasKind::Write)] {
+                        let c = coord(0, 0, bg, 0, p as u32, col);
+                        ts.access(c, kind, Port::RankInternal, nb);
+                    }
+                }
+            }
+            (ts, then)
+        };
+        let (mut ts, then) = run(3, 0);
+        assert!(ts.shift_rank(&then, d, 2 * d, 0, &[]), "a repeated period");
+        let (mut late, then_late) = run(3, 7);
+        assert!(!late.shift_rank(&then_late, d, 2 * d, 0, &[]), "an access came late");
+        let rows: Vec<_> = (0..then.banks.len()).map(|b| (b % per_bg == 0).then_some(4)).collect();
+        assert!(ts.shift_rank(&then, d, 2 * d, 2, &rows));
+        assert_eq!(ts.rank_copy(0, 0), run(5, 0).0.rank_copy(0, 0), "two periods on");
     }
 }

@@ -332,11 +332,19 @@ fn table1_slices(sys: &SystemConfig, passes: usize) {
             checks.push((level, n, [first[1], last[1]]));
         }
     }
-    println!("kernel promise checks");
+    println!("kernel promise checks; group checks (no promise / state differs / jumped)");
     for (level, n, ks) in checks {
         for (pass, k) in ["first", "last"].iter().zip(ks) {
-            let line = checks_line(&k.checks);
-            println!("{:<6} {:>3} {pass:<5}  {line}; {} key tests", level.tag(), n, k.key_tests);
+            let (line, g) = (checks_line(&k.checks), &k.groups);
+            println!(
+                "{:<6} {:>3} {pass:<5}  {line}; {} key tests; groups {} / {} / {}",
+                level.tag(),
+                n,
+                k.key_tests,
+                g.no_promise,
+                g.differs,
+                g.jumped,
+            );
         }
     }
 }
